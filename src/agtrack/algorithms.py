@@ -1,14 +1,7 @@
-"""Gradient tracking, accelerated gradient tracking, and the run orchestrator.
+"""Gradient tracking, accelerated gradient tracking, and the run loop.
 
-Plain gradient tracking keeps, next to the decision rows x, an auxiliary
-aggregate s whose rows track the average gradient:
-
-    s^k = W s^{k-1} + grad f(x^k) - grad f(x^{k-1}),
-    x^{k+1} = W x^k - alpha s^k.
-
-The accelerated variant interleaves the tracking recursion with a Nesterov
-three-point scheme (rows y, z, x; W1/W2/W3 may differ per instant on
-time-varying schedules):
+Both methods are one recursion over rows y, s, z, x (W1/W2/W3 may differ per
+instant on time-varying schedules):
 
     y^k     = theta_k z^k + (1 - theta_k) x^k,
     s^k     = W1^k s^{k-1} + grad f(y^k) - grad f(y^{k-1}),
@@ -20,6 +13,15 @@ initialized at a consensual x^0 = y^0 = z^0 with s^0 = grad f(y^0).  The
 generic k = 0 step then already reproduces the special-cased first iterates
 z^1 = W z^0 - alpha/(theta_0 + mu alpha) s^0, so the loop is uniform.
 
+Plain gradient tracking is the case theta_k = 1, mu = 0 without the momentum
+row (no W3 slot): x = y = z, and the recursion reduces to
+
+    s^k     = W^{k-1} s^{k-1} + grad f(x^k) - grad f(x^{k-1}),
+    x^{k+1} = W^k x^k - alpha s^k,
+
+two communication rounds per iteration.  Its tracking slot mixes with the
+matrix of the previous instant, the one that also produced x^k.
+
 For mu = 0 the momentum sequence follows theta_0 = 1 and
 (1 - theta_k)/theta_k^2 = 1/theta_{k-1}^2, giving F(xbar^K) - F* = O(1/K^2);
 for mu > 0 a constant theta = sqrt(mu alpha)/2 gives a linear rate.  The
@@ -27,13 +29,17 @@ step-size rules proved for the four settings are exposed as
 ``default_alpha``; column means of the distributed iterates follow the
 inexact centralized accelerated recursion ``averaged_reference_step``.
 
-The runner records one TraceRow per instant, counting communication and
-gradient rounds actually consumed up to that instant, and (optionally) the
-inexact-bound and master-inequality diagnostic margins.
+``run`` drives every variant through that one loop.  A single mixing
+function ``mix(slot, k, v)``, built once per run, applies slot 0, 1 or 2
+(W1, W2, W3) at instant k and counts its communication rounds.  The loop
+records one TraceRow per instant, counting the rounds consumed up to it; with
+diagnostics on, a ``_Margins`` object beside the loop adds the inexact-bound
+(Lemma 1) and master-inequality (Lemma 4) margins.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +56,8 @@ VARIANTS = ("gt", "acc_gt_static", "acc_gt_tv", "acc_gt_chebyshev", "acc_gt_mult
 # used by their step-size rules in place of sigma / sigma_gamma.
 CHEBYSHEV_EFFECTIVE_SIGMA = 0.65
 MULTICONSENSUS_EFFECTIVE_SIGMA = 1.0 / math.e
+
+NAN = float("nan")
 
 CSV_COLUMNS = ("k", "gap", "per_agent_gap_max", "cons_x", "cons_y", "cons_s",
                "zbar_dist", "comm_rounds", "grad_rounds", "lemma4_margin",
@@ -184,13 +192,6 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
     return (1.0 - sig) ** 4 / (21675.0 * L * gamma ** 4)
 
 
-def _apply_op(W, v: np.ndarray, counter: RoundCounter | None) -> np.ndarray:
-    """Apply one mixing slot: a matrix(-like) gossip or a counting callable."""
-    if callable(W):
-        return W(v, counter)
-    return gossip(W, v, counter)
-
-
 def gt_init(problem: ProblemInstance, x0_row: np.ndarray,
             counter: RoundCounter | None = None) -> AggregateState:
     """Consensual start for gradient tracking: x^0 = 1 x0^T, s^0 = grad f(x^0)."""
@@ -204,11 +205,12 @@ def gt_step(state: AggregateState, W, alpha: float, problem: ProblemInstance,
     """One gradient-tracking step (2 communication rounds, 1 gradient round).
 
     Requires ``state.s`` to track from ``s^0 = grad f(x^0)``; y and z mirror x
-    since the baseline method has no momentum rows.
+    since the baseline method has no momentum rows.  ``run`` reaches the same
+    iterates as the theta = 1 case of the accelerated loop.
     """
-    x_next = _apply_op(W, state.x, counter) - alpha * state.s
+    x_next = gossip(W, state.x, counter) - alpha * state.s
     g_next = aggregate_gradient(problem, x_next, counter)
-    s_next = _apply_op(W, state.s, counter) + g_next - state.grad
+    s_next = gossip(W, state.s, counter) + g_next - state.grad
     if not (np.isfinite(x_next).all() and np.isfinite(s_next).all()):
         raise DivergenceError("gradient-tracking iterate turned non-finite")
     return AggregateState(x_next, x_next, x_next, s_next, grad=g_next)
@@ -236,26 +238,21 @@ def acc_gt_init(problem: ProblemInstance, x0_row: np.ndarray, alpha: float,
     return AggregateState(x0, x0.copy(), x0.copy(), g0.copy(), grad=g0)
 
 
-def _tracking_half(state: AggregateState, W1, theta_k: float, problem: ProblemInstance,
-                   counter: RoundCounter | None, fresh: bool):
-    """Materialize instant k: y^k and the tracked s^k (skipped when s is fresh
-    from initialization, where s^0 = grad f(y^0) holds by construction)."""
-    y_k = theta_k * state.z + (1.0 - theta_k) * state.x
-    if fresh:
-        return y_k, state.s, state.grad
-    g_k = aggregate_gradient(problem, y_k, counter)
-    s_k = _apply_op(W1, state.s, counter) + g_k - state.grad
-    return y_k, s_k, g_k
+def _tracked(problem: ProblemInstance, mix, k: int, y, s, grad, counter):
+    """s^k = W1^k s^{k-1} + grad f(y^k) - grad f(y^{k-1}); returns (s^k, grad f(y^k))."""
+    g = aggregate_gradient(problem, y, counter)
+    return mix(0, k, s) + g - grad, g
 
 
-def _propagate_half(state: AggregateState, y_k, s_k, g_k, W2, W3, alpha: float,
-                    theta_k: float, mu: float,
-                    counter: RoundCounter | None) -> AggregateState:
-    """Finish the step: z^{k+1} and x^{k+1} from instant-k quantities."""
-    ratio = mu * alpha / theta_k
-    z_next = (_apply_op(W2, ratio * y_k + state.z, counter) - (alpha / theta_k) * s_k) / (1.0 + ratio)
-    x_next = theta_k * z_next + (1.0 - theta_k) * _apply_op(W3, state.x, counter)
-    return AggregateState(x_next, y_k, z_next, s_k, grad=g_k)
+def _advance(mix, k: int, x, y, z, s, alpha: float, theta: float, mu: float,
+             momentum: bool = True):
+    """z^{k+1} and x^{k+1} from instant-k quantities; without the momentum
+    row (gt) x^{k+1} = z^{k+1} and the W3 slot is not spent."""
+    ratio = mu * alpha / theta
+    z_next = (mix(1, k, ratio * y + z) - (alpha / theta) * s) / (1.0 + ratio)
+    if not momentum:
+        return z_next, z_next
+    return z_next, theta * z_next + (1.0 - theta) * mix(2, k, x)
 
 
 def acc_gt_step(state: AggregateState, W1, W2, W3, alpha: float, theta_k: float,
@@ -274,11 +271,18 @@ def acc_gt_step(state: AggregateState, W1, W2, W3, alpha: float, theta_k: float,
         raise ValueError("theta_k must lie in (0, 1]")
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
-    y_k, s_k, g_k = _tracking_half(state, W1, theta_k, problem, counter, not refresh_tracking)
-    new = _propagate_half(state, y_k, s_k, g_k, W2, W3, alpha, theta_k, mu, counter)
-    if not (np.isfinite(new.x).all() and np.isfinite(new.z).all() and np.isfinite(new.s).all()):
+
+    def mix(slot, k, v):
+        return gossip((W1, W2, W3)[slot], v, counter)
+
+    y = theta_k * state.z + (1.0 - theta_k) * state.x
+    s, g = state.s, state.grad
+    if refresh_tracking:
+        s, g = _tracked(problem, mix, 0, y, s, g, counter)
+    z_next, x_next = _advance(mix, 0, state.x, y, state.z, s, alpha, theta_k, mu)
+    if not (np.isfinite(x_next).all() and np.isfinite(z_next).all() and np.isfinite(s).all()):
         raise DivergenceError("accelerated iterate turned non-finite")
-    return new
+    return AggregateState(x_next, y, z_next, s, grad=g)
 
 
 @dataclass(frozen=True)
@@ -400,6 +404,7 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
         report = sigma_gamma_of(sched, gamma, rule)
         out["sigma"] = report.sigma
         out["sigma_gamma"] = report.sigma_gamma
+        out["sigma_gamma_is_estimate"] = report.is_estimate
         out["gamma"] = gamma
         sig_for_alpha = report.sigma_gamma
     else:  # gt
@@ -424,13 +429,13 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule,
     """Execute a configured run and record its trace.
 
     ``schedule`` is one GraphSchedule, or a triple of them to drive the three
-    mixing slots of the accelerated recursion independently.  Deterministic:
-    the initial row x^0 is drawn from seeds[0], and everything else is pure.
-    Raises DivergenceError (with the iteration index) if an iterate turns
-    non-finite.
+    mixing slots of the accelerated recursion independently (gt mixes with
+    the first).  Deterministic: the initial row x^0 is drawn from seeds[0],
+    and everything else is pure.  Raises DivergenceError (with the iteration
+    index) if an iterate or a recorded metric turns non-finite.
 
     ``probe``, if given, is called as ``probe(k, x, y, z, s)`` with the
-    aggregate matrices of instant k (read-only), once per recorded row --
+    aggregate matrices of instant k (read-only), once per instant --
     an observation hook for property checks that need more than the trace
     columns (e.g. the mean of s against the mean gradient).
     """
@@ -441,85 +446,175 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule,
     consts = resolve_constants(config, problem, schedule, rule)
     alpha = consts["alpha"]
     mu_used = problem.mu if config.mu_mode == "strongly_convex" else 0.0
-    m, n = problem.m, problem.n
+    K = config.max_iterations
 
     if x0_row is None:
-        x0_row = np.random.default_rng(config.seeds[0]).standard_normal(n)
+        x0_row = np.random.default_rng(config.seeds[0]).standard_normal(problem.n)
 
     schedules = (schedule if isinstance(schedule, (tuple, list)) else (schedule,) * 3)
     counter = RoundCounter()
+    mix = _mixer(config.variant, schedules, rule, consts, counter)
 
-    # Per-slot mixing application for instant k.
-    if config.variant == "acc_gt_chebyshev":
-        op = chebyshev_operator(rule(schedules[0].edge_set(0), m))
-        consts["t"] = op.t
-
-        def slot(which, k):
-            return lambda v, c: chebyshev_apply(op, v, c)
-    elif config.variant == "acc_gt_multiconsensus":
-        zeta = consts["zeta"]
-        pointer = {"round": 0}
-
-        def slot(which, k):
-            def apply_mc(v, c):
-                out, used = multiple_consensus(schedules[which], rule,
-                                               pointer["round"], zeta, v, c)
-                pointer["round"] += used
-                return out
-            return apply_mc
-    elif config.variant in ("gt", "acc_gt_tv"):
-        def slot(which, k):
-            return rule(schedules[which].edge_set(k), m)
-    else:  # acc_gt_static
-        W_static = [rule(s.edge_set(0), m) for s in schedules]
-
-        def slot(which, k):
-            return W_static[which]
-
-    trace = RunTrace(meta={**consts, "m": m, "n": n,
-                           "max_iterations": config.max_iterations,
+    trace = RunTrace(meta={**consts, "m": problem.m, "n": problem.n,
+                           "max_iterations": K,
                            "seeds": tuple(config.seeds),
                            "mu_used": mu_used, "diagnostics": diagnostics})
 
-    if config.variant == "gt":
-        _run_gt(config, problem, slot, alpha, counter, x0_row, trace,
-                diagnostics, probe)
+    # gt is the theta = 1, mu = 0 case without the momentum row.
+    momentum = config.variant != "gt"
+    if not momentum:
+        theta, mu = (lambda k: 1.0), 0.0
+    elif config.mu_mode == "strongly_convex":
+        theta, mu = ThetaSchedule("strongly_convex", alpha, mu_used).theta, mu_used
     else:
-        _run_acc(config, problem, slot, alpha, mu_used, counter, x0_row, trace,
-                 diagnostics, probe)
+        theta, mu = ThetaSchedule("nonstrongly_convex").theta, 0.0
+
+    state = acc_gt_init(problem, x0_row, alpha, theta(0), mu, counter)
+    x, z, s, grad = state.x, state.z, state.s, state.grad
+    F_x = problem.value(x.mean(axis=0))
+    margins = (_Margins(problem, alpha, mu, momentum, theta(0), F_x, z)
+               if diagnostics else _no_margins)
+
+    # Overflow while diverging is reported as DivergenceError; numpy warnings
+    # about it on the way there would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K + 1):
+            theta_k = theta(k)
+            y = theta_k * z + (1.0 - theta_k) * x
+            if k > 0:  # s^0 = grad f(y^0) comes from the initialization
+                s, grad = _tracked(problem, mix, k, y, s, grad, counter)
+            comm, grads = counter.comm_rounds, counter.grad_rounds
+            if probe is not None:
+                probe(k, x, y, z, s)
+            nxt = None
+            if k < K:
+                z_next, x_next = _advance(mix, k, x, y, z, s, alpha, theta_k, mu, momentum)
+                nxt = (x_next, z_next, problem.value(x_next.mean(axis=0)))
+            row = _measure(problem, k, x, y, z, s, F_x, comm, grads, theta_k,
+                           *margins(x, y, z, s, theta_k, nxt))
+            _check_finite(config.variant, row, nxt)
+            trace.rows.append(row)
+            if nxt is not None:
+                x, z, F_x = nxt
     return trace
 
 
-def _lemma1_margins(problem, mu_used, y_k, s_k, diagnostics):
-    """Lower-bound margin at w = x*, and a closure for the upper margin at a
-    later-supplied w (the next mean iterate); both normalized."""
-    if not diagnostics:
-        return float("nan"), None, None
-    ybar = y_k.mean(axis=0)
-    sbar = s_k.mean(axis=0)
-    fhat = inexact_value(problem, ybar, y_k)
-    cons_y_raw = consensus_error(y_k)
-    dstar = problem.x_star - ybar
-    lower_side = fhat + sbar @ dstar + 0.5 * mu_used * (dstar @ dstar)
-    lower = (problem.F_star - lower_side) / max(1.0, abs(problem.F_star))
+def _mixer(variant: str, schedules, rule, consts: dict, counter: RoundCounter):
+    """The run's one mixing function ``mix(slot, k, v)``: apply slot 0, 1 or 2
+    (W1, W2, W3) at instant k to v, counting its rounds on ``counter``.
 
-    def upper_at(w):
-        d = w - ybar
-        bound = fhat + sbar @ d + 0.5 * problem.L * (d @ d) + problem.L / (2.0 * problem.m) * cons_y_raw
-        Fw = problem.value(w)
-        return (bound - Fw) / max(1.0, abs(Fw))
+    Static matrices and the Chebyshev operator are built here once (the
+    operator's degree goes into ``consts["t"]``); time-varying matrices are
+    built per call; multiple consensus keeps its round pointer here.
+    """
+    m = schedules[0].agent_count
+    if variant == "acc_gt_chebyshev":
+        op = chebyshev_operator(rule(schedules[0].edge_set(0), m))
+        consts["t"] = op.t
+        return lambda slot, k, v: chebyshev_apply(op, v, counter)
+    if variant == "acc_gt_multiconsensus":
+        zeta = consts["zeta"]
+        next_round = 0
 
-    return float(lower), upper_at, fhat
+        def mix(slot, k, v):
+            nonlocal next_round
+            out, used = multiple_consensus(schedules[slot], rule, next_round, zeta, v, counter)
+            next_round += used
+            return out
+        return mix
+    if variant == "acc_gt_static":
+        W = [rule(s.edge_set(0), m) for s in schedules]
+        return lambda slot, k, v: gossip(W[slot], v, counter)
+    if variant == "gt":
+        # s^k is mixed with W^{k-1}, the matrix that also produced x^k, so
+        # each W^k serves two consecutive calls and is built once.
+        matrix = functools.lru_cache(maxsize=1)(lambda k: rule(schedules[0].edge_set(k), m))
+        return lambda slot, k, v: gossip(matrix(k - 1 if slot == 0 else k), v, counter)
+    return lambda slot, k, v: gossip(rule(schedules[slot].edge_set(k), m), v, counter)
 
 
-def _measure(problem, k, x, y, z, s, comm, grad, theta_k, lemma4, lower, upper):
+def _no_margins(*_):
+    return NAN, NAN, NAN
+
+
+class _Margins:
+    """Lemma-1 and Lemma-4 diagnostic margins, kept beside the run loop.
+
+    Called once per instant k with that instant's iterates x, y, z, s and
+    ``nxt = (x^{k+1}, z^{k+1}, F(xbar^{k+1}))`` (None at the last instant), it
+    returns trace row k's (lemma4, lemma1_lower, lemma1_upper) margins, each
+    a normalized slack.  Lemma 1 brackets F by the inexact value at (ybar, y):
+    the lower margin at w = x*, the upper one at w = xbar^{k+1}.  The
+    master inequality (Lemma 4) applies to the momentum variants only; its
+    accumulators are kept in damped form (multiplied through by theta_K^2,
+    resp. (1-theta)^{K+1}) so nothing overflows on long runs, and the margin
+    computed at instant k belongs to row k+1.
+    """
+
+    def __init__(self, problem: ProblemInstance, alpha: float, mu: float,
+                 momentum: bool, theta0: float, F0: float, z0: np.ndarray):
+        self.problem, self.alpha, self.mu, self.momentum = problem, alpha, mu, momentum
+        self.lemma4 = NAN
+        self.acc_y = 0.0     # damped sum of (L/2m)||Pi y^k||^2 weights
+        self.acc_drop = 0.0  # damped sum of the dropped (nonnegative) terms
+        self.sum_dz = 0.0    # plain sum (1/2a - L/2)||dzbar||^2 (mu = 0 form only)
+        self.zbar0_dist = float(np.sum((z0.mean(axis=0) - problem.x_star) ** 2))
+        # (1-theta)^{K+1} (gap(0) + coeff ||zbar^0 - x*||^2), updated multiplicatively.
+        coeff = theta0 * theta0 / (2.0 * alpha) + mu * theta0 / 2.0
+        self.base = F0 - problem.F_star + coeff * self.zbar0_dist
+
+    def __call__(self, x, y, z, s, theta, nxt):
+        P = self.problem
+        ybar = y.mean(axis=0)
+        sbar = s.mean(axis=0)
+        fhat = inexact_value(P, ybar, y)
+        cons_y = consensus_error(y)
+        dstar = P.x_star - ybar
+        lower_side = fhat + sbar @ dstar + 0.5 * self.mu * (dstar @ dstar)
+        lower = float((P.F_star - lower_side) / max(1.0, abs(P.F_star)))
+        lemma4 = self.lemma4
+        if nxt is None:
+            return lemma4, lower, NAN
+        x_next, z_next, F_next = nxt
+        d = x_next.mean(axis=0) - ybar
+        bound = fhat + sbar @ d + 0.5 * P.L * (d @ d) + P.L / (2.0 * P.m) * cons_y
+        upper = (bound - F_next) / max(1.0, abs(F_next))
+        if self.momentum:
+            self._next_lemma4(x, y, z, z_next, theta, F_next, cons_y)
+        return lemma4, lower, upper
+
+    def _next_lemma4(self, x, y, z, z_next, theta, F_next, cons_y):
+        """The master-inequality margin of the next row."""
+        P, alpha, L = self.problem, self.alpha, self.problem.L
+        dzbar = z_next.mean(axis=0) - z.mean(axis=0)
+        dz2 = float(dzbar @ dzbar)
+        breg = bregman_distance(P, x.mean(axis=0), y)
+        zdist = float(np.sum((z_next.mean(axis=0) - P.x_star) ** 2))
+        self.acc_y = (1.0 - theta) * self.acc_y + (L / (2.0 * P.m)) * cons_y
+        if self.mu > 0.0:
+            self.acc_drop = (1.0 - theta) * self.acc_drop \
+                + (theta * theta / (2.0 * alpha) - L * theta * theta / 2.0) * dz2 \
+                + (1.0 - theta) * breg
+            self.base *= (1.0 - theta)
+            coeff = theta * theta / (2.0 * alpha) + self.mu * theta / 2.0
+            lhs = F_next - P.F_star + coeff * zdist
+            rhs = self.base + self.acc_y - self.acc_drop
+        else:
+            # theta_k^2 / theta_{k-1}^2 = 1 - theta_k telescopes the weights.
+            self.acc_drop = (1.0 - theta) * (self.acc_drop + breg)
+            self.sum_dz += (1.0 / (2.0 * alpha) - L / 2.0) * dz2
+            th2 = theta * theta
+            lhs = F_next - P.F_star + th2 / (2.0 * alpha) * zdist
+            rhs = th2 / (2.0 * alpha) * self.zbar0_dist + self.acc_y - th2 * self.sum_dz - self.acc_drop
+        self.lemma4 = (rhs - lhs) / max(1.0, abs(lhs))
+
+
+def _measure(problem, k, x, y, z, s, F_x, comm, grad, theta_k, lemma4, lower, upper):
     m = problem.m
-    xbar = x.mean(axis=0)
-    gap = problem.value(xbar) - problem.F_star
     per_agent = float((problem.value_many(x) - problem.F_star).max())
     zbar = z.mean(axis=0)
     return TraceRow(
-        k=k, gap=float(gap), per_agent_gap_max=per_agent,
+        k=k, gap=float(F_x - problem.F_star), per_agent_gap_max=per_agent,
         cons_x=consensus_error(x) / m, cons_y=consensus_error(y) / m,
         cons_s=consensus_error(s) / m,
         zbar_dist=float(np.sum((zbar - problem.x_star) ** 2)),
@@ -528,129 +623,13 @@ def _measure(problem, k, x, y, z, s, comm, grad, theta_k, lemma4, lower, upper):
         cons_z=consensus_error(z) / m, theta=theta_k)
 
 
-def _check_row_finite(row: TraceRow, variant: str):
-    """Divergence can hide from iterate checks (e.g. the mean stays bounded
-    while squared norms overflow), so the recorded metrics are the last word.
-    """
-    if not all(math.isfinite(v) for v in (row.gap, row.per_agent_gap_max,
-                                          row.cons_x, row.cons_y, row.cons_s,
-                                          row.zbar_dist)):
-        raise DivergenceError(f"{variant} diverged at iteration {row.k}",
-                              iteration=row.k)
-
-
-def _run_gt(config, problem, slot, alpha, counter, x0_row, trace, diagnostics,
-            probe=None):
-    state = gt_init(problem, x0_row, counter)
-    K = config.max_iterations
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K + 1):
-            comm, grad = counter.comm_rounds, counter.grad_rounds
-            lower, upper_at, _ = _lemma1_margins(problem, 0.0, state.x, state.s,
-                                                 diagnostics)
-            prev = state
-            if probe is not None:
-                probe(k, prev.x, prev.x, prev.x, prev.s)
-            if k < K:
-                try:
-                    state = gt_step(state, slot(0, k), alpha, problem, counter)
-                except DivergenceError as err:
-                    raise DivergenceError(f"gt diverged at iteration {k}",
-                                          iteration=k) from err
-                upper = upper_at(state.x.mean(axis=0)) if upper_at else float("nan")
-            else:
-                upper = float("nan")
-            row = _measure(problem, k, prev.x, prev.x, prev.x, prev.s,
-                           comm, grad, float("nan"), float("nan"), lower, upper)
-            _check_row_finite(row, "gt")
-            trace.rows.append(row)
-
-
-def _run_acc(config, problem, slot, alpha, mu_used, counter, x0_row, trace,
-             diagnostics, probe=None):
-    sc = config.mu_mode == "strongly_convex"
-    thetas = (ThetaSchedule("strongly_convex", alpha, mu_used) if sc
-              else ThetaSchedule("nonstrongly_convex"))
-    state = acc_gt_init(problem, x0_row, alpha,
-                        1.0 if not sc else thetas.theta(0), mu_used, counter)
-    K = config.max_iterations
-    L, m = problem.L, problem.m
-
-    # Master-inequality accumulators in damped form (multiplied through by
-    # theta_K^2, resp. (1-theta)^{K+1}, so nothing overflows on long runs).
-    acc_y = 0.0        # damped sum of (L/2m)||Pi y^k||^2 weights
-    acc_drop = 0.0     # damped sum of the dropped (nonnegative) terms
-    sum_dz = 0.0       # plain sum (1/2a - L/2)||dzbar||^2 (mu = 0 form only)
-    base_sc = float("nan")
-    if sc:
-        theta = thetas.theta(0)
-        coeff = theta * theta / (2.0 * alpha) + mu_used * theta / 2.0
-        # (1-theta)^{K+1} (gap(0) + coeff ||zbar^0 - x*||^2), updated multiplicatively.
-        zbar0 = state.z.mean(axis=0)
-        base_sc = problem.value(state.x.mean(axis=0)) - problem.F_star \
-            + coeff * float(np.sum((zbar0 - problem.x_star) ** 2))
-    zbar0_dist = float(np.sum((state.z.mean(axis=0) - problem.x_star) ** 2))
-
-    lemma4 = float("nan")
-    # Overflow while diverging is reported as DivergenceError; numpy warnings
-    # about it on the way there would only be noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K + 1):
-            theta_k = thetas.theta(k)
-            y_k, s_k, g_k = _tracking_half(state, slot(0, k), theta_k, problem,
-                                           counter, fresh=(k == 0))
-            if not (np.isfinite(y_k).all() and np.isfinite(s_k).all()):
-                raise DivergenceError(f"{config.variant} diverged at iteration {k}",
-                                      iteration=k)
-            comm, grad = counter.comm_rounds, counter.grad_rounds
-            lower, upper_at, _ = _lemma1_margins(problem, mu_used, y_k, s_k,
-                                                 diagnostics)
-            prev_x, prev_z = state.x, state.z
-            if probe is not None:
-                probe(k, prev_x, y_k, prev_z, s_k)
-            if k < K:
-                state = _propagate_half(state, y_k, s_k, g_k, slot(1, k), slot(2, k),
-                                        alpha, theta_k, mu_used, counter)
-                if not (np.isfinite(state.x).all() and np.isfinite(state.z).all()):
-                    raise DivergenceError(
-                        f"{config.variant} diverged at iteration {k}", iteration=k)
-                upper = upper_at(state.x.mean(axis=0)) if upper_at else float("nan")
-            else:
-                upper = float("nan")
-            row = _measure(problem, k, prev_x, y_k, prev_z, s_k,
-                           comm, grad, theta_k, lemma4, lower, upper)
-            _check_row_finite(row, config.variant)
-            trace.rows.append(row)
-            if k == K:
-                break
-
-            # Advance the master-inequality margin to be stored on row k+1.
-            if diagnostics:
-                xbar_k = prev_x.mean(axis=0)
-                dzbar = state.z.mean(axis=0) - prev_z.mean(axis=0)
-                breg = bregman_distance(problem, xbar_k, y_k)
-                piy = consensus_error(y_k)
-                if sc:
-                    theta = theta_k
-                    acc_y = (1.0 - theta) * acc_y + (L / (2.0 * m)) * piy
-                    acc_drop = (1.0 - theta) * acc_drop \
-                        + (theta * theta / (2.0 * alpha)
-                           - L * theta * theta / 2.0) * float(dzbar @ dzbar) \
-                        + (1.0 - theta) * breg
-                    base_sc *= (1.0 - theta)
-                    coeff = theta * theta / (2.0 * alpha) + mu_used * theta / 2.0
-                    lhs = (problem.value(state.x.mean(axis=0)) - problem.F_star
-                           + coeff * float(np.sum((state.z.mean(axis=0)
-                                                   - problem.x_star) ** 2)))
-                    rhs = base_sc + acc_y - acc_drop
-                else:
-                    # theta_k^2 / theta_{k-1}^2 = 1 - theta_k telescopes the weights.
-                    acc_y = (1.0 - theta_k) * acc_y + (L / (2.0 * m)) * piy
-                    acc_drop = (1.0 - theta_k) * (acc_drop + breg)
-                    sum_dz += (1.0 / (2.0 * alpha) - L / 2.0) * float(dzbar @ dzbar)
-                    th2 = theta_k * theta_k
-                    lhs = (problem.value(state.x.mean(axis=0)) - problem.F_star
-                           + th2 / (2.0 * alpha) * float(np.sum((state.z.mean(axis=0)
-                                                                 - problem.x_star) ** 2)))
-                    rhs = th2 / (2.0 * alpha) * zbar0_dist + acc_y - th2 * sum_dz - acc_drop
-                lemma4 = (rhs - lhs) / max(1.0, abs(lhs))
+def _check_finite(variant: str, row: TraceRow, nxt):
+    """Raise DivergenceError at instant k if a recorded metric of row k, or
+    the next x / z, is non-finite.  The row's metrics cover x, y, z and s of
+    instant k, and catch divergence the iterates alone can hide (the mean
+    stays bounded while squared norms overflow)."""
+    metrics = (row.gap, row.per_agent_gap_max, row.cons_x, row.cons_y, row.cons_s,
+               row.zbar_dist)
+    if not (all(math.isfinite(v) for v in metrics)
+            and (nxt is None or (np.isfinite(nxt[0]).all() and np.isfinite(nxt[1]).all()))):
+        raise DivergenceError(f"{variant} diverged at iteration {row.k}", iteration=row.k)

@@ -43,7 +43,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -193,23 +192,23 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None,
 
 
 def _certify(trace: RunTrace, problem: ProblemInstance):
-    """The bound certificates applicable to this run's variant and mode."""
+    """The bound certificates applicable to this run's variant and mode, and
+    notes for the report: why none were checked, or whether the T3/T4 mixing
+    constant was only estimated."""
     meta = trace.meta
     variant, mode = meta["variant"], meta["mu_mode"]
     try:
         if variant == "acc_gt_static":
-            if mode == "zero":
-                return list(certify_theorem1(trace, problem, meta["alpha"], meta["sigma"]))
-            return list(certify_theorem2(trace, problem, meta["alpha"], meta["sigma"]))
+            theorem = certify_theorem1 if mode == "zero" else certify_theorem2
+            return list(theorem(trace, problem, meta["alpha"], meta["sigma"])), {}
         if variant == "acc_gt_tv":
-            if mode == "zero":
-                return list(certify_theorem3(trace, problem, meta["alpha"],
-                                             meta["sigma_gamma"], meta["gamma"]))
-            return list(certify_theorem4(trace, problem, meta["alpha"],
-                                         meta["sigma_gamma"], meta["gamma"]))
-    except ValueError:
-        return []  # trace too short for the initialization maxima
-    return []
+            theorem = certify_theorem3 if mode == "zero" else certify_theorem4
+            certs = list(theorem(trace, problem, meta["alpha"], meta["sigma_gamma"],
+                                 meta["gamma"]))
+            return certs, {"sigma_gamma_is_estimate": meta["sigma_gamma_is_estimate"]}
+    except ValueError as err:  # e.g. a trace too short for the initialization maxima
+        return [], {"not_checked": str(err)}
+    return [], {"not_checked": f"no convergence theorem covers variant {variant}"}
 
 
 def _timestamp(deterministic: bool) -> str | None:
@@ -219,10 +218,10 @@ def _timestamp(deterministic: bool) -> str | None:
 
 
 def _write_outputs(out_dir: Path, config: ExperimentConfig, trace: RunTrace,
-                   certs, deterministic: bool):
+                   certs, notes: dict, deterministic: bool):
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "trace.csv", timestamp=_timestamp(deterministic))
-    report = {"certificates": certificates_to_report(certs)}
+    report = {"certificates": certificates_to_report(certs), **notes}
     if not deterministic:
         report["generated"] = _timestamp(False)
     with open(out_dir / "certificates.json", "w") as fh:
@@ -240,16 +239,16 @@ def _execute(config: ExperimentConfig, out_dir: Path, deterministic: bool):
     alg = build_algorithm(config.algorithm)
     _validate_step_hypotheses(config, problem, alg)
     trace = run(alg, problem, schedule, diagnostics=config.diagnostics)
-    certs = _certify(trace, problem)
-    _write_outputs(out_dir, config, trace, certs, deterministic)
-    return trace, certs
+    certs, notes = _certify(trace, problem)
+    _write_outputs(out_dir, config, trace, certs, notes, deterministic)
+    return trace, certs, notes
 
 
 def cmd_run(config_path, out_dir="out", seed=None, strict=False,
             deterministic=False, diagnostics=None) -> int:
     try:
         config = _apply_overrides(load_config(config_path), seed, diagnostics)
-        trace, certs = _execute(config, Path(out_dir), deterministic)
+        trace, certs, notes = _execute(config, Path(out_dir), deterministic)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -262,6 +261,8 @@ def cmd_run(config_path, out_dir="out", seed=None, strict=False,
     for cert in certs:
         print(f"  {cert.theorem_id}: {'holds' if cert.holds else 'VIOLATED'} "
               f"(worst margin {cert.worst_margin:.6e})")
+    if "not_checked" in notes:
+        print(f"  certificates not checked: {notes['not_checked']}")
     if strict and any(not c.holds for c in certs):
         return 4
     return 0
@@ -331,7 +332,7 @@ def _rounds_to_target(trace: RunTrace, target: float):
 
 
 def cmd_sweep(config_path, out_dir="out", seed=None, strict=False,
-              deterministic=False, diagnostics=None, jobs=1) -> int:
+              deterministic=False, diagnostics=None) -> int:
     try:
         config = _apply_overrides(load_config(config_path), seed, diagnostics)
     except ConfigError as err:
@@ -345,8 +346,7 @@ def cmd_sweep(config_path, out_dir="out", seed=None, strict=False,
     base = config.to_dict()
     out_root = Path(out_dir)
 
-    def run_cell(index_values):
-        index, values = index_values
+    def run_cell(index, values):
         row = {"cell": index, **{a: v for a, v in zip(axes, values)}}
         try:
             data = copy.deepcopy(base)
@@ -354,8 +354,8 @@ def cmd_sweep(config_path, out_dir="out", seed=None, strict=False,
             for axis, value in zip(axes, values):
                 _set_path(data, axis, value)
             cell_cfg = ExperimentConfig.from_dict(data)
-            trace, certs = _execute(cell_cfg, out_root / f"cell_{index:03d}",
-                                    deterministic)
+            trace, certs, _ = _execute(cell_cfg, out_root / f"cell_{index:03d}",
+                                       deterministic)
         except ConfigError as err:
             return {**row, "status": f"config error: {err}"}
         except DivergenceError as err:
@@ -367,11 +367,7 @@ def cmd_sweep(config_path, out_dir="out", seed=None, strict=False,
                 "certificates": ";".join(
                     f"{c.theorem_id}:{'pass' if c.holds else 'FAIL'}" for c in certs)}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, enumerate(cells)))
-    else:
-        results = [run_cell(iv) for iv in enumerate(cells)]
+    results = [run_cell(index, values) for index, values in enumerate(cells)]
 
     out_root.mkdir(parents=True, exist_ok=True)
     columns = ["cell", *axes, "status", "final_gap",
@@ -416,15 +412,13 @@ def main(argv=None) -> int:
                            help="suppress timestamps for byte-identical outputs")
             p.add_argument("--diagnostics", choices=("on", "off"), default=None,
                            help="override the config's diagnostics switch")
-        if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config, args.out, args.seed, args.strict,
                        args.deterministic, args.diagnostics)
     if args.command == "sweep":
         return cmd_sweep(args.config, args.out, args.seed, args.strict,
-                         args.deterministic, args.diagnostics, args.jobs)
+                         args.deterministic, args.diagnostics)
     return cmd_graph_info(args.config)
 
 

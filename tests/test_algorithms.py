@@ -271,6 +271,17 @@ def test_resolve_constants_static_and_tv(m9_schedule):
         resolve_constants(AlgorithmConfig(variant="acc_gt_static"), prob, m9_schedule)
 
 
+def test_resolve_constants_flags_estimated_sigma_gamma(m9_schedule):
+    cfg = AlgorithmConfig(variant="acc_gt_tv")
+    random_schedule = GraphSchedule.seeded_random(9, 0.5, seed=1)
+    prob = random_quadratic_problem(9, 2, seed=5)
+    assert resolve_constants(cfg, prob, random_schedule)["sigma_gamma_is_estimate"] is True
+    assert resolve_constants(cfg, prob, m9_schedule)["sigma_gamma_is_estimate"] is False
+    trace = run(AlgorithmConfig(variant="acc_gt_multiconsensus", max_iterations=2),
+                prob, random_schedule, diagnostics=False)
+    assert trace.meta["sigma_gamma_is_estimate"] is True
+
+
 # ---------------------------------------------------------------- run
 
 def test_run_k0_has_single_row():

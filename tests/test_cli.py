@@ -244,6 +244,57 @@ def test_run_diagnostics_override(tmp_path):
     assert rows[2][margins] != "nan"
 
 
+def test_run_reports_why_gt_is_not_certified(tmp_path, capsys):
+    data = base_config()
+    data["algorithm"] = {"variant": "gt", "alpha": 0.1, "max_iterations": 20}
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    report = json.loads((out / "certificates.json").read_text())
+    assert report["certificates"] == []
+    assert report["not_checked"] == "no convergence theorem covers variant gt"
+    assert "certificates not checked: no convergence theorem covers variant gt" \
+        in capsys.readouterr().out
+
+
+def test_run_reports_trace_too_short_for_time_varying_bound(tmp_path, capsys):
+    data = base_config()
+    data["problem"]["m"] = 9
+    data["graph"] = {"m": 9, "kind": "cyclic", "period": 3,
+                     "edge_sets": [[list(e) for e in s] for s in M9_EDGE_SETS]}
+    data["algorithm"] = {"variant": "acc_gt_tv", "max_iterations": 2}  # gamma = 3
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    report = json.loads((out / "certificates.json").read_text())
+    assert report["certificates"] == []
+    assert report["not_checked"].startswith("trace too short")
+    assert "certificates not checked: trace too short" in capsys.readouterr().out
+
+
+def test_certified_runs_carry_no_skip_reason(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, base_config()),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "certificates.json").read_text())
+    assert "not_checked" not in report
+    assert "sigma_gamma_is_estimate" not in report  # T1 uses the exact static sigma
+
+
+@pytest.mark.parametrize("graph,estimate", [
+    ({"m": 9, "kind": "cyclic", "period": 3,
+      "edge_sets": [[list(e) for e in s] for s in M9_EDGE_SETS]}, False),
+    ({"m": 9, "kind": "seeded_random", "edge_probability": 0.5, "seed": 1}, True),
+])
+def test_time_varying_certificates_say_if_sigma_gamma_was_estimated(tmp_path, graph, estimate):
+    data = base_config(graph=graph)
+    data["problem"]["m"] = 9
+    data["algorithm"] = {"variant": "acc_gt_tv", "max_iterations": 12}
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+    report = json.loads((out / "certificates.json").read_text())
+    assert [c["theorem_id"] for c in report["certificates"]] == ["T3_gap", "T3_consensus"]
+    assert report["sigma_gamma_is_estimate"] is estimate
+
+
 # ------------------------------------------------------------ graph-info
 
 def test_graph_info_static_ring(tmp_path, capsys):
@@ -315,17 +366,6 @@ def test_sweep_runs_all_cells(tmp_path, capsys):
     assert [r["algorithm.alpha"] for r in rows] == ["0.05", "0.05", "0.1", "0.1"]
     assert [r["problem.seed"] for r in rows] == ["0", "1", "0", "1"]
     assert all("T1_gap:pass" in r["certificates"] for r in rows)
-
-
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg_path = write_config(tmp_path, sweep_config())
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["sweep", "--config", cfg_path, "--out", str(serial),
-                 "--deterministic"]) == 0
-    assert main(["sweep", "--config", cfg_path, "--out", str(parallel),
-                 "--deterministic", "--jobs", "3"]) == 0
-    assert ((serial / "summary.csv").read_bytes()
-            == (parallel / "summary.csv").read_bytes())
 
 
 def test_sweep_without_axes_behaves_as_run(tmp_path, capsys):

@@ -1,0 +1,141 @@
+"""Regression tests for the run loop shared by every variant.
+
+``run_loop_golden.json`` holds every CSV column of small runs (m <= 10,
+K = 12), recorded bit for bit (floats as ``float.hex``) from the two-loop
+implementation this loop replaced: all five variants, both momentum modes
+where they apply, diagnostics on and off, and time-varying schedules for gt,
+acc_gt_tv and acc_gt_multiconsensus.  Regenerate it only for an intended
+numerical change:
+
+    PYTHONPATH=src python tests/test_run_loop.py > tests/data/run_loop_golden.json
+"""
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from agtrack import (AlgorithmConfig, GraphSchedule, ProblemInstance,
+                     consensus_error, gt_init, gt_step, metropolis_weights,
+                     random_logistic_problem, random_quadratic_problem, run)
+from agtrack.algorithms import CSV_COLUMNS
+from agtrack.mixing import RoundCounter
+from conftest import M9_EDGE_SETS, ring_edges
+
+GOLDEN = Path(__file__).parent / "data" / "run_loop_golden.json"
+K = 12
+
+SCHEDULES = {
+    "ring10": lambda: GraphSchedule.static(10, ring_edges(10)),
+    "m9_cyclic": lambda: GraphSchedule.cyclic(9, M9_EDGE_SETS),
+    "random8": lambda: GraphSchedule.seeded_random(8, 0.4, seed=5),
+}
+
+# name -> (variant, alpha, mu_mode, schedule, problem kind, problem mu)
+CASES = {
+    "gt_random": ("gt", 0.05, "zero", "random8", "quadratic", 0.0),
+    "gt_cyclic": ("gt", 0.1, "zero", "m9_cyclic", "quadratic", 0.0),
+    "gt_static_logistic": ("gt", 0.5, "zero", "ring10", "logistic", 0.0),
+    "static_zero": ("acc_gt_static", "theorem_default", "zero", "ring10", "quadratic", 0.0),
+    "static_sc": ("acc_gt_static", 0.2, "strongly_convex", "ring10", "quadratic", 0.1),
+    "tv_zero": ("acc_gt_tv", 0.05, "zero", "m9_cyclic", "quadratic", 0.0),
+    "tv_sc_random": ("acc_gt_tv", 0.05, "strongly_convex", "random8", "quadratic", 0.1),
+    "tv_zero_logistic": ("acc_gt_tv", 0.5, "zero", "m9_cyclic", "logistic", 0.0),
+    "chebyshev_zero": ("acc_gt_chebyshev", 0.1, "zero", "ring10", "quadratic", 0.0),
+    "multiconsensus_random": ("acc_gt_multiconsensus", "theorem_default", "zero",
+                              "random8", "quadratic", 0.0),
+    "multiconsensus_sc": ("acc_gt_multiconsensus", 0.2, "strongly_convex", "m9_cyclic",
+                          "quadratic", 0.1),
+}
+
+
+def build(name):
+    variant, alpha, mode, sched_name, kind, mu = CASES[name]
+    schedule = SCHEDULES[sched_name]()
+    m = schedule.agent_count
+    if kind == "logistic":
+        problem = random_logistic_problem(m, 3, samples_per_agent=6, ridge=0.05, seed=4)
+    else:
+        problem = random_quadratic_problem(m, 3, L=1.0, mu=mu, seed=4)
+    config = AlgorithmConfig(variant=variant, alpha=alpha, mu_mode=mode,
+                             max_iterations=K, seeds=(7,))
+    return config, problem, schedule
+
+
+def columns(trace):
+    """Every CSV column, floats as float.hex so equality is bitwise."""
+    out = {}
+    for name in CSV_COLUMNS:
+        values = [getattr(r, name) for r in trace.rows]
+        out[name] = values if name in ("k", "comm_rounds", "grad_rounds") else [
+            float(v).hex() for v in values]
+    return out
+
+
+def record():
+    return {name: {diag: columns(run(*build(name), diagnostics=(diag == "on")))
+                   for diag in ("on", "off")}
+            for name in CASES}
+
+
+@pytest.mark.parametrize("diag", ["on", "off"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_columns_match_recorded_bits(name, diag):
+    expected = json.loads(GOLDEN.read_text())[name][diag]
+    got = columns(run(*build(name), diagnostics=(diag == "on")))
+    for column in CSV_COLUMNS:
+        assert got[column] == expected[column], (name, diag, column)
+
+
+def test_gt_run_equals_hand_loop_of_gt_steps():
+    """On a seeded-random schedule run('gt') is the textbook recursion: each
+    step mixes x and s with the same W^k."""
+    schedule = GraphSchedule.seeded_random(8, 0.4, seed=11)
+    problem = random_quadratic_problem(8, 3, seed=2)
+    alpha = 0.05
+    trace = run(AlgorithmConfig(variant="gt", alpha=alpha, max_iterations=K, seeds=(3,)),
+                problem, schedule, diagnostics=False)
+
+    counter = RoundCounter()
+    x0 = np.random.default_rng(3).standard_normal(problem.n)
+    state = gt_init(problem, x0, counter)
+    for k, row in enumerate(trace.rows):
+        xbar = state.x.mean(axis=0)
+        assert row.k == k
+        assert row.gap == problem.value(xbar) - problem.F_star
+        assert row.per_agent_gap_max == float(
+            (problem.value_many(state.x) - problem.F_star).max())
+        assert row.cons_x == consensus_error(state.x) / problem.m
+        assert row.cons_s == consensus_error(state.s) / problem.m
+        assert (row.comm_rounds, row.grad_rounds) == (counter.comm_rounds,
+                                                      counter.grad_rounds)
+        W = metropolis_weights(schedule.edge_set(k), problem.m)
+        state = gt_step(state, W, alpha, problem, counter)
+
+
+@pytest.mark.parametrize("variant,mode,sched_name", [
+    ("gt", "zero", "random8"),
+    ("acc_gt_tv", "zero", "m9_cyclic"),
+    ("acc_gt_static", "strongly_convex", "ring10"),
+])
+def test_objective_evaluated_once_per_mean_iterate(monkeypatch, variant, mode, sched_name):
+    schedule = SCHEDULES[sched_name]()
+    problem = random_quadratic_problem(schedule.agent_count, 3, mu=0.1, seed=6)
+    seen = []
+    original = ProblemInstance.value
+
+    def counting(self, w):
+        seen.append(np.asarray(w).tobytes())
+        return original(self, w)
+
+    monkeypatch.setattr(ProblemInstance, "value", counting)
+    trace = run(AlgorithmConfig(variant=variant, alpha=0.05, mu_mode=mode,
+                                max_iterations=K), problem, schedule, diagnostics=True)
+    assert not math.isnan(trace.rows[1].lemma1_upper_margin)
+    assert len(set(seen)) == K + 1  # one mean iterate per row
+    assert len(seen) == K + 1
+
+
+if __name__ == "__main__":
+    print(json.dumps(record(), indent=1, sort_keys=True))
