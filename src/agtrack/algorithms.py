@@ -1,25 +1,25 @@
 """Gradient tracking, accelerated gradient tracking, and the run loop.
 
-Both methods are one recursion over rows y, s, z, x (W1/W2/W3 may differ per
-instant on time-varying schedules):
+Both methods are one recursion over rows y, s, z, x; at instant k every row
+mixes with the same doubly stochastic matrix W^k of the graph schedule:
 
     y^k     = theta_k z^k + (1 - theta_k) x^k,
-    s^k     = W1^k s^{k-1} + grad f(y^k) - grad f(y^{k-1}),
+    s^k     = W^k s^{k-1} + grad f(y^k) - grad f(y^{k-1}),
     z^{k+1} = (1 + mu alpha / theta_k)^{-1}
-              (W2^k (mu alpha / theta_k y^k + z^k) - alpha / theta_k s^k),
-    x^{k+1} = theta_k z^{k+1} + (1 - theta_k) W3^k x^k,
+              (W^k (mu alpha / theta_k y^k + z^k) - alpha / theta_k s^k),
+    x^{k+1} = theta_k z^{k+1} + (1 - theta_k) W^k x^k,
 
 initialized at a consensual x^0 = y^0 = z^0 with s^0 = grad f(y^0).  The
 generic k = 0 step then already reproduces the special-cased first iterates
 z^1 = W z^0 - alpha/(theta_0 + mu alpha) s^0, so the loop is uniform.
 
 Plain gradient tracking is the case theta_k = 1, mu = 0 without the momentum
-row (no W3 slot): x = y = z, and the recursion reduces to
+row: x = y = z, and the recursion reduces to
 
     s^k     = W^{k-1} s^{k-1} + grad f(x^k) - grad f(x^{k-1}),
     x^{k+1} = W^k x^k - alpha s^k,
 
-two communication rounds per iteration.  Its tracking slot mixes with the
+two communication rounds per iteration.  Its tracking row mixes with the
 matrix of the previous instant, the one that also produced x^k.
 
 For mu = 0 the momentum sequence follows theta_0 = 1 and
@@ -30,8 +30,9 @@ step-size rules proved for the four settings are exposed as
 inexact centralized accelerated recursion ``averaged_reference_step``.
 
 ``run`` drives every variant through that one loop.  A single mixing
-function ``mix(slot, k, v)``, built once per run, applies slot 0, 1 or 2
-(W1, W2, W3) at instant k and counts its communication rounds.  The loop
+function ``mix(k, v)``, built once per run, applies the instant-k operator
+(W^k from the schedule's cache, or its Chebyshev / multiple-consensus
+wrapper) and counts its communication rounds.  The loop
 records one TraceRow per instant, counting the rounds consumed up to it; with
 diagnostics on, a ``_Margins`` object beside the loop adds the inexact-bound
 (Lemma 1) and master-inequality (Lemma 4) margins.
@@ -39,13 +40,13 @@ diagnostics on, a ``_Margins`` object beside the loop adds the inexact-bound
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GraphSchedule, gamma_connectivity, metropolis_weights, sigma as sigma_of, sigma_gamma as sigma_gamma_of
+from .graph import MAX_GAMMA, GraphSchedule, gamma_connectivity, sigma as sigma_of, sigma_gamma as sigma_gamma_of
+from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .mixing import RoundCounter, chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
 from .problems import (AggregateState, ProblemInstance, aggregate_gradient,
                        bregman_distance, consensus_error, inexact_value)
@@ -239,27 +240,28 @@ def acc_gt_init(problem: ProblemInstance, x0_row: np.ndarray, alpha: float,
 
 
 def _tracked(problem: ProblemInstance, mix, k: int, y, s, grad, counter):
-    """s^k = W1^k s^{k-1} + grad f(y^k) - grad f(y^{k-1}); returns (s^k, grad f(y^k))."""
+    """s = W^k s^{prev} + grad f(y) - grad f(y^{prev}); returns (s, grad f(y))."""
     g = aggregate_gradient(problem, y, counter)
-    return mix(0, k, s) + g - grad, g
+    return mix(k, s) + g - grad, g
 
 
 def _advance(mix, k: int, x, y, z, s, alpha: float, theta: float, mu: float,
              momentum: bool = True):
     """z^{k+1} and x^{k+1} from instant-k quantities; without the momentum
-    row (gt) x^{k+1} = z^{k+1} and the W3 slot is not spent."""
+    row (gt) x^{k+1} = z^{k+1} and x is not mixed."""
     ratio = mu * alpha / theta
-    z_next = (mix(1, k, ratio * y + z) - (alpha / theta) * s) / (1.0 + ratio)
+    z_next = (mix(k, ratio * y + z) - (alpha / theta) * s) / (1.0 + ratio)
     if not momentum:
         return z_next, z_next
-    return z_next, theta * z_next + (1.0 - theta) * mix(2, k, x)
+    return z_next, theta * z_next + (1.0 - theta) * mix(k, x)
 
 
-def acc_gt_step(state: AggregateState, W1, W2, W3, alpha: float, theta_k: float,
+def acc_gt_step(state: AggregateState, W, alpha: float, theta_k: float,
                 mu: float, problem: ProblemInstance,
                 counter: RoundCounter | None = None,
                 refresh_tracking: bool = True) -> AggregateState:
-    """One accelerated step (3 communication rounds, 1 gradient round).
+    """One accelerated step with mixing matrix W (3 communication rounds,
+    1 gradient round).
 
     On entry ``state`` holds x^k and z^k together with the previous instant's
     y, s, and gradient; on exit those fields hold x^{k+1}, z^{k+1}, y^k, s^k,
@@ -272,8 +274,8 @@ def acc_gt_step(state: AggregateState, W1, W2, W3, alpha: float, theta_k: float,
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
 
-    def mix(slot, k, v):
-        return gossip((W1, W2, W3)[slot], v, counter)
+    def mix(k, v):
+        return gossip(W, v, counter)
 
     y = theta_k * state.z + (1.0 - theta_k) * state.x
     s, g = state.s, state.grad
@@ -369,7 +371,7 @@ class RunTrace:
                 ])
 
 
-def resolve_gamma(schedule: GraphSchedule, max_gamma: int = 50) -> int:
+def resolve_gamma(schedule: GraphSchedule, max_gamma: int = MAX_GAMMA) -> int:
     """Smallest gamma for which the schedule is gamma-connected."""
     for g in range(1, max_gamma + 1):
         if gamma_connectivity(schedule, g):
@@ -377,31 +379,25 @@ def resolve_gamma(schedule: GraphSchedule, max_gamma: int = 50) -> int:
     raise ValueError(f"schedule is not gamma-connected for any gamma <= {max_gamma}")
 
 
-def _first_schedule(schedule) -> GraphSchedule:
-    return schedule[0] if isinstance(schedule, (tuple, list)) else schedule
-
-
 def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
-                      schedule, weight_rule=None) -> dict:
+                      schedule: GraphSchedule) -> dict:
     """Mixing constants, step size, and wrapper parameters for one run.
 
     Returns a dict with sigma / sigma_gamma / gamma as applicable, the
     resolved alpha (theorem default or explicit), and zeta / t for the
     wrapped variants.
     """
-    rule = weight_rule if weight_rule is not None else metropolis_weights
-    sched = _first_schedule(schedule)
     out: dict = {"variant": config.variant, "mu_mode": config.mu_mode}
 
     if config.variant in ("acc_gt_static", "acc_gt_chebyshev"):
-        if sched.schedule_kind != "static":
+        if schedule.schedule_kind != "static":
             raise ValueError(f"variant {config.variant} requires a static schedule")
-        out["sigma"] = sigma_of(rule(sched.edge_set(0), sched.agent_count))
+        out["sigma"] = sigma_of(schedule.matrix(0))
         out["gamma"] = 1
         sig_for_alpha = out["sigma"]
     elif config.variant in ("acc_gt_tv", "acc_gt_multiconsensus"):
-        gamma = resolve_gamma(sched)
-        report = sigma_gamma_of(sched, gamma, rule)
+        gamma = resolve_gamma(schedule)
+        report = sigma_gamma_of(schedule, gamma)
         out["sigma"] = report.sigma
         out["sigma_gamma"] = report.sigma_gamma
         out["sigma_gamma_is_estimate"] = report.is_estimate
@@ -423,14 +419,14 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
     return out
 
 
-def run(config: AlgorithmConfig, problem: ProblemInstance, schedule,
-        weight_rule=None, diagnostics: bool = True,
+def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedule,
+        diagnostics: bool = True,
         x0_row: np.ndarray | None = None, probe=None) -> RunTrace:
     """Execute a configured run and record its trace.
 
-    ``schedule`` is one GraphSchedule, or a triple of them to drive the three
-    mixing slots of the accelerated recursion independently (gt mixes with
-    the first).  Deterministic: the initial row x^0 is drawn from seeds[0],
+    Every row mixes at instant k with the schedule's one matrix W^k (or the
+    Chebyshev / multiple-consensus wrapper of the variant); gt tracks s with
+    W^{k-1}.  Deterministic: the initial row x^0 is drawn from seeds[0],
     and everything else is pure.  Raises DivergenceError (with the iteration
     index) if an iterate or a recorded metric turns non-finite.
 
@@ -441,9 +437,8 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule,
     """
     if config.mu_mode == "strongly_convex" and problem.mu <= 0.0:
         raise ValueError("strongly_convex mode requires a problem with mu > 0")
-    rule = weight_rule if weight_rule is not None else metropolis_weights
 
-    consts = resolve_constants(config, problem, schedule, rule)
+    consts = resolve_constants(config, problem, schedule)
     alpha = consts["alpha"]
     mu_used = problem.mu if config.mu_mode == "strongly_convex" else 0.0
     K = config.max_iterations
@@ -451,17 +446,19 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule,
     if x0_row is None:
         x0_row = np.random.default_rng(config.seeds[0]).standard_normal(problem.n)
 
-    schedules = (schedule if isinstance(schedule, (tuple, list)) else (schedule,) * 3)
     counter = RoundCounter()
-    mix = _mixer(config.variant, schedules, rule, consts, counter)
+    mix = _mixer(config.variant, schedule, consts, counter)
 
     trace = RunTrace(meta={**consts, "m": problem.m, "n": problem.n,
                            "max_iterations": K,
                            "seeds": tuple(config.seeds),
                            "mu_used": mu_used, "diagnostics": diagnostics})
 
-    # gt is the theta = 1, mu = 0 case without the momentum row.
+    # gt is the theta = 1, mu = 0 case without the momentum row; it tracks s
+    # with W^{k-1}, the matrix that produced x^k, so each W^k serves two
+    # consecutive mixing calls.
     momentum = config.variant != "gt"
+    track_lag = 0 if momentum else 1
     if not momentum:
         theta, mu = (lambda k: 1.0), 0.0
     elif config.mu_mode == "strongly_convex":
@@ -482,7 +479,7 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule,
             theta_k = theta(k)
             y = theta_k * z + (1.0 - theta_k) * x
             if k > 0:  # s^0 = grad f(y^0) comes from the initialization
-                s, grad = _tracked(problem, mix, k, y, s, grad, counter)
+                s, grad = _tracked(problem, mix, k - track_lag, y, s, grad, counter)
             comm, grads = counter.comm_rounds, counter.grad_rounds
             if probe is not None:
                 probe(k, x, y, z, s)
@@ -499,38 +496,29 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule,
     return trace
 
 
-def _mixer(variant: str, schedules, rule, consts: dict, counter: RoundCounter):
-    """The run's one mixing function ``mix(slot, k, v)``: apply slot 0, 1 or 2
-    (W1, W2, W3) at instant k to v, counting its rounds on ``counter``.
+def _mixer(variant: str, schedule: GraphSchedule, consts: dict, counter: RoundCounter):
+    """The run's one mixing function ``mix(k, v)``: apply the instant-k
+    operator to v, counting its rounds on ``counter``.
 
-    Static matrices and the Chebyshev operator are built here once (the
-    operator's degree goes into ``consts["t"]``); time-varying matrices are
-    built per call; multiple consensus keeps its round pointer here.
+    The Chebyshev operator is built here once (its degree goes into
+    ``consts["t"]``); multiple consensus keeps its round pointer here; every
+    other variant gossips with the schedule's cached W^k.
     """
-    m = schedules[0].agent_count
     if variant == "acc_gt_chebyshev":
-        op = chebyshev_operator(rule(schedules[0].edge_set(0), m))
+        op = chebyshev_operator(schedule.matrix(0))
         consts["t"] = op.t
-        return lambda slot, k, v: chebyshev_apply(op, v, counter)
+        return lambda k, v: chebyshev_apply(op, v, counter)
     if variant == "acc_gt_multiconsensus":
         zeta = consts["zeta"]
         next_round = 0
 
-        def mix(slot, k, v):
+        def mix(k, v):
             nonlocal next_round
-            out, used = multiple_consensus(schedules[slot], rule, next_round, zeta, v, counter)
+            out, used = multiple_consensus(schedule, None, next_round, zeta, v, counter)
             next_round += used
             return out
         return mix
-    if variant == "acc_gt_static":
-        W = [rule(s.edge_set(0), m) for s in schedules]
-        return lambda slot, k, v: gossip(W[slot], v, counter)
-    if variant == "gt":
-        # s^k is mixed with W^{k-1}, the matrix that also produced x^k, so
-        # each W^k serves two consecutive calls and is built once.
-        matrix = functools.lru_cache(maxsize=1)(lambda k: rule(schedules[0].edge_set(k), m))
-        return lambda slot, k, v: gossip(matrix(k - 1 if slot == 0 else k), v, counter)
-    return lambda slot, k, v: gossip(rule(schedules[slot].edge_set(k), m), v, counter)
+    return lambda k, v: gossip(schedule.matrix(k), v, counter)
 
 
 def _no_margins(*_):

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .graph import GraphSchedule, sigma as sigma_of, sigma_gamma as sigma_gamma_of, metropolis_weights
+from .graph import MAX_GAMMA, GraphSchedule, sigma as sigma_of, sigma_gamma as sigma_gamma_of
+from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .problems import ProblemInstance, random_logistic_problem, random_quadratic_problem
 from .algorithms import (AlgorithmConfig, DivergenceError, RunTrace,
                          default_alpha, resolve_gamma, run)
@@ -238,7 +239,10 @@ def _execute(config: ExperimentConfig, out_dir: Path, deterministic: bool):
     schedule = build_schedule(config.graph)
     alg = build_algorithm(config.algorithm)
     _validate_step_hypotheses(config, problem, alg)
-    trace = run(alg, problem, schedule, diagnostics=config.diagnostics)
+    try:
+        trace = run(alg, problem, schedule, diagnostics=config.diagnostics)
+    except ValueError as err:  # the variant, step rule or mode does not fit the schedule
+        raise ConfigError(f"algorithm: {err}") from err
     certs, notes = _certify(trace, problem)
     _write_outputs(out_dir, config, trace, certs, notes, deterministic)
     return trace, certs, notes
@@ -282,11 +286,11 @@ def cmd_graph_info(config_path) -> int:
     try:
         gamma = resolve_gamma(schedule)
     except ValueError:
-        print("gamma-connected: false (no gamma <= 50 connects the union graphs)")
+        print(f"gamma-connected: false (no gamma <= {MAX_GAMMA} connects the union graphs)")
         return 0
     print(f"gamma-connected: true (smallest gamma = {gamma})")
     if schedule.schedule_kind == "static":
-        sig = sigma_of(metropolis_weights(schedule.edge_set(0), m))
+        sig = sigma_of(schedule.matrix(0))
         print(f"sigma = {sig:.17g}")
         sig_for = {"acc_gt_static": sig, "acc_gt_chebyshev": sig,
                    "acc_gt_tv": sig, "acc_gt_multiconsensus": sig}

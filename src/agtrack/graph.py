@@ -16,7 +16,7 @@ whenever the union of any ``gamma`` consecutive edge sets is connected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,10 @@ import numpy as np
 # looser when accepting user-supplied matrices.
 DS_BUILD_TOL = 1e-12
 DS_INPUT_TOL = 1e-9
+
+# Largest gamma resolve_gamma searches, and the number of recent matrices a
+# seeded_random schedule caches so windows of up to MAX_GAMMA reuse them.
+MAX_GAMMA = 50
 
 EdgeSet = tuple[tuple[int, int], ...]
 
@@ -55,6 +59,7 @@ class GraphSchedule:
     edge_sets: tuple[EdgeSet, ...] | None = None
     edge_probability: float | None = None
     seed: int | None = None
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.agent_count <= 0:
@@ -110,17 +115,24 @@ class GraphSchedule:
         mask = rng.random(iu.shape[0]) < self.edge_probability
         return tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
 
+    def matrix(self, k: int) -> np.ndarray:
+        """The read-only Metropolis matrix W^k of instant k.
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """A doubly stochastic m-by-m matrix tied to the edge set it was built from."""
-
-    entries: np.ndarray
-    source_edge_set: EdgeSet | None = None
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
+        Periodic schedules build each of their ``period`` matrices once;
+        seeded_random schedules keep the ``MAX_GAMMA`` most recently built.
+        """
+        if k < 0:
+            raise ValueError("instant index must be nonnegative")
+        period = self.period
+        key = k % period if period is not None else k
+        W = self._matrices.get(key)
+        if W is None:
+            W = metropolis_weights(self.edge_set(k), self.agent_count)
+            W.setflags(write=False)
+            if period is None and len(self._matrices) >= MAX_GAMMA:
+                del self._matrices[next(iter(self._matrices))]  # oldest first
+            self._matrices[key] = W
+        return W
 
 
 @dataclass(frozen=True)
@@ -140,10 +152,6 @@ class SpectralReport:
     is_estimate: bool
 
 
-def _entries(W) -> np.ndarray:
-    return W.entries if isinstance(W, MixingMatrix) else np.asarray(W, dtype=float)
-
-
 def _check_doubly_stochastic(W: np.ndarray, tol: float):
     m = W.shape[0]
     if W.shape != (m, m):
@@ -153,7 +161,7 @@ def _check_doubly_stochastic(W: np.ndarray, tol: float):
         raise ValueError(f"matrix is not doubly stochastic (max row/col sum deviation {dev:.3e})")
 
 
-def metropolis_weights(edge_set, m: int) -> MixingMatrix:
+def metropolis_weights(edge_set, m: int) -> np.ndarray:
     """Build the Metropolis mixing matrix for one edge set.
 
     Off-diagonal weights are ``1 / (1 + max(d_i, d_j))`` for neighbors and the
@@ -175,7 +183,7 @@ def metropolis_weights(edge_set, m: int) -> MixingMatrix:
     for i in range(m):
         W[i, i] = 1.0 - W[i].sum()
     _check_doubly_stochastic(W, DS_BUILD_TOL)
-    return MixingMatrix(W, edges)
+    return W
 
 
 def sigma(W) -> float:
@@ -184,7 +192,7 @@ def sigma(W) -> float:
     Equals the second largest singular value of W; strictly below 1 exactly
     when one round of gossip contracts disagreement.
     """
-    M = _entries(W)
+    M = np.asarray(W, dtype=float)
     _check_doubly_stochastic(M, DS_INPUT_TOL)
     m = M.shape[0]
     val = np.linalg.norm(M - np.ones((m, m)) / m, 2)
@@ -192,22 +200,19 @@ def sigma(W) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def matrix_product_window(schedule: GraphSchedule, weight_rule, k: int, gamma: int) -> MixingMatrix:
+def matrix_product_window(schedule: GraphSchedule, k: int, gamma: int) -> np.ndarray:
     """Ordered product ``W^k W^{k-1} ... W^{k-gamma+1}`` of schedule matrices.
 
-    ``gamma = 0`` returns the identity.  ``weight_rule`` maps
-    ``(edge_set, m)`` to a MixingMatrix; None selects Metropolis weights.
+    ``gamma = 0`` returns the identity.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if k < gamma - 1:
         raise ValueError(f"need k >= gamma - 1 (got k={k}, gamma={gamma})")
-    rule = weight_rule if weight_rule is not None else metropolis_weights
-    m = schedule.agent_count
-    P = np.eye(m)
+    P = np.eye(schedule.agent_count)
     for r in range(k - gamma + 1, k + 1):
-        P = _entries(rule(schedule.edge_set(r), m)) @ P
-    return MixingMatrix(P, schedule.edge_set(k) if gamma > 0 else ())
+        P = schedule.matrix(r) @ P
+    return P
 
 
 def _union_connected(edge_sets, m: int) -> bool:
@@ -255,24 +260,24 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
     return True
 
 
-def sigma_gamma(schedule: GraphSchedule, gamma: int, weight_rule=None,
+def sigma_gamma(schedule: GraphSchedule, gamma: int,
                 horizon: int | None = None) -> SpectralReport:
     """Gamma-step mixing constant ``sup_k ||W^{k,gamma} - (1/m) 1 1^T||_2``.
 
     Static schedules give the exact ``||W^gamma - J/m||_2``; cyclic schedules
     take the exact max over one full period of start instants; seeded_random
     schedules sample ``k in [gamma-1, horizon]`` and flag the result as an
-    estimate.
+    estimate.  Each instant's W^k is built once per call (windows of up to
+    ``MAX_GAMMA`` instants share the schedule's cache).
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    rule = weight_rule if weight_rule is not None else metropolis_weights
     m = schedule.agent_count
     J = np.ones((m, m)) / m
     period = schedule.period
 
     if schedule.schedule_kind == "static":
-        W = _entries(rule(schedule.edge_set(0), m))
+        W = schedule.matrix(0)
         sig_g = np.linalg.norm(np.linalg.matrix_power(W, gamma) - J, 2)
         sig_1 = sigma(W)
         return SpectralReport(sig_1, float(min(max(sig_g, 0.0), 1.0)), gamma,
@@ -294,8 +299,8 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int, weight_rule=None,
     sig_g = 0.0
     sig_1 = 0.0
     for k in ks:
-        P = matrix_product_window(schedule, rule, k, gamma).entries
+        P = matrix_product_window(schedule, k, gamma)
         sig_g = max(sig_g, np.linalg.norm(P - J, 2))
-        sig_1 = max(sig_1, sigma(rule(schedule.edge_set(k), m)))
+        sig_1 = max(sig_1, sigma(schedule.matrix(k)))
     return SpectralReport(float(min(sig_1, 1.0)), float(min(max(sig_g, 0.0), 1.0)),
                           gamma, horizon_used, is_estimate)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphSchedule, MixingMatrix, metropolis_weights, sigma as sigma_of
+from .graph import GraphSchedule, metropolis_weights, sigma as sigma_of
 
 SYMMETRY_TOL = 1e-12
 # sigma below this is treated as exact consensus in one round: the Chebyshev
@@ -73,7 +73,7 @@ class ChebyshevOperator:
 
 def chebyshev_operator(W, t: int | None = None) -> ChebyshevOperator:
     """Construct a ChebyshevOperator; t defaults to ``ceil(1/sqrt(nu))``."""
-    M = W.entries if isinstance(W, MixingMatrix) else np.asarray(W, dtype=float)
+    M = np.asarray(W, dtype=float)
     asym = np.abs(M - M.T).max()
     if asym > SYMMETRY_TOL:
         raise ValueError(f"Chebyshev acceleration needs a symmetric matrix (asymmetry {asym:.3e})")
@@ -96,7 +96,7 @@ def chebyshev_operator(W, t: int | None = None) -> ChebyshevOperator:
 
 def gossip(W, x: np.ndarray, counter: RoundCounter | None = None) -> np.ndarray:
     """One communication round: returns W x."""
-    M = W.entries if isinstance(W, MixingMatrix) else np.asarray(W, dtype=float)
+    M = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
     if M.shape[1] != x.shape[0]:
         raise ValueError(f"shape mismatch: W is {M.shape}, state has {x.shape[0]} rows")
@@ -148,16 +148,16 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
 
     Returns ``(u^zeta, zeta)``.  With ``zeta = ceil(gamma / (1 - sigma_gamma))``
     on a gamma-connected schedule the disagreement norm contracts by at least
-    a factor 1/e per call.
+    a factor 1/e per call.  ``weight_rule`` must be None or
+    ``metropolis_weights``, the only rule the schedule builds.
     """
     if zeta < 1:
         raise ValueError("zeta must be at least 1")
-    rule = weight_rule if weight_rule is not None else metropolis_weights
-    m = schedule.agent_count
+    if weight_rule not in (None, metropolis_weights):
+        raise ValueError("multiple consensus mixes with the schedule's Metropolis matrices only")
     u = np.asarray(x, dtype=float)
     for t in range(zeta):
-        W = rule(schedule.edge_set(start_round + t), m)
-        u = (W.entries if isinstance(W, MixingMatrix) else np.asarray(W)) @ u
+        u = schedule.matrix(start_round + t) @ u
     if counter is not None:
         counter.add_comm(zeta)
     return u, zeta

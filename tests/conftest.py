@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from agtrack import GraphSchedule
+from agtrack import GraphSchedule, graph
 
 
 def ring_edges(m):
@@ -35,3 +35,17 @@ def m9_schedule():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count Metropolis matrix builds made through GraphSchedule.matrix."""
+    count = [0]
+    original = graph.metropolis_weights
+
+    def counting(edge_set, m):
+        count[0] += 1
+        return original(edge_set, m)
+
+    monkeypatch.setattr(graph, "metropolis_weights", counting)
+    return count

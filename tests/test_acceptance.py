@@ -163,9 +163,9 @@ def test_criterion_06_two_form_equivalence():
         x_q, z_q = state.x.copy(), state.z.copy()
         s_q, g_prev = state.s.copy(), state.grad.copy()
         for k in range(100):
-            W = metropolis_weights(schedule.edge_set(k), m).entries
+            W = metropolis_weights(schedule.edge_set(k), m)
             theta = thetas.theta(k)
-            state = acc_gt_step(state, W, W, W, alpha, theta, 0.0, problem,
+            state = acc_gt_step(state, W, alpha, theta, 0.0, problem,
                                 refresh_tracking=(k > 0))
             y_q = theta * z_q + (1.0 - theta) * x_q
             if k > 0:
@@ -255,20 +255,20 @@ def test_criterion_11_contraction_suites():
         W = metropolis_weights(random_edge_set(m, rng, float(rng.uniform(0.2, 0.7))), m)
         x = rng.standard_normal((m, 3))
         contraction = sigma(W)
-        assert (np.linalg.norm(projected(W.entries @ x))
+        assert (np.linalg.norm(projected(W @ x))
                 <= contraction * np.linalg.norm(projected(x)) + 1e-9)
     report = sigma_gamma(M9, 3)
     for _ in range(100):  # full gamma-window against sigma_gamma
         k = int(rng.integers(2, 32))
-        window = matrix_product_window(M9, None, k, 3)
+        window = matrix_product_window(M9, k, 3)
         x = rng.standard_normal((9, 4))
-        assert (np.linalg.norm(projected(window.entries @ x))
+        assert (np.linalg.norm(projected(window @ x))
                 <= report.sigma_gamma * np.linalg.norm(projected(x)) + 1e-9)
     for _ in range(100):  # any single round never expands disagreement
         m = int(rng.integers(3, 21))
         W = metropolis_weights(random_edge_set(m, rng, float(rng.uniform(0.1, 0.5))), m)
         x = rng.standard_normal((m, 2))
-        assert (np.linalg.norm(projected(W.entries @ x))
+        assert (np.linalg.norm(projected(W @ x))
                 <= np.linalg.norm(projected(x)) * (1.0 + 1e-12) + 1e-12)
     print("criterion 11: PASS - contraction suites hold on 100 pairs each")
 

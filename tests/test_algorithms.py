@@ -164,7 +164,7 @@ def test_acc_step_hand_trace_scalar():
     state = acc_gt_init(prob, np.array([2.0]), alpha=0.1, theta0=1.0, mu=0.0)
     assert state.s[0, 0] == pytest.approx(2.0)
     I = np.eye(1)
-    state = acc_gt_step(state, I, I, I, 0.1, 1.0, 0.0, prob, refresh_tracking=False)
+    state = acc_gt_step(state, I, 0.1, 1.0, 0.0, prob, refresh_tracking=False)
     assert state.y[0, 0] == pytest.approx(2.0)
     assert state.z[0, 0] == pytest.approx(1.8)
     assert state.x[0, 0] == pytest.approx(1.8)
@@ -178,11 +178,11 @@ def test_acc_first_step_matches_initialization_formula(rng):
     alpha, mu = 0.01, prob.mu
     theta0 = math.sqrt(mu * alpha) / 2
     state0 = acc_gt_init(prob, rng.standard_normal(3), alpha, theta0, mu)
-    state1 = acc_gt_step(state0, W, W, W, alpha, theta0, mu, prob,
+    state1 = acc_gt_step(state0, W, alpha, theta0, mu, prob,
                          refresh_tracking=False)
-    expected_z1 = W.entries @ state0.z - alpha / (theta0 + mu * alpha) * state0.s
+    expected_z1 = W @ state0.z - alpha / (theta0 + mu * alpha) * state0.s
     np.testing.assert_allclose(state1.z, expected_z1, atol=1e-12)
-    expected_x1 = theta0 * expected_z1 + (1 - theta0) * (W.entries @ state0.x)
+    expected_x1 = theta0 * expected_z1 + (1 - theta0) * (W @ state0.x)
     np.testing.assert_allclose(state1.x, expected_x1, atol=1e-12)
 
 
@@ -192,9 +192,9 @@ def test_acc_step_mu_zero_z_update_collapse(rng):
     W = metropolis_weights(ring_edges(5), 5)
     state = acc_gt_init(prob, rng.standard_normal(2), 0.05, 1.0, 0.0)
     theta = 0.4
-    nxt = acc_gt_step(state, W, W, W, 0.05, theta, 0.0, prob)
+    nxt = acc_gt_step(state, W, 0.05, theta, 0.0, prob)
     np.testing.assert_allclose(
-        nxt.z, W.entries @ state.z - (0.05 / theta) * nxt.s, atol=1e-12)
+        nxt.z, W @ state.z - (0.05 / theta) * nxt.s, atol=1e-12)
 
 
 def test_acc_fixed_point_at_optimum(rng):
@@ -202,7 +202,7 @@ def test_acc_fixed_point_at_optimum(rng):
     W = metropolis_weights(ring_edges(5), 5)
     state = acc_gt_init(prob, prob.x_star, 0.01, 1.0, 0.0)
     for _ in range(5):
-        state = acc_gt_step(state, W, W, W, 0.01, 0.5, 0.0, prob)
+        state = acc_gt_step(state, W, 0.01, 0.5, 0.0, prob)
     np.testing.assert_allclose(state.x, np.tile(prob.x_star, (5, 1)), atol=1e-10)
 
 
@@ -212,7 +212,7 @@ def test_acc_step_counters(rng):
     counter = RoundCounter()
     state = acc_gt_init(prob, rng.standard_normal(2), 0.01, 1.0, 0.0, counter)
     assert (counter.comm_rounds, counter.grad_rounds) == (0, 1)
-    acc_gt_step(state, W, W, W, 0.01, 1.0, 0.0, prob, counter)
+    acc_gt_step(state, W, 0.01, 1.0, 0.0, prob, counter)
     assert (counter.comm_rounds, counter.grad_rounds) == (3, 2)
 
 
@@ -220,7 +220,7 @@ def test_acc_step_validates_theta(rng):
     prob = scalar_problem()
     state = acc_gt_init(prob, np.array([1.0]), 0.1, 1.0, 0.0)
     with pytest.raises(ValueError):
-        acc_gt_step(state, np.eye(1), np.eye(1), np.eye(1), 0.1, 0.0, 0.0, prob)
+        acc_gt_step(state, np.eye(1), 0.1, 0.0, 0.0, prob)
 
 
 # ------------------------------------------------- averaged reference
@@ -352,17 +352,6 @@ def test_run_divergence_reports_iteration():
         run(AlgorithmConfig(variant="acc_gt_static", alpha=10.0, max_iterations=2000),
             prob, ring_schedule(5), diagnostics=False)
     assert err.value.iteration is not None
-
-
-def test_run_accepts_schedule_triple():
-    prob = random_quadratic_problem(6, 2, seed=16)
-    sched = ring_schedule(6)
-    single = run(AlgorithmConfig(variant="acc_gt_static", max_iterations=10),
-                 prob, sched)
-    triple = run(AlgorithmConfig(variant="acc_gt_static", max_iterations=10),
-                 prob, (sched, sched, sched))
-    for name in CSV_COLUMNS:
-        np.testing.assert_array_equal(single.column(name), triple.column(name))
 
 
 def test_run_probe_sees_every_instant():

@@ -158,6 +158,29 @@ def test_run_config_error_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def cyclic_graph():
+    return {"m": 9, "kind": "cyclic", "edge_sets": [list(map(list, e)) for e in M9_EDGE_SETS]}
+
+
+@pytest.mark.parametrize("problem_m,graph,algorithm,reason", [
+    (9, cyclic_graph(), {"variant": "acc_gt_static", "max_iterations": 10},
+     "requires a static schedule"),
+    (5, None, {"variant": "gt", "alpha": "theorem_default", "max_iterations": 10},
+     "no default step-size rule"),
+])
+def test_run_reports_unsupported_run_settings_as_config_error(tmp_path, capsys, problem_m,
+                                                              graph, algorithm, reason):
+    data = base_config(algorithm=algorithm)
+    data["problem"]["m"] = problem_m
+    if graph is not None:
+        data["graph"] = graph
+    cfg_path = write_config(tmp_path, data)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: algorithm: ") and reason in err
+    assert "Traceback" not in err
+
+
 def test_run_divergence_exits_three(tmp_path, capsys):
     data = base_config()
     data["algorithm"] = {"variant": "gt", "alpha": 5.0, "max_iterations": 400}
@@ -388,6 +411,22 @@ def test_sweep_reports_divergent_cell(tmp_path):
     rows = read_summary(out)
     assert [r["status"] for r in rows] == ["ok", "diverged"]
     assert rows[1]["final_gap"] == ""
+
+
+def test_sweep_reports_unsupported_variant_cell_and_finishes(tmp_path, capsys):
+    cfg = base_config(graph=cyclic_graph())
+    cfg["problem"]["m"] = 9
+    cfg["algorithm"]["max_iterations"] = 10
+    cfg["sweep"] = {"algorithm.variant": ["acc_gt_tv", "acc_gt_static"]}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--deterministic"]) == 2
+    assert "sweep complete: 2 cells" in capsys.readouterr().out
+    rows = read_summary(out)
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"] == ("config error: algorithm: variant acc_gt_static "
+                                 "requires a static schedule")
+    assert (out / "cell_000" / "trace.csv").exists()
 
 
 def test_sweep_rejects_unknown_axis_path(tmp_path):

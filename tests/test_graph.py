@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (GraphSchedule, gamma_connectivity, matrix_product_window,
-                     metropolis_weights, sigma, sigma_gamma)
+from agtrack import (GraphSchedule, gamma_connectivity, graph, matrix_product_window,
+                     metropolis_weights, resolve_gamma, sigma, sigma_gamma)
 from conftest import M9_EDGE_SETS, path_edges, ring_edges
 
 J3 = np.full((3, 3), 1.0 / 3.0)
@@ -21,11 +21,11 @@ def random_edge_set(m, seed, p=0.4):
 
 def test_metropolis_complete_graph_m3():
     W = metropolis_weights([(0, 1), (0, 2), (1, 2)], 3)
-    np.testing.assert_allclose(W.entries, J3, atol=1e-15)
+    np.testing.assert_allclose(W, J3, atol=1e-15)
 
 
 def test_metropolis_path_m3():
-    W = metropolis_weights(path_edges(3), 3).entries
+    W = metropolis_weights(path_edges(3), 3)
     expected = np.array([[2 / 3, 1 / 3, 0.0],
                          [1 / 3, 1 / 3, 1 / 3],
                          [0.0, 1 / 3, 2 / 3]])
@@ -34,7 +34,7 @@ def test_metropolis_path_m3():
 
 def test_metropolis_empty_edges_is_identity():
     W = metropolis_weights([], 4)
-    np.testing.assert_allclose(W.entries, np.eye(4), atol=0)
+    np.testing.assert_allclose(W, np.eye(4), atol=0)
 
 
 def test_metropolis_rejects_bad_input():
@@ -47,15 +47,15 @@ def test_metropolis_rejects_bad_input():
 
 
 def test_metropolis_dedups_orientation():
-    a = metropolis_weights([(0, 1), (1, 0)], 3).entries
-    b = metropolis_weights([(0, 1)], 3).entries
+    a = metropolis_weights([(0, 1), (1, 0)], 3)
+    b = metropolis_weights([(0, 1)], 3)
     np.testing.assert_array_equal(a, b)
 
 
 @given(st.integers(2, 12), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_metropolis_invariants_random_graphs(m, seed):
-    W = metropolis_weights(random_edge_set(m, seed), m).entries
+    W = metropolis_weights(random_edge_set(m, seed), m)
     assert (W >= -1e-15).all()
     np.testing.assert_allclose(W, W.T, atol=1e-15)
     np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)
@@ -96,26 +96,26 @@ def test_consensus_contraction_single_step(m, seed):
     sig = sigma(W)
     x = np.random.default_rng(seed + 1).standard_normal((m, 3))
     pi = lambda v: v - v.mean(axis=0)
-    assert np.linalg.norm(pi(W.entries @ x)) <= sig * np.linalg.norm(pi(x)) + 1e-9
+    assert np.linalg.norm(pi(W @ x)) <= sig * np.linalg.norm(pi(x)) + 1e-9
 
 
 # ------------------------------------------------- matrix_product_window
 
 def test_window_gamma0_is_identity(m9_schedule):
-    W = matrix_product_window(m9_schedule, metropolis_weights, 5, 0)
-    np.testing.assert_array_equal(W.entries, np.eye(9))
+    W = matrix_product_window(m9_schedule, 5, 0)
+    np.testing.assert_array_equal(W, np.eye(9))
 
 
 def test_window_static_gamma2_is_square(ring10):
-    W1 = metropolis_weights(ring_edges(10), 10).entries
-    W2 = matrix_product_window(ring10, metropolis_weights, 1, 2).entries
+    W1 = metropolis_weights(ring_edges(10), 10)
+    W2 = matrix_product_window(ring10, 1, 2)
     np.testing.assert_allclose(W2, W1 @ W1, atol=1e-15)
 
 
 def test_window_alternating_order():
     # E^0 = {(0,1)}, E^1 = {(1,2)}: the window at k=1 is W^1 W^0, in that order.
     sched = GraphSchedule.cyclic(3, [[(0, 1)], [(1, 2)]])
-    got = matrix_product_window(sched, metropolis_weights, 1, 2).entries
+    got = matrix_product_window(sched, 1, 2)
     expected = np.array([[0.5, 0.5, 0.0],
                          [0.25, 0.25, 0.5],
                          [0.25, 0.25, 0.5]])
@@ -124,7 +124,7 @@ def test_window_alternating_order():
 
 def test_window_rejects_short_history(m9_schedule):
     with pytest.raises(ValueError):
-        matrix_product_window(m9_schedule, metropolis_weights, 1, 3)
+        matrix_product_window(m9_schedule, 1, 3)
 
 
 # ------------------------------------------------- gamma_connectivity
@@ -168,7 +168,7 @@ def test_sigma_gamma_complete_static_is_zero():
 def test_sigma_gamma_alternating_is_period_max():
     sched = GraphSchedule.cyclic(3, [[(0, 1)], [(1, 2)]])
     report = sigma_gamma(sched, 2)
-    mats = [metropolis_weights(e, 3).entries for e in ([(0, 1)], [(1, 2)])]
+    mats = [metropolis_weights(e, 3) for e in ([(0, 1)], [(1, 2)])]
     J = np.full((3, 3), 1 / 3)
     by_hand = max(np.linalg.norm(mats[1] @ mats[0] - J, 2),
                   np.linalg.norm(mats[0] @ mats[1] - J, 2))
@@ -213,10 +213,10 @@ def test_gamma_window_contraction_and_nonexpansion(seed):
     k = int(rng.integers(gamma - 1, 12))
     x = rng.standard_normal((9, 4))
     pi = lambda v: v - v.mean(axis=0)
-    full = matrix_product_window(sched, metropolis_weights, k, gamma).entries
+    full = matrix_product_window(sched, k, gamma)
     assert np.linalg.norm(pi(full @ x)) <= report.sigma_gamma * np.linalg.norm(pi(x)) + 1e-9
     for t in range(gamma):
-        part = matrix_product_window(sched, metropolis_weights, k, t).entries
+        part = matrix_product_window(sched, k, t)
         assert np.linalg.norm(pi(part @ x)) <= np.linalg.norm(pi(x)) + 1e-9
 
 
@@ -235,3 +235,87 @@ def test_schedule_periods(ring10, m9_schedule):
     assert m9_schedule.period == 3
     assert GraphSchedule.seeded_random(4, 0.5, seed=0).period is None
     assert m9_schedule.edge_set(5) == m9_schedule.edge_set(2)
+
+
+# ------------------------------------------------- spectral constants, bit for bit
+
+# (sigma, sigma_gamma) as float.hex, recorded from the implementation that
+# rebuilt every W^k per use; caching the matrices must not change a bit.
+SPECTRAL_PINS = {
+    "ring10_gamma1": ("0x1.becfa67baa318p-1", "0x1.becfa67baa318p-1"),
+    "ring10_gamma2": ("0x1.becfa67baa318p-1", "0x1.85ec1842c6a38p-1"),
+    "m9_cyclic_gamma3": ("0x1.0000000000000p+0", "0x1.85d21ee7a6124p-1"),
+    "random8_default_horizon": ("0x1.0000000000000p+0", "0x1.9594fe05ec2afp-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_PINS))
+def test_spectral_constants_pinned_bitwise(name):
+    schedule, gamma = {
+        "ring10_gamma1": (GraphSchedule.static(10, ring_edges(10)), 1),
+        "ring10_gamma2": (GraphSchedule.static(10, ring_edges(10)), 2),
+        "m9_cyclic_gamma3": (GraphSchedule.cyclic(9, M9_EDGE_SETS), 3),
+        "random8_default_horizon": (GraphSchedule.seeded_random(8, 0.4, seed=5), None),
+    }[name]
+    if gamma is None:
+        gamma = resolve_gamma(schedule)
+        assert gamma == 3
+    report = sigma_gamma(schedule, gamma)
+    assert (report.sigma.hex(), report.sigma_gamma.hex()) == SPECTRAL_PINS[name]
+
+
+# ------------------------------------------------- cached schedule matrices
+
+def test_schedule_matrix_is_metropolis_of_its_edge_set():
+    for sched in (GraphSchedule.cyclic(9, M9_EDGE_SETS),
+                  GraphSchedule.seeded_random(8, 0.4, seed=5)):
+        for k in range(7):
+            np.testing.assert_array_equal(
+                sched.matrix(k), metropolis_weights(sched.edge_set(k), sched.agent_count))
+
+
+def test_schedule_matrix_is_read_only(m9_schedule):
+    with pytest.raises(ValueError):
+        m9_schedule.matrix(0)[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        GraphSchedule.seeded_random(6, 0.5, seed=1).matrix(3)[1, 1] = 0.0
+
+
+def test_schedule_matrix_rejects_negative_instant(m9_schedule):
+    with pytest.raises(ValueError):
+        m9_schedule.matrix(-1)
+    with pytest.raises(ValueError):
+        GraphSchedule.seeded_random(6, 0.5, seed=1).matrix(-1)
+
+
+def test_periodic_schedule_builds_each_matrix_once(builds):
+    sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
+    for k in range(30):
+        sched.matrix(k)
+    assert builds[0] == 3
+    assert sched.matrix(4) is sched.matrix(1)
+
+
+def test_sigma_gamma_builds_each_instant_once_per_call(builds):
+    assert sigma_gamma(GraphSchedule.cyclic(9, M9_EDGE_SETS), 3).gamma == 3
+    assert builds[0] == 3
+    builds[0] = 0
+    sigma_gamma(GraphSchedule.seeded_random(8, 0.4, seed=5), 3, horizon=40)
+    assert builds[0] == 41  # W^0 .. W^40
+
+
+def test_random_schedule_cache_is_bounded(builds):
+    sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    sigma_gamma(sched, graph.MAX_GAMMA, horizon=300)
+    assert builds[0] == 301  # a window of MAX_GAMMA instants still reuses its matrices
+    assert len(sched._matrices) == graph.MAX_GAMMA
+    sched.matrix(0)  # evicted long ago: built again
+    assert builds[0] == 302
+
+
+def test_matrix_cache_is_not_part_of_schedule_identity():
+    used = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    used.matrix(3)
+    fresh = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and "_matrices" not in repr(used)

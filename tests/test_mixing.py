@@ -75,7 +75,7 @@ def test_chebyshev_t1_is_damped_gossip(rng):
     W = metropolis_weights(ring_edges(8), 8)
     op = chebyshev_operator(W, t=1)
     x = rng.standard_normal((8, 3))
-    expected = x - op.c3 * (x - W.entries @ x)
+    expected = x - op.c3 * (x - W @ x)
     np.testing.assert_allclose(chebyshev_apply(op, x), expected, atol=1e-12)
 
 

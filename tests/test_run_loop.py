@@ -137,5 +137,22 @@ def test_objective_evaluated_once_per_mean_iterate(monkeypatch, variant, mode, s
     assert len(seen) == K + 1
 
 
+@pytest.mark.parametrize("variant,sched_name,expected", [
+    # The period-3 schedule: 3 matrices for resolve_constants and the loop together.
+    ("acc_gt_tv", "m9_cyclic", 3),
+    # Each visited instant once: W^0..W^{K-1} for gt, which tracks with W^{k-1} ...
+    ("gt", "random8", K),
+    # ... W^0..W^K for acc_gt_tv, after the horizon + 1 = 1001 instants of
+    # its sigma_gamma call, whose cache keeps only the latest ones.
+    ("acc_gt_tv", "random8", 1001 + K + 1),
+])
+def test_run_builds_each_instant_matrix_once(builds, variant, sched_name, expected):
+    schedule = SCHEDULES[sched_name]()
+    problem = random_quadratic_problem(schedule.agent_count, 3, seed=6)
+    run(AlgorithmConfig(variant=variant, alpha=0.05, max_iterations=K), problem, schedule,
+        diagnostics=False)
+    assert builds[0] == expected
+
+
 if __name__ == "__main__":
     print(json.dumps(record(), indent=1, sort_keys=True))
