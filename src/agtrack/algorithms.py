@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -345,15 +346,54 @@ class TraceRow:
     theta: float = float("nan")
 
 
-@dataclass
-class RunTrace:
-    """Per-iteration records plus run metadata (constants the certificates need)."""
+_ROW_FIELDS = tuple(f.name for f in fields(TraceRow))
+_INT_FIELDS = ("k", "comm_rounds", "grad_rounds")
 
-    rows: list[TraceRow] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+
+def _row(values: list) -> TraceRow:
+    return TraceRow(*(int(v) if name in _INT_FIELDS else v
+                      for name, v in zip(_ROW_FIELDS, values)))
+
+
+class _Rows(Sequence):
+    """Read-only TraceRow view of a trace table, one record built per access."""
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_row(v) for v in self._table[i].tolist()]
+        return _row(self._table[i].tolist())
+
+    def __iter__(self):
+        return map(_row, self._table.tolist())
+
+
+class RunTrace:
+    """Per-iteration records plus run metadata (constants the certificates need).
+
+    The records are stored as one float64 table with a column per TraceRow
+    field (the integer counters are exact below 2**53), 8 bytes per number
+    instead of a Python object per value; ``rows`` reads them back as
+    TraceRow records.
+    """
+
+    def __init__(self, rows=(), meta: dict | None = None):
+        self.table = np.array([[getattr(r, name) for name in _ROW_FIELDS] for r in rows],
+                              dtype=float).reshape(-1, len(_ROW_FIELDS))
+        self.meta = {} if meta is None else meta
+
+    @property
+    def rows(self) -> Sequence[TraceRow]:
+        return _Rows(self.table)
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
+        col = self.table[:, _ROW_FIELDS.index(name)]
+        return col.astype(int) if name in _INT_FIELDS else col.copy()
 
     def to_csv(self, path, timestamp: str | None = None):
         """Write the fixed 12-column CSV; floats carry 17 significant digits."""
@@ -449,10 +489,9 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     counter = RoundCounter()
     mix = _mixer(config.variant, schedule, consts, counter)
 
-    trace = RunTrace(meta={**consts, "m": problem.m, "n": problem.n,
-                           "max_iterations": K,
-                           "seeds": tuple(config.seeds),
-                           "mu_used": mu_used, "diagnostics": diagnostics})
+    meta = {**consts, "m": problem.m, "n": problem.n, "max_iterations": K,
+            "seeds": tuple(config.seeds), "mu_used": mu_used, "diagnostics": diagnostics}
+    rows = []
 
     # gt is the theta = 1, mu = 0 case without the momentum row; it tracks s
     # with W^{k-1}, the matrix that produced x^k, so each W^k serves two
@@ -490,10 +529,10 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
             row = _measure(problem, k, x, y, z, s, F_x, comm, grads, theta_k,
                            *margins(x, y, z, s, theta_k, nxt))
             _check_finite(config.variant, row, nxt)
-            trace.rows.append(row)
+            rows.append(row)
             if nxt is not None:
                 x, z, F_x = nxt
-    return trace
+    return RunTrace(rows, meta)
 
 
 def _mixer(variant: str, schedule: GraphSchedule, consts: dict, counter: RoundCounter):

@@ -118,15 +118,18 @@ def build_problem(spec: dict) -> ProblemInstance:
     m = int(_field(spec, "problem", "m"))
     n = int(_field(spec, "problem", "n"))
     seed = int(_field(spec, "problem", "seed", required=False, default=0))
-    if kind == "quadratic":
-        return random_quadratic_problem(
-            m, n, L=float(_field(spec, "problem", "L", required=False, default=1.0)),
-            mu=float(_field(spec, "problem", "mu", required=False, default=0.0)),
-            seed=seed, shared_basis=bool(spec.get("shared_basis", False)))
-    if kind == "logistic":
-        return random_logistic_problem(
-            m, n, samples_per_agent=int(spec.get("samples_per_agent", 20)),
-            ridge=float(spec.get("ridge", 0.0)), seed=seed)
+    try:
+        if kind == "quadratic":
+            return random_quadratic_problem(
+                m, n, L=float(_field(spec, "problem", "L", required=False, default=1.0)),
+                mu=float(_field(spec, "problem", "mu", required=False, default=0.0)),
+                seed=seed, shared_basis=bool(spec.get("shared_basis", False)))
+        if kind == "logistic":
+            return random_logistic_problem(
+                m, n, samples_per_agent=int(spec.get("samples_per_agent", 20)),
+                ridge=float(spec.get("ridge", 0.0)), seed=seed)
+    except ValueError as err:  # constants or sizes the generator cannot meet
+        raise ConfigError(f"problem: {err}") from err
     raise ConfigError(f"problem.kind: unknown kind {kind!r}")
 
 

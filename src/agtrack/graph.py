@@ -16,6 +16,7 @@ whenever the union of any ``gamma`` consecutive edge sets is connected.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,7 +242,8 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
 
     For static and cyclic schedules one period of window starts is checked and
     the verdict is exact; for seeded_random schedules window starts up to
-    ``horizon - gamma`` are sampled (default horizon 1000).
+    ``horizon - gamma`` are sampled (default horizon 1000).  Each instant's
+    edge set is drawn once per call and shared by the windows that cover it.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
@@ -253,8 +255,9 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
     last_start = horizon - gamma
     if period is not None:
         last_start = min(last_start, period - 1)
+    window = deque((schedule.edge_set(r) for r in range(gamma - 1)), maxlen=gamma)
     for k in range(last_start + 1):
-        window = [schedule.edge_set(r) for r in range(k, k + gamma)]
+        window.append(schedule.edge_set(k + gamma - 1))
         if not _union_connected(window, schedule.agent_count):
             return False
     return True

@@ -181,6 +181,27 @@ def test_run_reports_unsupported_run_settings_as_config_error(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("problem,reason", [
+    ({"L": 0.5, "mu": 1.0}, "0 <= mu <= L"),
+    ({"L": -1.0}, "0 <= mu <= L"),
+    ({"m": 1, "n": 1}, "single drawn eigenvalue"),
+    ({"kind": "logistic", "samples_per_agent": 0, "ridge": 0.1}, "at least one sample"),
+])
+def test_run_reports_impossible_problem_as_config_error(tmp_path, capsys, problem, reason):
+    data = base_config()
+    data["problem"].update(problem)
+    data["graph"]["m"] = data["problem"]["m"]
+    if data["problem"]["m"] == 1:
+        data["graph"]["edge_sets"] = [[]]
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: problem: ") and reason in captured.err
+    assert "Traceback" not in captured.err and "T1" not in captured.out
+    assert not out.exists()
+
+
 def test_run_divergence_exits_three(tmp_path, capsys):
     data = base_config()
     data["algorithm"] = {"variant": "gt", "alpha": 5.0, "max_iterations": 400}
@@ -427,6 +448,20 @@ def test_sweep_reports_unsupported_variant_cell_and_finishes(tmp_path, capsys):
     assert rows[1]["status"] == ("config error: algorithm: variant acc_gt_static "
                                  "requires a static schedule")
     assert (out / "cell_000" / "trace.csv").exists()
+
+
+def test_sweep_reports_impossible_problem_cell_and_finishes(tmp_path, capsys):
+    cfg = base_config()
+    cfg["problem"]["mu"] = 0.5
+    cfg["algorithm"]["max_iterations"] = 10
+    cfg["sweep"] = {"problem.L": [1.0, 0.25]}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out), "--deterministic"]) == 2
+    rows = read_summary(out)
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith("config error: problem: need L > 0 and 0 <= mu <= L")
+    assert not (out / "cell_001").exists()
 
 
 def test_sweep_rejects_unknown_axis_path(tmp_path):

@@ -319,3 +319,24 @@ def test_matrix_cache_is_not_part_of_schedule_identity():
     fresh = GraphSchedule.seeded_random(8, 0.4, seed=5)
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) and "_matrices" not in repr(used)
+
+
+def test_gamma_connectivity_draws_each_instant_once_per_call(monkeypatch):
+    draws = []
+    original = GraphSchedule.edge_set
+
+    def counting(self, k):
+        draws.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(GraphSchedule, "edge_set", counting)
+    assert gamma_connectivity(GraphSchedule.cyclic(9, M9_EDGE_SETS), 3)
+    assert draws == [0, 1, 2, 3, 4]  # one period of window starts, windows of 3
+    sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    for gamma in (3, 5):
+        draws.clear()
+        assert gamma_connectivity(sched, gamma, horizon=60)
+        assert draws == list(range(60))
+    draws.clear()  # a failing window ends the call after the instants it covers
+    assert not gamma_connectivity(GraphSchedule.seeded_random(8, 0.02, seed=1), 2, horizon=60)
+    assert draws == list(range(len(draws))) and len(draws) < 60

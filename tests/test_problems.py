@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (AggregateState, aggregate_gradient, averages,
+from agtrack import (AggregateState, LocalObjective, aggregate_gradient, averages,
                      bregman_distance, consensus_error, inexact_value,
                      logistic_objective, make_problem, quadratic_objective,
                      random_logistic_problem, random_quadratic_problem,
@@ -40,25 +42,33 @@ def test_quadratic_constants_are_eigenvalue_range(rng):
     assert f.mu_i == pytest.approx(0.5, rel=1e-12)
 
 
+def single_agent_gradient(prob, x):
+    return aggregate_gradient(prob, x[None, :])[0]
+
+
 def test_gradient_matches_finite_differences(rng):
-    quad = quadratic_objective(np.diag([1.0, 3.0]) + 0.2, rng.standard_normal(2))
-    logi = logistic_objective(rng.standard_normal((15, 3)),
-                              np.where(rng.random(15) < 0.5, -1.0, 1.0), ridge=0.05)
+    quad = make_problem([quadratic_objective(np.diag([1.0, 3.0]) + 0.2, rng.standard_normal(2))])
+    logi = make_problem([logistic_objective(rng.standard_normal((15, 3)),
+                                            np.where(rng.random(15) < 0.5, -1.0, 1.0),
+                                            ridge=0.05)])
     for f, n in ((quad, 2), (logi, 3)):
         for _ in range(20):
             x = rng.standard_normal(n)
-            np.testing.assert_allclose(f.grad(x), fd_gradient(f, x), rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(single_agent_gradient(f, x), fd_gradient(f, x),
+                                       rtol=1e-5, atol=1e-7)
 
 
 def test_smoothness_sandwich(rng):
-    f = logistic_objective(rng.standard_normal((25, 4)),
-                           np.where(rng.random(25) < 0.5, -1.0, 1.0), ridge=0.01)
+    f = make_problem([logistic_objective(rng.standard_normal((25, 4)),
+                                         np.where(rng.random(25) < 0.5, -1.0, 1.0),
+                                         ridge=0.01)])
     for _ in range(50):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
-        excess = f.value(y) - f.value(x) - f.grad(x) @ (y - x)
-        dg = f.grad(y) - f.grad(x)
-        assert excess >= dg @ dg / (2 * f.L_i) - 1e-9
-        assert excess <= f.L_i / 2 * ((y - x) @ (y - x)) + 1e-9
+        gx, gy = single_agent_gradient(f, x), single_agent_gradient(f, y)
+        excess = f.value(y) - f.value(x) - gx @ (y - x)
+        dg = gy - gx
+        assert excess >= dg @ dg / (2 * f.L) - 1e-9
+        assert excess <= f.L / 2 * ((y - x) @ (y - x)) + 1e-9
 
 
 def test_value_many_matches_value(rng):
@@ -241,7 +251,7 @@ def test_random_quadratic_mu_zero_average_still_solvable():
 
 def test_random_quadratic_shared_basis_commutes():
     prob = random_quadratic_problem(5, 4, mu=0.01, seed=13, shared_basis=True)
-    A0, A1 = prob.locals[0].quad_A, prob.locals[1].quad_A
+    A0, A1 = prob.A[0], prob.A[1]
     np.testing.assert_allclose(A0 @ A1, A1 @ A0, atol=1e-9)
 
 
@@ -249,11 +259,138 @@ def test_random_logistic_shapes_and_ridge():
     prob = random_logistic_problem(4, 3, samples_per_agent=10, ridge=0.2, seed=14)
     assert prob.m == 4 and prob.n == 3
     assert prob.mu == pytest.approx(0.2)
-    assert all(f.data.shape == (10, 3) for f in prob.locals)
+    assert prob.data.shape == (40, 3) and prob.labels.shape == (40,)
+    assert prob.counts.tolist() == [10] * 4
 
 
 def test_generators_are_seeded():
     a = random_quadratic_problem(3, 2, seed=42)
     b = random_quadratic_problem(3, 2, seed=42)
-    np.testing.assert_array_equal(a.locals[0].quad_A, b.locals[0].quad_A)
+    np.testing.assert_array_equal(a.A, b.A)
     np.testing.assert_array_equal(a.x_star, b.x_star)
+
+
+def test_generators_reject_impossible_quadratic_constants():
+    for L, mu in ((0.5, 1.0), (0.0, 0.0), (-1.0, -2.0), (1.0, -0.1), (float("nan"), 0.0)):
+        with pytest.raises(ValueError, match="0 <= mu <= L"):
+            random_quadratic_problem(3, 2, L=L, mu=mu)
+    with pytest.raises(ValueError, match="single drawn eigenvalue"):
+        random_quadratic_problem(1, 1)  # one eigenvalue cannot be both L = 1 and mu = 0
+
+
+def test_single_eigenvalue_quadratic_with_equal_constants():
+    prob = random_quadratic_problem(1, 1, L=2.0, mu=2.0, seed=3)
+    assert prob.L == prob.mu == 2.0
+    np.testing.assert_array_equal(prob.A, [[[2.0]]])
+    np.testing.assert_allclose(prob.x_star, -prob.b[0] / 2.0, rtol=1e-15)
+
+
+def test_make_problem_rejects_mixed_kinds_and_empty_agents(rng):
+    quad = quadratic_objective(np.eye(2), np.zeros(2))
+    logi = logistic_objective(rng.standard_normal((4, 2)), np.ones(4), ridge=0.1)
+    with pytest.raises(ValueError, match="one kind"):
+        make_problem([quad, logi])
+    with pytest.raises(ValueError, match="at least one local objective"):
+        make_problem([])
+    with pytest.raises(ValueError, match="at least one sample"):
+        logistic_objective(np.empty((0, 2)), np.empty(0))
+    empty = LocalObjective("logistic", 1.0, 0.1, data=np.empty((0, 2)), labels=np.empty(0),
+                           ridge=0.1)
+    with pytest.raises(ValueError, match="at least one sample"):
+        make_problem([logi, empty])
+    with pytest.raises(ValueError, match="at least one sample"):
+        random_logistic_problem(3, 2, samples_per_agent=0, ridge=0.1)
+
+
+# ------------------------------------------------- stacked layer against per-agent loops
+
+def loop_value(f, x):
+    """f_(i)(x) for one record, written out per sample."""
+    if f.kind == "quadratic":
+        return 0.5 * x @ f.quad_A @ x + f.quad_b @ x
+    loss = sum(np.logaddexp(0.0, -lab * (row @ x)) for row, lab in zip(f.data, f.labels))
+    return loss / len(f.labels) + 0.5 * f.ridge * (x @ x)
+
+
+def loop_grad(f, x):
+    if f.kind == "quadratic":
+        return f.quad_A @ x + f.quad_b
+    g = sum(-lab / (1.0 + np.exp(lab * (row @ x))) * row for row, lab in zip(f.data, f.labels))
+    return g / len(f.labels) + f.ridge * x
+
+
+def oracle_records(kind, rng):
+    if kind == "quadratic":
+        records = []
+        for _ in range(5):
+            M = rng.standard_normal((3, 3))
+            records.append(quadratic_objective(M @ M.T + 0.1 * np.eye(3), rng.standard_normal(3)))
+        return records
+    # Unequal sample counts, a one-sample agent, and a different ridge per agent.
+    return [logistic_objective(rng.standard_normal((p, 3)),
+                               np.where(rng.random(p) < 0.5, -1.0, 1.0), ridge=r)
+            for p, r in ((1, 0.3), (7, 0.05), (2, 0.1), (12, 0.2), (4, 0.15))]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_stacked_layer_matches_per_agent_loops(kind, rng):
+    records = oracle_records(kind, rng)
+    prob = make_problem(records)
+    m = len(records)
+    assert (prob.m, prob.n) == (m, 3)
+
+    def F(x):
+        return np.mean([loop_value(f, x) for f in records])
+
+    for _ in range(5):
+        y = rng.standard_normal((m, 3))
+        x, ybar, w = rng.standard_normal(3), y.mean(axis=0), rng.standard_normal(3)
+        X = rng.standard_normal((4, 3))
+        grads = np.array([loop_grad(f, y[i]) for i, f in enumerate(records)])
+        np.testing.assert_allclose(aggregate_gradient(prob, y), grads, rtol=1e-12)
+        assert prob.value(w) == pytest.approx(F(w), rel=1e-12)
+        np.testing.assert_allclose(prob.value_many(X), [F(row) for row in X], rtol=1e-12)
+        np.testing.assert_allclose(prob.mean_gradient(w),
+                                   np.mean([loop_grad(f, w) for f in records], axis=0),
+                                   rtol=1e-12)
+        breg = np.mean([loop_value(f, x) - loop_value(f, y[i]) - loop_grad(f, y[i]) @ (x - y[i])
+                        for i, f in enumerate(records)])
+        assert bregman_distance(prob, x, y) == pytest.approx(breg, rel=1e-12)
+        fhat = np.mean([loop_value(f, y[i]) + loop_grad(f, y[i]) @ (ybar - y[i])
+                        for i, f in enumerate(records)])
+        assert inexact_value(prob, ybar, y) == pytest.approx(fhat, rel=1e-12)
+
+
+# sha256 of the generated instance data, recorded from the per-agent generators
+# this stacked layout replaced: quadratic A then b, logistic data then labels.
+INSTANCE_PINS = {
+    "quad_seed3": (lambda: random_quadratic_problem(6, 4, L=1.0, mu=0.0, seed=3),
+                   "36a8ccb5ba09645bc414c2368a85eefe25bb9607f14c32cf20b738f6bff51591"),
+    "quad_seed11_shared": (lambda: random_quadratic_problem(5, 3, L=2.0, mu=0.05, seed=11,
+                                                            shared_basis=True),
+                           "88fad48a4f54a2dc447539d0fed4773bca81cf75c1015cb21b235fc86db56817"),
+    "logistic_seed6": (lambda: random_logistic_problem(4, 3, samples_per_agent=10, ridge=0.1,
+                                                       seed=6),
+                       "5349707d601b840e72ac684586652b590961ba655ed5702f8b99db392559329a"),
+    "logistic_seed9": (lambda: random_logistic_problem(5, 2, samples_per_agent=7, ridge=0.05,
+                                                       seed=9),
+                       "f36c9c0c8a66c7c69a80ef35250623a259a45fb33abe5597d0a0a0ebb178750f"),
+}
+CONSTANT_PINS = {
+    "quad_seed3": ("0x1.0000000000000p+0", "0x0.0p+0"),
+    "quad_seed11_shared": ("0x1.0000000000000p+1", "0x1.999999999999ap-5"),
+    "logistic_seed6": ("0x1.73195c80fdf1cp+0", "0x1.999999999999ap-4"),
+    "logistic_seed9": ("0x1.38783be8a4addp+0", "0x1.999999999999ap-5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCE_PINS))
+def test_generated_instances_pinned_bitwise(name):
+    make, digest = INSTANCE_PINS[name]
+    prob = make()
+    arrays = (prob.A, prob.b) if prob.kind == "quadratic" else (prob.data, prob.labels)
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    assert h.hexdigest() == digest
+    assert (float(prob.L).hex(), float(prob.mu).hex()) == CONSTANT_PINS[name]
