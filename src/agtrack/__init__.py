@@ -18,10 +18,10 @@ from .problems import (AggregateState, LocalObjective, ProblemInstance,
                        random_logistic_problem, random_quadratic_problem,
                        solve_optimum)
 from .algorithms import (AlgorithmConfig, AveragedState, DivergenceError,
-                         RunTrace, ThetaSchedule, TraceRow, acc_gt_init,
-                         acc_gt_step, averaged_reference_step, default_alpha,
-                         gt_init, gt_step, resolve_constants, resolve_gamma,
-                         run, theta_next)
+                         RunTrace, ThetaSchedule, TraceRow,
+                         averaged_reference_step, default_alpha, gt_init,
+                         gt_step, resolve_constants, resolve_gamma, run,
+                         theta_next)
 from .analysis import (BoundCertificate, certificates_to_report,
                        certify_theorem1, certify_theorem2, certify_theorem3,
                        certify_theorem4, fit_rate)

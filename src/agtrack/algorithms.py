@@ -29,13 +29,16 @@ step-size rules proved for the four settings are exposed as
 ``default_alpha``; column means of the distributed iterates follow the
 inexact centralized accelerated recursion ``averaged_reference_step``.
 
-``run`` drives every variant through that one loop.  A single mixing
-function ``mix(k, v)``, built once per run, applies the instant-k operator
-(W^k from the schedule's cache, or its Chebyshev / multiple-consensus
-wrapper) and counts its communication rounds.  The loop
-records one TraceRow per instant, counting the rounds consumed up to it; with
-diagnostics on, a ``_Margins`` object beside the loop adds the inexact-bound
-(Lemma 1) and master-inequality (Lemma 4) margins.
+``run`` is the one implementation of the step and drives every variant
+through that one loop; there is no single-step API for the accelerated
+method (``probe`` observes each instant instead).  ``gt_init`` / ``gt_step``
+are the textbook gradient-tracking recursion, kept as a reference the loop's
+gt case is checked against.  A single mixing function ``mix(k, v)``, built
+once per run, applies the instant-k operator (W^k from the schedule's cache,
+or its Chebyshev / multiple-consensus wrapper) and counts its communication
+rounds.  The loop records one TraceRow per instant, counting the rounds
+consumed up to it; with diagnostics on, a ``_Margins`` object beside the loop
+adds the inexact-bound (Lemma 1) and master-inequality (Lemma 4) margins.
 """
 from __future__ import annotations
 
@@ -218,76 +221,6 @@ def gt_step(state: AggregateState, W, alpha: float, problem: ProblemInstance,
     return AggregateState(x_next, x_next, x_next, s_next, grad=g_next)
 
 
-def acc_gt_init(problem: ProblemInstance, x0_row: np.ndarray, alpha: float,
-                theta0: float, mu: float,
-                counter: RoundCounter | None = None) -> AggregateState:
-    """Consensual start x^0 = y^0 = z^0 = 1 x0^T with s^0 = grad f(y^0).
-
-    The consensual start makes Pi x^0 = 0, and feeding this state to the
-    generic step at k = 0 reproduces the special-cased first iterates
-    z^1 = W z^0 - alpha/(theta_0 + mu alpha) s^0 and x^1.
-    """
-    if not np.isfinite(x0_row).all():
-        raise ValueError("x0_row must be finite")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if not (0.0 < theta0 <= 1.0):
-        raise ValueError("theta0 must lie in (0, 1]")
-    if mu < 0.0 or mu * alpha > 1.0:
-        raise ValueError("need mu >= 0 and alpha * mu <= 1")
-    x0 = np.tile(np.asarray(x0_row, dtype=float), (problem.m, 1))
-    g0 = aggregate_gradient(problem, x0, counter)
-    return AggregateState(x0, x0.copy(), x0.copy(), g0.copy(), grad=g0)
-
-
-def _tracked(problem: ProblemInstance, mix, k: int, y, s, grad, counter):
-    """s = W^k s^{prev} + grad f(y) - grad f(y^{prev}); returns (s, grad f(y))."""
-    g = aggregate_gradient(problem, y, counter)
-    return mix(k, s) + g - grad, g
-
-
-def _advance(mix, k: int, x, y, z, s, alpha: float, theta: float, mu: float,
-             momentum: bool = True):
-    """z^{k+1} and x^{k+1} from instant-k quantities; without the momentum
-    row (gt) x^{k+1} = z^{k+1} and x is not mixed."""
-    ratio = mu * alpha / theta
-    z_next = (mix(k, ratio * y + z) - (alpha / theta) * s) / (1.0 + ratio)
-    if not momentum:
-        return z_next, z_next
-    return z_next, theta * z_next + (1.0 - theta) * mix(k, x)
-
-
-def acc_gt_step(state: AggregateState, W, alpha: float, theta_k: float,
-                mu: float, problem: ProblemInstance,
-                counter: RoundCounter | None = None,
-                refresh_tracking: bool = True) -> AggregateState:
-    """One accelerated step with mixing matrix W (3 communication rounds,
-    1 gradient round).
-
-    On entry ``state`` holds x^k and z^k together with the previous instant's
-    y, s, and gradient; on exit those fields hold x^{k+1}, z^{k+1}, y^k, s^k,
-    grad f(y^k).  ``refresh_tracking=False`` is for k = 0, where s^0 comes from
-    the initialization and the tracking update (with its communication and
-    gradient rounds) must be skipped.
-    """
-    if not (0.0 < theta_k <= 1.0):
-        raise ValueError("theta_k must lie in (0, 1]")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
-
-    def mix(k, v):
-        return gossip(W, v, counter)
-
-    y = theta_k * state.z + (1.0 - theta_k) * state.x
-    s, g = state.s, state.grad
-    if refresh_tracking:
-        s, g = _tracked(problem, mix, 0, y, s, g, counter)
-    z_next, x_next = _advance(mix, 0, state.x, y, state.z, s, alpha, theta_k, mu)
-    if not (np.isfinite(x_next).all() and np.isfinite(z_next).all() and np.isfinite(s).all()):
-        raise DivergenceError("accelerated iterate turned non-finite")
-    return AggregateState(x_next, y, z_next, s, grad=g)
-
-
 @dataclass(frozen=True)
 class AveragedState:
     """Column means (xbar, ybar, zbar) evolved by the reference recursion."""
@@ -411,12 +344,12 @@ class RunTrace:
                 ])
 
 
-def resolve_gamma(schedule: GraphSchedule, max_gamma: int = MAX_GAMMA) -> int:
-    """Smallest gamma for which the schedule is gamma-connected."""
-    for g in range(1, max_gamma + 1):
+def resolve_gamma(schedule: GraphSchedule) -> int:
+    """Smallest gamma <= MAX_GAMMA for which the schedule is gamma-connected."""
+    for g in range(1, MAX_GAMMA + 1):
         if gamma_connectivity(schedule, g):
             return g
-    raise ValueError(f"schedule is not gamma-connected for any gamma <= {max_gamma}")
+    raise ValueError(f"schedule is not gamma-connected for any gamma <= {MAX_GAMMA}")
 
 
 def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
@@ -466,17 +399,24 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
 
     Every row mixes at instant k with the schedule's one matrix W^k (or the
     Chebyshev / multiple-consensus wrapper of the variant); gt tracks s with
-    W^{k-1}.  Deterministic: the initial row x^0 is drawn from seeds[0],
-    and everything else is pure.  Raises DivergenceError (with the iteration
-    index) if an iterate or a recorded metric turns non-finite.
+    W^{k-1}.  The start is consensual: x^0 = y^0 = z^0 = 1 x0_row^T with
+    s^0 = grad f(y^0); ``x0_row`` (finite) defaults to a standard normal row
+    drawn from seeds[0], and everything else is pure.  Raises ValueError if
+    strongly_convex mode meets a problem with mu = 0 or an explicit alpha
+    with alpha * mu > 1, and DivergenceError (with the iteration index) if an
+    iterate or a recorded metric turns non-finite.
 
     ``probe``, if given, is called as ``probe(k, x, y, z, s)`` with the
     aggregate matrices of instant k (read-only), once per instant --
     an observation hook for property checks that need more than the trace
     columns (e.g. the mean of s against the mean gradient).
     """
-    if config.mu_mode == "strongly_convex" and problem.mu <= 0.0:
-        raise ValueError("strongly_convex mode requires a problem with mu > 0")
+    if config.mu_mode == "strongly_convex":
+        if problem.mu <= 0.0:
+            raise ValueError("strongly_convex mode requires a problem with mu > 0")
+        if not isinstance(config.alpha, str) and config.alpha * problem.mu > 1.0:
+            raise ValueError("the strongly-convex momentum rule theta = sqrt(mu*alpha)/2 "
+                             "requires alpha * mu <= 1")
 
     consts = resolve_constants(config, problem, schedule)
     alpha = consts["alpha"]
@@ -485,6 +425,8 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
 
     if x0_row is None:
         x0_row = np.random.default_rng(config.seeds[0]).standard_normal(problem.n)
+    elif not np.isfinite(x0_row).all():
+        raise ValueError("x0_row must be finite")
 
     counter = RoundCounter()
     mix = _mixer(config.variant, schedule, consts, counter)
@@ -505,8 +447,8 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     else:
         theta, mu = ThetaSchedule("nonstrongly_convex").theta, 0.0
 
-    state = acc_gt_init(problem, x0_row, alpha, theta(0), mu, counter)
-    x, z, s, grad = state.x, state.z, state.s, state.grad
+    x = z = np.tile(np.asarray(x0_row, dtype=float), (problem.m, 1))
+    s = grad = aggregate_gradient(problem, x, counter)
     F_x = problem.value(x.mean(axis=0))
     margins = (_Margins(problem, alpha, mu, momentum, theta(0), F_x, z)
                if diagnostics else _no_margins)
@@ -517,14 +459,18 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
         for k in range(K + 1):
             theta_k = theta(k)
             y = theta_k * z + (1.0 - theta_k) * x
-            if k > 0:  # s^0 = grad f(y^0) comes from the initialization
-                s, grad = _tracked(problem, mix, k - track_lag, y, s, grad, counter)
+            if k > 0:  # s^0 = grad f(y^0) comes from the start
+                g = aggregate_gradient(problem, y, counter)
+                s, grad = mix(k - track_lag, s) + g - grad, g
             comm, grads = counter.comm_rounds, counter.grad_rounds
             if probe is not None:
                 probe(k, x, y, z, s)
             nxt = None
             if k < K:
-                z_next, x_next = _advance(mix, k, x, y, z, s, alpha, theta_k, mu, momentum)
+                ratio = mu * alpha / theta_k
+                z_next = (mix(k, ratio * y + z) - (alpha / theta_k) * s) / (1.0 + ratio)
+                # Without the momentum row (gt) x^{k+1} = z^{k+1} and x is not mixed.
+                x_next = theta_k * z_next + (1.0 - theta_k) * mix(k, x) if momentum else z_next
                 nxt = (x_next, z_next, problem.value(x_next.mean(axis=0)))
             row = _measure(problem, k, x, y, z, s, F_x, comm, grads, theta_k,
                            *margins(x, y, z, s, theta_k, nxt))

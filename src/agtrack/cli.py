@@ -171,16 +171,6 @@ def build_algorithm(spec: dict) -> AlgorithmConfig:
         raise ConfigError(f"algorithm: {err}") from err
 
 
-def _validate_step_hypotheses(config: ExperimentConfig, problem: ProblemInstance,
-                              alg: AlgorithmConfig):
-    if alg.mu_mode == "strongly_convex":
-        if problem.mu <= 0.0:
-            raise ConfigError("algorithm.mu_mode: strongly_convex requires a problem with mu > 0")
-        if not isinstance(alg.alpha, str) and alg.alpha * problem.mu > 1.0:
-            raise ConfigError("algorithm.alpha: the strongly-convex momentum rule "
-                              "theta = sqrt(mu*alpha)/2 requires alpha * mu <= 1")
-
-
 def _apply_overrides(config: ExperimentConfig, seed: int | None,
                      diagnostics: str | None) -> ExperimentConfig:
     problem = dict(config.problem)
@@ -241,10 +231,9 @@ def _execute(config: ExperimentConfig, out_dir: Path, deterministic: bool):
     problem = build_problem(config.problem)
     schedule = build_schedule(config.graph)
     alg = build_algorithm(config.algorithm)
-    _validate_step_hypotheses(config, problem, alg)
     try:
         trace = run(alg, problem, schedule, diagnostics=config.diagnostics)
-    except ValueError as err:  # the variant, step rule or mode does not fit the schedule
+    except ValueError as err:  # the variant, step rule or mode does not fit the schedule or problem
         raise ConfigError(f"algorithm: {err}") from err
     certs, notes = _certify(trace, problem)
     _write_outputs(out_dir, config, trace, certs, notes, deterministic)

@@ -149,7 +149,6 @@ class SpectralReport:
     sigma: float
     sigma_gamma: float
     gamma: int
-    horizon_used: int
     is_estimate: bool
 
 
@@ -267,11 +266,11 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
                 horizon: int | None = None) -> SpectralReport:
     """Gamma-step mixing constant ``sup_k ||W^{k,gamma} - (1/m) 1 1^T||_2``.
 
-    Static schedules give the exact ``||W^gamma - J/m||_2``; cyclic schedules
-    take the exact max over one full period of start instants; seeded_random
-    schedules sample ``k in [gamma-1, horizon]`` and flag the result as an
-    estimate.  Each instant's W^k is built once per call (windows of up to
-    ``MAX_GAMMA`` instants share the schedule's cache).
+    Periodic schedules (static ones have period 1) take the exact max over
+    one full period of start instants; seeded_random schedules sample
+    ``k in [gamma-1, horizon]`` and flag the result as an estimate.  Each
+    instant's W^k is built once per call (windows of up to ``MAX_GAMMA``
+    instants share the schedule's cache).
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
@@ -279,17 +278,9 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     J = np.ones((m, m)) / m
     period = schedule.period
 
-    if schedule.schedule_kind == "static":
-        W = schedule.matrix(0)
-        sig_g = np.linalg.norm(np.linalg.matrix_power(W, gamma) - J, 2)
-        sig_1 = sigma(W)
-        return SpectralReport(sig_1, float(min(max(sig_g, 0.0), 1.0)), gamma,
-                              horizon_used=gamma - 1, is_estimate=False)
-
-    if schedule.schedule_kind == "cyclic":
+    if period is not None:
         ks = range(gamma - 1, gamma - 1 + period)
         is_estimate = False
-        horizon_used = gamma - 2 + period
     else:
         if horizon is None:
             horizon = 1000
@@ -297,7 +288,6 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
             raise ValueError("horizon must be at least gamma")
         ks = range(gamma - 1, horizon + 1)
         is_estimate = True
-        horizon_used = horizon
 
     sig_g = 0.0
     sig_1 = 0.0
@@ -306,4 +296,4 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
         sig_g = max(sig_g, np.linalg.norm(P - J, 2))
         sig_1 = max(sig_1, sigma(schedule.matrix(k)))
     return SpectralReport(float(min(sig_1, 1.0)), float(min(max(sig_g, 0.0), 1.0)),
-                          gamma, horizon_used, is_estimate)
+                          gamma, is_estimate)

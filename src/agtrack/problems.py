@@ -24,6 +24,7 @@ import numpy as np
 from .mixing import RoundCounter
 
 OPTIMUM_TOL_LOGISTIC = 1e-10
+OPTIMUM_MAX_ITERS = 1_000_000
 OPTIMUM_RESIDUAL = 1e-10
 
 
@@ -184,12 +185,12 @@ def inexact_value(problem: ProblemInstance, ybar: np.ndarray, y: np.ndarray) -> 
     return float((values + np.einsum("ij,ij->i", grads, np.asarray(ybar, dtype=float) - y)).mean())
 
 
-def solve_optimum(problem: ProblemInstance, tol: float | None = None):
+def solve_optimum(problem: ProblemInstance):
     """High-precision minimizer ``(x_star, F_star)`` of F, with mean-gradient norm
     at most 1e-10: direct solve for quadratic sums, accelerated gradient descent
-    for logistic (RuntimeError when it fails to reach ``tol``)."""
+    for logistic (RuntimeError when it fails to reach ``OPTIMUM_TOL_LOGISTIC``)."""
     x_star = (np.linalg.solve(problem._Abar, -problem._bbar) if problem.kind == "quadratic"
-              else _agd_minimize(problem, OPTIMUM_TOL_LOGISTIC if tol is None else tol))
+              else _agd_minimize(problem))
     resid = float(np.linalg.norm(problem.mean_gradient(x_star)))
     if resid > OPTIMUM_RESIDUAL:
         raise RuntimeError(f"optimum residual {resid:.3e} exceeds {OPTIMUM_RESIDUAL:.0e}; "
@@ -197,16 +198,17 @@ def solve_optimum(problem: ProblemInstance, tol: float | None = None):
     return x_star, problem.value(x_star)
 
 
-def _agd_minimize(problem: ProblemInstance, tol: float, max_iters: int = 1_000_000) -> np.ndarray:
-    """Centralized Nesterov descent on F until the gradient norm reaches tol."""
+def _agd_minimize(problem: ProblemInstance) -> np.ndarray:
+    """Centralized Nesterov descent on F until the gradient norm reaches
+    ``OPTIMUM_TOL_LOGISTIC``."""
     L, mu = problem.L, problem.mu
     x = v = np.zeros(problem.n)
     if mu > 0:
         beta = (np.sqrt(L) - np.sqrt(mu)) / (np.sqrt(L) + np.sqrt(mu))
     theta = 1.0
-    for _ in range(max_iters):
+    for _ in range(OPTIMUM_MAX_ITERS):
         g = problem.mean_gradient(v)
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= OPTIMUM_TOL_LOGISTIC:
             return v
         x_next = v - g / L
         if mu > 0:
@@ -216,16 +218,16 @@ def _agd_minimize(problem: ProblemInstance, tol: float, max_iters: int = 1_000_0
             v = x_next + theta_next * (1.0 / theta - 1.0) * (x_next - x)
             theta = theta_next
         x = x_next
-    raise RuntimeError(f"optimum solver did not reach tolerance {tol:.0e} "
-                       f"within {max_iters} iterations")
+    raise RuntimeError(f"optimum solver did not reach tolerance {OPTIMUM_TOL_LOGISTIC:.0e} "
+                       f"within {OPTIMUM_MAX_ITERS} iterations")
 
 
-def _solved(inst: ProblemInstance, tol: float | None) -> ProblemInstance:
-    x_star, F_star = solve_optimum(inst, tol)
+def _solved(inst: ProblemInstance) -> ProblemInstance:
+    x_star, F_star = solve_optimum(inst)
     return dataclasses.replace(inst, x_star=x_star, F_star=F_star)
 
 
-def make_problem(locals_list, tol: float | None = None) -> ProblemInstance:
+def make_problem(locals_list) -> ProblemInstance:
     """Stack records of one kind into a ProblemInstance with its optimum oracle."""
     locs = tuple(locals_list)
     kinds = sorted({f.kind for f in locs})
@@ -240,7 +242,7 @@ def make_problem(locals_list, tol: float | None = None) -> ProblemInstance:
                                labels=np.concatenate([f.labels for f in locs]),
                                counts=np.array([f.labels.shape[0] for f in locs]),
                                ridge=np.array([f.ridge for f in locs], dtype=float))
-    return _solved(inst, tol)
+    return _solved(inst)
 
 
 def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
@@ -269,7 +271,7 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
         Q = shared if shared_basis else np.linalg.qr(rng.standard_normal((n, n)))[0]
         A[i] = Q @ np.diag(spectra[i]) @ Q.T
     return _solved(ProblemInstance("quadratic", float(spectra.max()), float(spectra.min()),
-                                   A=A, b=rng.standard_normal((m, n))), None)
+                                   A=A, b=rng.standard_normal((m, n))))
 
 
 def random_logistic_problem(m: int, n: int, samples_per_agent: int = 20,
@@ -286,4 +288,4 @@ def random_logistic_problem(m: int, n: int, samples_per_agent: int = 20,
     L = max(logistic_objective(d, y, ridge).L_i for d, y in zip(data, labels))
     return _solved(ProblemInstance("logistic", L, float(ridge), data=data.reshape(m * p, n),
                                    labels=labels.reshape(m * p), counts=np.full(m, p),
-                                   ridge=np.full(m, float(ridge))), None)
+                                   ridge=np.full(m, float(ridge))))

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agtrack import (AlgorithmConfig, AveragedState, DivergenceError,
-                     GraphSchedule, RoundCounter, ThetaSchedule,
-                     acc_gt_init, acc_gt_step, aggregate_gradient,
+                     GraphSchedule, RoundCounter, ThetaSchedule, aggregate_gradient,
                      averaged_reference_step, default_alpha, gt_init, gt_step,
                      make_problem, metropolis_weights, quadratic_objective,
                      random_quadratic_problem, resolve_constants, run,
                      theta_next)
-from agtrack.algorithms import CSV_COLUMNS
+from agtrack.algorithms import CSV_COLUMNS, VARIANTS
 from conftest import M9_EDGE_SETS, ring_edges
 
 
@@ -149,78 +148,72 @@ def test_gt_tracks_mean_gradient(rng):
 
 # ---------------------------------------------------------------- acc steps
 
+def acc_instants(prob, schedule, alpha, K, x0_row, mu_mode="zero"):
+    """Run acc_gt_static from x0_row; return its trace and (x, y, z, s) per instant."""
+    seen = []
+    trace = run(AlgorithmConfig(variant="acc_gt_static", alpha=alpha, mu_mode=mu_mode,
+                                max_iterations=K),
+                prob, schedule, diagnostics=False, x0_row=x0_row,
+                probe=lambda k, x, y, z, s: seen.append((x, y, z, s)))
+    return trace, seen
+
+
 def test_acc_init_is_consensual(rng):
     prob = random_quadratic_problem(4, 3, seed=4)
     x0 = rng.standard_normal(3)
-    state = acc_gt_init(prob, x0, alpha=0.01, theta0=1.0, mu=0.0)
-    for field in (state.x, state.y, state.z):
+    _, seen = acc_instants(prob, ring_schedule(4), 0.01, 0, x0)
+    x, y, z, s = seen[0]
+    for field in (x, y, z):
         np.testing.assert_array_equal(field, np.tile(x0, (4, 1)))
-    np.testing.assert_allclose(state.s.mean(axis=0),
-                               prob.mean_gradient(x0), atol=1e-12)
+    np.testing.assert_allclose(s.mean(axis=0), prob.mean_gradient(x0), atol=1e-12)
+    with pytest.raises(ValueError):
+        acc_instants(prob, ring_schedule(4), 0.01, 0, np.array([1.0, np.nan, 0.0]))
 
 
 def test_acc_step_hand_trace_scalar():
     prob = scalar_problem()
-    state = acc_gt_init(prob, np.array([2.0]), alpha=0.1, theta0=1.0, mu=0.0)
-    assert state.s[0, 0] == pytest.approx(2.0)
-    I = np.eye(1)
-    state = acc_gt_step(state, I, 0.1, 1.0, 0.0, prob, refresh_tracking=False)
-    assert state.y[0, 0] == pytest.approx(2.0)
-    assert state.z[0, 0] == pytest.approx(1.8)
-    assert state.x[0, 0] == pytest.approx(1.8)
+    _, seen = acc_instants(prob, GraphSchedule.static(1, []), 0.1, 1, np.array([2.0]))
+    (x0, y0, z0, s0), (x1, _, z1, _) = seen
+    assert s0[0, 0] == pytest.approx(2.0)
+    assert y0[0, 0] == pytest.approx(2.0)
+    assert z1[0, 0] == pytest.approx(1.8)
+    assert x1[0, 0] == pytest.approx(1.8)
 
 
 def test_acc_first_step_matches_initialization_formula(rng):
-    # The generic step at k = 0 (tracking skipped) reproduces
-    # z^1 = W z^0 - alpha/(theta_0 + mu alpha) s^0 from the consensual start.
+    # The generic step at k = 0 (s^0 from the start, no tracking update)
+    # reproduces z^1 = W z^0 - alpha/(theta_0 + mu alpha) s^0.
     prob = random_quadratic_problem(6, 3, mu=0.2, seed=5)
     W = metropolis_weights(ring_edges(6), 6)
     alpha, mu = 0.01, prob.mu
     theta0 = math.sqrt(mu * alpha) / 2
-    state0 = acc_gt_init(prob, rng.standard_normal(3), alpha, theta0, mu)
-    state1 = acc_gt_step(state0, W, alpha, theta0, mu, prob,
-                         refresh_tracking=False)
-    expected_z1 = W @ state0.z - alpha / (theta0 + mu * alpha) * state0.s
-    np.testing.assert_allclose(state1.z, expected_z1, atol=1e-12)
-    expected_x1 = theta0 * expected_z1 + (1 - theta0) * (W @ state0.x)
-    np.testing.assert_allclose(state1.x, expected_x1, atol=1e-12)
+    trace, seen = acc_instants(prob, ring_schedule(6), alpha, 1, rng.standard_normal(3),
+                               mu_mode="strongly_convex")
+    assert trace.rows[0].theta == theta0
+    (x0, _, z0, s0), (x1, _, z1, _) = seen
+    expected_z1 = W @ z0 - alpha / (theta0 + mu * alpha) * s0
+    np.testing.assert_allclose(z1, expected_z1, atol=1e-12)
+    expected_x1 = theta0 * expected_z1 + (1 - theta0) * (W @ x0)
+    np.testing.assert_allclose(x1, expected_x1, atol=1e-12)
 
 
 def test_acc_step_mu_zero_z_update_collapse(rng):
-    # With mu = 0 the z-update must equal W z - (alpha/theta) s.
+    # With mu = 0 the z-update must equal W z - (alpha/theta) s at every k.
     prob = random_quadratic_problem(5, 2, seed=6)
     W = metropolis_weights(ring_edges(5), 5)
-    state = acc_gt_init(prob, rng.standard_normal(2), 0.05, 1.0, 0.0)
-    theta = 0.4
-    nxt = acc_gt_step(state, W, 0.05, theta, 0.0, prob)
-    np.testing.assert_allclose(
-        nxt.z, W @ state.z - (0.05 / theta) * nxt.s, atol=1e-12)
+    K = 10
+    trace, seen = acc_instants(prob, ring_schedule(5), 0.05, K, rng.standard_normal(2))
+    for k in range(K):
+        _, _, z, s = seen[k]
+        theta = trace.rows[k].theta
+        np.testing.assert_allclose(seen[k + 1][2], W @ z - (0.05 / theta) * s, atol=1e-12)
 
 
 def test_acc_fixed_point_at_optimum(rng):
     prob = identical_agents_problem(5, rng)
-    W = metropolis_weights(ring_edges(5), 5)
-    state = acc_gt_init(prob, prob.x_star, 0.01, 1.0, 0.0)
-    for _ in range(5):
-        state = acc_gt_step(state, W, 0.01, 0.5, 0.0, prob)
-    np.testing.assert_allclose(state.x, np.tile(prob.x_star, (5, 1)), atol=1e-10)
-
-
-def test_acc_step_counters(rng):
-    prob = random_quadratic_problem(4, 2, seed=8)
-    W = metropolis_weights(ring_edges(4), 4)
-    counter = RoundCounter()
-    state = acc_gt_init(prob, rng.standard_normal(2), 0.01, 1.0, 0.0, counter)
-    assert (counter.comm_rounds, counter.grad_rounds) == (0, 1)
-    acc_gt_step(state, W, 0.01, 1.0, 0.0, prob, counter)
-    assert (counter.comm_rounds, counter.grad_rounds) == (3, 2)
-
-
-def test_acc_step_validates_theta(rng):
-    prob = scalar_problem()
-    state = acc_gt_init(prob, np.array([1.0]), 0.1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        acc_gt_step(state, np.eye(1), 0.1, 0.0, 0.0, prob)
+    _, seen = acc_instants(prob, ring_schedule(5), 0.01, 5, prob.x_star)
+    for x, _, _, _ in seen:
+        np.testing.assert_allclose(x, np.tile(prob.x_star, (5, 1)), atol=1e-10)
 
 
 # ------------------------------------------------- averaged reference
@@ -344,6 +337,15 @@ def test_run_rejects_sc_mode_without_strong_convexity():
     with pytest.raises(ValueError):
         run(AlgorithmConfig(variant="acc_gt_static", mu_mode="strongly_convex"),
             prob, ring_schedule(5))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_rejects_overlarge_sc_step(variant):
+    # theta = sqrt(mu alpha)/2 needs alpha * mu <= 1, for gt as for the rest.
+    prob = random_quadratic_problem(5, 2, mu=0.5, seed=14)
+    with pytest.raises(ValueError, match="alpha \\* mu <= 1"):
+        run(AlgorithmConfig(variant=variant, alpha=3.0, mu_mode="strongly_convex",
+                            max_iterations=2), prob, ring_schedule(5))
 
 
 def test_run_divergence_reports_iteration():
