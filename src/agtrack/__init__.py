@@ -8,19 +8,15 @@ the proved convergence bounds.
 from .graph import (EdgeSet, GraphSchedule, SpectralReport,
                     gamma_connectivity, matrix_product_window,
                     metropolis_weights, sigma, sigma_gamma)
-from .mixing import (ChebyshevOperator, RoundCounter, chebyshev_apply,
-                     chebyshev_operator, default_zeta, gossip,
-                     multiple_consensus)
-from .problems import (AggregateState, LocalObjective, ProblemInstance,
-                       aggregate_gradient, averages, bregman_distance,
-                       consensus_error, inexact_value, logistic_objective,
-                       make_problem, quadratic_objective,
+from .mixing import (ChebyshevOperator, chebyshev_apply, chebyshev_operator,
+                     default_zeta, gossip, multiple_consensus)
+from .problems import (LocalObjective, ProblemInstance, aggregate_gradient,
+                       bregman_distance, consensus_error, inexact_value,
+                       logistic_objective, make_problem, quadratic_objective,
                        random_logistic_problem, random_quadratic_problem,
                        solve_optimum)
-from .algorithms import (AlgorithmConfig, AveragedState, DivergenceError,
-                         RunTrace, ThetaSchedule, TraceRow,
-                         averaged_reference_step, default_alpha, gt_init,
-                         gt_step, resolve_constants, resolve_gamma, run,
+from .algorithms import (AlgorithmConfig, DivergenceError, RunTrace, TraceRow,
+                         default_alpha, resolve_constants, resolve_gamma, run,
                          theta_next)
 from .analysis import (BoundCertificate, certificates_to_report,
                        certify_theorem1, certify_theorem2, certify_theorem3,

@@ -26,19 +26,15 @@ For mu = 0 the momentum sequence follows theta_0 = 1 and
 (1 - theta_k)/theta_k^2 = 1/theta_{k-1}^2, giving F(xbar^K) - F* = O(1/K^2);
 for mu > 0 a constant theta = sqrt(mu alpha)/2 gives a linear rate.  The
 step-size rules proved for the four settings are exposed as
-``default_alpha``; column means of the distributed iterates follow the
-inexact centralized accelerated recursion ``averaged_reference_step``.
+``default_alpha``.
 
-``run`` is the one implementation of the step and drives every variant
-through that one loop; there is no single-step API for the accelerated
-method (``probe`` observes each instant instead).  ``gt_init`` / ``gt_step``
-are the textbook gradient-tracking recursion, kept as a reference the loop's
-gt case is checked against.  A single mixing function ``mix(k, v)``, built
-once per run, applies the instant-k operator (W^k from the schedule's cache,
-or its Chebyshev / multiple-consensus wrapper) and counts its communication
-rounds.  The loop records one TraceRow per instant, counting the rounds
-consumed up to it; with diagnostics on, a ``_Margins`` object beside the loop
-adds the inexact-bound (Lemma 1) and master-inequality (Lemma 4) margins.
+``run`` is the one implementation of the step; ``probe`` observes each
+instant.  Its one mixing function ``mix(k, v)`` applies the instant-k
+operator (W^k from the schedule's cache, or its Chebyshev / multiple-consensus
+wrapper) at a fixed cost of 1, t or zeta rounds per call, so ``run`` counts
+rounds itself: row k has used 3 calls per iteration (2 for gt) and k + 1
+gradient rounds.  With diagnostics on, ``_Margins`` beside the loop adds the
+inexact-bound (Lemma 1) and master-inequality (Lemma 4) margins.
 """
 from __future__ import annotations
 
@@ -51,9 +47,8 @@ import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, gamma_connectivity, sigma as sigma_of, sigma_gamma as sigma_gamma_of
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
-from .mixing import RoundCounter, chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
-from .problems import (AggregateState, ProblemInstance, aggregate_gradient,
-                       bregman_distance, consensus_error, inexact_value)
+from .mixing import chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
+from .problems import ProblemInstance, aggregate_gradient, bregman_distance, consensus_error, inexact_value
 
 VARIANTS = ("gt", "acc_gt_static", "acc_gt_tv", "acc_gt_chebyshev", "acc_gt_multiconsensus")
 
@@ -88,44 +83,6 @@ def theta_next(theta_prev: float) -> float:
     return theta_prev * (math.sqrt(theta_prev * theta_prev + 4.0) - theta_prev) / 2.0
 
 
-class ThetaSchedule:
-    """Momentum sequence: decreasing recursion for mu = 0, constant for mu > 0.
-
-    ``mode`` is ``nonstrongly_convex`` (theta_0 = 1, then theta_next) or
-    ``strongly_convex`` (theta = sqrt(mu alpha)/2, which requires
-    alpha mu <= 1).  ``history`` records theta_0..theta_k as queried.
-    """
-
-    def __init__(self, mode: str, alpha: float | None = None, mu: float | None = None):
-        if mode not in ("nonstrongly_convex", "strongly_convex"):
-            raise ValueError(f"unknown theta mode {mode!r}")
-        self.mode = mode
-        if mode == "strongly_convex":
-            if alpha is None or mu is None or mu <= 0.0:
-                raise ValueError("strongly_convex schedule needs alpha and mu > 0")
-            if alpha * mu > 1.0:
-                raise ValueError("strongly_convex schedule requires alpha * mu <= 1")
-            self._constant = math.sqrt(mu * alpha) / 2.0
-            self.history = []
-        else:
-            self._constant = None
-            self.history = [1.0]
-
-    def theta(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("iteration index must be nonnegative")
-        if self.mode == "strongly_convex":
-            while len(self.history) <= k:
-                self.history.append(self._constant)
-            return self._constant
-        while len(self.history) <= k:
-            nxt = theta_next(self.history[-1])
-            # The analysis needs theta monotonically nonincreasing in (0, 1].
-            assert 0.0 < nxt <= self.history[-1] <= 1.0
-            self.history.append(nxt)
-        return self.history[k]
-
-
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Which variant to run, with what step size, momentum mode, and budget."""
@@ -142,6 +99,8 @@ class AlgorithmConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.mu_mode not in ("zero", "strongly_convex"):
             raise ValueError(f"unknown mu_mode {self.mu_mode!r}")
+        if self.variant == "gt" and self.mu_mode == "strongly_convex":
+            raise ValueError("gt has no momentum row and runs mu = 0 only; use mu_mode 'zero'")
         if isinstance(self.alpha, str):
             if self.alpha != "theorem_default":
                 raise ValueError(f"alpha must be positive or 'theorem_default', got {self.alpha!r}")
@@ -195,60 +154,6 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
     if sc:
         return (1.0 - sig) ** 3 / (4244.0 * L * gamma ** 3)
     return (1.0 - sig) ** 4 / (21675.0 * L * gamma ** 4)
-
-
-def gt_init(problem: ProblemInstance, x0_row: np.ndarray,
-            counter: RoundCounter | None = None) -> AggregateState:
-    """Consensual start for gradient tracking: x^0 = 1 x0^T, s^0 = grad f(x^0)."""
-    x0 = np.tile(np.asarray(x0_row, dtype=float), (problem.m, 1))
-    g0 = aggregate_gradient(problem, x0, counter)
-    return AggregateState(x0, x0, x0, g0.copy(), grad=g0)
-
-
-def gt_step(state: AggregateState, W, alpha: float, problem: ProblemInstance,
-            counter: RoundCounter | None = None) -> AggregateState:
-    """One gradient-tracking step (2 communication rounds, 1 gradient round).
-
-    Requires ``state.s`` to track from ``s^0 = grad f(x^0)``; y and z mirror x
-    since the baseline method has no momentum rows.  ``run`` reaches the same
-    iterates as the theta = 1 case of the accelerated loop.
-    """
-    x_next = gossip(W, state.x, counter) - alpha * state.s
-    g_next = aggregate_gradient(problem, x_next, counter)
-    s_next = gossip(W, state.s, counter) + g_next - state.grad
-    if not (np.isfinite(x_next).all() and np.isfinite(s_next).all()):
-        raise DivergenceError("gradient-tracking iterate turned non-finite")
-    return AggregateState(x_next, x_next, x_next, s_next, grad=g_next)
-
-
-@dataclass(frozen=True)
-class AveragedState:
-    """Column means (xbar, ybar, zbar) evolved by the reference recursion."""
-
-    xbar: np.ndarray
-    ybar: np.ndarray
-    zbar: np.ndarray
-
-
-def averaged_reference_step(avg_state: AveragedState, alpha: float, theta_k: float,
-                            mu: float, sbar_k: np.ndarray) -> AveragedState:
-    """Inexact centralized accelerated step driven by the supplied mean sbar^k.
-
-    Multiplying the distributed updates by (1/m) 1^T removes every W (column
-    means are gossip-invariant), leaving
-
-        ybar = theta zbar + (1 - theta) xbar,
-        zbar' = (1 + mu alpha/theta)^{-1} (mu alpha/theta ybar + zbar - alpha/theta sbar),
-        xbar' = theta zbar' + (1 - theta) xbar.
-
-    Co-running this recursion on the distributed run's sbar^k sequence
-    reproduces the distributed column means exactly.
-    """
-    ybar = theta_k * avg_state.zbar + (1.0 - theta_k) * avg_state.xbar
-    ratio = mu * alpha / theta_k
-    zbar_next = (ratio * ybar + avg_state.zbar - (alpha / theta_k) * np.asarray(sbar_k)) / (1.0 + ratio)
-    xbar_next = theta_k * zbar_next + (1.0 - theta_k) * avg_state.xbar
-    return AveragedState(xbar_next, ybar, zbar_next)
 
 
 @dataclass(frozen=True)
@@ -403,8 +308,9 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     s^0 = grad f(y^0); ``x0_row`` (finite) defaults to a standard normal row
     drawn from seeds[0], and everything else is pure.  Raises ValueError if
     strongly_convex mode meets a problem with mu = 0 or an explicit alpha
-    with alpha * mu > 1, and DivergenceError (with the iteration index) if an
-    iterate or a recorded metric turns non-finite.
+    with alpha * mu > 1 (the theorem default meets alpha * mu <= 1), and
+    DivergenceError (with the iteration index) if an iterate or a recorded
+    metric turns non-finite.
 
     ``probe``, if given, is called as ``probe(k, x, y, z, s)`` with the
     aggregate matrices of instant k (read-only), once per instant --
@@ -420,7 +326,7 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
 
     consts = resolve_constants(config, problem, schedule)
     alpha = consts["alpha"]
-    mu_used = problem.mu if config.mu_mode == "strongly_convex" else 0.0
+    mu = problem.mu if config.mu_mode == "strongly_convex" else 0.0
     K = config.max_iterations
 
     if x0_row is None:
@@ -428,11 +334,10 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     elif not np.isfinite(x0_row).all():
         raise ValueError("x0_row must be finite")
 
-    counter = RoundCounter()
-    mix = _mixer(config.variant, schedule, consts, counter)
+    mix, rounds_per_mix = _mixer(config.variant, schedule, consts)
 
     meta = {**consts, "m": problem.m, "n": problem.n, "max_iterations": K,
-            "seeds": tuple(config.seeds), "mu_used": mu_used, "diagnostics": diagnostics}
+            "seeds": tuple(config.seeds), "mu_used": mu, "diagnostics": diagnostics}
     rows = []
 
     # gt is the theta = 1, mu = 0 case without the momentum row; it tracks s
@@ -440,29 +345,27 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     # consecutive mixing calls.
     momentum = config.variant != "gt"
     track_lag = 0 if momentum else 1
-    if not momentum:
-        theta, mu = (lambda k: 1.0), 0.0
-    elif config.mu_mode == "strongly_convex":
-        theta, mu = ThetaSchedule("strongly_convex", alpha, mu_used).theta, mu_used
-    else:
-        theta, mu = ThetaSchedule("nonstrongly_convex").theta, 0.0
+    comm_per_iteration = (3 if momentum else 2) * rounds_per_mix
+    # theta_k: 1 for gt, sqrt(mu alpha)/2 for mu > 0, else 1 and then theta_next.
+    decreasing = momentum and mu == 0.0
+    theta_k = math.sqrt(mu * alpha) / 2.0 if mu > 0.0 else 1.0
 
     x = z = np.tile(np.asarray(x0_row, dtype=float), (problem.m, 1))
-    s = grad = aggregate_gradient(problem, x, counter)
+    s = grad = aggregate_gradient(problem, x)
     F_x = problem.value(x.mean(axis=0))
-    margins = (_Margins(problem, alpha, mu, momentum, theta(0), F_x, z)
+    margins = (_Margins(problem, alpha, mu, momentum, theta_k, F_x, z)
                if diagnostics else _no_margins)
 
     # Overflow while diverging is reported as DivergenceError; numpy warnings
     # about it on the way there would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K + 1):
-            theta_k = theta(k)
+            if k > 0 and decreasing:
+                theta_k = theta_next(theta_k)
             y = theta_k * z + (1.0 - theta_k) * x
             if k > 0:  # s^0 = grad f(y^0) comes from the start
-                g = aggregate_gradient(problem, y, counter)
+                g = aggregate_gradient(problem, y)
                 s, grad = mix(k - track_lag, s) + g - grad, g
-            comm, grads = counter.comm_rounds, counter.grad_rounds
             if probe is not None:
                 probe(k, x, y, z, s)
             nxt = None
@@ -472,7 +375,7 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
                 # Without the momentum row (gt) x^{k+1} = z^{k+1} and x is not mixed.
                 x_next = theta_k * z_next + (1.0 - theta_k) * mix(k, x) if momentum else z_next
                 nxt = (x_next, z_next, problem.value(x_next.mean(axis=0)))
-            row = _measure(problem, k, x, y, z, s, F_x, comm, grads, theta_k,
+            row = _measure(problem, k, x, y, z, s, F_x, comm_per_iteration * k, k + 1, theta_k,
                            *margins(x, y, z, s, theta_k, nxt))
             _check_finite(config.variant, row, nxt)
             rows.append(row)
@@ -481,29 +384,26 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     return RunTrace(rows, meta)
 
 
-def _mixer(variant: str, schedule: GraphSchedule, consts: dict, counter: RoundCounter):
-    """The run's one mixing function ``mix(k, v)``: apply the instant-k
-    operator to v, counting its rounds on ``counter``.
-
-    The Chebyshev operator is built here once (its degree goes into
-    ``consts["t"]``); multiple consensus keeps its round pointer here; every
-    other variant gossips with the schedule's cached W^k.
-    """
+def _mixer(variant: str, schedule: GraphSchedule, consts: dict):
+    """The run's one mixing function ``mix(k, v)`` and the rounds each call costs:
+    the Chebyshev degree t (also put in ``consts["t"]``), zeta for multiple
+    consensus (which keeps its round pointer here), or 1 for gossip with the
+    schedule's cached W^k."""
     if variant == "acc_gt_chebyshev":
         op = chebyshev_operator(schedule.matrix(0))
         consts["t"] = op.t
-        return lambda k, v: chebyshev_apply(op, v, counter)
+        return (lambda k, v: chebyshev_apply(op, v)), op.t
     if variant == "acc_gt_multiconsensus":
         zeta = consts["zeta"]
         next_round = 0
 
         def mix(k, v):
             nonlocal next_round
-            out, used = multiple_consensus(schedule, None, next_round, zeta, v, counter)
-            next_round += used
+            out = multiple_consensus(schedule, None, next_round, zeta, v)
+            next_round += zeta
             return out
-        return mix
-    return lambda k, v: gossip(schedule.matrix(k), v, counter)
+        return mix, zeta
+    return (lambda k, v: gossip(schedule.matrix(k), v)), 1
 
 
 def _no_margins(*_):

@@ -12,8 +12,9 @@ smaller effective contraction constant:
   schedule matrices; with ``zeta = ceil(gamma / (1 - sigma_gamma))`` the
   disagreement shrinks by at least 1/e per call.
 
-Communication is accounted through a caller-owned RoundCounter so the
-operators themselves stay pure.
+Each call costs a fixed number of communication rounds (1 for gossip, t for
+Chebyshev, zeta for multiple consensus); the run loop that makes the calls
+counts them, so the operators stay pure.
 """
 from __future__ import annotations
 
@@ -28,20 +29,6 @@ SYMMETRY_TOL = 1e-12
 # sigma below this is treated as exact consensus in one round: the Chebyshev
 # constants degenerate (nu = 1 makes c2 blow up) and acceleration is pointless.
 SIGMA_BYPASS_TOL = 1e-12
-
-
-@dataclass
-class RoundCounter:
-    """Cumulative communication / gradient round counters owned by a run."""
-
-    comm_rounds: int = 0
-    grad_rounds: int = 0
-
-    def add_comm(self, rounds: int = 1):
-        self.comm_rounds += rounds
-
-    def add_grad(self, rounds: int = 1):
-        self.grad_rounds += rounds
 
 
 @dataclass(frozen=True)
@@ -94,19 +81,16 @@ def chebyshev_operator(W, t: int | None = None) -> ChebyshevOperator:
     return ChebyshevOperator(M, int(t), nu, c1, c2, c3, lambda1)
 
 
-def gossip(W, x: np.ndarray, counter: RoundCounter | None = None) -> np.ndarray:
+def gossip(W, x: np.ndarray) -> np.ndarray:
     """One communication round: returns W x."""
     M = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
     if M.shape[1] != x.shape[0]:
         raise ValueError(f"shape mismatch: W is {M.shape}, state has {x.shape[0]} rows")
-    if counter is not None:
-        counter.add_comm(1)
     return M @ x
 
 
-def chebyshev_apply(op: ChebyshevOperator, x: np.ndarray,
-                    counter: RoundCounter | None = None) -> np.ndarray:
+def chebyshev_apply(op: ChebyshevOperator, x: np.ndarray) -> np.ndarray:
     """Apply ``(I - P_t(c3 L)) x`` via the three-term Chebyshev recurrence.
 
     Runs ``a0 = 1, a1 = c2, z0 = x, z1 = c2 (I - c3 L) x`` and then
@@ -117,8 +101,6 @@ def chebyshev_apply(op: ChebyshevOperator, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     if op.base_matrix.shape[1] != x.shape[0]:
         raise ValueError("state row count does not match the operator")
-    if counter is not None:
-        counter.add_comm(op.t)
     if op.bypass:
         return op.base_matrix @ x
 
@@ -142,13 +124,11 @@ def default_zeta(gamma: int, sigma_gamma: float) -> int:
 
 
 def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
-                       zeta: int, x: np.ndarray,
-                       counter: RoundCounter | None = None) -> tuple[np.ndarray, int]:
-    """Chain zeta gossip rounds ``u^{t+1} = W^{start_round + t} u^t``.
+                       zeta: int, x: np.ndarray) -> np.ndarray:
+    """Chain zeta gossip rounds ``u^{t+1} = W^{start_round + t} u^t``; returns u^zeta.
 
-    Returns ``(u^zeta, zeta)``.  With ``zeta = ceil(gamma / (1 - sigma_gamma))``
-    on a gamma-connected schedule the disagreement norm contracts by at least
-    a factor 1/e per call.  ``weight_rule`` must be None or
+    With ``zeta = ceil(gamma / (1 - sigma_gamma))`` on a gamma-connected
+    schedule the disagreement norm contracts by at least a factor 1/e per call.  ``weight_rule`` must be None or
     ``metropolis_weights``, the only rule the schedule builds.
     """
     if zeta < 1:
@@ -158,6 +138,4 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
     u = np.asarray(x, dtype=float)
     for t in range(zeta):
         u = schedule.matrix(start_round + t) @ u
-    if counter is not None:
-        counter.add_comm(zeta)
-    return u, zeta
+    return u

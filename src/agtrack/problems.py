@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import RoundCounter
-
 OPTIMUM_TOL_LOGISTIC = 1e-10
 OPTIMUM_MAX_ITERS = 1_000_000
 OPTIMUM_RESIDUAL = 1e-10
@@ -126,43 +124,12 @@ class ProblemInstance:
         return self._local(w)[1].mean(axis=0)
 
 
-@dataclass(frozen=True)
-class AggregateState:
-    """Row-stacked m-by-n variables (x, y, z, s) of one algorithm instant.
-
-    ``grad`` caches the aggregate gradient at the points that produced s (the
-    tracking recursion needs the previous gradient each step).
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    s: np.ndarray
-
-    grad: np.ndarray | None = None
-
-    def __post_init__(self):
-        shape = self.x.shape
-        for name in ("y", "z", "s"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"state field {name} has shape {getattr(self, name).shape}, expected {shape}")
-
-
-def aggregate_gradient(problem: ProblemInstance, y: np.ndarray,
-                       counter: RoundCounter | None = None) -> np.ndarray:
+def aggregate_gradient(problem: ProblemInstance, y: np.ndarray) -> np.ndarray:
     """Row i = grad f_(i)(y_i); one parallel gradient round."""
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.m, problem.n):
         raise ValueError(f"state shape {y.shape} does not match problem ({problem.m}, {problem.n})")
-    if counter is not None:
-        counter.add_grad(1)
     return problem._local(y)[1]
-
-
-def averages(state: AggregateState):
-    """Column means (xbar, ybar, zbar, sbar) of the four aggregate matrices."""
-    return (state.x.mean(axis=0), state.y.mean(axis=0),
-            state.z.mean(axis=0), state.s.mean(axis=0))
 
 
 def consensus_error(x: np.ndarray) -> float:
@@ -188,7 +155,8 @@ def inexact_value(problem: ProblemInstance, ybar: np.ndarray, y: np.ndarray) -> 
 def solve_optimum(problem: ProblemInstance):
     """High-precision minimizer ``(x_star, F_star)`` of F, with mean-gradient norm
     at most 1e-10: direct solve for quadratic sums, accelerated gradient descent
-    for logistic (RuntimeError when it fails to reach ``OPTIMUM_TOL_LOGISTIC``)."""
+    for logistic (RuntimeError when it fails to reach ``OPTIMUM_TOL_LOGISTIC``,
+    ValueError when ridge-free data turn out separable, see ``_agd_minimize``)."""
     x_star = (np.linalg.solve(problem._Abar, -problem._bbar) if problem.kind == "quadratic"
               else _agd_minimize(problem))
     resid = float(np.linalg.norm(problem.mean_gradient(x_star)))
@@ -200,13 +168,21 @@ def solve_optimum(problem: ProblemInstance):
 
 def _agd_minimize(problem: ProblemInstance) -> np.ndarray:
     """Centralized Nesterov descent on F until the gradient norm reaches
-    ``OPTIMUM_TOL_LOGISTIC``."""
+    ``OPTIMUM_TOL_LOGISTIC``.
+
+    Ridge-free separable data have no minimizer (F > 0, inf F = 0; the iterate
+    norm diverges, Soudry et al., arXiv 1710.10345): ValueError once an
+    iterate v strictly separates them, ``min(labels * (data @ v)) > 0``.
+    Weakly separable data (no margin > 0 at any iterate) are not caught."""
     L, mu = problem.L, problem.mu
     x = v = np.zeros(problem.n)
     if mu > 0:
         beta = (np.sqrt(L) - np.sqrt(mu)) / (np.sqrt(L) + np.sqrt(mu))
+    ridge_free = not problem.ridge.any()
     theta = 1.0
     for _ in range(OPTIMUM_MAX_ITERS):
+        if ridge_free and (problem.labels * (problem.data @ v)).min() > 0.0:
+            raise ValueError("separable data, F has no minimizer without a ridge; set ridge > 0")
         g = problem.mean_gradient(v)
         if np.linalg.norm(g) <= OPTIMUM_TOL_LOGISTIC:
             return v

@@ -1,0 +1,94 @@
+"""Textbook reference recursions the run loop is checked against.
+
+``run`` in ``agtrack.algorithms`` is the only implementation of the step.
+These hand-written single steps stay as independent oracles for the tests:
+``gt_init`` / ``gt_step`` are plain gradient tracking on an ``AggregateState``,
+and ``averaged_reference_step`` is the inexact centralized accelerated
+recursion the column means of every accelerated run follow.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from agtrack import DivergenceError, ProblemInstance, aggregate_gradient, gossip
+
+
+@dataclass(frozen=True)
+class AggregateState:
+    """Row-stacked m-by-n variables (x, y, z, s) of one algorithm instant.
+
+    ``grad`` caches the aggregate gradient at the points that produced s (the
+    tracking recursion needs the previous gradient each step).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    s: np.ndarray
+
+    grad: np.ndarray | None = None
+
+    def __post_init__(self):
+        shape = self.x.shape
+        for name in ("y", "z", "s"):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"state field {name} has shape {getattr(self, name).shape}, expected {shape}")
+
+
+def averages(state: AggregateState):
+    """Column means (xbar, ybar, zbar, sbar) of the four aggregate matrices."""
+    return (state.x.mean(axis=0), state.y.mean(axis=0),
+            state.z.mean(axis=0), state.s.mean(axis=0))
+
+
+def gt_init(problem: ProblemInstance, x0_row: np.ndarray) -> AggregateState:
+    """Consensual start for gradient tracking: x^0 = 1 x0^T, s^0 = grad f(x^0)."""
+    x0 = np.tile(np.asarray(x0_row, dtype=float), (problem.m, 1))
+    g0 = aggregate_gradient(problem, x0)
+    return AggregateState(x0, x0, x0, g0.copy(), grad=g0)
+
+
+def gt_step(state: AggregateState, W, alpha: float, problem: ProblemInstance) -> AggregateState:
+    """One gradient-tracking step (2 communication rounds, 1 gradient round).
+
+    Requires ``state.s`` to track from ``s^0 = grad f(x^0)``; y and z mirror x
+    since the baseline method has no momentum rows.
+    """
+    x_next = gossip(W, state.x) - alpha * state.s
+    g_next = aggregate_gradient(problem, x_next)
+    s_next = gossip(W, state.s) + g_next - state.grad
+    if not (np.isfinite(x_next).all() and np.isfinite(s_next).all()):
+        raise DivergenceError("gradient-tracking iterate turned non-finite")
+    return AggregateState(x_next, x_next, x_next, s_next, grad=g_next)
+
+
+@dataclass(frozen=True)
+class AveragedState:
+    """Column means (xbar, ybar, zbar) evolved by the reference recursion."""
+
+    xbar: np.ndarray
+    ybar: np.ndarray
+    zbar: np.ndarray
+
+
+def averaged_reference_step(avg_state: AveragedState, alpha: float, theta_k: float,
+                            mu: float, sbar_k: np.ndarray) -> AveragedState:
+    """Inexact centralized accelerated step driven by the supplied mean sbar^k.
+
+    Multiplying the distributed updates by (1/m) 1^T removes every W (column
+    means are gossip-invariant), leaving
+
+        ybar = theta zbar + (1 - theta) xbar,
+        zbar' = (1 + mu alpha/theta)^{-1} (mu alpha/theta ybar + zbar - alpha/theta sbar),
+        xbar' = theta zbar' + (1 - theta) xbar.
+
+    Co-running this recursion on the distributed run's sbar^k sequence
+    reproduces the distributed column means exactly.
+    """
+    ybar = theta_k * avg_state.zbar + (1.0 - theta_k) * avg_state.xbar
+    ratio = mu * alpha / theta_k
+    zbar_next = (ratio * ybar + avg_state.zbar - (alpha / theta_k) * np.asarray(sbar_k)) / (1.0 + ratio)
+    xbar_next = theta_k * zbar_next + (1.0 - theta_k) * avg_state.xbar
+    return AveragedState(xbar_next, ybar, zbar_next)

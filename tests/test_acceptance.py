@@ -14,8 +14,8 @@ from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule,
                      fit_rate, matrix_product_window, metropolis_weights,
                      multiple_consensus, random_quadratic_problem,
                      resolve_constants, run, sigma, sigma_gamma, theta_next)
-from agtrack.algorithms import AveragedState, ThetaSchedule, averaged_reference_step
 from conftest import M9_EDGE_SETS, ring_edges
+from reference_steps import AveragedState, averaged_reference_step
 
 
 RING10 = GraphSchedule.static(10, ring_edges(10))
@@ -158,7 +158,7 @@ def test_criterion_06_two_form_equivalence():
         problem = random_quadratic_problem(m, 3, L=1.0, mu=0.0, seed=seed)
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(problem.n)
-        alpha, thetas = 0.01, ThetaSchedule("nonstrongly_convex")
+        alpha, theta = 0.01, 1.0
         iterates = []
         run(AlgorithmConfig(variant=variant, alpha=alpha, mu_mode="zero", max_iterations=100),
             problem, schedule, diagnostics=False, x0_row=x0,
@@ -167,7 +167,8 @@ def test_criterion_06_two_form_equivalence():
         s_q = g_prev = aggregate_gradient(problem, x_q)
         for k in range(100):
             W = metropolis_weights(schedule.edge_set(k), m)
-            theta = thetas.theta(k)
+            if k > 0:
+                theta = theta_next(theta)
             y_q = theta * z_q + (1.0 - theta) * x_q
             if k > 0:
                 g_k = aggregate_gradient(problem, y_q)
@@ -207,8 +208,7 @@ def test_criterion_08_multiple_consensus_contraction():
     for trial in range(100):
         x = rng.standard_normal((9, 4))
         start = int(rng.integers(0, 30))
-        mixed, rounds = multiple_consensus(M9, None, start, zeta, x)
-        assert rounds == zeta
+        mixed = multiple_consensus(M9, None, start, zeta, x)
         before = np.linalg.norm(projected(x))
         after = np.linalg.norm(projected(mixed))
         worst = max(worst, after / before)
@@ -218,8 +218,11 @@ def test_criterion_08_multiple_consensus_contraction():
 
 def test_criterion_09_momentum_schedule():
     """The momentum sequence satisfies its defining recursion to 1e-12 and
-    stays inside the [1/(k+1), 2/(k+1)] envelope up to k = 10^4."""
-    schedule = ThetaSchedule("nonstrongly_convex")
+    stays inside the [1/(k+1), 2/(k+1)] envelope up to k = 10^4; a run
+    records exactly this sequence."""
+    trace = run(AlgorithmConfig(variant="acc_gt_static", alpha=0.01, max_iterations=100),
+                random_quadratic_problem(10, 2, seed=0), RING10, diagnostics=False)
+    assert trace.rows[0].theta == 1.0
     theta_prev = 1.0
     for k in range(1, 10 ** 4 + 1):
         theta = theta_next(theta_prev)
@@ -227,7 +230,7 @@ def test_criterion_09_momentum_schedule():
         assert abs(lhs - 1.0 / theta_prev ** 2) <= 1e-12 * lhs, k
         assert 1.0 / (k + 1) <= theta <= 2.0 / (k + 1), k
         if k <= 100:
-            assert schedule.theta(k) == theta
+            assert trace.rows[k].theta == theta
         theta_prev = theta
     print("criterion 09: PASS - momentum recursion and envelope hold to k = 10^4")
 

@@ -1,18 +1,20 @@
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (AlgorithmConfig, AveragedState, DivergenceError,
-                     GraphSchedule, RoundCounter, ThetaSchedule, aggregate_gradient,
-                     averaged_reference_step, default_alpha, gt_init, gt_step,
-                     make_problem, metropolis_weights, quadratic_objective,
+from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule,
+                     aggregate_gradient, algorithms, default_alpha, make_problem,
+                     metropolis_weights, quadratic_objective,
                      random_quadratic_problem, resolve_constants, run,
                      theta_next)
 from agtrack.algorithms import CSV_COLUMNS, VARIANTS
 from conftest import M9_EDGE_SETS, ring_edges
+from reference_steps import (AveragedState, averaged_reference_step, gt_init,
+                             gt_step)
 
 
 def scalar_problem():
@@ -43,25 +45,37 @@ def test_theta_next_defining_identity(theta_prev):
     assert (1 - theta) / theta ** 2 == pytest.approx(1 / theta_prev ** 2, rel=1e-12)
 
 
+def recorded_thetas(variant, mu_mode, alpha, mu, K):
+    """theta_k of every row of a run on a ring of five agents."""
+    prob = random_quadratic_problem(5, 2, mu=mu, seed=1)
+    trace = run(AlgorithmConfig(variant=variant, alpha=alpha, mu_mode=mu_mode,
+                                max_iterations=K), prob, ring_schedule(5), diagnostics=False)
+    return trace.column("theta")
+
+
 def test_theta_schedule_nsc_starts_at_one():
-    sched = ThetaSchedule("nonstrongly_convex")
-    assert sched.theta(0) == 1.0
-    assert sched.theta(1) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
+    thetas = recorded_thetas("acc_gt_static", "zero", 0.01, 0.0, 49)
+    assert thetas[0] == 1.0
+    assert thetas[1] == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
     for k in range(50):
-        assert 1 / (k + 1) <= sched.theta(k) <= 2 / (k + 1)
+        assert 1 / (k + 1) <= thetas[k] <= 2 / (k + 1)
+    # gt is the theta = 1 case.
+    assert (recorded_thetas("gt", "zero", 0.01, 0.0, 5) == 1.0).all()
 
 
 def test_theta_schedule_sc_constant():
-    sched = ThetaSchedule("strongly_convex", alpha=0.01, mu=0.25)
-    expected = math.sqrt(0.25 * 0.01) / 2
-    assert all(sched.theta(k) == pytest.approx(expected) for k in range(5))
+    thetas = recorded_thetas("acc_gt_static", "strongly_convex", 0.01, 0.25, 4)
+    assert (thetas == math.sqrt(0.25 * 0.01) / 2).all()
 
 
 def test_theta_schedule_sc_validation():
-    with pytest.raises(ValueError):
-        ThetaSchedule("strongly_convex", alpha=2.0, mu=1.0)   # alpha mu > 1
-    with pytest.raises(ValueError):
-        ThetaSchedule("strongly_convex", alpha=0.1, mu=0.0)
+    with pytest.raises(ValueError, match="alpha \\* mu <= 1"):
+        recorded_thetas("acc_gt_static", "strongly_convex", 2.0, 1.0, 2)
+    with pytest.raises(ValueError, match="mu > 0"):
+        recorded_thetas("acc_gt_static", "strongly_convex", 0.1, 0.0, 2)
+    # The theorem-default alpha satisfies alpha * mu <= 1 even at mu = L.
+    thetas = recorded_thetas("acc_gt_static", "strongly_convex", "theorem_default", 1.0, 2)
+    assert 0.0 < thetas[0] <= 0.5 and (thetas == thetas[0]).all()
 
 
 # ---------------------------------------------------------------- step sizes
@@ -126,13 +140,11 @@ def test_gt_fixed_point_at_optimum(rng):
 
 
 def test_gt_step_counters():
+    # The start costs one gradient round, each gt step two gossip rounds and one gradient round.
     prob = random_quadratic_problem(4, 2, seed=2)
-    counter = RoundCounter()
-    state = gt_init(prob, np.zeros(2), counter)
-    assert (counter.comm_rounds, counter.grad_rounds) == (0, 1)
-    W = metropolis_weights(ring_edges(4), 4)
-    gt_step(state, W, 0.01, prob, counter)
-    assert (counter.comm_rounds, counter.grad_rounds) == (2, 2)
+    trace = run(AlgorithmConfig(variant="gt", alpha=0.01, max_iterations=1), prob,
+                ring_schedule(4), diagnostics=False)
+    assert [(r.comm_rounds, r.grad_rounds) for r in trace.rows] == [(0, 1), (2, 2)]
 
 
 def test_gt_tracks_mean_gradient(rng):
@@ -302,25 +314,42 @@ def test_run_seed_changes_start():
     assert a.rows[0].gap != b.rows[0].gap
 
 
-def test_run_round_totals_per_variant(m9_schedule):
+def test_run_round_totals_per_variant(monkeypatch, m9_schedule):
+    # Row k has used `slots` mixing calls of r rounds per iteration and k + 1
+    # gradient rounds, as many as the operators and the oracle were called.
+    calls = {"mix": 0, "grad": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("gossip", "chebyshev_apply", "multiple_consensus"):
+        monkeypatch.setattr(algorithms, name, counted("mix", getattr(algorithms, name)))
+    monkeypatch.setattr(algorithms, "aggregate_gradient",
+                        counted("grad", algorithms.aggregate_gradient))
     prob9 = random_quadratic_problem(9, 2, seed=12)
     prob10 = random_quadratic_problem(10, 2, seed=12)
     K = 12
-    gt = run(AlgorithmConfig(variant="gt", alpha=0.05, max_iterations=K),
-             prob10, ring_schedule(10), diagnostics=False)
-    assert (gt.rows[-1].comm_rounds, gt.rows[-1].grad_rounds) == (2 * K, K + 1)
-    acc = run(AlgorithmConfig(variant="acc_gt_static", max_iterations=K),
-              prob10, ring_schedule(10), diagnostics=False)
-    assert (acc.rows[-1].comm_rounds, acc.rows[-1].grad_rounds) == (3 * K, K + 1)
-    cheb = run(AlgorithmConfig(variant="acc_gt_chebyshev", max_iterations=K),
-               prob10, ring_schedule(10), diagnostics=False)
-    t = cheb.meta["t"]
-    assert t == 4
-    assert cheb.rows[-1].comm_rounds == 3 * K * t
-    mc = run(AlgorithmConfig(variant="acc_gt_multiconsensus", max_iterations=K),
-             prob9, m9_schedule, diagnostics=False)
-    assert mc.meta["zeta"] == 13
-    assert mc.rows[-1].comm_rounds == 3 * K * 13
+    # variant, problem, schedule, alpha, mixing calls per iteration, rounds per call
+    cases = [("gt", prob10, ring_schedule(10), 0.05, 2, 1),
+             ("acc_gt_static", prob10, ring_schedule(10), "theorem_default", 3, 1),
+             ("acc_gt_tv", prob9, m9_schedule, "theorem_default", 3, 1),
+             ("acc_gt_chebyshev", prob10, ring_schedule(10), "theorem_default", 3, 4),
+             ("acc_gt_multiconsensus", prob9, m9_schedule, "theorem_default", 3, 13)]
+    for (variant, prob, schedule, alpha, slots, r), diagnostics in itertools.product(
+            cases, (True, False)):
+        calls.update(mix=0, grad=0)
+        seen = []
+        trace = run(AlgorithmConfig(variant=variant, alpha=alpha, max_iterations=K),
+                    prob, schedule, diagnostics=diagnostics,
+                    probe=lambda *_: seen.append((calls["mix"] * r, calls["grad"])))
+        rows = [(row.comm_rounds, row.grad_rounds) for row in trace.rows]
+        assert rows == [(slots * r * k, k + 1) for k in range(K + 1)], variant
+        assert rows == seen, variant
+        if r > 1:
+            assert trace.meta["t" if variant == "acc_gt_chebyshev" else "zeta"] == r
 
 
 def test_run_counters_nondecreasing(m9_schedule):
@@ -339,13 +368,20 @@ def test_run_rejects_sc_mode_without_strong_convexity():
             prob, ring_schedule(5))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "gt"])
 def test_run_rejects_overlarge_sc_step(variant):
-    # theta = sqrt(mu alpha)/2 needs alpha * mu <= 1, for gt as for the rest.
+    # theta = sqrt(mu alpha)/2 needs alpha * mu <= 1.
     prob = random_quadratic_problem(5, 2, mu=0.5, seed=14)
     with pytest.raises(ValueError, match="alpha \\* mu <= 1"):
         run(AlgorithmConfig(variant=variant, alpha=3.0, mu_mode="strongly_convex",
                             max_iterations=2), prob, ring_schedule(5))
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.1, 3.0, "theorem_default"])
+def test_gt_rejects_strongly_convex_mode(alpha):
+    # gt has no momentum row: it runs the mu = 0 recursion whatever the mode.
+    with pytest.raises(ValueError, match="gt has no momentum row"):
+        AlgorithmConfig(variant="gt", alpha=alpha, mu_mode="strongly_convex")
 
 
 def test_run_divergence_reports_iteration():

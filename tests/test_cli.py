@@ -167,6 +167,8 @@ def cyclic_graph():
      "requires a static schedule"),
     (5, None, {"variant": "gt", "alpha": "theorem_default", "max_iterations": 10},
      "no default step-size rule"),
+    (5, None, {"variant": "gt", "alpha": 0.1, "mu_mode": "strongly_convex",
+               "max_iterations": 10}, "gt has no momentum row"),
 ])
 def test_run_reports_unsupported_run_settings_as_config_error(tmp_path, capsys, problem_m,
                                                               graph, algorithm, reason):
@@ -186,6 +188,8 @@ def test_run_reports_unsupported_run_settings_as_config_error(tmp_path, capsys, 
     ({"L": -1.0}, "0 <= mu <= L"),
     ({"m": 1, "n": 1}, "single drawn eigenvalue"),
     ({"kind": "logistic", "samples_per_agent": 0, "ridge": 0.1}, "at least one sample"),
+    ({"kind": "logistic", "m": 1, "samples_per_agent": 1, "ridge": 0.0},
+     "separable data, F has no minimizer"),
 ])
 def test_run_reports_impossible_problem_as_config_error(tmp_path, capsys, problem, reason):
     data = base_config()

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (GraphSchedule, RoundCounter, chebyshev_apply,
+from agtrack import (GraphSchedule, chebyshev_apply,
                      chebyshev_operator, default_zeta, gossip,
                      metropolis_weights, multiple_consensus, sigma,
                      sigma_gamma)
@@ -35,10 +36,9 @@ def test_gossip_consensual_fixed(rng):
 
 
 def test_gossip_counts_one_round(rng):
-    counter = RoundCounter()
-    gossip(np.eye(3), rng.standard_normal((3, 2)), counter)
-    gossip(np.eye(3), rng.standard_normal((3, 2)), counter)
-    assert counter.comm_rounds == 2 and counter.grad_rounds == 0
+    W = metropolis_weights(ring_edges(3), 3)
+    x = rng.standard_normal((3, 2))
+    np.testing.assert_array_equal(gossip(W, x), W @ x)
 
 
 def test_gossip_shape_mismatch():
@@ -92,11 +92,20 @@ def test_chebyshev_preserves_column_means(rng):
     np.testing.assert_allclose(out.mean(axis=0), x.mean(axis=0), atol=1e-10)
 
 
+class CountingMatrix(np.ndarray):
+    """A mixing matrix that counts its products: one per gossip round."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.asarray(self) @ other
+
+
 def test_chebyshev_counts_t_rounds(rng):
     op = chebyshev_operator(metropolis_weights(ring_edges(10), 10))
-    counter = RoundCounter()
-    chebyshev_apply(op, rng.standard_normal((10, 2)), counter)
-    assert counter.comm_rounds == op.t == 4
+    W = op.base_matrix.view(CountingMatrix)
+    W.products = 0
+    chebyshev_apply(dataclasses.replace(op, base_matrix=W), rng.standard_normal((10, 2)))
+    assert W.products == op.t == 4
 
 
 def test_chebyshev_effective_matrix_norm_bound():
@@ -133,8 +142,7 @@ def test_default_zeta_examples():
 def test_multiple_consensus_consensual_fixed(rng):
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
     x = np.tile(rng.standard_normal(3), (9, 1))
-    out, used = multiple_consensus(sched, metropolis_weights, 0, 7, x)
-    assert used == 7
+    out = multiple_consensus(sched, metropolis_weights, 0, 7, x)
     np.testing.assert_allclose(out, x, atol=1e-12)
 
 
@@ -142,16 +150,24 @@ def test_multiple_consensus_zeta1_is_gossip(rng):
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
     x = rng.standard_normal((9, 2))
     for k in range(4):
-        out, _ = multiple_consensus(sched, metropolis_weights, k, 1, x)
+        out = multiple_consensus(sched, metropolis_weights, k, 1, x)
         W = metropolis_weights(sched.edge_set(k), 9)
         np.testing.assert_allclose(out, gossip(W, x), atol=1e-14)
 
 
-def test_multiple_consensus_counter(rng):
+def test_multiple_consensus_counter(rng, monkeypatch):
+    # zeta = 13 rounds from round 2 chain exactly W^2, ..., W^14.
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
-    counter = RoundCounter()
-    multiple_consensus(sched, metropolis_weights, 2, 13, rng.standard_normal((9, 2)), counter)
-    assert counter.comm_rounds == 13
+    x = rng.standard_normal((9, 2))
+    expected = x
+    for k in range(2, 15):
+        expected = sched.matrix(k) @ expected
+    requested, matrix = [], GraphSchedule.matrix
+    monkeypatch.setattr(GraphSchedule, "matrix",
+                        lambda self, k: requested.append(k) or matrix(self, k))
+    out = multiple_consensus(sched, metropolis_weights, 2, 13, x)
+    assert requested == list(range(2, 15))
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_multiple_consensus_static_ring_contracts(rng):
@@ -161,7 +177,7 @@ def test_multiple_consensus_static_ring_contracts(rng):
     zeta = default_zeta(1, sig)
     for _ in range(20):
         x = rng.standard_normal((5, 3))
-        out, _ = multiple_consensus(sched, metropolis_weights, 0, zeta, x)
+        out = multiple_consensus(sched, metropolis_weights, 0, zeta, x)
         assert np.linalg.norm(demean(out)) <= (1 / math.e) * np.linalg.norm(demean(x)) + 1e-9
 
 
@@ -174,8 +190,8 @@ def test_multiple_consensus_tv_contracts(seed):
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, 6))
     x = rng.standard_normal((9, 3))
-    out, used = multiple_consensus(sched, metropolis_weights, start, zeta, x)
-    assert used == zeta == 13
+    out = multiple_consensus(sched, metropolis_weights, start, zeta, x)
+    assert zeta == 13
     assert np.linalg.norm(demean(out)) <= (1 / math.e) * np.linalg.norm(demean(x)) + 1e-9
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (AggregateState, LocalObjective, aggregate_gradient, averages,
+from agtrack import (LocalObjective, ProblemInstance, aggregate_gradient,
                      bregman_distance, consensus_error, inexact_value,
                      logistic_objective, make_problem, quadratic_objective,
                      random_logistic_problem, random_quadratic_problem,
-                     solve_optimum, RoundCounter)
+                     solve_optimum)
+from reference_steps import AggregateState, averages
 
 
 def identity_quadratics(m, n):
@@ -87,10 +88,22 @@ def test_aggregate_gradient_identity_quadratic(rng):
 
 
 def test_aggregate_gradient_single_logistic_sample_at_zero():
+    # The ridge keeps a minimizer and adds nothing to the gradient at 0.
     feature = np.array([2.0, -1.0, 0.5])
-    prob = make_problem([logistic_objective(feature[None, :], np.array([1.0]))])
+    prob = make_problem([logistic_objective(feature[None, :], np.array([1.0]), ridge=1e-3)])
     g = aggregate_gradient(prob, np.zeros((1, 3)))
     np.testing.assert_allclose(g[0], -0.5 * feature, atol=1e-12)
+
+
+def test_separable_ridge_free_logistic_has_no_optimum():
+    # One sample is always separable: without a ridge F > 0 has infimum 0,
+    # which no point attains.
+    feature = np.array([2.0, -1.0, 0.5])
+    with pytest.raises(ValueError, match="separable data, F has no minimizer"):
+        make_problem([logistic_objective(feature[None, :], np.array([1.0]))])
+    # 30 samples in 20 dimensions are separable as well.
+    with pytest.raises(ValueError, match="separable data"):
+        random_logistic_problem(3, 20, samples_per_agent=10, seed=0)
 
 
 def test_aggregate_gradient_zero_mean_at_optimum():
@@ -100,11 +113,15 @@ def test_aggregate_gradient_zero_mean_at_optimum():
     assert np.linalg.norm(g.mean(axis=0)) <= 1e-9
 
 
-def test_aggregate_gradient_counts_one_round(rng):
+def test_aggregate_gradient_counts_one_round(rng, monkeypatch):
+    # One call evaluates every agent's local oracle once: one gradient round.
     prob = identity_quadratics(3, 2)
-    counter = RoundCounter()
-    aggregate_gradient(prob, rng.standard_normal((3, 2)), counter)
-    assert counter.grad_rounds == 1 and counter.comm_rounds == 0
+    calls = []
+    original = ProblemInstance._local
+    monkeypatch.setattr(ProblemInstance, "_local",
+                        lambda self, Y: calls.append(Y.shape) or original(self, Y))
+    aggregate_gradient(prob, rng.standard_normal((3, 2)))
+    assert calls == [(3, 2)]
 
 
 def test_aggregate_gradient_shape_check(rng):

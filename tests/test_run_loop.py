@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from agtrack import (AlgorithmConfig, GraphSchedule, ProblemInstance,
-                     consensus_error, gt_init, gt_step, metropolis_weights,
+                     consensus_error, metropolis_weights,
                      random_logistic_problem, random_quadratic_problem, run)
 from agtrack.algorithms import CSV_COLUMNS
-from agtrack.mixing import RoundCounter
 from conftest import M9_EDGE_SETS, ring_edges
+from reference_steps import gt_init, gt_step
 
 GOLDEN = Path(__file__).parent / "data" / "run_loop_golden.json"
 K = 12
@@ -90,16 +90,16 @@ def test_trace_columns_match_recorded_bits(name, diag):
 
 def test_gt_run_equals_hand_loop_of_gt_steps():
     """On a seeded-random schedule run('gt') is the textbook recursion: each
-    step mixes x and s with the same W^k."""
+    step mixes x and s with the same W^k, two communication rounds and one
+    gradient round per step."""
     schedule = GraphSchedule.seeded_random(8, 0.4, seed=11)
     problem = random_quadratic_problem(8, 3, seed=2)
     alpha = 0.05
     trace = run(AlgorithmConfig(variant="gt", alpha=alpha, max_iterations=K, seeds=(3,)),
                 problem, schedule, diagnostics=False)
 
-    counter = RoundCounter()
     x0 = np.random.default_rng(3).standard_normal(problem.n)
-    state = gt_init(problem, x0, counter)
+    state = gt_init(problem, x0)
     for k, row in enumerate(trace.rows):
         xbar = state.x.mean(axis=0)
         assert row.k == k
@@ -108,10 +108,9 @@ def test_gt_run_equals_hand_loop_of_gt_steps():
             (problem.value_many(state.x) - problem.F_star).max())
         assert row.cons_x == consensus_error(state.x) / problem.m
         assert row.cons_s == consensus_error(state.s) / problem.m
-        assert (row.comm_rounds, row.grad_rounds) == (counter.comm_rounds,
-                                                      counter.grad_rounds)
+        assert (row.comm_rounds, row.grad_rounds) == (2 * k, k + 1)
         W = metropolis_weights(schedule.edge_set(k), problem.m)
-        state = gt_step(state, W, alpha, problem, counter)
+        state = gt_step(state, W, alpha, problem)
 
 
 @pytest.mark.parametrize("variant,mode,sched_name", [
