@@ -14,14 +14,13 @@ Exit codes: 0 success, 2 config validation error, 3 divergence,
 Config schema (JSON object)::
 
     {
-      "problem":   {"kind": "quadratic"|"logistic", "m": int, "n": int,
-                    "seed": int, "L": float, "mu": float,
-                    "shared_basis": bool,               # quadratic only
-                    "samples_per_agent": int, "ridge": float},  # logistic only
+      "problem":   {"kind": "quadratic"|"logistic", "m": int, "n": int, "seed": int,
+                    "L": float, "mu": float, "shared_basis": bool,  # quadratic only
+                    "samples_per_agent": int, "ridge": float},      # logistic only
       "graph":     {"m": int, "kind": "static"|"cyclic"|"seeded_random",
-                    "period": int|null, "seed": int|null,
-                    "edge_sets": [[[i, j], ...], ...],
-                    "edge_probability": float|null},
+                    "edge_sets": [[[i, j], ...], ...],  # static, cyclic
+                    "period": int|null,                 # cyclic only
+                    "edge_probability": float, "seed": int},  # seeded_random only
       "algorithm": {"variant": str, "alpha": float|"theorem_default",
                     "mu_mode": "zero"|"strongly_convex",
                     "max_iterations": int, "zeta": int|null, "seeds": [int]},
@@ -29,6 +28,11 @@ Config schema (JSON object)::
       "target_gap": float,          # sweep summary threshold (default 1e-6)
       "sweep": {"algorithm.alpha": [...], ...}   # dotted paths to lists
     }
+
+Each section takes only the keys its builder reads (the problem and graph
+keys depend on ``kind``); any other key, top-level or in a section, and any
+sweep axis that names one, is a config error (exit 2) rather than a setting
+that silently does nothing.  Edge endpoints must be integer agent indices.
 
 All floats in emitted CSVs carry 17 significant digits; outputs are
 byte-identical across repeat runs except for a timestamp comment line, which
@@ -60,6 +64,33 @@ class ConfigError(ValueError):
     """Validation failure with the offending config field in the message."""
 
 
+# The keys each reader takes; every other key is rejected.
+TOP_LEVEL_KEYS = frozenset({"problem", "graph", "algorithm", "diagnostics", "target_gap", "sweep"})
+PROBLEM_KEYS = {"quadratic": frozenset({"kind", "m", "n", "seed", "L", "mu", "shared_basis"}),
+                "logistic": frozenset({"kind", "m", "n", "seed", "samples_per_agent", "ridge"})}
+GRAPH_KEYS = {"static": frozenset({"m", "kind", "edge_sets"}),
+              "cyclic": frozenset({"m", "kind", "edge_sets", "period"}),
+              "seeded_random": frozenset({"m", "kind", "edge_probability", "seed"})}
+ALGORITHM_KEYS = frozenset({"variant", "alpha", "mu_mode", "max_iterations", "zeta", "seeds"})
+
+
+def _reject_unknown_keys(spec: dict, where: str, allowed: frozenset, prefix: str):
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key; {where} reads "
+                          f"{', '.join(sorted(allowed))}")
+
+
+def _checked_kind(spec: dict, section: str, table: dict) -> str:
+    """The section's ``kind``, once every key is one a section of that kind reads."""
+    kind = _field(spec, section, "kind")
+    allowed = table.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise ConfigError(f"{section}.kind: unknown kind {kind!r}")
+    _reject_unknown_keys(spec, f"a {kind} {section}", allowed, f"{section}.")
+    return kind
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; round-trips losslessly through JSON."""
@@ -79,6 +110,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        _reject_unknown_keys(data, "the config", TOP_LEVEL_KEYS, "")
         for section in ("problem", "graph", "algorithm"):
             if section not in data or not isinstance(data[section], dict):
                 raise ConfigError(f"{section}: required object is missing")
@@ -114,7 +146,7 @@ def _field(section: dict, section_name: str, key: str, required: bool = True, de
 
 
 def build_problem(spec: dict) -> ProblemInstance:
-    kind = _field(spec, "problem", "kind")
+    kind = _checked_kind(spec, "problem", PROBLEM_KEYS)
     m = int(_field(spec, "problem", "m"))
     n = int(_field(spec, "problem", "n"))
     seed = int(_field(spec, "problem", "seed", required=False, default=0))
@@ -124,41 +156,38 @@ def build_problem(spec: dict) -> ProblemInstance:
                 m, n, L=float(_field(spec, "problem", "L", required=False, default=1.0)),
                 mu=float(_field(spec, "problem", "mu", required=False, default=0.0)),
                 seed=seed, shared_basis=bool(spec.get("shared_basis", False)))
-        if kind == "logistic":
-            return random_logistic_problem(
-                m, n, samples_per_agent=int(spec.get("samples_per_agent", 20)),
-                ridge=float(spec.get("ridge", 0.0)), seed=seed)
+        return random_logistic_problem(
+            m, n, samples_per_agent=int(spec.get("samples_per_agent", 20)),
+            ridge=float(spec.get("ridge", 0.0)), seed=seed)
     except ValueError as err:  # constants or sizes the generator cannot meet
         raise ConfigError(f"problem: {err}") from err
-    raise ConfigError(f"problem.kind: unknown kind {kind!r}")
 
 
 def build_schedule(spec: dict) -> GraphSchedule:
+    kind = _checked_kind(spec, "graph", GRAPH_KEYS)
     m = int(_field(spec, "graph", "m"))
-    kind = _field(spec, "graph", "kind")
     try:
         if kind == "static":
             sets = _field(spec, "graph", "edge_sets")
             if len(sets) != 1:
                 raise ConfigError("graph.edge_sets: static schedule takes exactly one edge set")
-            return GraphSchedule.static(m, [tuple(e) for e in sets[0]])
+            return GraphSchedule.static(m, sets[0])
         if kind == "cyclic":
             sets = _field(spec, "graph", "edge_sets")
             period = spec.get("period")
             if period is not None and int(period) != len(sets):
                 raise ConfigError(f"graph.period: {period} does not match "
                                   f"{len(sets)} edge sets")
-            return GraphSchedule.cyclic(m, [[tuple(e) for e in s] for s in sets])
-        if kind == "seeded_random":
-            return GraphSchedule.seeded_random(
-                m, float(_field(spec, "graph", "edge_probability")),
-                int(_field(spec, "graph", "seed")))
+            return GraphSchedule.cyclic(m, sets)
+        return GraphSchedule.seeded_random(
+            m, float(_field(spec, "graph", "edge_probability")),
+            int(_field(spec, "graph", "seed")))
     except ValueError as err:
         raise ConfigError(f"graph: {err}") from err
-    raise ConfigError(f"graph.kind: unknown kind {kind!r}")
 
 
 def build_algorithm(spec: dict) -> AlgorithmConfig:
+    _reject_unknown_keys(spec, "algorithm", ALGORITHM_KEYS, "algorithm.")
     try:
         return AlgorithmConfig(
             variant=_field(spec, "algorithm", "variant"),
@@ -308,16 +337,15 @@ def cmd_graph_info(config_path) -> int:
 
 
 def _set_path(data: dict, dotted: str, value):
-    keys = dotted.split(".")
+    """Set one sweep axis in a cell's config.  A key no reader takes is left
+    for the readers to reject, so axes are checked against the same key sets."""
+    *sections, key = dotted.split(".")
     node = data
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
+    for section in sections:
+        node = node.get(section)
+        if not isinstance(node, dict):
             raise ConfigError(f"sweep: path {dotted!r} does not exist in the config")
-        node = node[key]
-    if keys[-1] not in node and keys[-1] not in ("alpha", "mu_mode", "zeta", "seed",
-                                                 "max_iterations", "variant", "mu", "L"):
-        raise ConfigError(f"sweep: path {dotted!r} does not exist in the config")
-    node[keys[-1]] = value
+    node[key] = value
 
 
 def _rounds_to_target(trace: RunTrace, target: float):

@@ -13,11 +13,21 @@ Mixing quality is measured by the deflated spectral norm
 ``gamma``-step analogue ``sigma_gamma = sup_k ||W^{k,gamma} - (1/m) 1 1^T||_2``
 where ``W^{k,gamma} = W^k W^{k-1} ... W^{k-gamma+1}``.  Consensus is possible
 whenever the union of any ``gamma`` consecutive edge sets is connected.
+
+The layer works on arrays.  Edge lists are validated once where they enter
+(``GraphSchedule.static`` / ``cyclic`` and every ``metropolis_weights`` call):
+endpoints must be integers (bools and floats are rejected, never truncated)
+in ``[0, m)`` with no self-loops.  A build is one vectorized pass; ``sigma``
+takes a whole stack of matrices in one batched SVD; ``sigma_gamma`` forms its
+window products in bounded chunks; ``gamma_connectivity`` tests reachability
+on each window's union, kept as a matrix of edge counts.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -30,20 +40,63 @@ DS_INPUT_TOL = 1e-9
 # seeded_random schedule caches so windows of up to MAX_GAMMA reuse them.
 MAX_GAMMA = 50
 
+# Window products sigma_gamma forms and decomposes per batch: its memory is
+# O((SPECTRAL_CHUNK + gamma) m^2) whatever the horizon.
+SPECTRAL_CHUNK = 64
+
 EdgeSet = tuple[tuple[int, int], ...]
+
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _is_endpoint(v) -> bool:
+    return isinstance(v, (int, np.integer)) and type(v) not in _BOOL_TYPES
+
+
+def _edge_arrays(edges, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated endpoints ``(i, j)`` of an undirected edge list, ``i < j``.
+
+    Each edge appears once, sorted by ``(i, j)``.  Raises ValueError for an
+    endpoint that is not an integer (bools and floats included), a self-loop,
+    or an endpoint outside ``[0, m)``.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("an edge set is a list of (i, j) pairs")
+    integral = arr.dtype.kind in "iu"
+    if integral and not isinstance(edges, np.ndarray):
+        # numpy turns a bool among ints into an int, so look at the Python types too.
+        integral = _BOOL_TYPES.isdisjoint(map(type, chain.from_iterable(edges)))
+    if not integral:
+        bad = next((e for e in edges if not all(map(_is_endpoint, e))), edges)
+        raise ValueError(f"edge {bad!r} has a non-integer endpoint; endpoints are agent indices")
+    lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+    if len(lo) and (lo.min() < 0 or hi.max() >= m or (lo == hi).any()):
+        for i, j in arr.tolist():  # report the first bad edge
+            if i == j:
+                raise ValueError(f"self-loop ({i}, {j}) not allowed; self-weights are implicit")
+            if not (0 <= i < m and 0 <= j < m):
+                raise ValueError(f"edge ({i}, {j}) out of range for {m} agents")
+    upper = np.zeros((m, m), dtype=bool)
+    upper[lo, hi] = True
+    return np.nonzero(upper)
 
 
 def _canonical_edges(edges, m: int) -> EdgeSet:
     """Validate, orient as (min, max), and deduplicate an undirected edge set."""
-    canon = set()
-    for edge in edges:
-        i, j = int(edge[0]), int(edge[1])
-        if i == j:
-            raise ValueError(f"self-loop ({i}, {j}) not allowed; self-weights are implicit")
-        if not (0 <= i < m and 0 <= j < m):
-            raise ValueError(f"edge ({i}, {j}) out of range for {m} agents")
-        canon.add((min(i, j), max(i, j)))
-    return tuple(sorted(canon))
+    i, j = _edge_arrays(edges, m)
+    return tuple(zip(i.tolist(), j.tolist()))
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, 1)``, read-only: the candidate edges of one draw."""
+    pairs = np.triu_indices(m, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -109,10 +162,10 @@ class GraphSchedule:
         if self.schedule_kind == "cyclic":
             return self.edge_sets[k % len(self.edge_sets)]
         # Reproducible per-instant draw: the stream is keyed by (seed, k) so
-        # edge_set(k) never depends on evaluation order.
+        # edge_set(k) never depends on evaluation order.  The candidate pairs
+        # are computed once per agent count.
         rng = np.random.default_rng((self.seed, k))
-        m = self.agent_count
-        iu, ju = np.triu_indices(m, 1)
+        iu, ju = _upper_pairs(self.agent_count)
         mask = rng.random(iu.shape[0]) < self.edge_probability
         return tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
 
@@ -153,10 +206,11 @@ class SpectralReport:
 
 
 def _check_doubly_stochastic(W: np.ndarray, tol: float):
-    m = W.shape[0]
-    if W.shape != (m, m):
+    """Raise unless W, or every matrix of a ``(..., m, m)`` stack, is doubly stochastic."""
+    if W.ndim < 2 or W.shape[-1] != W.shape[-2]:
         raise ValueError("mixing matrix must be square")
-    dev = max(np.abs(W.sum(axis=0) - 1.0).max(), np.abs(W.sum(axis=1) - 1.0).max())
+    sums = np.concatenate((W.sum(axis=-2), W.sum(axis=-1)), axis=-1)
+    dev = np.abs(sums - 1.0).max()
     if dev > tol:
         raise ValueError(f"matrix is not doubly stochastic (max row/col sum deviation {dev:.3e})")
 
@@ -166,22 +220,19 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
 
     Off-diagonal weights are ``1 / (1 + max(d_i, d_j))`` for neighbors and the
     diagonal absorbs the remainder, which yields a symmetric doubly stochastic
-    matrix with positive diagonal for any undirected graph.
+    matrix with positive diagonal for any undirected graph.  The edge list is
+    validated like a schedule's (integer endpoints in ``[0, m)``, no
+    self-loops); duplicates and orientation do not matter.
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    edges = _canonical_edges(edge_set, m)
-    deg = np.zeros(m, dtype=int)
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
+    i, j = _edge_arrays(edge_set, m)
+    deg = np.bincount(i, minlength=m) + np.bincount(j, minlength=m)
+    w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     W = np.zeros((m, m))
-    for i, j in edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = w
-        W[j, i] = w
-    for i in range(m):
-        W[i, i] = 1.0 - W[i].sum()
+    W[i, j] = w
+    W[j, i] = w
+    W.flat[::m + 1] = 1.0 - W.sum(axis=1)
     _check_doubly_stochastic(W, DS_BUILD_TOL)
     return W
 
@@ -190,12 +241,14 @@ def sigma(W) -> float:
     """Deflated spectral norm ``||W - (1/m) 1 1^T||_2`` of a doubly stochastic W.
 
     Equals the second largest singular value of W; strictly below 1 exactly
-    when one round of gossip contracts disagreement.
+    when one round of gossip contracts disagreement.  ``W`` may also be a
+    ``(..., m, m)`` stack of matrices: the result is the largest of their
+    norms, from one batched SVD.
     """
     M = np.asarray(W, dtype=float)
     _check_doubly_stochastic(M, DS_INPUT_TOL)
-    m = M.shape[0]
-    val = np.linalg.norm(M - np.ones((m, m)) / m, 2)
+    m = M.shape[-1]
+    val = np.linalg.svd(M - np.ones((m, m)) / m, compute_uv=False).max()
     # Doubly stochastic matrices have singular values at most 1; trim rounding.
     return float(min(max(val, 0.0), 1.0))
 
@@ -215,25 +268,18 @@ def matrix_product_window(schedule: GraphSchedule, k: int, gamma: int) -> np.nda
     return P
 
 
-def _union_connected(edge_sets, m: int) -> bool:
-    """Breadth-first connectivity of the union graph over the given edge sets."""
-    if m == 1:
-        return True
-    adj = [[] for _ in range(m)]
-    for edges in edge_sets:
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = np.zeros(m, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return bool(seen.all())
+def _reaches_all(links: np.ndarray) -> bool:
+    """Whether agent 0 reaches every agent in the graph whose symmetric,
+    nonnegative ``links`` are positive exactly on its edges and diagonal."""
+    reached = links[0] > 0
+    count = np.count_nonzero(reached)
+    while count < len(links):
+        reached = links @ reached > 0  # one more hop
+        grown = np.count_nonzero(reached)
+        if grown == count:
+            return False
+        count = grown
+    return True
 
 
 def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None = None) -> bool:
@@ -242,7 +288,11 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
     For static and cyclic schedules one period of window starts is checked and
     the verdict is exact; for seeded_random schedules window starts up to
     ``horizon - gamma`` are sampled (default horizon 1000).  Each instant's
-    edge set is drawn once per call and shared by the windows that cover it.
+    edge set is drawn once per call, in order, and the call returns at the
+    first window whose union is disconnected.  The window's union is kept as
+    a symmetric matrix of per-pair edge counts (add the entering instant,
+    subtract the leaving one), and connectivity is array reachability from
+    agent 0 on it.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
@@ -254,11 +304,21 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
     last_start = horizon - gamma
     if period is not None:
         last_start = min(last_start, period - 1)
-    window = deque((schedule.edge_set(r) for r in range(gamma - 1)), maxlen=gamma)
-    for k in range(last_start + 1):
-        window.append(schedule.edge_set(k + gamma - 1))
-        if not _union_connected(window, schedule.agent_count):
-            return False
+    # links[i, j]: instants of the window with edge (i, j); the unit diagonal
+    # keeps reached agents reached.
+    m = schedule.agent_count
+    links = np.eye(m)
+    cells_of = links.reshape(-1)  # a view: flat index i * m + j is links[i, j]
+    window = deque()
+    for k in range(last_start + gamma):
+        edges = np.array(schedule.edge_set(k), dtype=np.intp).reshape(-1, 2)
+        cells = np.concatenate((edges @ (m, 1), edges @ (1, m)))  # (i, j) and (j, i)
+        cells_of[cells] += 1.0  # an edge set holds each edge once
+        window.append(cells)
+        if len(window) == gamma:
+            if not _reaches_all(links):
+                return False
+            cells_of[window.popleft()] -= 1.0
     return True
 
 
@@ -271,11 +331,14 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     ``k in [gamma-1, horizon]`` and flag the result as an estimate.  Each
     instant's W^k is built once per call (windows of up to ``MAX_GAMMA``
     instants share the schedule's cache).
+
+    Windows are handled ``SPECTRAL_CHUNK`` at a time: their matrices are
+    stacked, the products are formed with batched ``@`` in
+    ``matrix_product_window``'s order, and ``sigma`` takes each stack in one
+    batched SVD.  Memory is O((SPECTRAL_CHUNK + gamma) m^2), not O(horizon m^2).
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    m = schedule.agent_count
-    J = np.ones((m, m)) / m
     period = schedule.period
 
     if period is not None:
@@ -291,9 +354,14 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
 
     sig_g = 0.0
     sig_1 = 0.0
-    for k in ks:
-        P = matrix_product_window(schedule, k, gamma)
-        sig_g = max(sig_g, np.linalg.norm(P - J, 2))
-        sig_1 = max(sig_1, sigma(schedule.matrix(k)))
-    return SpectralReport(float(min(sig_1, 1.0)), float(min(max(sig_g, 0.0), 1.0)),
-                          gamma, is_estimate)
+    for first in range(ks.start, ks.stop, SPECTRAL_CHUNK):
+        count = min(SPECTRAL_CHUNK, ks.stop - first)
+        # Ws[c + s] = W^{k - gamma + 1 + s} for the window ending at k = first + c.
+        Ws = np.stack([schedule.matrix(r) for r in range(first - gamma + 1, first + count)])
+        P = Ws[:count]
+        for s in range(1, gamma):
+            P = Ws[s:s + count] @ P
+        chunk_1 = sigma(Ws[gamma - 1:])
+        sig_1 = max(sig_1, chunk_1)
+        sig_g = max(sig_g, sigma(P) if gamma > 1 else chunk_1)
+    return SpectralReport(sig_1, sig_g, gamma, is_estimate)

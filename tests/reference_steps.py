@@ -5,9 +5,14 @@ These hand-written single steps stay as independent oracles for the tests:
 ``gt_init`` / ``gt_step`` are plain gradient tracking on an ``AggregateState``,
 and ``averaged_reference_step`` is the inexact centralized accelerated
 recursion the column means of every accelerated run follow.
+
+The graph layer has two loop oracles of the same kind:
+``metropolis_weights_loop`` builds W one edge at a time and
+``gamma_connected_bfs`` searches each window's union graph breadth first.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,3 +97,45 @@ def averaged_reference_step(avg_state: AveragedState, alpha: float, theta_k: flo
     zbar_next = (ratio * ybar + avg_state.zbar - (alpha / theta_k) * np.asarray(sbar_k)) / (1.0 + ratio)
     xbar_next = theta_k * zbar_next + (1.0 - theta_k) * avg_state.xbar
     return AveragedState(xbar_next, ybar, zbar_next)
+
+
+# ---------------------------------------------------------------- graph layer
+
+def metropolis_weights_loop(edge_set, m: int) -> np.ndarray:
+    """The Metropolis matrix built edge by edge: degrees, weights, then each
+    diagonal entry as one minus its row's off-diagonal sum."""
+    edges = sorted({(min(int(i), int(j)), max(int(i), int(j))) for i, j in edge_set})
+    deg = np.zeros(m, dtype=int)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    W = np.zeros((m, m))
+    for i, j in edges:
+        w = 1.0 / (1.0 + max(deg[i], deg[j]))
+        W[i, j] = w
+        W[j, i] = w
+    for i in range(m):
+        W[i, i] = 1.0 - W[i].sum()
+    return W
+
+
+def gamma_connected_bfs(schedule, gamma: int, horizon: int) -> bool:
+    """Whether the union of the edge sets of every window ``[k, k + gamma)``
+    with ``k + gamma <= horizon`` is connected, by breadth-first search."""
+    m = schedule.agent_count
+    for k in range(horizon - gamma + 1):
+        adj = [[] for _ in range(m)]
+        for r in range(k, k + gamma):
+            for i, j in schedule.edge_set(r):
+                adj[i].append(j)
+                adj[j].append(i)
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            for v in adj[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        if len(seen) < m:
+            return False
+    return True

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,8 @@ def test_run_reports_unsupported_run_settings_as_config_error(tmp_path, capsys, 
 ])
 def test_run_reports_impossible_problem_as_config_error(tmp_path, capsys, problem, reason):
     data = base_config()
+    if problem.get("kind") == "logistic":  # a logistic problem reads no L or mu
+        del data["problem"]["L"], data["problem"]["mu"]
     data["problem"].update(problem)
     data["graph"]["m"] = data["problem"]["m"]
     if data["problem"]["m"] == 1:
@@ -379,6 +382,52 @@ def test_graph_info_disconnected_graph(tmp_path, capsys):
     assert "gamma-connected: false" in capsys.readouterr().out
 
 
+def test_run_rejects_non_integer_edge_endpoint(tmp_path, capsys):
+    data = base_config()
+    data["graph"]["edge_sets"] = [[[0, 1.9], [1, 2], [2, 3], [3, 4], [4, 0]]]
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: graph: ") and "non-integer endpoint" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+LOGISTIC_PROBLEM = {"kind": "logistic", "m": 5, "n": 3, "seed": 0,
+                    "samples_per_agent": 10, "ridge": 0.01}
+
+
+@pytest.mark.parametrize("section,key", [
+    ("problem", "ridg"), ("problem", "samples_per_agent"), ("graph", "mu"),
+    ("graph", "period"), ("algorithm", "seed"), (None, "target_gapp")])
+def test_run_rejects_keys_no_reader_takes(tmp_path, capsys, section, key):
+    data = base_config()
+    if key == "ridg":  # a typo of a logistic key
+        data["problem"] = {**LOGISTIC_PROBLEM, "ridg": 0.5}
+    else:
+        (data if section is None else data[section])[key] = 1
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    name = key if section is None else f"{section}.{key}"
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}: unknown key")
+    assert not out.exists()
+
+
+def test_builders_reject_keys_they_do_not_read():
+    with pytest.raises(ConfigError, match=r"problem\.mu: unknown key; a logistic problem reads"):
+        build_problem({**LOGISTIC_PROBLEM, "mu": 0.1})
+    with pytest.raises(ConfigError, match=r"graph\.edge_sets: unknown key"):
+        build_schedule({"m": 5, "kind": "seeded_random", "edge_probability": 0.5, "seed": 1,
+                        "edge_sets": [[[0, 1]]]})
+    with pytest.raises(ConfigError, match=r"algorithm\.seed: unknown key"):
+        build_algorithm({"variant": "gt", "seed": 3})
+    with pytest.raises(ConfigError, match=r"extra: unknown key; the config reads"):
+        ExperimentConfig.from_dict(base_config(extra=1))
+    assert build_problem(LOGISTIC_PROBLEM).m == 5
+
+
 def test_graph_info_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"problem": {}, "graph": {"m": 5},
                                        "algorithm": {}})
@@ -476,6 +525,32 @@ def test_sweep_rejects_unknown_axis_path(tmp_path):
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
     rows = read_summary(out)
     assert all(r["status"].startswith("config error") for r in rows)
+
+
+def test_sweep_rejects_axes_no_reader_takes(tmp_path, capsys):
+    # Once these ran four byte-identical cells and exited 0.
+    cfg = json.loads((Path(__file__).parent / "data" / "readme_config.json").read_text())
+    cfg["sweep"] = {"algorithm.seed": [0, 1], "graph.mu": [0.0, 5.0]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    rows = read_summary(out)
+    assert len(rows) == 4
+    assert all(r["status"].startswith("config error: graph.mu: unknown key") for r in rows)
+    for axis, name in (({"algorithm.seed": [0, 1]}, "algorithm.seed"),
+                       ({"problem.ridg": [0.1]}, "problem.ridg"),
+                       ({"target_gapp": [0.1]}, "target_gapp")):
+        cfg["sweep"] = axis
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert all(r["status"].startswith(f"config error: {name}: unknown key")
+                   for r in read_summary(out))
+
+
+def test_sweep_axis_may_set_a_read_key_the_config_omits(tmp_path):
+    cfg = sweep_config()
+    cfg["sweep"] = {"problem.shared_basis": [False, True]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert [r["status"] for r in read_summary(out)] == ["ok", "ok"]
 
 
 def test_sweep_strict_flags_violations(tmp_path):

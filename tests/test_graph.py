@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from agtrack import (GraphSchedule, gamma_connectivity, graph, matrix_product_window,
                      metropolis_weights, resolve_gamma, sigma, sigma_gamma)
 from conftest import M9_EDGE_SETS, path_edges, ring_edges
+from reference_steps import gamma_connected_bfs, metropolis_weights_loop
 
 J3 = np.full((3, 3), 1.0 / 3.0)
 
@@ -340,3 +342,126 @@ def test_gamma_connectivity_draws_each_instant_once_per_call(monkeypatch):
     draws.clear()  # a failing window ends the call after the instants it covers
     assert not gamma_connectivity(GraphSchedule.seeded_random(8, 0.02, seed=1), 2, horizon=60)
     assert draws == list(range(len(draws))) and len(draws) < 60
+
+
+# ------------------------------------------------- array-native graph layer
+
+# (m, p) shapes of the vectorized-builder check: small and large, sparse and
+# dense, the complete graph, and the one-agent network.
+BUILD_GRID = [(20, 0.1), (10, 0.3), (30, 0.15), (200, 0.05), (6, 0.5), (196, 0.02),
+              (3, 1.0), (1, 0.5)]
+
+
+@pytest.mark.parametrize("m,p", BUILD_GRID)
+def test_metropolis_bit_identical_to_loop_builder(m, p):
+    sched = GraphSchedule.seeded_random(m, p, seed=m)
+    for k in range(100 if m < 100 else 20):
+        edges = sched.edge_set(k)
+        W = metropolis_weights(edges, m)
+        assert W.tobytes() == metropolis_weights_loop(edges, m).tobytes()
+
+
+def test_metropolis_accepts_arrays_and_numpy_integers():
+    edges = [(0, 1), (1, 2), (3, 2)]
+    expected = metropolis_weights(edges, 4)
+    for same in (np.array(edges), np.array(edges, dtype=np.int32),
+                 [(np.int64(i), np.uint8(j)) for i, j in edges], iter(edges)):
+        assert metropolis_weights(same, 4).tobytes() == expected.tobytes()
+
+
+# Floats were once truncated: [(0, 1.9), (1, 2.2)] became ((0, 1), (1, 2)) and
+# [(0.5, 2)] the edge (0, 2).
+@pytest.mark.parametrize("edges", [[(0.5, 2)], [(0, 1.9), (1, 2.2)], [(0, 1.0)],
+                                   [(True, 2)], [(0, np.True_)], np.array([[True, False]]),
+                                   [(0, "1")], [(0, None)]])
+def test_non_integer_endpoints_are_rejected(edges):
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        metropolis_weights(edges, 3)
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        GraphSchedule.static(3, edges)
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        GraphSchedule.cyclic(3, [[(0, 1)], edges])
+
+
+def test_edges_must_be_pairs():
+    for edges in ([(0, 1, 2)], [0, 1], [(0, 1), (2,)]):
+        with pytest.raises(ValueError):
+            metropolis_weights(edges, 3)
+
+
+def test_edge_draws_share_one_read_only_pair_table():
+    iu, ju = graph._upper_pairs(7)
+    assert graph._upper_pairs(7)[0] is iu
+    assert not iu.flags.writeable and not ju.flags.writeable
+    np.testing.assert_array_equal(np.stack([iu, ju]), np.triu_indices(7, 1))
+
+
+def _connectivity_schedules():
+    yield "m9", GraphSchedule.cyclic(9, M9_EDGE_SETS)
+    yield "alternating", GraphSchedule.cyclic(3, [[(0, 1)], [(1, 2)]])
+    yield "split", GraphSchedule.cyclic(6, [[(0, 1), (1, 2)], [(3, 4), (4, 5)], [(2, 0)]])
+    yield "ring", GraphSchedule.static(10, ring_edges(10))
+    yield "single", GraphSchedule.static(1, [])
+    for m, p, seed in ((8, 0.4, 5), (8, 0.02, 1), (12, 0.12, 3), (20, 0.1, 3), (5, 0.0, 0)):
+        yield f"random{m}_{p}_{seed}", GraphSchedule.seeded_random(m, p, seed)
+
+
+@pytest.mark.parametrize("name,sched", list(_connectivity_schedules()))
+def test_gamma_connectivity_matches_bfs_reference(name, sched):
+    verdicts = []
+    for gamma in (1, 2, 3, 4, 6):
+        horizon = gamma + sched.period - 1 if sched.period else 80
+        got = gamma_connectivity(sched, gamma, horizon=horizon)
+        assert got == gamma_connected_bfs(sched, gamma, horizon), gamma
+        verdicts.append(got)
+    if name in ("split", "random8_0.02_1", "random5_0.0_0"):  # the disconnected verdict is covered
+        assert not any(verdicts[:2])
+
+
+def test_sigma_of_stack_is_max_of_each():
+    sched = GraphSchedule.seeded_random(12, 0.3, seed=4)
+    mats = np.stack([sched.matrix(k) for k in range(40)])
+    each = [sigma(W) for W in mats]
+    assert sigma(mats) == max(each)
+    assert sigma(mats.reshape(4, 10, 12, 12)) == max(each)
+    assert sigma(mats[:1]) == each[0]
+    with pytest.raises(ValueError):
+        sigma(np.concatenate([mats, 0.9 * np.eye(12)[None]]))
+
+
+def test_sigma_gamma_matches_windowwise_products():
+    sched = GraphSchedule.seeded_random(10, 0.3, seed=2)
+    gamma, horizon = 3, 2 * graph.SPECTRAL_CHUNK + 5  # three chunks, the last one short
+    report = sigma_gamma(sched, gamma, horizon=horizon)
+    J = np.full((10, 10), 0.1)
+    windows = [np.linalg.norm(matrix_product_window(sched, k, gamma) - J, 2)
+               for k in range(gamma - 1, horizon + 1)]
+    singles = [sigma(sched.matrix(k)) for k in range(gamma - 1, horizon + 1)]
+    assert report.sigma_gamma == min(max(windows), 1.0)
+    assert report.sigma == max(singles)
+
+
+def test_sigma_gamma_of_benchmark_schedule_pinned_bitwise():
+    # The multiple-consensus benchmark's schedule; recorded when sigma_gamma
+    # took one window and one SVD at a time.
+    report = sigma_gamma(GraphSchedule.seeded_random(20, 0.1, seed=3), 6)
+    assert (report.sigma.hex(), report.sigma_gamma.hex()) == (
+        "0x1.0000000000000p+0", "0x1.987dde36307b0p-1")
+    assert report.is_estimate
+
+
+def test_sigma_gamma_memory_is_bounded_by_the_chunk():
+    m, horizon = 200, 1000
+    sched = GraphSchedule.seeded_random(m, 0.01, seed=1)
+    matrix_bytes = m * m * 8
+    tracemalloc.start()
+    try:
+        report = sigma_gamma(sched, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.is_estimate and 0.0 < report.sigma_gamma <= 1.0
+    # The schedule's cache of MAX_GAMMA matrices plus a few chunk-sized
+    # stacks, far below the horizon's worth of matrices.
+    assert peak < (graph.MAX_GAMMA + 4 * graph.SPECTRAL_CHUNK) * matrix_bytes
+    assert peak < (horizon + 1) * matrix_bytes / 3
