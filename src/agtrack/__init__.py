@@ -15,9 +15,9 @@ from .problems import (LocalObjective, ProblemInstance, aggregate_gradient,
                        logistic_objective, make_problem, quadratic_objective,
                        random_logistic_problem, random_quadratic_problem,
                        solve_optimum)
-from .algorithms import (AlgorithmConfig, DivergenceError, RunTrace, TraceRow,
-                         default_alpha, resolve_constants, resolve_gamma, run,
-                         theta_next)
+from .algorithms import (AlgorithmConfig, DivergenceError, NotGammaConnectedError,
+                         RunTrace, TraceRow, default_alpha, resolve_constants,
+                         resolve_gamma, run, theta_next)
 from .analysis import (BoundCertificate, certificates_to_report,
                        certify_theorem1, certify_theorem2, certify_theorem3,
                        certify_theorem4, fit_rate)

@@ -72,6 +72,10 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
+class NotGammaConnectedError(ValueError):
+    """Raised when no gamma <= MAX_GAMMA connects a schedule's union graphs."""
+
+
 def theta_next(theta_prev: float) -> float:
     """Next momentum parameter: the positive root of (1 - t)/t^2 = 1/theta_prev^2.
 
@@ -254,7 +258,7 @@ def resolve_gamma(schedule: GraphSchedule) -> int:
     for g in range(1, MAX_GAMMA + 1):
         if gamma_connectivity(schedule, g):
             return g
-    raise ValueError(f"schedule is not gamma-connected for any gamma <= {MAX_GAMMA}")
+    raise NotGammaConnectedError(f"schedule is not gamma-connected for any gamma <= {MAX_GAMMA}")
 
 
 def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,

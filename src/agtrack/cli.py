@@ -32,7 +32,9 @@ Config schema (JSON object)::
 Each section takes only the keys its builder reads (the problem and graph
 keys depend on ``kind``); any other key, top-level or in a section, and any
 sweep axis that names one, is a config error (exit 2) rather than a setting
-that silently does nothing.  Edge endpoints must be integer agent indices.
+that silently does nothing.  Edge endpoints and the fields typed ``int``
+above must be JSON integers: ``5.9``, ``5.0`` and ``true`` are config errors,
+never truncated.
 
 All floats in emitted CSVs carry 17 significant digits; outputs are
 byte-identical across repeat runs except for a timestamp comment line, which
@@ -54,8 +56,8 @@ from pathlib import Path
 from .graph import MAX_GAMMA, GraphSchedule, sigma as sigma_of, sigma_gamma as sigma_gamma_of
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .problems import ProblemInstance, random_logistic_problem, random_quadratic_problem
-from .algorithms import (AlgorithmConfig, DivergenceError, RunTrace,
-                         default_alpha, resolve_gamma, run)
+from .algorithms import (AlgorithmConfig, DivergenceError, NotGammaConnectedError,
+                         RunTrace, default_alpha, resolve_gamma, run)
 from .analysis import (certificates_to_report, certify_theorem1,
                        certify_theorem2, certify_theorem3, certify_theorem4)
 
@@ -145,11 +147,28 @@ def _field(section: dict, section_name: str, key: str, required: bool = True, de
     return section[key]
 
 
+def _int_field(section: dict, section_name: str, key: str, required: bool = True, default=None):
+    """An integer field; a float (even 5.0), a bool or a string is a config error.
+    An optional field whose default is None may also be null."""
+    value = _field(section, section_name, key, required, default)
+    if value is None and not required and default is None:
+        return None
+    if not _is_int(value):
+        raise ConfigError(f"{section_name}.{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_problem(spec: dict) -> ProblemInstance:
     kind = _checked_kind(spec, "problem", PROBLEM_KEYS)
-    m = int(_field(spec, "problem", "m"))
-    n = int(_field(spec, "problem", "n"))
-    seed = int(_field(spec, "problem", "seed", required=False, default=0))
+    m = _int_field(spec, "problem", "m")
+    n = _int_field(spec, "problem", "n")
+    seed = _int_field(spec, "problem", "seed", required=False, default=0)
+    if kind == "logistic":
+        samples = _int_field(spec, "problem", "samples_per_agent", required=False, default=20)
     try:
         if kind == "quadratic":
             return random_quadratic_problem(
@@ -157,7 +176,7 @@ def build_problem(spec: dict) -> ProblemInstance:
                 mu=float(_field(spec, "problem", "mu", required=False, default=0.0)),
                 seed=seed, shared_basis=bool(spec.get("shared_basis", False)))
         return random_logistic_problem(
-            m, n, samples_per_agent=int(spec.get("samples_per_agent", 20)),
+            m, n, samples_per_agent=samples,
             ridge=float(spec.get("ridge", 0.0)), seed=seed)
     except ValueError as err:  # constants or sizes the generator cannot meet
         raise ConfigError(f"problem: {err}") from err
@@ -165,37 +184,41 @@ def build_problem(spec: dict) -> ProblemInstance:
 
 def build_schedule(spec: dict) -> GraphSchedule:
     kind = _checked_kind(spec, "graph", GRAPH_KEYS)
-    m = int(_field(spec, "graph", "m"))
+    m = _int_field(spec, "graph", "m")
+    if kind == "seeded_random":
+        probability = _field(spec, "graph", "edge_probability")
+        seed = _int_field(spec, "graph", "seed")
+    else:
+        sets = _field(spec, "graph", "edge_sets")
+        if not isinstance(sets, list):
+            raise ConfigError("graph.edge_sets: expected a list of edge sets")
+        if kind == "static" and len(sets) != 1:
+            raise ConfigError("graph.edge_sets: static schedule takes exactly one edge set")
+        period = _int_field(spec, "graph", "period", required=False)
+        if period is not None and period != len(sets):
+            raise ConfigError(f"graph.period: {period} does not match {len(sets)} edge sets")
     try:
-        if kind == "static":
-            sets = _field(spec, "graph", "edge_sets")
-            if len(sets) != 1:
-                raise ConfigError("graph.edge_sets: static schedule takes exactly one edge set")
-            return GraphSchedule.static(m, sets[0])
-        if kind == "cyclic":
-            sets = _field(spec, "graph", "edge_sets")
-            period = spec.get("period")
-            if period is not None and int(period) != len(sets):
-                raise ConfigError(f"graph.period: {period} does not match "
-                                  f"{len(sets)} edge sets")
-            return GraphSchedule.cyclic(m, sets)
-        return GraphSchedule.seeded_random(
-            m, float(_field(spec, "graph", "edge_probability")),
-            int(_field(spec, "graph", "seed")))
+        if kind == "seeded_random":
+            return GraphSchedule.seeded_random(m, float(probability), seed)
+        return GraphSchedule(m, kind, tuple(sets))
     except ValueError as err:
         raise ConfigError(f"graph: {err}") from err
 
 
 def build_algorithm(spec: dict) -> AlgorithmConfig:
     _reject_unknown_keys(spec, "algorithm", ALGORITHM_KEYS, "algorithm.")
+    max_iterations = _int_field(spec, "algorithm", "max_iterations", required=False, default=100)
+    zeta = _int_field(spec, "algorithm", "zeta", required=False)
+    seeds = _field(spec, "algorithm", "seeds", required=False, default=[0])
+    if not isinstance(seeds, list) or not all(map(_is_int, seeds)):
+        raise ConfigError(f"algorithm.seeds: expected a list of integers, got {seeds!r}")
     try:
         return AlgorithmConfig(
             variant=_field(spec, "algorithm", "variant"),
             alpha=_field(spec, "algorithm", "alpha", required=False, default="theorem_default"),
             mu_mode=_field(spec, "algorithm", "mu_mode", required=False, default="zero"),
-            max_iterations=int(_field(spec, "algorithm", "max_iterations", required=False, default=100)),
-            zeta=spec.get("zeta"),
-            seeds=tuple(spec.get("seeds", (0,))))
+            max_iterations=max_iterations, zeta=zeta,
+            seeds=tuple(seeds))
     except ValueError as err:
         raise ConfigError(f"algorithm: {err}") from err
 
@@ -297,6 +320,7 @@ def cmd_graph_info(config_path) -> int:
     try:
         config = load_config(config_path)
         schedule = build_schedule(config.graph)
+        L = build_problem(config.problem).L  # data-derived for logistic problems
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -306,7 +330,7 @@ def cmd_graph_info(config_path) -> int:
           + (f", period {schedule.period}" if schedule.period else ""))
     try:
         gamma = resolve_gamma(schedule)
-    except ValueError:
+    except NotGammaConnectedError:
         print(f"gamma-connected: false (no gamma <= {MAX_GAMMA} connects the union graphs)")
         return 0
     print(f"gamma-connected: true (smallest gamma = {gamma})")
@@ -323,7 +347,6 @@ def cmd_graph_info(config_path) -> int:
         sig_for = {"acc_gt_tv": report.sigma_gamma,
                    "acc_gt_multiconsensus": report.sigma_gamma}
         gammas = {"acc_gt_tv": gamma, "acc_gt_multiconsensus": gamma}
-    L = float(config.problem.get("L", 1.0))
     print(f"default step sizes (L = {L:g}):")
     for variant, sig in sig_for.items():
         for mode in ("zero", "strongly_convex"):

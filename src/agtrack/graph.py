@@ -14,13 +14,16 @@ Mixing quality is measured by the deflated spectral norm
 where ``W^{k,gamma} = W^k W^{k-1} ... W^{k-gamma+1}``.  Consensus is possible
 whenever the union of any ``gamma`` consecutive edge sets is connected.
 
-The layer works on arrays.  Edge lists are validated once where they enter
-(``GraphSchedule.static`` / ``cyclic`` and every ``metropolis_weights`` call):
+The layer works on arrays.  An edge list is validated once, where it enters:
 endpoints must be integers (bools and floats are rejected, never truncated)
-in ``[0, m)`` with no self-loops.  A build is one vectorized pass; ``sigma``
-takes a whole stack of matrices in one batched SVD; ``sigma_gamma`` forms its
-window products in bounded chunks; ``gamma_connectivity`` tests reachability
-on each window's union, kept as a matrix of edge counts.
+in ``[0, m)`` with no self-loops.  The result is an ``EdgeSet``, a validated
+value that carries its endpoints as arrays; every schedule instant is one, and
+``metropolis_weights`` and ``gamma_connectivity`` take its arrays without
+parsing the pairs again.  Any other edge list given to ``metropolis_weights``
+is validated in full.  A build is one vectorized pass; ``sigma`` takes a whole
+stack of matrices in one batched SVD; ``sigma_gamma`` forms its window
+products in bounded chunks; ``gamma_connectivity`` tests reachability on each
+window's union, kept as a matrix of edge counts.
 """
 from __future__ import annotations
 
@@ -44,12 +47,36 @@ MAX_GAMMA = 50
 # O((SPECTRAL_CHUNK + gamma) m^2) whatever the horizon.
 SPECTRAL_CHUNK = 64
 
-EdgeSet = tuple[tuple[int, int], ...]
-
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
-def _is_endpoint(v) -> bool:
+class EdgeSet(tuple):
+    """A validated undirected edge set.
+
+    As a tuple it holds the canonical pairs ``(i, j)``: ``i < j``, sorted,
+    each pair once, so it hashes, compares and prints like the plain tuple of
+    those pairs.  ``.i`` and ``.j`` hold the same endpoints as read-only
+    ``intp`` arrays.  Only this module makes one, from endpoints it has
+    validated or drawn itself.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EdgeSet is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return _edge_set_of, (self.i, self.j)
+
+
+def _edge_set_of(i: np.ndarray, j: np.ndarray) -> EdgeSet:
+    """The EdgeSet of canonical endpoint arrays, which it makes read-only."""
+    edges = tuple.__new__(EdgeSet, zip(i.tolist(), j.tolist()))
+    i.setflags(write=False)
+    j.setflags(write=False)
+    edges.__dict__.update(i=i, j=j)
+    return edges
+
+
+def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and type(v) not in _BOOL_TYPES
 
 
@@ -61,7 +88,10 @@ def _edge_arrays(edges, m: int) -> tuple[np.ndarray, np.ndarray]:
     or an endpoint outside ``[0, m)``.
     """
     if not isinstance(edges, np.ndarray):
-        edges = list(edges)
+        try:
+            edges = list(edges)
+        except TypeError:
+            raise ValueError("an edge set is a list of (i, j) pairs") from None
     arr = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("an edge set is a list of (i, j) pairs")
@@ -70,7 +100,7 @@ def _edge_arrays(edges, m: int) -> tuple[np.ndarray, np.ndarray]:
         # numpy turns a bool among ints into an int, so look at the Python types too.
         integral = _BOOL_TYPES.isdisjoint(map(type, chain.from_iterable(edges)))
     if not integral:
-        bad = next((e for e in edges if not all(map(_is_endpoint, e))), edges)
+        bad = next((e for e in edges if not all(map(_is_int, e))), edges)
         raise ValueError(f"edge {bad!r} has a non-integer endpoint; endpoints are agent indices")
     lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
     if len(lo) and (lo.min() < 0 or hi.max() >= m or (lo == hi).any()):
@@ -85,9 +115,14 @@ def _edge_arrays(edges, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical_edges(edges, m: int) -> EdgeSet:
-    """Validate, orient as (min, max), and deduplicate an undirected edge set."""
-    i, j = _edge_arrays(edges, m)
-    return tuple(zip(i.tolist(), j.tolist()))
+    """Validate, orient as (min, max), and deduplicate an undirected edge set.
+
+    An EdgeSet whose endpoints lie below m is all of that already and is
+    returned as it is.
+    """
+    if isinstance(edges, EdgeSet) and (not edges or edges.j.max() < m):
+        return edges
+    return _edge_set_of(*_edge_arrays(edges, m))
 
 
 @lru_cache(maxsize=8)
@@ -106,6 +141,8 @@ class GraphSchedule:
     ``schedule_kind`` is one of ``static`` (one edge set forever), ``cyclic``
     (a finite list replayed with its period), or ``seeded_random`` (each
     instant draws an Erdos-Renyi edge set reproducibly from ``(seed, k)``).
+    Construction validates every given edge set and stores it as an
+    ``EdgeSet``; a seeded_random seed is a non-negative integer.
     """
 
     agent_count: int
@@ -125,20 +162,22 @@ class GraphSchedule:
                 raise ValueError(f"{self.schedule_kind} schedule requires explicit edge sets")
             if self.schedule_kind == "static" and len(self.edge_sets) != 1:
                 raise ValueError("static schedule takes exactly one edge set")
+            sets = tuple(_canonical_edges(e, self.agent_count) for e in self.edge_sets)
+            object.__setattr__(self, "edge_sets", sets)
         else:
             if self.edge_probability is None or not (0.0 <= self.edge_probability <= 1.0):
                 raise ValueError("seeded_random schedule requires edge_probability in [0, 1]")
-            if self.seed is None:
-                raise ValueError("seeded_random schedule requires a seed")
+            if not (_is_int(self.seed) and self.seed >= 0):
+                raise ValueError("seeded_random schedule requires a non-negative integer "
+                                 f"seed, got {self.seed!r}")
 
     @classmethod
     def static(cls, m: int, edges) -> "GraphSchedule":
-        return cls(m, "static", ( _canonical_edges(edges, m), ))
+        return cls(m, "static", (edges,))
 
     @classmethod
     def cyclic(cls, m: int, edge_sets) -> "GraphSchedule":
-        sets = tuple(_canonical_edges(e, m) for e in edge_sets)
-        return cls(m, "cyclic", sets)
+        return cls(m, "cyclic", tuple(edge_sets))
 
     @classmethod
     def seeded_random(cls, m: int, edge_probability: float, seed: int) -> "GraphSchedule":
@@ -162,12 +201,17 @@ class GraphSchedule:
         if self.schedule_kind == "cyclic":
             return self.edge_sets[k % len(self.edge_sets)]
         # Reproducible per-instant draw: the stream is keyed by (seed, k) so
-        # edge_set(k) never depends on evaluation order.  The candidate pairs
-        # are computed once per agent count.
-        rng = np.random.default_rng((self.seed, k))
+        # edge_set(k) never depends on evaluation order.  SeedSequence reads an
+        # int below 2**32 as one uint32 word, so the uint32 key gives the
+        # tuple's stream and is cheaper to convert.  The candidate pairs are
+        # computed once per agent count, already canonical.
+        key = (self.seed, k)
+        if self.seed < 1 << 32 and k < 1 << 32:
+            key = np.array(key, dtype=np.uint32)
+        rng = np.random.default_rng(key)
         iu, ju = _upper_pairs(self.agent_count)
         mask = rng.random(iu.shape[0]) < self.edge_probability
-        return tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
+        return _edge_set_of(iu[mask], ju[mask])
 
     def matrix(self, k: int) -> np.ndarray:
         """The read-only Metropolis matrix W^k of instant k.
@@ -220,13 +264,15 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
 
     Off-diagonal weights are ``1 / (1 + max(d_i, d_j))`` for neighbors and the
     diagonal absorbs the remainder, which yields a symmetric doubly stochastic
-    matrix with positive diagonal for any undirected graph.  The edge list is
+    matrix with positive diagonal for any undirected graph.  An ``EdgeSet``
+    whose endpoints lie below m is used as it is; any other edge list is
     validated like a schedule's (integer endpoints in ``[0, m)``, no
-    self-loops); duplicates and orientation do not matter.
+    self-loops), and duplicates and orientation do not matter.
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    i, j = _edge_arrays(edge_set, m)
+    edges = _canonical_edges(edge_set, m)
+    i, j = edges.i, edges.j
     deg = np.bincount(i, minlength=m) + np.bincount(j, minlength=m)
     w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     W = np.zeros((m, m))
@@ -311,8 +357,8 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
     cells_of = links.reshape(-1)  # a view: flat index i * m + j is links[i, j]
     window = deque()
     for k in range(last_start + gamma):
-        edges = np.array(schedule.edge_set(k), dtype=np.intp).reshape(-1, 2)
-        cells = np.concatenate((edges @ (m, 1), edges @ (1, m)))  # (i, j) and (j, i)
+        edges = schedule.edge_set(k)
+        cells = np.concatenate((edges.i * m + edges.j, edges.j * m + edges.i))  # (i, j) and (j, i)
         cells_of[cells] += 1.0  # an edge set holds each edge once
         window.append(cells)
         if len(window) == gamma:

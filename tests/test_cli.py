@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from agtrack import default_alpha, sigma
 from agtrack.algorithms import CSV_COLUMNS
 from agtrack.cli import (ConfigError, ExperimentConfig, build_algorithm,
                          build_problem, build_schedule, load_config, main)
@@ -102,15 +103,22 @@ def test_build_problem_logistic_shapes():
 def test_build_schedule_static_takes_one_edge_set():
     spec = {"m": 5, "kind": "static",
             "edge_sets": [[[0, 1]], [[1, 2]]]}
-    with pytest.raises(ConfigError, match="exactly one edge set"):
-        build_schedule(spec)
+    with pytest.raises(ConfigError, match=r"^graph\.edge_sets: static schedule takes exactly one"):
+        build_schedule(spec)  # the section is named once, not "graph: graph.edge_sets: ..."
 
 
 def test_build_schedule_cyclic_checks_period():
     spec = {"m": 9, "kind": "cyclic", "period": 2,
             "edge_sets": [list(map(list, s)) for s in M9_EDGE_SETS]}
-    with pytest.raises(ConfigError, match="does not match"):
+    with pytest.raises(ConfigError, match=r"^graph\.period: 2 does not match 3 edge sets$"):
         build_schedule(spec)
+
+
+def test_build_schedule_rejects_malformed_edge_sets():
+    with pytest.raises(ConfigError, match=r"^graph\.edge_sets: expected a list of edge sets"):
+        build_schedule({"m": 5, "kind": "static", "edge_sets": 5})
+    with pytest.raises(ConfigError, match=r"^graph: an edge set is a list of \(i, j\) pairs"):
+        build_schedule({"m": 5, "kind": "cyclic", "edge_sets": [[[0, 1]], 5]})
 
 
 def test_build_schedule_seeded_random_needs_probability():
@@ -426,6 +434,62 @@ def test_builders_reject_keys_they_do_not_read():
     with pytest.raises(ConfigError, match=r"extra: unknown key; the config reads"):
         ExperimentConfig.from_dict(base_config(extra=1))
     assert build_problem(LOGISTIC_PROBLEM).m == 5
+
+
+# Each of these was once truncated by int() (m 5.9 ran 5 agents) or, for a
+# bool, read as 0 or 1.
+@pytest.mark.parametrize("section,key,value", [
+    ("problem", "m", 5.9), ("problem", "n", 3.0), ("problem", "seed", True),
+    ("problem", "samples_per_agent", 10.0), ("graph", "m", 5.0), ("graph", "seed", 1.7),
+    ("graph", "period", 3.0), ("algorithm", "max_iterations", 20.8),
+    ("algorithm", "max_iterations", "60"), ("algorithm", "zeta", 2.0),
+    ("algorithm", "seeds", [1.5])])
+def test_run_rejects_non_integer_config_fields(tmp_path, capsys, section, key, value):
+    data = base_config()
+    if key == "samples_per_agent":
+        data["problem"] = dict(LOGISTIC_PROBLEM)
+    if (section, key) == ("graph", "seed"):
+        data["graph"] = {"m": 5, "kind": "seeded_random", "edge_probability": 0.5, "seed": 1}
+        data["algorithm"]["variant"] = "acc_gt_tv"
+    if key == "period":
+        data["graph"] = {"m": 5, "kind": "cyclic", "period": 3,
+                         "edge_sets": [[[0, 1], [2, 3]], [[1, 2], [3, 4]], [[4, 0]]]}
+        data["algorithm"]["variant"] = "acc_gt_tv"
+    data[section][key] = value
+    cfg_path = write_config(tmp_path, data)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}.{key}: expected ")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["graph-info", "run"])
+def test_negative_random_graph_seed_is_a_graph_config_error(tmp_path, capsys, command):
+    # graph-info once printed "gamma-connected: false" and exited 0; run
+    # blamed the algorithm section.
+    data = base_config()
+    data["graph"] = {"m": 5, "kind": "seeded_random", "edge_probability": 0.5, "seed": -1}
+    data["algorithm"]["variant"] = "acc_gt_tv"
+    out = tmp_path / "o"
+    args = [command, "--config", write_config(tmp_path, data)]
+    assert main(args + (["--out", str(out)] if command == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: graph: ")
+    assert "non-negative integer seed, got -1" in captured.err
+    assert "gamma-connected" not in captured.out and not out.exists()
+
+
+def test_graph_info_step_sizes_use_the_built_problems_L(tmp_path, capsys):
+    data = base_config(problem=dict(LOGISTIC_PROBLEM))
+    assert main(["graph-info", "--config", write_config(tmp_path, data)]) == 0
+    out = capsys.readouterr().out
+    L = build_problem(LOGISTIC_PROBLEM).L  # data-derived, the L that run uses
+    assert L != 1.0
+    assert f"default step sizes (L = {L:g}):" in out
+    sig = sigma(build_schedule(data["graph"]).matrix(0))
+    alpha = default_alpha("acc_gt_static", L, sig, 1, "zero")
+    assert f"acc_gt_static            zero             alpha = {alpha:.17g}" in out
 
 
 def test_graph_info_config_error(tmp_path, capsys):

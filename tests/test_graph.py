@@ -1,12 +1,15 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (GraphSchedule, gamma_connectivity, graph, matrix_product_window,
-                     metropolis_weights, resolve_gamma, sigma, sigma_gamma)
+from agtrack import (EdgeSet, GraphSchedule, NotGammaConnectedError, gamma_connectivity, graph,
+                     matrix_product_window, metropolis_weights, resolve_gamma, sigma,
+                     sigma_gamma)
 from conftest import M9_EDGE_SETS, path_edges, ring_edges
 from reference_steps import gamma_connected_bfs, metropolis_weights_loop
 
@@ -145,6 +148,8 @@ def test_empty_schedule_never_connected():
     sched = GraphSchedule.cyclic(4, [[], []])
     assert not gamma_connectivity(sched, 1)
     assert not gamma_connectivity(sched, 5)
+    with pytest.raises(NotGammaConnectedError, match="not gamma-connected"):
+        resolve_gamma(sched)
 
 
 def test_m9_schedule_gamma3(m9_schedule):
@@ -357,8 +362,11 @@ def test_metropolis_bit_identical_to_loop_builder(m, p):
     sched = GraphSchedule.seeded_random(m, p, seed=m)
     for k in range(100 if m < 100 else 20):
         edges = sched.edge_set(k)
-        W = metropolis_weights(edges, m)
+        assert isinstance(edges, EdgeSet)
+        W = metropolis_weights(edges, m)  # the EdgeSet's arrays, taken as they are
         assert W.tobytes() == metropolis_weights_loop(edges, m).tobytes()
+        # a plain list of the same pairs goes through full validation
+        assert W.tobytes() == metropolis_weights(list(edges), m).tobytes()
 
 
 def test_metropolis_accepts_arrays_and_numpy_integers():
@@ -384,9 +392,11 @@ def test_non_integer_endpoints_are_rejected(edges):
 
 
 def test_edges_must_be_pairs():
-    for edges in ([(0, 1, 2)], [0, 1], [(0, 1), (2,)]):
+    for edges in ([(0, 1, 2)], [0, 1], [(0, 1), (2,)], 5):
         with pytest.raises(ValueError):
             metropolis_weights(edges, 3)
+    with pytest.raises(ValueError, match="list of"):
+        GraphSchedule.cyclic(3, [[(0, 1)], 5])
 
 
 def test_edge_draws_share_one_read_only_pair_table():
@@ -394,6 +404,99 @@ def test_edge_draws_share_one_read_only_pair_table():
     assert graph._upper_pairs(7)[0] is iu
     assert not iu.flags.writeable and not ju.flags.writeable
     np.testing.assert_array_equal(np.stack([iu, ju]), np.triu_indices(7, 1))
+
+
+# ------------------------------------------------- EdgeSet, a validated value
+
+def test_edge_set_is_the_canonical_tuple_with_read_only_arrays():
+    sched = GraphSchedule.cyclic(5, [[(3, 1), (0, 4), (1, 3)], []])
+    edges = sched.edge_set(0)
+    assert isinstance(edges, EdgeSet) and isinstance(edges, tuple)
+    assert edges == ((0, 4), (1, 3)) and hash(edges) == hash(((0, 4), (1, 3)))
+    assert repr(edges) == "((0, 4), (1, 3))"
+    assert edges.i.dtype == edges.j.dtype == np.intp
+    assert edges.i.tolist() == [0, 1] and edges.j.tolist() == [4, 3]
+    for arr in (edges.i, edges.j):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 2
+    with pytest.raises(AttributeError):
+        edges.i = np.array([1, 2])
+    empty = sched.edge_set(1)
+    assert empty == () and empty.i.shape == empty.j.shape == (0,)
+
+
+def test_edge_set_survives_pickle_and_deepcopy():
+    for edges in (GraphSchedule.seeded_random(12, 0.3, seed=4).edge_set(7),
+                  GraphSchedule.static(3, []).edge_set(0)):
+        for twin in (pickle.loads(pickle.dumps(edges)), copy.deepcopy(edges)):
+            assert type(twin) is EdgeSet and twin == edges
+            assert twin.i is not edges.i
+            for got, want in ((twin.i, edges.i), (twin.j, edges.j)):
+                assert got.dtype == np.intp and not got.flags.writeable
+                np.testing.assert_array_equal(got, want)
+    sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
+    assert pickle.loads(pickle.dumps(sched)) == sched
+
+
+def test_edge_set_for_fewer_agents_is_validated_in_full():
+    edges = GraphSchedule.static(6, [(0, 5), (1, 2)]).edge_set(0)
+    assert metropolis_weights(edges, 8).shape == (8, 8)  # more agents: taken as is
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for 5 agents"):
+        metropolis_weights(edges, 5)
+    with pytest.raises(ValueError, match="out of range for 4 agents"):
+        GraphSchedule.static(4, edges)
+
+
+def test_direct_construction_validates_edge_sets():
+    # Once constructed as given: gamma_connectivity then saw the edge (0, 1).
+    with pytest.raises(ValueError, match=r"edge \(0, 1\.5\) has a non-integer endpoint"):
+        GraphSchedule(3, "cyclic", (((0, 1.5),), ((1, 2),)))
+    with pytest.raises(ValueError, match="out of range"):
+        GraphSchedule(3, "static", (((0, 3),),))
+    sched = GraphSchedule(3, "cyclic", [[(1, 0)], [(2, 1), (1, 2)]])
+    assert sched.edge_sets == (((0, 1),), ((1, 2),))
+    assert all(type(e) is EdgeSet for e in sched.edge_sets)
+    assert sched == GraphSchedule.cyclic(3, [[(0, 1)], [(1, 2)]])
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, 2.5, None, "3"])
+def test_seeded_random_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="non-negative integer seed"):
+        GraphSchedule.seeded_random(4, 0.5, seed)
+
+
+def _tuple_key_draw(m, p, seed, k):
+    """An instant drawn with the (seed, k) tuple key, as every draw once was."""
+    iu, ju = np.triu_indices(m, 1)
+    mask = np.random.default_rng((seed, k)).random(len(iu)) < p
+    return tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
+
+
+def test_uint32_draw_key_gives_the_tuple_key_stream(monkeypatch):
+    keys = []
+    default_rng = np.random.default_rng
+
+    def spy(key):
+        keys.append(key)
+        return default_rng(key)
+
+    monkeypatch.setattr(graph.np.random, "default_rng", spy)
+    words = (0, 1, 2 ** 31, 2 ** 32 - 1)
+    for seed in words + (np.uint32(7), np.int64(2 ** 31)):
+        sched = GraphSchedule.seeded_random(9, 0.4, seed)
+        for k in words:
+            expected = _tuple_key_draw(9, 0.4, seed, k)
+            keys.clear()
+            assert sched.edge_set(k) == expected
+            (key,) = keys
+            assert isinstance(key, np.ndarray) and key.dtype == np.uint32
+            assert key.tolist() == [seed, k]
+    for seed, k in ((2 ** 32, 0), (0, 2 ** 32), (2 ** 40, 3), (5, 2 ** 40)):
+        expected = _tuple_key_draw(9, 0.4, seed, k)
+        keys.clear()
+        assert GraphSchedule.seeded_random(9, 0.4, seed).edge_set(k) == expected
+        assert keys == [(seed, k)]  # beyond one uint32 word: the tuple key
 
 
 def _connectivity_schedules():
