@@ -34,7 +34,9 @@ keys depend on ``kind``); any other key, top-level or in a section, and any
 sweep axis that names one, is a config error (exit 2) rather than a setting
 that silently does nothing.  Edge endpoints and the fields typed ``int``
 above must be JSON integers: ``5.9``, ``5.0`` and ``true`` are config errors,
-never truncated.
+never truncated.  The fields typed ``float`` must be finite JSON numbers
+(integers allowed; ``true``, ``"0.5"``, ``null``, ``NaN`` and ``Infinity``
+are config errors) and ``shared_basis`` must be ``true`` or ``false``.
 
 All floats in emitted CSVs carry 17 significant digits; outputs are
 byte-identical across repeat runs except for a timestamp comment line, which
@@ -123,7 +125,8 @@ class ExperimentConfig:
         if not isinstance(sweep, dict) or not all(isinstance(v, list) for v in sweep.values()):
             raise ConfigError("sweep: expected an object mapping dotted paths to lists")
         return cls(dict(data["problem"]), dict(data["graph"]), dict(data["algorithm"]),
-                   diag == "on", float(data.get("target_gap", 1e-6)), dict(sweep))
+                   diag == "on", _finite(data.get("target_gap", 1e-6), "target_gap"),
+                   dict(sweep))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -162,22 +165,39 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _float_field(section: dict, section_name: str, key: str, required: bool = True,
+                 default=None) -> float:
+    return _finite(_field(section, section_name, key, required, default), f"{section_name}.{key}")
+
+
+def _finite(value, where: str) -> float:
+    """A finite JSON number, integers included, as a float; a bool, a string,
+    null, NaN or Infinity is a config error."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+
+
 def build_problem(spec: dict) -> ProblemInstance:
     kind = _checked_kind(spec, "problem", PROBLEM_KEYS)
     m = _int_field(spec, "problem", "m")
     n = _int_field(spec, "problem", "n")
     seed = _int_field(spec, "problem", "seed", required=False, default=0)
-    if kind == "logistic":
+    if kind == "quadratic":
+        L = _float_field(spec, "problem", "L", required=False, default=1.0)
+        mu = _float_field(spec, "problem", "mu", required=False, default=0.0)
+        shared_basis = _field(spec, "problem", "shared_basis", required=False, default=False)
+        if not isinstance(shared_basis, bool):
+            raise ConfigError(f"problem.shared_basis: expected true or false, got {shared_basis!r}")
+    else:
         samples = _int_field(spec, "problem", "samples_per_agent", required=False, default=20)
+        ridge = _float_field(spec, "problem", "ridge", required=False, default=0.0)
     try:
         if kind == "quadratic":
-            return random_quadratic_problem(
-                m, n, L=float(_field(spec, "problem", "L", required=False, default=1.0)),
-                mu=float(_field(spec, "problem", "mu", required=False, default=0.0)),
-                seed=seed, shared_basis=bool(spec.get("shared_basis", False)))
-        return random_logistic_problem(
-            m, n, samples_per_agent=samples,
-            ridge=float(spec.get("ridge", 0.0)), seed=seed)
+            return random_quadratic_problem(m, n, L=L, mu=mu, seed=seed,
+                                            shared_basis=shared_basis)
+        return random_logistic_problem(m, n, samples_per_agent=samples, ridge=ridge, seed=seed)
     except ValueError as err:  # constants or sizes the generator cannot meet
         raise ConfigError(f"problem: {err}") from err
 
@@ -186,7 +206,7 @@ def build_schedule(spec: dict) -> GraphSchedule:
     kind = _checked_kind(spec, "graph", GRAPH_KEYS)
     m = _int_field(spec, "graph", "m")
     if kind == "seeded_random":
-        probability = _field(spec, "graph", "edge_probability")
+        probability = _float_field(spec, "graph", "edge_probability")
         seed = _int_field(spec, "graph", "seed")
     else:
         sets = _field(spec, "graph", "edge_sets")
@@ -199,7 +219,7 @@ def build_schedule(spec: dict) -> GraphSchedule:
             raise ConfigError(f"graph.period: {period} does not match {len(sets)} edge sets")
     try:
         if kind == "seeded_random":
-            return GraphSchedule.seeded_random(m, float(probability), seed)
+            return GraphSchedule.seeded_random(m, probability, seed)
         return GraphSchedule(m, kind, tuple(sets))
     except ValueError as err:
         raise ConfigError(f"graph: {err}") from err
@@ -212,10 +232,13 @@ def build_algorithm(spec: dict) -> AlgorithmConfig:
     seeds = _field(spec, "algorithm", "seeds", required=False, default=[0])
     if not isinstance(seeds, list) or not all(map(_is_int, seeds)):
         raise ConfigError(f"algorithm.seeds: expected a list of integers, got {seeds!r}")
+    alpha = _field(spec, "algorithm", "alpha", required=False, default="theorem_default")
+    if not isinstance(alpha, str):  # a string other than theorem_default fails below
+        alpha = _finite(alpha, "algorithm.alpha")
     try:
         return AlgorithmConfig(
             variant=_field(spec, "algorithm", "variant"),
-            alpha=_field(spec, "algorithm", "alpha", required=False, default="theorem_default"),
+            alpha=alpha,
             mu_mode=_field(spec, "algorithm", "mu_mode", required=False, default="zero"),
             max_iterations=max_iterations, zeta=zeta,
             seeds=tuple(seeds))

@@ -20,10 +20,14 @@ in ``[0, m)`` with no self-loops.  The result is an ``EdgeSet``, a validated
 value that carries its endpoints as arrays; every schedule instant is one, and
 ``metropolis_weights`` and ``gamma_connectivity`` take its arrays without
 parsing the pairs again.  Any other edge list given to ``metropolis_weights``
-is validated in full.  A build is one vectorized pass; ``sigma`` takes a whole
-stack of matrices in one batched SVD; ``sigma_gamma`` forms its window
-products in bounded chunks; ``gamma_connectivity`` tests reachability on each
-window's union, kept as a matrix of edge counts.
+is validated in full.  A build is one vectorized pass, and one kernel builds a
+whole stack of instants as readily as one: ``GraphSchedule.matrix(k)`` is the
+cached per-instant path, while ``GraphSchedule.matrices`` returns a stack of
+consecutive instants, which a seeded_random schedule draws and builds in one
+batch, for multiple consensus.  ``sigma`` takes a whole stack of matrices in
+one batched SVD; ``sigma_gamma`` forms its window products in bounded chunks;
+``gamma_connectivity`` tests reachability on each window's union, kept as a
+matrix of edge counts.
 """
 from __future__ import annotations
 
@@ -200,18 +204,23 @@ class GraphSchedule:
             return self.edge_sets[0]
         if self.schedule_kind == "cyclic":
             return self.edge_sets[k % len(self.edge_sets)]
-        # Reproducible per-instant draw: the stream is keyed by (seed, k) so
-        # edge_set(k) never depends on evaluation order.  SeedSequence reads an
-        # int below 2**32 as one uint32 word, so the uint32 key gives the
-        # tuple's stream and is cheaper to convert.  The candidate pairs are
-        # computed once per agent count, already canonical.
+        iu, ju = _upper_pairs(self.agent_count)
+        mask = self._uniforms(k, np.empty(iu.shape[0])) < self.edge_probability
+        return _edge_set_of(iu[mask], ju[mask])
+
+    def _uniforms(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with instant k's uniforms, one per candidate pair of
+        ``_upper_pairs``; the pair is an edge when its uniform is below p.
+
+        The stream is keyed by (seed, k), so a draw never depends on
+        evaluation order.  SeedSequence reads an int below 2**32 as one uint32
+        word, so the uint32 key gives the tuple's stream and is cheaper to
+        convert; larger values keep the tuple key.
+        """
         key = (self.seed, k)
         if self.seed < 1 << 32 and k < 1 << 32:
             key = np.array(key, dtype=np.uint32)
-        rng = np.random.default_rng(key)
-        iu, ju = _upper_pairs(self.agent_count)
-        mask = rng.random(iu.shape[0]) < self.edge_probability
-        return _edge_set_of(iu[mask], ju[mask])
+        return np.random.default_rng(key).random(out=out)
 
     def matrix(self, k: int) -> np.ndarray:
         """The read-only Metropolis matrix W^k of instant k.
@@ -231,6 +240,30 @@ class GraphSchedule:
                 del self._matrices[next(iter(self._matrices))]  # oldest first
             self._matrices[key] = W
         return W
+
+    def matrices(self, start: int, count: int) -> np.ndarray:
+        """The read-only ``(count, m, m)`` stack W^start, ..., W^(start+count-1).
+
+        Periodic schedules stack their cached ``matrix(k)``.  Seeded_random
+        schedules draw each instant as ``edge_set`` does and build the whole
+        stack in one Metropolis pass, without making edge sets or touching
+        the per-instant cache; W^k is bit-identical to ``matrix(k)``.
+        """
+        if start < 0:
+            raise ValueError("instant index must be nonnegative")
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        if self.period is not None:
+            Ws = np.stack([self.matrix(k) for k in range(start, start + count)])
+        else:
+            iu, ju = _upper_pairs(self.agent_count)
+            u = np.empty((count, iu.shape[0]))
+            for c in range(count):
+                self._uniforms(start + c, u[c])
+            b, pair = np.nonzero(u < self.edge_probability)
+            Ws = _metropolis_stack(count, self.agent_count, b, iu[pair], ju[pair])
+        Ws.setflags(write=False)
+        return Ws
 
 
 @dataclass(frozen=True)
@@ -272,13 +305,26 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
     if m <= 0:
         raise ValueError("m must be positive")
     edges = _canonical_edges(edge_set, m)
-    i, j = edges.i, edges.j
-    deg = np.bincount(i, minlength=m) + np.bincount(j, minlength=m)
-    w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    W = np.zeros((m, m))
-    W[i, j] = w
-    W[j, i] = w
-    W.flat[::m + 1] = 1.0 - W.sum(axis=1)
+    return _metropolis_stack(1, m, 0, edges.i, edges.j)[0]
+
+
+def _metropolis_stack(count: int, m: int, b, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The ``(count, m, m)`` Metropolis matrices of ``count`` edge sets.
+
+    Edge e is ``(i[e], j[e])`` of edge set ``b[e]``, with ``i < j < m`` and
+    each edge of an edge set given once; ``b`` may be one index for all.
+    Degrees come from ``np.bincount`` over (edge set, agent) rows and each
+    diagonal is one minus its row's off-diagonal sum; the stack's double
+    stochasticity is checked once.
+    """
+    rows_i, rows_j = b * m + i, b * m + j  # row of W[b] in the (count * m, m) view
+    deg = np.bincount(rows_i, minlength=count * m) + np.bincount(rows_j, minlength=count * m)
+    w = 1.0 / (1.0 + np.maximum(deg[rows_i], deg[rows_j]))
+    W = np.zeros((count, m, m))
+    flat = W.reshape(count * m, m)
+    flat[rows_i, j] = w
+    flat[rows_j, i] = w
+    W.reshape(count, m * m)[:, ::m + 1] = 1.0 - W.sum(axis=-1)
     _check_doubly_stochastic(W, DS_BUILD_TOL)
     return W
 

@@ -9,8 +9,10 @@ smaller effective contraction constant:
   ``t = ceil(1/sqrt(nu))`` rounds contract disagreement to a constant factor
   at most 0.65 independent of how close sigma is to 1.
 * Multiple consensus (time-varying schedules) chains ``zeta`` consecutive
-  schedule matrices; with ``zeta = ceil(gamma / (1 - sigma_gamma))`` the
-  disagreement shrinks by at least 1/e per call.
+  schedule matrices, a seeded_random schedule's as batched stacks from
+  ``GraphSchedule.matrices`` rather than one ``matrix(k)`` at a time; with
+  ``zeta = ceil(gamma / (1 - sigma_gamma))`` the disagreement shrinks by at
+  least 1/e per call.
 
 Each call costs a fixed number of communication rounds (1 for gossip, t for
 Chebyshev, zeta for multiple consensus); the run loop that makes the calls
@@ -20,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .graph import GraphSchedule, metropolis_weights, sigma as sigma_of
+from .graph import SPECTRAL_CHUNK, GraphSchedule, metropolis_weights, sigma as sigma_of
 
 SYMMETRY_TOL = 1e-12
 # sigma below this is treated as exact consensus in one round: the Chebyshev
@@ -128,14 +131,24 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
     """Chain zeta gossip rounds ``u^{t+1} = W^{start_round + t} u^t``; returns u^zeta.
 
     With ``zeta = ceil(gamma / (1 - sigma_gamma))`` on a gamma-connected
-    schedule the disagreement norm contracts by at least a factor 1/e per call.  ``weight_rule`` must be None or
-    ``metropolis_weights``, the only rule the schedule builds.
+    schedule the disagreement norm contracts by at least a factor 1/e per
+    call.  A periodic schedule's cached ``matrix(k)`` are chained as they
+    are, since stacking them would copy each one.  A seeded_random schedule's
+    come from ``schedule.matrices`` in stacks of at most ``SPECTRAL_CHUNK``
+    instants, so memory is O(SPECTRAL_CHUNK m^2) whatever zeta is.
+    ``weight_rule`` must be None or ``metropolis_weights``, the only rule the
+    schedule builds.
     """
     if zeta < 1:
         raise ValueError("zeta must be at least 1")
     if weight_rule not in (None, metropolis_weights):
         raise ValueError("multiple consensus mixes with the schedule's Metropolis matrices only")
     u = np.asarray(x, dtype=float)
-    for t in range(zeta):
-        u = schedule.matrix(start_round + t) @ u
+    stop = start_round + zeta
+    if schedule.period is not None:
+        return reduce(lambda v, k: schedule.matrix(k) @ v, range(start_round, stop), u)
+    for first in range(start_round, stop, SPECTRAL_CHUNK):
+        # reduce holds each stack only while chaining it: two never coexist.
+        u = reduce(lambda v, W: W @ v,
+                   schedule.matrices(first, min(SPECTRAL_CHUNK, stop - first)), u)
     return u

@@ -104,13 +104,26 @@ class ProblemInstance:
         if self.kind == "quadratic":
             AY = np.einsum("ijk,ik->ij", self.A, Y)
             return np.einsum("ij,ij->i", Y, 0.5 * AY + self.b), AY + self.b
-        margins = self.labels * np.einsum("rj,rj->r", self.data, Y[self._owner])
+        margins = self._margins(Y)
         loss = np.add.reduceat(np.logaddexp(0.0, -margins), self._starts) / self.counts
+        return (loss + 0.5 * self.ridge * np.einsum("ij,ij->i", Y, Y),
+                self._logistic_gradients(Y, margins))
+
+    def _gradients(self, Y: np.ndarray) -> np.ndarray:
+        """``_local``'s gradients (m, n) alone, without computing the values."""
+        if self.kind == "quadratic":
+            return np.einsum("ijk,ik->ij", self.A, Y) + self.b
+        return self._logistic_gradients(Y, self._margins(Y))
+
+    def _margins(self, Y: np.ndarray) -> np.ndarray:
+        """Logistic margins ``label_r <data_r, Y_owner(r)>`` per row (N,)."""
+        return self.labels * np.einsum("rj,rj->r", self.data, Y[self._owner])
+
+    def _logistic_gradients(self, Y: np.ndarray, margins: np.ndarray) -> np.ndarray:
         # d/dm log(1+e^{-m}) = -sigmoid(-m)
         coeff = -self.labels / (1.0 + np.exp(margins))
         grads = np.add.reduceat(coeff[:, None] * self.data, self._starts) / self.counts[:, None]
-        return (loss + 0.5 * self.ridge * np.einsum("ij,ij->i", Y, Y),
-                grads + self.ridge[:, None] * Y)
+        return grads + self.ridge[:, None] * Y
 
     def value(self, w: np.ndarray) -> float:
         return float(self._F(np.asarray(w, dtype=float)[None, :])[0])
@@ -121,7 +134,7 @@ class ProblemInstance:
 
     def mean_gradient(self, w: np.ndarray) -> np.ndarray:
         w = np.broadcast_to(np.asarray(w, dtype=float), (self.m, self.n))
-        return self._local(w)[1].mean(axis=0)
+        return self._gradients(w).mean(axis=0)
 
 
 def aggregate_gradient(problem: ProblemInstance, y: np.ndarray) -> np.ndarray:
@@ -129,7 +142,7 @@ def aggregate_gradient(problem: ProblemInstance, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.m, problem.n):
         raise ValueError(f"state shape {y.shape} does not match problem ({problem.m}, {problem.n})")
-    return problem._local(y)[1]
+    return problem._gradients(y)
 
 
 def consensus_error(x: np.ndarray) -> float:

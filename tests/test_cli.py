@@ -464,6 +464,41 @@ def test_run_rejects_non_integer_config_fields(tmp_path, capsys, section, key, v
     assert "Traceback" not in err and not out.exists()
 
 
+# null was once a TypeError traceback (exit 1); true, NaN and Infinity went
+# through float(), "0.5" was parsed, and "no" was read as shared_basis True.
+@pytest.mark.parametrize("section,key,value,expected", [
+    ("problem", "L", None, "a finite number"), ("problem", "mu", "0.1", "a finite number"),
+    ("problem", "ridge", float("nan"), "a finite number"),
+    ("graph", "edge_probability", True, "a finite number"),
+    ("algorithm", "alpha", float("inf"), "a finite number"),
+    ("algorithm", "alpha", None, "a finite number"),
+    (None, "target_gap", None, "a finite number"),
+    ("problem", "shared_basis", "no", "true or false")])
+def test_run_rejects_non_finite_or_non_boolean_config_fields(tmp_path, capsys, section, key,
+                                                            value, expected):
+    data = base_config()
+    if key == "ridge":
+        data["problem"] = dict(LOGISTIC_PROBLEM)
+    if key == "edge_probability":
+        data["graph"] = {"m": 5, "kind": "seeded_random", "edge_probability": 0.5, "seed": 1}
+        data["algorithm"]["variant"] = "acc_gt_tv"
+    (data[section] if section else data)[key] = value
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    name = f"{section}.{key}" if section else key
+    assert err.startswith(f"config error: {name}: expected {expected}, got {value!r}")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_float_fields_take_json_integers():
+    assert build_problem({**base_config()["problem"], "L": 2, "mu": 0}).L == 2.0
+    assert build_schedule({"m": 5, "kind": "seeded_random", "edge_probability": 1,
+                           "seed": 1}).edge_probability == 1.0
+    assert build_algorithm({"variant": "gt", "alpha": 1}).alpha == 1.0
+    assert ExperimentConfig.from_dict({**base_config(), "target_gap": 0}).target_gap == 0.0
+
+
 @pytest.mark.parametrize("command", ["graph-info", "run"])
 def test_negative_random_graph_seed_is_a_graph_config_error(tmp_path, capsys, command):
     # graph-info once printed "gamma-connected: false" and exited 0; run
@@ -579,6 +614,20 @@ def test_sweep_reports_impossible_problem_cell_and_finishes(tmp_path, capsys):
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("config error: problem: need L > 0 and 0 <= mu <= L")
     assert not (out / "cell_001").exists()
+
+
+def test_sweep_marks_a_non_numeric_axis_value_and_finishes(tmp_path, capsys):
+    cfg = base_config()
+    cfg["algorithm"]["max_iterations"] = 10
+    cfg["sweep"] = {"problem.L": [1.0, None]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--deterministic"]) == 2
+    assert "sweep complete: 2 cells" in capsys.readouterr().out
+    rows = read_summary(out)
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"] == "config error: problem.L: expected a finite number, got None"
+    assert (out / "cell_000" / "trace.csv").exists() and not (out / "cell_001").exists()
 
 
 def test_sweep_rejects_unknown_axis_path(tmp_path):

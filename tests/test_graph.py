@@ -499,6 +499,47 @@ def test_uint32_draw_key_gives_the_tuple_key_stream(monkeypatch):
         assert keys == [(seed, k)]  # beyond one uint32 word: the tuple key
 
 
+# ------------------------------------------------- batched stacks of W^k
+
+# Instants around 2**32: the draw key is one uint32 pair below it, a tuple from it on.
+KEY_EDGE = 2 ** 32 - 2
+
+
+@pytest.mark.parametrize("m,p", BUILD_GRID + [(12, 0.0), (12, 1.0), (1, 0.0)])
+def test_matrices_stack_is_bitwise_the_per_instant_matrices(m, p):
+    sched = GraphSchedule.seeded_random(m, p, seed=m)
+    for start, count in ((0, 70 if m < 100 else 12), (KEY_EDGE, 4)):
+        Ws = sched.matrices(start, count)
+        assert Ws.shape == (count, m, m)
+        for c in range(count):
+            assert Ws[c].tobytes() == sched.matrix(start + c).tobytes(), (start, c)
+
+
+def test_matrices_of_a_periodic_schedule_stack_its_cached_matrices():
+    sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
+    Ws = sched.matrices(2, 7)
+    for c in range(7):
+        assert Ws[c].tobytes() == sched.matrix(2 + c).tobytes()
+
+
+def test_matrices_stack_is_read_only_and_leaves_the_cache_alone(builds):
+    sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    Ws = sched.matrices(3, 5)
+    assert not Ws.flags.writeable
+    with pytest.raises(ValueError):
+        Ws[0, 0, 0] = 0.5
+    assert builds[0] == 0 and not sched._matrices
+    assert not GraphSchedule.cyclic(9, M9_EDGE_SETS).matrices(0, 3).flags.writeable
+
+
+def test_matrices_rejects_negative_instant_and_empty_count():
+    sched = GraphSchedule.seeded_random(6, 0.5, seed=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sched.matrices(-1, 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        sched.matrices(0, 0)
+
+
 def _connectivity_schedules():
     yield "m9", GraphSchedule.cyclic(9, M9_EDGE_SETS)
     yield "alternating", GraphSchedule.cyclic(3, [[(0, 1)], [(1, 2)]])

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (GraphSchedule, chebyshev_apply,
+from agtrack import (GraphSchedule, chebyshev_apply, graph,
                      chebyshev_operator, default_zeta, gossip,
                      metropolis_weights, multiple_consensus, sigma,
                      sigma_gamma)
@@ -168,6 +169,36 @@ def test_multiple_consensus_counter(rng, monkeypatch):
     out = multiple_consensus(sched, metropolis_weights, 2, 13, x)
     assert requested == list(range(2, 15))
     np.testing.assert_array_equal(out, expected)
+
+
+def test_multiple_consensus_seeded_random_chains_the_per_instant_matrices(rng):
+    # zeta = 150 rounds from round 5 cross three stacks of SPECTRAL_CHUNK instants.
+    sched = GraphSchedule.seeded_random(8, 0.3, seed=4)
+    x = rng.standard_normal((8, 3))
+    expected = x
+    for k in range(5, 155):
+        expected = sched.matrix(k) @ expected
+    out = multiple_consensus(GraphSchedule.seeded_random(8, 0.3, seed=4),
+                             metropolis_weights, 5, 150, x)
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_multiple_consensus_memory_is_bounded_by_the_chunk(rng):
+    m, zeta = 200, 300
+    sched = GraphSchedule.seeded_random(m, 0.05, seed=2)
+    x = rng.standard_normal((m, 2))
+    matrix_bytes = m * m * 8
+    tracemalloc.start()
+    try:
+        out = multiple_consensus(sched, None, 0, zeta, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (m, 2)
+    # One stack of SPECTRAL_CHUNK matrices and the draws behind it, far below
+    # zeta matrices.
+    assert peak < 2 * graph.SPECTRAL_CHUNK * matrix_bytes
+    assert peak < zeta * matrix_bytes / 2
 
 
 def test_multiple_consensus_static_ring_contracts(rng):

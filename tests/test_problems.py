@@ -117,11 +117,22 @@ def test_aggregate_gradient_counts_one_round(rng, monkeypatch):
     # One call evaluates every agent's local oracle once: one gradient round.
     prob = identity_quadratics(3, 2)
     calls = []
-    original = ProblemInstance._local
-    monkeypatch.setattr(ProblemInstance, "_local",
+    original = ProblemInstance._gradients
+    monkeypatch.setattr(ProblemInstance, "_gradients",
                         lambda self, Y: calls.append(Y.shape) or original(self, Y))
     aggregate_gradient(prob, rng.standard_normal((3, 2)))
     assert calls == [(3, 2)]
+
+
+def test_gradient_round_is_bitwise_the_local_oracles_gradients(rng):
+    # The gradient-only path skips the values but not a bit of the gradients.
+    for prob in (random_quadratic_problem(6, 4, mu=0.1, seed=1),
+                 random_logistic_problem(5, 3, samples_per_agent=7, ridge=0.05, seed=2)):
+        y = rng.standard_normal((prob.m, prob.n))
+        assert aggregate_gradient(prob, y).tobytes() == prob._local(y)[1].tobytes()
+        w = rng.standard_normal(prob.n)
+        local = prob._local(np.broadcast_to(w, (prob.m, prob.n)))[1].mean(axis=0)
+        assert prob.mean_gradient(w).tobytes() == local.tobytes()
 
 
 def test_aggregate_gradient_shape_check(rng):
