@@ -114,8 +114,8 @@ class AlgorithmConfig:
             raise ValueError("max_iterations must be nonnegative")
         if self.zeta is not None and self.zeta < 1:
             raise ValueError("zeta must be at least 1")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        if len(self.seeds) != 1:  # run() draws x0 from seeds[0] and reads no other
+            raise ValueError(f"seeds must hold exactly one seed, got {tuple(self.seeds)!r}")
 
 
 def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,

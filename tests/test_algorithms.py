@@ -264,6 +264,13 @@ def test_config_validation():
         AlgorithmConfig(variant="gt", seeds=())
 
 
+def test_config_takes_exactly_one_seed():
+    # run() draws x0 from seeds[0]; a second seed would be accepted and ignored.
+    with pytest.raises(ValueError, match=r"exactly one seed, got \(1, 2\)"):
+        AlgorithmConfig(variant="gt", seeds=(1, 2))
+    assert AlgorithmConfig(variant="gt", seeds=(5,)).seeds == (5,)
+
+
 def test_resolve_constants_static_and_tv(m9_schedule):
     prob = random_quadratic_problem(9, 2, seed=9)
     tv = resolve_constants(AlgorithmConfig(variant="acc_gt_tv"), prob, m9_schedule)

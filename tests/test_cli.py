@@ -1,13 +1,16 @@
 import csv
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from agtrack import default_alpha, sigma
+from agtrack import (AlgorithmConfig, default_alpha, random_logistic_problem,
+                     random_quadratic_problem, sigma)
 from agtrack.algorithms import CSV_COLUMNS
-from agtrack.cli import (ConfigError, ExperimentConfig, build_algorithm,
-                         build_problem, build_schedule, load_config, main)
+from agtrack.cli import (ALGORITHM_FIELDS, PROBLEM_FIELDS, ConfigError, build_algorithm,
+                         build_problem, build_schedule, check_config, load_config, main)
 from conftest import M9_EDGE_SETS, ring_edges
 
 
@@ -46,27 +49,26 @@ def read_summary(out_dir):
 # ------------------------------------------------------------ config model
 
 def test_config_round_trips_through_dict():
-    cfg = ExperimentConfig.from_dict(base_config())
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    assert cfg.diagnostics is False
-    assert cfg.to_dict()["diagnostics"] == "off"
+    cfg = check_config(base_config())
+    assert check_config(cfg) == cfg
+    assert cfg["diagnostics"] == "off"
 
 
 def test_config_rejects_missing_section():
     data = base_config()
     del data["graph"]
     with pytest.raises(ConfigError, match="graph: required object is missing"):
-        ExperimentConfig.from_dict(data)
+        check_config(data)
 
 
 def test_config_rejects_bad_diagnostics_flag():
     with pytest.raises(ConfigError, match="diagnostics"):
-        ExperimentConfig.from_dict(base_config(diagnostics=True))
+        check_config(base_config(diagnostics=True))
 
 
 def test_config_rejects_non_list_sweep_axis():
     with pytest.raises(ConfigError, match="sweep"):
-        ExperimentConfig.from_dict(base_config(sweep={"algorithm.alpha": 0.1}))
+        check_config(base_config(sweep={"algorithm.alpha": 0.1}))
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -136,6 +138,23 @@ def test_build_algorithm_wraps_validation_errors():
         build_algorithm({"variant": "nonexistent_variant"})
 
 
+def test_build_algorithm_requires_variant():
+    with pytest.raises(ConfigError, match=r"^algorithm\.variant: required field is missing$"):
+        build_algorithm({"alpha": 0.1})
+
+
+@pytest.mark.parametrize("kind,generator", [("quadratic", random_quadratic_problem),
+                                            ("logistic", random_logistic_problem)])
+def test_problem_fields_are_the_generators_keywords(kind, generator):
+    # A key the generator does not take would be accepted and dropped; a
+    # keyword missing from the table could never be set.
+    assert set(PROBLEM_FIELDS[kind]) == set(inspect.signature(generator).parameters)
+
+
+def test_algorithm_fields_are_algorithm_config_fields():
+    assert set(ALGORITHM_FIELDS) == {f.name for f in dataclasses.fields(AlgorithmConfig)}
+
+
 # ------------------------------------------------------------ run command
 
 def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
@@ -156,7 +175,7 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert ids == ["T1_gap", "T1_consensus"]
     assert all(c["holds"] for c in report["certificates"])
     echoed = json.loads((out / "config.json").read_text())
-    assert echoed == ExperimentConfig.from_dict(base_config()).to_dict()
+    assert echoed == check_config(base_config())
 
 
 def test_run_config_error_exits_two(tmp_path, capsys):
@@ -432,7 +451,7 @@ def test_builders_reject_keys_they_do_not_read():
     with pytest.raises(ConfigError, match=r"algorithm\.seed: unknown key"):
         build_algorithm({"variant": "gt", "seed": 3})
     with pytest.raises(ConfigError, match=r"extra: unknown key; the config reads"):
-        ExperimentConfig.from_dict(base_config(extra=1))
+        check_config(base_config(extra=1))
     assert build_problem(LOGISTIC_PROBLEM).m == 5
 
 
@@ -491,12 +510,22 @@ def test_run_rejects_non_finite_or_non_boolean_config_fields(tmp_path, capsys, s
     assert "Traceback" not in err and not out.exists()
 
 
+def test_run_rejects_more_than_one_seed(tmp_path, capsys):
+    data = base_config()
+    data["algorithm"]["seeds"] = [1, 2]  # only the first would seed the run
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: algorithm: seeds must hold exactly one seed")
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_float_fields_take_json_integers():
     assert build_problem({**base_config()["problem"], "L": 2, "mu": 0}).L == 2.0
     assert build_schedule({"m": 5, "kind": "seeded_random", "edge_probability": 1,
                            "seed": 1}).edge_probability == 1.0
     assert build_algorithm({"variant": "gt", "alpha": 1}).alpha == 1.0
-    assert ExperimentConfig.from_dict({**base_config(), "target_gap": 0}).target_gap == 0.0
+    assert check_config({**base_config(), "target_gap": 0})["target_gap"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["graph-info", "run"])
@@ -664,6 +693,25 @@ def test_sweep_axis_may_set_a_read_key_the_config_omits(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     assert [r["status"] for r in read_summary(out)] == ["ok", "ok"]
+
+
+def test_sweep_target_gap_axis_sets_each_cells_target(tmp_path):
+    # The rounds to target were once counted to the base config's target_gap.
+    cfg = json.loads((Path(__file__).parent / "data" / "readme_config.json").read_text())
+    cfg["algorithm"].update(alpha=0.1, max_iterations=300)
+    cfg["sweep"] = {"target_gap": [1.0, 1e-3]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--deterministic"]) == 0
+    rows = read_summary(out)
+    for row in rows:
+        with open(out / f"cell_{int(row['cell']):03d}" / "trace.csv") as fh:
+            trace = list(csv.DictReader(fh))
+        hit = next(r for r in trace if float(r["gap"]) <= float(row["target_gap"]))
+        assert (row["comm_rounds_to_target"], row["grad_rounds_to_target"]) == \
+            (hit["comm_rounds"], hit["grad_rounds"])
+    assert [(r["comm_rounds_to_target"], r["grad_rounds_to_target"]) for r in rows] == \
+        [("33", "12"), ("252", "85")]
 
 
 def test_sweep_strict_flags_violations(tmp_path):

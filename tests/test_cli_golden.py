@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from agtrack import problems
 from agtrack.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -101,6 +102,20 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_match_golden(golden, name):
     assert _outcome(*CASES[name]) == golden[name]
+
+
+def test_sweep_cells_share_a_problem_they_have_in_common(golden, monkeypatch):
+    # Cells that differ only in algorithm.mu_mode build, and solve, one problem.
+    solves = []
+    solve = problems.solve_optimum
+
+    def counted(inst):
+        solves.append(inst)
+        return solve(inst)
+
+    monkeypatch.setattr(problems, "solve_optimum", counted)
+    assert _outcome(*CASES["sweep-cyclic-logistic"]) == golden["sweep-cyclic-logistic"]
+    assert len(solves) == 2  # problem.seed 0 and 1, not one per cell
 
 
 if __name__ == "__main__":
