@@ -26,12 +26,21 @@ cached per-instant path, while ``GraphSchedule.matrices`` returns a stack of
 consecutive instants, which a seeded_random schedule draws and builds in one
 batch, for multiple consensus.  ``sigma`` takes a whole stack of matrices in
 one batched SVD; ``sigma_gamma`` forms its window products in bounded chunks;
-``gamma_connectivity`` tests reachability on each window's union, kept as a
-matrix of edge counts.
+``gamma_connectivity`` tests a chunk of windows at once, by reachability on
+their unions.
+
+A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
+never depends on evaluation order.  ``edge_set(k)`` draws one instant through
+``np.random.default_rng``.  ``GraphSchedule._masks`` draws a run of
+consecutive instants bit for bit the same, without a ``default_rng`` each: it
+hashes all their keys at once in uint32 array arithmetic, as numpy's
+``SeedSequence`` would, and seeds one reused ``PCG64`` per instant.
+``matrices`` and ``gamma_connectivity`` take their instants from it.
+``matrix(k)``, and with it ``sigma_gamma``, keeps ``edge_set``: for a single
+key ``default_rng`` costs less than the batched hash.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -48,8 +57,13 @@ DS_INPUT_TOL = 1e-9
 MAX_GAMMA = 50
 
 # Window products sigma_gamma forms and decomposes per batch: its memory is
-# O((SPECTRAL_CHUNK + gamma) m^2) whatever the horizon.
+# O((SPECTRAL_CHUNK + gamma) m^2) whatever the horizon.  gamma_connectivity
+# draws and tests windows in batches of the same size.
 SPECTRAL_CHUNK = 64
+
+# Last instant whose edge set the constants of a seeded_random schedule read by
+# default: gamma_connectivity and sigma_gamma both examine instants 0..HORIZON.
+HORIZON = 1000
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
@@ -138,6 +152,79 @@ def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+# numpy's stream for the key [seed, k], rebuilt for a batch of k (see
+# GraphSchedule._masks).  SeedSequence (O'Neill's seed_seq_fe, NEP 19) hashes a
+# key into a pool of four uint32 words, and each hash call xors a running
+# constant into its word, steps the constant and multiplies by it.  A two-word
+# key takes 16 calls (_XOR_A / _MUL_A, one row each); generate_state(4, uint64)
+# takes 8 more, two passes over the pool (_XOR_B / _MUL_B, shaped (2, 4, 1)).
+# PCG64 (O'Neill, HMC-CS-2014-0905) seeds from those words with
+# inc = 2 initseq + 1 and state = ((inc + initstate) * _PCG_MULT + inc) mod 2**128.
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constant each of ``calls`` hash calls xors with and the one it
+    multiplies by, as ``(calls, 1)`` uint32 columns."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+_XOR_A, _MUL_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_XOR_B, _MUL_B = (c.reshape(2, 4, 1) for c in _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> _XSHIFT)
+
+
+@lru_cache(maxsize=8)
+def _seed_words(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pool words of the key [seed, k] that do not depend on k.
+
+    Words 0, 2 and 3 after the first mixing round (word 0 into the others),
+    as a ``(3, 1)`` column, and the hash that round mixes into word 1.
+    """
+    words = _hashmix(np.array([[seed], [0], [0]], dtype=np.uint32),
+                     _XOR_A[[0, 2, 3]], _MUL_A[[0, 2, 3]])
+    into = _hashmix(words[0], _XOR_A[4:7], _MUL_A[4:7])
+    words[1:] = _mix(words[1:], into[1:])
+    for a in (words, into):
+        a.setflags(write=False)  # cached: every caller shares them
+    return words, into[0]
+
+
+def _pcg64_states(seed: int, ks: np.ndarray):
+    """Yield ``(state, inc)`` of ``np.random.default_rng([seed, k])``'s PCG64
+    for each k of the uint32 array ``ks``; seed is below 2**32.
+
+    The pool is hashed for all keys at once, one array op per step of
+    SeedSequence's fixed sequence, and the 128-bit seeding is done per key.
+    """
+    words, into = _seed_words(seed)
+    pool = np.empty((4, len(ks)), dtype=np.uint32)
+    pool[1] = _mix(_hashmix(ks, _XOR_A[1], _MUL_A[1]), into)
+    # The other mixing rounds, word src into the three others, with the calls
+    # 4 + 3 src, 5 + 3 src and 6 + 3 src.
+    pool[[0, 2, 3]] = _mix(words, _hashmix(pool[1], _XOR_A[7:10], _MUL_A[7:10]))
+    pool[[0, 1, 3]] = _mix(pool[[0, 1, 3]], _hashmix(pool[2], _XOR_A[10:13], _MUL_A[10:13]))
+    pool[:3] = _mix(pool[:3], _hashmix(pool[3], _XOR_A[13:], _MUL_A[13:]))
+    words32 = _hashmix(pool, _XOR_B, _MUL_B).reshape(8, -1).astype(np.uint64)
+    words64 = words32[0::2] | words32[1::2] << np.uint64(32)  # little-endian pairs
+    for hi, lo, seq_hi, seq_lo in words64.T.tolist():
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        yield ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
 @dataclass(frozen=True)
 class GraphSchedule:
     """A total function ``k -> E^k`` over m agents with a replay rule.
@@ -197,7 +284,11 @@ class GraphSchedule:
         return None
 
     def edge_set(self, k: int) -> EdgeSet:
-        """The edge set active at instant k (total for all k >= 0)."""
+        """The edge set active at instant k (total for all k >= 0).
+
+        A seeded_random instant is drawn alone, through ``default_rng``: for
+        one key that costs less than ``_masks``'s batched hash.
+        """
         if k < 0:
             raise ValueError("instant index must be nonnegative")
         if self.schedule_kind == "static":
@@ -222,6 +313,43 @@ class GraphSchedule:
             key = np.array(key, dtype=np.uint32)
         return np.random.default_rng(key).random(out=out)
 
+    def _masks(self, start: int, count: int) -> np.ndarray:
+        """The ``(count, pairs)`` bool edge masks of instants start, ...,
+        start+count-1: row c marks the pairs of ``_upper_pairs`` in E^(start+c).
+
+        Periodic rows are their instants' edge sets.  Seeded_random rows are
+        drawn as ``edge_set`` draws them, bit for bit, but without a
+        ``default_rng`` per instant: ``_pcg64_states`` rebuilds each key's
+        PCG64 state for the whole batch, one generator takes each state in
+        turn, and ``random(out=row)`` fills the row, as ``edge_set`` fills
+        its own.  This rests on numpy keeping SeedSequence's hash and PCG64's
+        seeding fixed, as its stream policy for bit generators (NEP 19)
+        does; the tests compare batches with ``default_rng``, so a change
+        would show there.  A key at or above 2**32 keeps the per-instant
+        draw, so a batch that straddles 2**32 splits there.
+        """
+        m = self.agent_count
+        iu, _ = _upper_pairs(m)
+        if self.period is not None:
+            masks = np.zeros((count, len(iu)), dtype=bool)
+            for row, k in zip(masks, range(start, start + count)):
+                e = self.edge_set(k)
+                row[e.i * (2 * m - 1 - e.i) // 2 + e.j - e.i - 1] = True  # triu order
+            return masks
+        u = np.empty((count, len(iu)))
+        batched = min(count, max(0, (1 << 32) - start)) if self.seed < 1 << 32 else 0
+        if batched:
+            bitgen = np.random.PCG64(0)  # its state is set before every draw
+            draw = np.random.Generator(bitgen).random
+            ks = np.arange(start, start + batched, dtype=np.int64).astype(np.uint32)
+            for row, (state, inc) in zip(u, _pcg64_states(self.seed, ks)):
+                bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+                draw(out=row)
+        for c in range(batched, count):
+            self._uniforms(start + c, u[c])
+        return u < self.edge_probability
+
     def matrix(self, k: int) -> np.ndarray:
         """The read-only Metropolis matrix W^k of instant k.
 
@@ -245,9 +373,9 @@ class GraphSchedule:
         """The read-only ``(count, m, m)`` stack W^start, ..., W^(start+count-1).
 
         Periodic schedules stack their cached ``matrix(k)``.  Seeded_random
-        schedules draw each instant as ``edge_set`` does and build the whole
-        stack in one Metropolis pass, without making edge sets or touching
-        the per-instant cache; W^k is bit-identical to ``matrix(k)``.
+        schedules draw the instants in one batch (``_masks``) and build the
+        whole stack in one Metropolis pass, without making edge sets or
+        touching the per-instant cache; W^k is bit-identical to ``matrix(k)``.
         """
         if start < 0:
             raise ValueError("instant index must be nonnegative")
@@ -257,10 +385,7 @@ class GraphSchedule:
             Ws = np.stack([self.matrix(k) for k in range(start, start + count)])
         else:
             iu, ju = _upper_pairs(self.agent_count)
-            u = np.empty((count, iu.shape[0]))
-            for c in range(count):
-                self._uniforms(start + c, u[c])
-            b, pair = np.nonzero(u < self.edge_probability)
+            b, pair = np.nonzero(self._masks(start, count))
             Ws = _metropolis_stack(count, self.agent_count, b, iu[pair], ju[pair])
         Ws.setflags(write=False)
         return Ws
@@ -360,13 +485,38 @@ def matrix_product_window(schedule: GraphSchedule, k: int, gamma: int) -> np.nda
     return P
 
 
-def _reaches_all(links: np.ndarray) -> bool:
-    """Whether agent 0 reaches every agent in the graph whose symmetric,
-    nonnegative ``links`` are positive exactly on its edges and diagonal."""
-    reached = links[0] > 0
+def _window_unions(masks: np.ndarray, gamma: int) -> np.ndarray:
+    """Row s: the union (elementwise or) of rows s, ..., s+gamma-1 of a
+    stack of edge masks, for every window of gamma rows in the stack.
+
+    Unions of 1, 2, 4, ... rows are formed by doubling; a window of gamma
+    rows is then the union of two overlapping ones.
+    """
+    span, unions = 1, masks
+    while 2 * span <= gamma:
+        unions = unions[:-span] | unions[span:]  # each row now spans 2 * span instants
+        span *= 2
+    rest = gamma - span  # 0 <= rest < span, so the two spans overlap or touch
+    return unions[:len(unions) - rest] | unions[rest:]
+
+
+def _all_connected(edges: np.ndarray, m: int) -> bool:
+    """Whether every graph of a stack is connected; row w of ``edges`` marks
+    the pairs of ``_upper_pairs(m)`` that are edges of graph w.
+
+    Reachability from agent 0 grows one hop per batched matrix-vector
+    product, until every agent is reached or no graph gains one.  The
+    products count paths in float32, exactly, since no count exceeds m.
+    """
+    links = np.zeros((len(edges), m, m), dtype=bool)
+    links[:, np.triu(np.ones((m, m), dtype=bool), 1)] = edges  # row-major: triu order
+    links |= links.transpose(0, 2, 1)
+    links.reshape(len(edges), m * m)[:, ::m + 1] = True  # reached agents stay reached
+    links = links.astype(np.float32)
+    reached = links[:, 0] > 0
     count = np.count_nonzero(reached)
-    while count < len(links):
-        reached = links @ reached > 0  # one more hop
+    while count < reached.size:
+        reached = (links @ reached[:, :, None])[:, :, 0] > 0  # one more hop
         grown = np.count_nonzero(reached)
         if grown == count:
             return False
@@ -377,40 +527,38 @@ def _reaches_all(links: np.ndarray) -> bool:
 def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None = None) -> bool:
     """Whether the union of every gamma consecutive edge sets is connected.
 
-    For static and cyclic schedules one period of window starts is checked and
-    the verdict is exact; for seeded_random schedules window starts up to
-    ``horizon - gamma`` are sampled (default horizon 1000).  Each instant's
-    edge set is drawn once per call, in order, and the call returns at the
-    first window whose union is disconnected.  The window's union is kept as
-    a symmetric matrix of per-pair edge counts (add the entering instant,
-    subtract the leaving one), and connectivity is array reachability from
-    agent 0 on it.
+    The windows checked are those of instants ``[k, k + gamma)`` with
+    ``k + gamma <= horizon``.  For static and cyclic schedules one period of
+    window starts is checked and the verdict is exact; for seeded_random
+    schedules the default horizon covers instants 0..HORIZON, the instants
+    ``sigma_gamma`` reads.
+
+    Instants are taken ``SPECTRAL_CHUNK`` at a time as a stack of edge masks
+    (``GraphSchedule._masks``: a seeded_random stack is drawn in one batch, a
+    periodic one comes from its edge sets), each once per call and in order.
+    The windows that end in a chunk have their unions formed from the stack
+    (``_window_unions``) and are tested together by batched reachability;
+    the call returns at the first chunk that holds a disconnected window.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
     period = schedule.period
     if horizon is None:
-        horizon = gamma + (period - 1 if period is not None else 1000 - gamma)
+        horizon = gamma + period - 1 if period is not None else HORIZON + 1
     if horizon < gamma:
         raise ValueError("horizon must be at least gamma")
     last_start = horizon - gamma
     if period is not None:
         last_start = min(last_start, period - 1)
-    # links[i, j]: instants of the window with edge (i, j); the unit diagonal
-    # keeps reached agents reached.
+    stop = last_start + gamma
     m = schedule.agent_count
-    links = np.eye(m)
-    cells_of = links.reshape(-1)  # a view: flat index i * m + j is links[i, j]
-    window = deque()
-    for k in range(last_start + gamma):
-        edges = schedule.edge_set(k)
-        cells = np.concatenate((edges.i * m + edges.j, edges.j * m + edges.i))  # (i, j) and (j, i)
-        cells_of[cells] += 1.0  # an edge set holds each edge once
-        window.append(cells)
-        if len(window) == gamma:
-            if not _reaches_all(links):
-                return False
-            cells_of[window.popleft()] -= 1.0
+    masks = np.zeros((0, len(_upper_pairs(m)[0])), dtype=bool)
+    for start in range(0, stop, SPECTRAL_CHUNK):
+        # The last gamma - 1 instants of earlier chunks, then this chunk's.
+        masks = np.concatenate((masks[max(0, len(masks) - gamma + 1):],
+                                schedule._masks(start, min(SPECTRAL_CHUNK, stop - start))))
+        if len(masks) >= gamma and not _all_connected(_window_unions(masks, gamma), m):
+            return False
     return True
 
 
@@ -420,7 +568,9 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
 
     Periodic schedules (static ones have period 1) take the exact max over
     one full period of start instants; seeded_random schedules sample
-    ``k in [gamma-1, horizon]`` and flag the result as an estimate.  Each
+    ``k in [gamma-1, horizon]`` (default ``HORIZON``, the last instant
+    ``gamma_connectivity`` checks by default) and flag the result as an
+    estimate.  Each
     instant's W^k is built once per call (windows of up to ``MAX_GAMMA``
     instants share the schedule's cache).
 
@@ -438,7 +588,7 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
         is_estimate = False
     else:
         if horizon is None:
-            horizon = 1000
+            horizon = HORIZON
         if horizon < gamma:
             raise ValueError("horizon must be at least gamma")
         ks = range(gamma - 1, horizon + 1)

@@ -53,6 +53,8 @@ def logistic_objective(data: np.ndarray, labels: np.ndarray, ridge: float = 0.0)
     labels = np.asarray(labels, dtype=float)
     if data.shape[0] == 0:
         raise ValueError("every logistic agent needs at least one sample")
+    if not ridge >= 0.0:
+        raise ValueError(f"need ridge >= 0, or the objective is not convex (got ridge = {ridge})")
     top = float(np.linalg.eigvalsh(data.T @ data)[-1])
     return LocalObjective("logistic", top / (4.0 * data.shape[0]) + ridge, float(ridge),
                           data=data, labels=labels, ridge=ridge)
@@ -234,18 +236,25 @@ def make_problem(locals_list) -> ProblemInstance:
     return _solved(inst)
 
 
+def _check_sizes(m: int, n: int):
+    if m < 1 or n < 1:
+        raise ValueError(f"need at least one agent and one dimension (got m = {m}, n = {n})")
+
+
 def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
                              seed: int = 0, shared_basis: bool = False) -> ProblemInstance:
     """Seeded random quadratic instance with exact global constants.
 
     Per-agent spectra are drawn and affinely mapped so that ``max_i L_i = L``
-    and ``min_i mu_i = mu`` hold exactly; ValueError unless ``0 <= mu <= L``
-    and ``L > 0``, or when one drawn eigenvalue (m = n = 1) cannot be both.
+    and ``min_i mu_i = mu`` hold exactly; ValueError unless ``m, n >= 1``,
+    ``0 <= mu <= L`` and ``L > 0``, or when one drawn eigenvalue (m = n = 1)
+    cannot be both.
     ``shared_basis=True`` rotates every agent by the same orthogonal matrix,
     which keeps the averaged objective as ill-conditioned as the per-agent
     constants say (independent rotations average out toward isotropy); with
     ``mu = 0`` one agent's Hessian is rank-deficient, the average invertible.
     """
+    _check_sizes(m, n)
     if not (L > 0.0 and 0.0 <= mu <= L):
         raise ValueError(f"need L > 0 and 0 <= mu <= L (got L = {L}, mu = {mu})")
     rng = np.random.default_rng(seed)
@@ -265,7 +274,9 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
 
 def random_logistic_problem(m: int, n: int, samples_per_agent: int = 20,
                             ridge: float = 0.0, seed: int = 0) -> ProblemInstance:
-    """Two-class logistic instance on synthetic Gaussian blobs."""
+    """Two-class logistic instance on synthetic Gaussian blobs; ValueError for
+    an empty size or a negative ridge."""
+    _check_sizes(m, n)
     rng = np.random.default_rng(seed)
     center = rng.standard_normal(n)
     center *= 1.5 / np.linalg.norm(center)

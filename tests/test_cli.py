@@ -218,6 +218,10 @@ def test_run_reports_unsupported_run_settings_as_config_error(tmp_path, capsys, 
     ({"kind": "logistic", "samples_per_agent": 0, "ridge": 0.1}, "at least one sample"),
     ({"kind": "logistic", "m": 1, "samples_per_agent": 1, "ridge": 0.0},
      "separable data, F has no minimizer"),
+    ({"kind": "logistic", "ridge": -1.0}, "need ridge >= 0"),
+    ({"kind": "logistic", "n": 0, "ridge": 0.1}, "need at least one agent and one dimension"),
+    ({"m": 0}, "need at least one agent and one dimension"),
+    ({"n": 0}, "need at least one agent and one dimension"),
 ])
 def test_run_reports_impossible_problem_as_config_error(tmp_path, capsys, problem, reason):
     data = base_config()

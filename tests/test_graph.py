@@ -329,24 +329,36 @@ def test_matrix_cache_is_not_part_of_schedule_identity():
 
 
 def test_gamma_connectivity_draws_each_instant_once_per_call(monkeypatch):
-    draws = []
-    original = GraphSchedule.edge_set
+    draws, edge_sets = [], []
+    masks, edge_set = GraphSchedule._masks, GraphSchedule.edge_set
 
-    def counting(self, k):
-        draws.append(k)
-        return original(self, k)
+    def counting_masks(self, start, count):
+        draws.extend(range(start, start + count))
+        return masks(self, start, count)
 
-    monkeypatch.setattr(GraphSchedule, "edge_set", counting)
+    def counting_edge_set(self, k):
+        edge_sets.append(k)
+        return edge_set(self, k)
+
+    monkeypatch.setattr(GraphSchedule, "_masks", counting_masks)
+    monkeypatch.setattr(GraphSchedule, "edge_set", counting_edge_set)
     assert gamma_connectivity(GraphSchedule.cyclic(9, M9_EDGE_SETS), 3)
-    assert draws == [0, 1, 2, 3, 4]  # one period of window starts, windows of 3
+    assert draws == edge_sets == [0, 1, 2, 3, 4]  # one period of window starts, windows of 3
     sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    horizon = 2 * graph.SPECTRAL_CHUNK + 20  # three chunks, the last one short
     for gamma in (3, 5):
         draws.clear()
-        assert gamma_connectivity(sched, gamma, horizon=60)
-        assert draws == list(range(60))
-    draws.clear()  # a failing window ends the call after the instants it covers
-    assert not gamma_connectivity(GraphSchedule.seeded_random(8, 0.02, seed=1), 2, horizon=60)
-    assert draws == list(range(len(draws))) and len(draws) < 60
+        edge_sets.clear()
+        assert gamma_connectivity(sched, gamma, horizon=horizon)
+        assert draws == list(range(horizon))
+        assert edge_sets == []  # seeded_random instants are drawn in batches
+    # A failing window ends the call within one chunk of the instants it covers.
+    sparse = GraphSchedule.seeded_random(8, 0.02, seed=1)
+    first_fail = next(h for h in range(2, 600) if not gamma_connected_bfs(sparse, 2, h))
+    draws.clear()
+    assert not gamma_connectivity(sparse, 2, horizon=600)
+    assert draws == list(range(len(draws)))
+    assert first_fail <= len(draws) < first_fail + graph.SPECTRAL_CHUNK
 
 
 # ------------------------------------------------- array-native graph layer
@@ -499,6 +511,54 @@ def test_uint32_draw_key_gives_the_tuple_key_stream(monkeypatch):
         assert keys == [(seed, k)]  # beyond one uint32 word: the tuple key
 
 
+# (start, count) batches of the batched draw: from k = 0 over a chunk's length,
+# up to k = 2**32 - 1, and one that straddles 2**32.
+MASK_BATCHES = ((0, 70), (2 ** 32 - 40, 40), (2 ** 32 - 3, 6))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 32 - 1])
+@pytest.mark.parametrize("m,p", [(9, 0.4), (20, 0.1), (7, 0.0), (7, 1.0), (1, 0.5)])
+def test_masks_rows_are_the_default_rng_draws(seed, m, p):
+    sched = GraphSchedule.seeded_random(m, p, seed)
+    pairs = m * (m - 1) // 2
+    for start, count in MASK_BATCHES:
+        masks = sched._masks(start, count)
+        assert masks.shape == (count, pairs) and masks.dtype == bool
+        for c, row in enumerate(masks):
+            expected = np.random.default_rng((seed, start + c)).random(pairs) < p
+            assert np.array_equal(row, expected), (start, c)
+
+
+def test_masks_keep_the_tuple_key_from_2_32_on(monkeypatch):
+    keys = []
+    default_rng = np.random.default_rng
+
+    def spy(key):
+        keys.append(key)
+        return default_rng(key)
+
+    monkeypatch.setattr(graph.np.random, "default_rng", spy)
+    sched = GraphSchedule.seeded_random(9, 0.4, 3)
+    masks = sched._masks(2 ** 32 - 3, 6)
+    assert keys == [(3, 2 ** 32 + c) for c in range(3)]  # the batch splits at 2**32
+    iu, ju = np.triu_indices(9, 1)
+    for c, row in enumerate(masks):
+        assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == _tuple_key_draw(
+            9, 0.4, 3, 2 ** 32 - 3 + c)
+    keys.clear()
+    big = GraphSchedule.seeded_random(9, 0.4, 2 ** 40)
+    big._masks(5, 3)
+    assert keys == [(2 ** 40, 5), (2 ** 40, 6), (2 ** 40, 7)]  # a seed beyond one word
+
+
+def test_masks_of_a_periodic_schedule_mark_its_edge_sets():
+    sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
+    iu, ju = np.triu_indices(9, 1)
+    masks = sched._masks(2, 5)
+    for c, row in enumerate(masks):
+        assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == sched.edge_set(2 + c)
+
+
 # ------------------------------------------------- batched stacks of W^k
 
 # Instants around 2**32: the draw key is one uint32 pair below it, a tuple from it on.
@@ -560,6 +620,43 @@ def test_gamma_connectivity_matches_bfs_reference(name, sched):
         verdicts.append(got)
     if name in ("split", "random8_0.02_1", "random5_0.0_0"):  # the disconnected verdict is covered
         assert not any(verdicts[:2])
+
+
+# Seeded-random schedules and gammas, with the end of the first disconnected
+# window below 3 * SPECTRAL_CHUNK + 11: in each chunk, or none; two gammas are
+# longer than a chunk.
+@pytest.mark.parametrize("m,p,seed,gamma", [
+    (12, 0.12, 3, 4),  # 46
+    (2, 0.5, 891, 5),  # 87
+    (20, 0.1, 3, 4),  # 71
+    (10, 0.2, 3, 3),  # 108
+    (6, 0.01, 1, 70),  # 190
+    (2, 0.5, 891, 7), (20, 0.1, 3, 6), (6, 0.3, 1, 70)])  # none
+def test_batched_gamma_connectivity_matches_bfs_across_chunks(m, p, seed, gamma):
+    sched = GraphSchedule.seeded_random(m, p, seed)
+    horizon = 3 * graph.SPECTRAL_CHUNK + 11
+    for h in (gamma, graph.SPECTRAL_CHUNK + 1, horizon):
+        if h >= gamma:
+            assert gamma_connectivity(sched, gamma, horizon=h) == gamma_connected_bfs(
+                sched, gamma, h), h
+
+
+def test_window_unions_are_the_or_of_each_window():
+    masks = np.random.default_rng(0).random((40, 7)) < 0.2
+    for gamma in range(1, 41):
+        expected = [masks[s:s + gamma].any(axis=0) for s in range(41 - gamma)]
+        assert np.array_equal(graph._window_unions(masks, gamma), expected), gamma
+
+
+def test_connectivity_horizon_covers_the_last_instant_sigma_gamma_reads():
+    # Instants 993..1000 have no edge, and every earlier window of 8 has one:
+    # the only disconnected window of 8 ends at instant 1000.
+    sched = GraphSchedule.seeded_random(2, 0.5, 891)
+    assert gamma_connectivity(sched, 8, horizon=graph.HORIZON)  # instants 0..999
+    assert not gamma_connectivity(sched, 8)
+    assert gamma_connectivity(sched, 9)
+    assert resolve_gamma(sched) == 9
+    assert sigma_gamma(sched, 9).sigma_gamma < 1.0
 
 
 def test_sigma_of_stack_is_max_of_each():

@@ -330,6 +330,22 @@ def test_make_problem_rejects_mixed_kinds_and_empty_agents(rng):
         random_logistic_problem(3, 2, samples_per_agent=0, ridge=0.1)
 
 
+@pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
+def test_generators_reject_empty_sizes(m, n):
+    with pytest.raises(ValueError, match="at least one agent and one dimension"):
+        random_quadratic_problem(m, n)
+    with pytest.raises(ValueError, match="at least one agent and one dimension"):
+        random_logistic_problem(m, n, ridge=0.1)
+
+
+@pytest.mark.parametrize("ridge", [-1.0, -1e-12, float("nan")])
+def test_logistic_rejects_a_negative_ridge(rng, ridge):
+    with pytest.raises(ValueError, match="need ridge >= 0"):
+        logistic_objective(rng.standard_normal((4, 2)), np.ones(4), ridge=ridge)
+    with pytest.raises(ValueError, match="need ridge >= 0"):
+        random_logistic_problem(3, 2, samples_per_agent=5, ridge=ridge)
+
+
 # ------------------------------------------------- stacked layer against per-agent loops
 
 def loop_value(f, x):
