@@ -114,6 +114,9 @@ class AlgorithmConfig:
             raise ValueError("max_iterations must be nonnegative")
         if self.zeta is not None and self.zeta < 1:
             raise ValueError("zeta must be at least 1")
+        if self.zeta is not None and self.variant != "acc_gt_multiconsensus":
+            raise ValueError(f"zeta sets the rounds of acc_gt_multiconsensus only; "
+                             f"variant {self.variant} does not read it")
         if len(self.seeds) != 1:  # run() draws x0 from seeds[0] and reads no other
             raise ValueError(f"seeds must hold exactly one seed, got {tuple(self.seeds)!r}")
 
@@ -265,9 +268,9 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
                       schedule: GraphSchedule) -> dict:
     """Mixing constants, step size, and wrapper parameters for one run.
 
-    Returns a dict with sigma / sigma_gamma / gamma as applicable, the
-    resolved alpha (theorem default or explicit), and zeta / t for the
-    wrapped variants.
+    Returns a dict with sigma (static variants) or sigma_gamma and its
+    estimate flag (time-varying ones), gamma, the resolved alpha (theorem
+    default or explicit), and zeta / t for the wrapped variants.
     """
     out: dict = {"variant": config.variant, "mu_mode": config.mu_mode}
 
@@ -280,7 +283,6 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
     elif config.variant in ("acc_gt_tv", "acc_gt_multiconsensus"):
         gamma = resolve_gamma(schedule)
         report = sigma_gamma_of(schedule, gamma)
-        out["sigma"] = report.sigma
         out["sigma_gamma"] = report.sigma_gamma
         out["sigma_gamma_is_estimate"] = report.is_estimate
         out["gamma"] = gamma
@@ -311,8 +313,9 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     W^{k-1}.  The start is consensual: x^0 = y^0 = z^0 = 1 x0_row^T with
     s^0 = grad f(y^0); ``x0_row`` (finite) defaults to a standard normal row
     drawn from seeds[0], and everything else is pure.  Raises ValueError if
-    strongly_convex mode meets a problem with mu = 0 or an explicit alpha
-    with alpha * mu > 1 (the theorem default meets alpha * mu <= 1), and
+    the schedule's agent count is not the problem's, if strongly_convex mode
+    meets a problem with mu = 0 or an explicit alpha with alpha * mu > 1
+    (the theorem default meets alpha * mu <= 1), and
     DivergenceError (with the iteration index) if an iterate or a recorded
     metric turns non-finite.
 
@@ -321,6 +324,9 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     an observation hook for property checks that need more than the trace
     columns (e.g. the mean of s against the mean gradient).
     """
+    if schedule.agent_count != problem.m:
+        raise ValueError(f"the schedule has {schedule.agent_count} agents "
+                         f"but the problem has {problem.m}")
     if config.mu_mode == "strongly_convex":
         if problem.mu <= 0.0:
             raise ValueError("strongly_convex mode requires a problem with mu > 0")

@@ -39,7 +39,8 @@ silently does nothing.  Edge endpoints and the fields typed ``int`` above
 must be JSON integers: ``5.9``, ``5.0`` and ``true`` are config errors, never
 truncated.  The fields typed ``float`` must be finite JSON numbers (integers
 allowed; ``true``, ``"0.5"``, ``null``, ``NaN`` and ``Infinity`` are config
-errors) and ``shared_basis`` must be ``true`` or ``false``.
+errors) and ``shared_basis`` must be ``true`` or ``false``.  ``graph.m``
+must equal ``problem.m``, and ``zeta`` is for ``acc_gt_multiconsensus`` only.
 
 All floats in emitted CSVs carry 17 significant digits; outputs are
 byte-identical across repeat runs except for a timestamp comment line, which
@@ -232,6 +233,14 @@ def build_algorithm(spec: dict) -> AlgorithmConfig:
         raise ConfigError(f"algorithm: {err}") from err
 
 
+def _check_agents(schedule: GraphSchedule, problem: ProblemInstance):
+    """Raise the config error of a graph whose agent count is not the problem's,
+    before any constant of it is computed."""
+    if schedule.agent_count != problem.m:
+        raise ConfigError(f"graph.m: {schedule.agent_count} does not match "
+                          f"problem.m {problem.m}")
+
+
 def _configured(args) -> dict:
     """The config at ``--config`` with ``--seed`` / ``--diagnostics`` written
     into it, where the builders check them as they check the file's values."""
@@ -273,6 +282,7 @@ def _timestamp(deterministic: bool) -> str | None:
 def _execute(config: dict, problem: ProblemInstance, out_dir: Path, deterministic: bool):
     """Run, certify, and write one experiment cell on its built problem."""
     schedule = build_schedule(config["graph"])
+    _check_agents(schedule, problem)
     alg = build_algorithm(config["algorithm"])
     try:
         trace = run(alg, problem, schedule, diagnostics=config["diagnostics"] == "on")
@@ -319,7 +329,8 @@ def cmd_graph_info(args) -> int:
     try:
         config = load_config(args.config)
         schedule = build_schedule(config["graph"])
-        L = build_problem(config["problem"]).L  # data-derived for logistic problems
+        problem = build_problem(config["problem"])
+        _check_agents(schedule, problem)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -342,6 +353,7 @@ def cmd_graph_info(args) -> int:
         flag = " (estimate)" if report.is_estimate else " (exact)"
         print(f"sigma_gamma = {sig:.17g}{flag} at gamma = {gamma}")
         variants = ("acc_gt_tv", "acc_gt_multiconsensus")
+    L = problem.L  # data-derived for logistic problems
     print(f"default step sizes (L = {L:g}):")
     for variant in variants:
         for mode in ("zero", "strongly_convex"):

@@ -23,9 +23,12 @@ parsing the pairs again.  Any other edge list given to ``metropolis_weights``
 is validated in full.  A build is one vectorized pass, and one kernel builds a
 whole stack of instants as readily as one: ``GraphSchedule.matrix(k)`` is the
 cached per-instant path, while ``GraphSchedule.matrices`` returns a stack of
-consecutive instants, which a seeded_random schedule draws and builds in one
-batch, for multiple consensus.  ``sigma`` takes a whole stack of matrices in
-one batched SVD; ``sigma_gamma`` forms its window products in bounded chunks;
+consecutive instants for multiple consensus.  A seeded_random schedule draws
+and builds such stacks ``SPECTRAL_CHUNK`` aligned instants at a time and keeps
+the last one, so a caller that walks the instants in chunk-aligned pieces
+draws each instant once.  ``sigma`` takes a whole stack of matrices in one
+batched SVD; ``sigma_gamma`` forms its window products in bounded chunks and
+decomposes each chunk's products in one such SVD, the only one it takes;
 ``gamma_connectivity`` tests a chunk of windows at once, by reachability on
 their unions.
 
@@ -58,7 +61,8 @@ MAX_GAMMA = 50
 
 # Window products sigma_gamma forms and decomposes per batch: its memory is
 # O((SPECTRAL_CHUNK + gamma) m^2) whatever the horizon.  gamma_connectivity
-# draws and tests windows in batches of the same size.
+# draws and tests windows in batches of the same size, and a seeded_random
+# schedule draws the stacks that matrices() serves at multiples of it.
 SPECTRAL_CHUNK = 64
 
 # Last instant whose edge set the constants of a seeded_random schedule read by
@@ -242,6 +246,8 @@ class GraphSchedule:
     edge_probability: float | None = None
     seed: int | None = None
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The last chunk-aligned stack matrices() drew, by its first instant (one slot).
+    _chunk: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.agent_count <= 0:
@@ -376,6 +382,15 @@ class GraphSchedule:
         schedules draw the instants in one batch (``_masks``) and build the
         whole stack in one Metropolis pass, without making edge sets or
         touching the per-instant cache; W^k is bit-identical to ``matrix(k)``.
+
+        A seeded_random request that lies inside one chunk of instants
+        ``[c SPECTRAL_CHUNK, (c + 1) SPECTRAL_CHUNK)`` is a read-only slice of
+        that whole chunk's stack, which the schedule keeps in one slot: a
+        caller that walks the instants in chunk-aligned pieces, as
+        ``multiple_consensus`` does, draws and builds each instant once and
+        pays the batch's fixed cost once per chunk.  The old stack is dropped
+        before the next one is built, so the slot holds O(SPECTRAL_CHUNK m^2).
+        Any other request is drawn and built on its own.
         """
         if start < 0:
             raise ValueError("instant index must be nonnegative")
@@ -383,25 +398,37 @@ class GraphSchedule:
             raise ValueError("count must be at least 1")
         if self.period is not None:
             Ws = np.stack([self.matrix(k) for k in range(start, start + count)])
-        else:
-            iu, ju = _upper_pairs(self.agent_count)
-            b, pair = np.nonzero(self._masks(start, count))
-            Ws = _metropolis_stack(count, self.agent_count, b, iu[pair], ju[pair])
+            Ws.setflags(write=False)
+            return Ws
+        first = start - start % SPECTRAL_CHUNK
+        if start + count > first + SPECTRAL_CHUNK:
+            return self._drawn_stack(start, count)
+        if first not in self._chunk:
+            self._chunk.clear()
+            self._chunk[first] = self._drawn_stack(first, SPECTRAL_CHUNK)
+        return self._chunk[first][start - first:start - first + count]
+
+    def _drawn_stack(self, start: int, count: int) -> np.ndarray:
+        """The read-only Metropolis stack of a seeded_random run of instants,
+        drawn in one batch."""
+        iu, ju = _upper_pairs(self.agent_count)
+        b, pair = np.nonzero(self._masks(start, count))
+        Ws = _metropolis_stack(count, self.agent_count, b, iu[pair], ju[pair])
         Ws.setflags(write=False)
         return Ws
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Computed mixing constants for a schedule.
+    """The gamma-step mixing constant of a schedule.
 
-    ``sigma`` is the single-step constant (max over the examined instants);
-    ``sigma_gamma`` the gamma-step product constant.  ``is_estimate`` flags a
+    ``sigma_gamma`` is the gamma-step product constant, the only one the
+    time-varying theorems and step rules read (the single-step constant of
+    a stack of instants is ``sigma(stack)``).  ``is_estimate`` flags a
     finite-horizon sample of a supremum that is exact only for periodic
     schedules.
     """
 
-    sigma: float
     sigma_gamma: float
     gamma: int
     is_estimate: bool
@@ -570,14 +597,15 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     one full period of start instants; seeded_random schedules sample
     ``k in [gamma-1, horizon]`` (default ``HORIZON``, the last instant
     ``gamma_connectivity`` checks by default) and flag the result as an
-    estimate.  Each
-    instant's W^k is built once per call (windows of up to ``MAX_GAMMA``
-    instants share the schedule's cache).
+    estimate.  Each instant's W^k is built once per call (windows of up to
+    ``MAX_GAMMA`` instants share the schedule's cache).
 
     Windows are handled ``SPECTRAL_CHUNK`` at a time: their matrices are
     stacked, the products are formed with batched ``@`` in
-    ``matrix_product_window``'s order, and ``sigma`` takes each stack in one
-    batched SVD.  Memory is O((SPECTRAL_CHUNK + gamma) m^2), not O(horizon m^2).
+    ``matrix_product_window``'s order, and ``sigma`` takes each chunk's
+    products in one batched SVD, the only SVD stack of the chunk (for
+    gamma = 1 the products are the instants' own matrices).  Memory is
+    O((SPECTRAL_CHUNK + gamma) m^2), not O(horizon m^2).
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
@@ -595,15 +623,12 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
         is_estimate = True
 
     sig_g = 0.0
-    sig_1 = 0.0
     for first in range(ks.start, ks.stop, SPECTRAL_CHUNK):
         count = min(SPECTRAL_CHUNK, ks.stop - first)
         # Ws[c + s] = W^{k - gamma + 1 + s} for the window ending at k = first + c.
         Ws = np.stack([schedule.matrix(r) for r in range(first - gamma + 1, first + count)])
-        P = Ws[:count]
+        P = Ws[:count]  # for gamma = 1 the windows are the instants themselves
         for s in range(1, gamma):
             P = Ws[s:s + count] @ P
-        chunk_1 = sigma(Ws[gamma - 1:])
-        sig_1 = max(sig_1, chunk_1)
-        sig_g = max(sig_g, sigma(P) if gamma > 1 else chunk_1)
-    return SpectralReport(sig_1, sig_g, gamma, is_estimate)
+        sig_g = max(sig_g, sigma(P))
+    return SpectralReport(sig_g, gamma, is_estimate)

@@ -9,8 +9,9 @@ smaller effective contraction constant:
   ``t = ceil(1/sqrt(nu))`` rounds contract disagreement to a constant factor
   at most 0.65 independent of how close sigma is to 1.
 * Multiple consensus (time-varying schedules) chains ``zeta`` consecutive
-  schedule matrices, a seeded_random schedule's as batched stacks from
-  ``GraphSchedule.matrices`` rather than one ``matrix(k)`` at a time; with
+  schedule matrices, a seeded_random schedule's as slices of the
+  chunk-aligned stacks ``GraphSchedule.matrices`` keeps, rather than one
+  ``matrix(k)`` at a time, so consecutive calls draw each instant once; with
   ``zeta = ceil(gamma / (1 - sigma_gamma))`` the disagreement shrinks by at
   least 1/e per call.
 
@@ -134,8 +135,10 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
     schedule the disagreement norm contracts by at least a factor 1/e per
     call.  A periodic schedule's cached ``matrix(k)`` are chained as they
     are, since stacking them would copy each one.  A seeded_random schedule's
-    come from ``schedule.matrices`` in stacks of at most ``SPECTRAL_CHUNK``
-    instants, so memory is O(SPECTRAL_CHUNK m^2) whatever zeta is.
+    come from ``schedule.matrices``, with the rounds cut at multiples of
+    ``SPECTRAL_CHUNK``: each piece is a slice of the one chunk stack the
+    schedule keeps, so a run of calls draws and builds every instant once,
+    and memory is O(SPECTRAL_CHUNK m^2) whatever zeta is.
     ``weight_rule`` must be None or ``metropolis_weights``, the only rule the
     schedule builds.
     """
@@ -147,8 +150,8 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
     stop = start_round + zeta
     if schedule.period is not None:
         return reduce(lambda v, k: schedule.matrix(k) @ v, range(start_round, stop), u)
-    for first in range(start_round, stop, SPECTRAL_CHUNK):
-        # reduce holds each stack only while chaining it: two never coexist.
-        u = reduce(lambda v, W: W @ v,
-                   schedule.matrices(first, min(SPECTRAL_CHUNK, stop - first)), u)
+    cuts = [start_round, *range((start_round // SPECTRAL_CHUNK + 1) * SPECTRAL_CHUNK, stop,
+                                SPECTRAL_CHUNK), stop]
+    for first, last in zip(cuts, cuts[1:]):
+        u = reduce(lambda v, W: W @ v, schedule.matrices(first, last - first), u)
     return u

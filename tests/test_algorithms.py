@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule,
-                     aggregate_gradient, algorithms, default_alpha, make_problem,
+                     aggregate_gradient, algorithms, default_alpha, graph, make_problem,
                      metropolis_weights, quadratic_objective,
                      random_quadratic_problem, resolve_constants, run,
                      theta_next)
@@ -264,6 +264,13 @@ def test_config_validation():
         AlgorithmConfig(variant="gt", seeds=())
 
 
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "acc_gt_multiconsensus"])
+def test_config_rejects_zeta_for_variants_that_ignore_it(variant):
+    with pytest.raises(ValueError, match=f"acc_gt_multiconsensus only; variant {variant}"):
+        AlgorithmConfig(variant=variant, alpha=0.1, zeta=5)
+    assert AlgorithmConfig(variant="acc_gt_multiconsensus", zeta=5).zeta == 5
+
+
 def test_config_takes_exactly_one_seed():
     # run() draws x0 from seeds[0]; a second seed would be accepted and ignored.
     with pytest.raises(ValueError, match=r"exactly one seed, got \(1, 2\)"):
@@ -301,6 +308,32 @@ def test_run_k0_has_single_row():
     trace = run(AlgorithmConfig(variant="acc_gt_static", max_iterations=0),
                 prob, ring_schedule(5))
     assert len(trace.rows) == 1 and trace.rows[0].k == 0
+
+
+def test_run_rejects_a_schedule_for_another_agent_count(monkeypatch):
+    # Once the whole spectral setup ran first and numpy's matmul failed later.
+    monkeypatch.setattr(algorithms, "resolve_constants", lambda *args: pytest.fail(
+        "constants were computed for a mismatched schedule"))
+    with pytest.raises(ValueError, match="the schedule has 10 agents but the problem has 8"):
+        run(AlgorithmConfig(variant="acc_gt_tv", alpha=0.1), random_quadratic_problem(8, 2),
+            GraphSchedule.seeded_random(10, 0.3, seed=1))
+
+
+def test_multiconsensus_run_draws_each_round_once(monkeypatch):
+    prob = random_quadratic_problem(8, 2, seed=1)
+    sched = GraphSchedule.seeded_random(8, 0.3, seed=4)
+    cfg = AlgorithmConfig(variant="acc_gt_multiconsensus", alpha=0.1, zeta=7,
+                          max_iterations=20)
+    consts = resolve_constants(cfg, prob, sched)  # its connectivity check draws too
+    monkeypatch.setattr(algorithms, "resolve_constants", lambda *args: dict(consts))
+    drawn, masks = [], GraphSchedule._masks
+    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
+        drawn.append(count) or masks(self, start, count)))
+    rounds = run(cfg, prob, sched, diagnostics=False).rows[-1].comm_rounds
+    assert rounds == 3 * 7 * 20
+    # Whole chunks, each once: 7 batches, where one batch per call made 60.
+    assert rounds <= sum(drawn) <= rounds + graph.SPECTRAL_CHUNK
+    assert len(drawn) == math.ceil(rounds / graph.SPECTRAL_CHUNK)
 
 
 def test_run_is_deterministic():

@@ -211,6 +211,52 @@ def test_run_reports_unsupported_run_settings_as_config_error(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+def mismatched_agents_config():
+    # A seeded-random graph of 10 agents for a problem of 8: numpy's matmul once
+    # failed on it only after the whole spectral setup, as an algorithm error.
+    data = base_config(graph={"m": 10, "kind": "seeded_random", "edge_probability": 0.3,
+                              "seed": 1})
+    data["problem"]["m"] = 8
+    data["algorithm"]["variant"] = "acc_gt_tv"
+    return data
+
+
+MISMATCH_ERROR = "config error: graph.m: 10 does not match problem.m 8\n"
+
+
+@pytest.mark.parametrize("command", ["run", "graph-info"])
+def test_agent_count_mismatch_is_a_graph_config_error(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    args = [command, "--config", write_config(tmp_path, mismatched_agents_config())]
+    assert main(args + (["--out", str(out)] if command == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == MISMATCH_ERROR and captured.out == "" and not out.exists()
+
+
+def test_sweep_reports_agent_count_mismatch_per_cell(tmp_path, capsys):
+    data = mismatched_agents_config()
+    data["algorithm"]["max_iterations"] = 5
+    data["sweep"] = {"problem.m": [10, 8]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, data), "--out", str(out),
+                 "--deterministic"]) == 2
+    rows = read_summary(out)
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"] == MISMATCH_ERROR.strip()
+    assert not (out / "cell_001").exists()
+
+
+def test_run_rejects_zeta_for_a_variant_that_ignores_it(tmp_path, capsys):
+    data = base_config()
+    data["algorithm"]["zeta"] = 5
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: algorithm: zeta sets the rounds of "
+                          "acc_gt_multiconsensus only; variant acc_gt_static")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("problem,reason", [
     ({"L": 0.5, "mu": 1.0}, "0 <= mu <= L"),
     ({"L": -1.0}, "0 <= mu <= L"),
@@ -383,6 +429,7 @@ def test_graph_info_static_ring(tmp_path, capsys):
     cfg = base_config()
     cfg["graph"] = {"m": 10, "kind": "static",
                     "edge_sets": [[[i, (i + 1) % 10] for i in range(10)]]}
+    cfg["problem"]["m"] = 10
     cfg_path = write_config(tmp_path, cfg)
     assert main(["graph-info", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
@@ -396,6 +443,7 @@ def test_graph_info_cyclic_schedule(tmp_path, capsys):
     cfg = base_config()
     cfg["graph"] = {"m": 9, "kind": "cyclic", "period": 3,
                     "edge_sets": [list(map(list, s)) for s in M9_EDGE_SETS]}
+    cfg["problem"]["m"] = 9
     cfg_path = write_config(tmp_path, cfg)
     assert main(["graph-info", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
@@ -408,6 +456,7 @@ def test_graph_info_cyclic_schedule(tmp_path, capsys):
 def test_graph_info_disconnected_graph(tmp_path, capsys):
     cfg = base_config()
     cfg["graph"] = {"m": 4, "kind": "static", "edge_sets": [[[0, 1]]]}
+    cfg["problem"]["m"] = 4
     cfg_path = write_config(tmp_path, cfg)
     assert main(["graph-info", "--config", cfg_path]) == 0
     assert "gamma-connected: false" in capsys.readouterr().out

@@ -7,7 +7,11 @@ at K = 300 for all five variants -- the four accelerated ones in both mu
 modes (``problem.mu`` 0.1 for the strongly-convex runs), gt in zero mode with
 alpha 0.1 -- each with diagnostics on and off, plus a four-cell sweep
 (mu_mode x problem seed) of acc_gt_tv on a cyclic schedule with a logistic
-problem.  Regenerate it only for an intended change of the outputs:
+problem.  A seeded-random schedule (``data/seeded_random_config.json``, gamma
+4, zeta 26) adds ``graph-info`` and, with diagnostics on, a run of
+acc_gt_multiconsensus at the theorem-default step, whose rounds cross many
+64-instant chunks, and one of acc_gt_tv at alpha 0.05.  Regenerate it only
+for an intended change of the outputs:
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/data/cli_golden.json
 """
@@ -28,6 +32,7 @@ from agtrack.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
 README_CONFIG = json.loads((DATA / "readme_config.json").read_text())
+SEEDED_RANDOM_CONFIG = json.loads((DATA / "seeded_random_config.json").read_text())
 K = 300
 
 
@@ -67,6 +72,11 @@ def _cases():
                 cases[f"run-{variant}-{mu_mode}-diag_{diagnostics}"] = (
                     "run", _run_config(variant, mu_mode, diagnostics))
     cases["sweep-cyclic-logistic"] = ("sweep", _sweep_config())
+    tv = copy.deepcopy(SEEDED_RANDOM_CONFIG)
+    tv["algorithm"].update(variant="acc_gt_tv", alpha=0.05)
+    cases["graph-info-seeded-random"] = ("graph-info", SEEDED_RANDOM_CONFIG)
+    cases["run-seeded-random-acc_gt_multiconsensus"] = ("run", SEEDED_RANDOM_CONFIG)
+    cases["run-seeded-random-acc_gt_tv"] = ("run", tv)
     return cases
 
 
@@ -80,10 +90,10 @@ def _outcome(command, config):
         config_path = root / "config.json"
         config_path.write_text(json.dumps(config))
         out = root / "out"
+        outputs = [] if command == "graph-info" else ["--out", str(out), "--deterministic"]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main([command, "--config", str(config_path), "--out", str(out),
-                         "--deterministic"])
+            code = main([command, "--config", str(config_path), *outputs])
         files = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                  for p in sorted(out.rglob("*")) if p.is_file()}
     return {"exit_code": code, "stdout": stdout.getvalue().replace(str(out), "OUT"),

@@ -248,6 +248,7 @@ def test_schedule_periods(ring10, m9_schedule):
 
 # (sigma, sigma_gamma) as float.hex, recorded from the implementation that
 # rebuilt every W^k per use; caching the matrices must not change a bit.
+# sigma is the single-step constant of the instants sigma_gamma reads.
 SPECTRAL_PINS = {
     "ring10_gamma1": ("0x1.becfa67baa318p-1", "0x1.becfa67baa318p-1"),
     "ring10_gamma2": ("0x1.becfa67baa318p-1", "0x1.85ec1842c6a38p-1"),
@@ -268,7 +269,9 @@ def test_spectral_constants_pinned_bitwise(name):
         gamma = resolve_gamma(schedule)
         assert gamma == 3
     report = sigma_gamma(schedule, gamma)
-    assert (report.sigma.hex(), report.sigma_gamma.hex()) == SPECTRAL_PINS[name]
+    last = gamma - 1 + schedule.period if schedule.period else graph.HORIZON + 1
+    single = sigma(np.stack([schedule.matrix(k) for k in range(gamma - 1, last)]))
+    assert (single.hex(), report.sigma_gamma.hex()) == SPECTRAL_PINS[name]
 
 
 # ------------------------------------------------- cached schedule matrices
@@ -592,6 +595,29 @@ def test_matrices_stack_is_read_only_and_leaves_the_cache_alone(builds):
     assert not GraphSchedule.cyclic(9, M9_EDGE_SETS).matrices(0, 3).flags.writeable
 
 
+def test_matrices_inside_a_chunk_are_slices_of_one_kept_stack(monkeypatch):
+    drawn, masks = [], GraphSchedule._masks
+    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
+        drawn.append((start, count)) or masks(self, start, count)))
+    sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    C = graph.SPECTRAL_CHUNK
+    requests = [(3, 10), (13, C - 13), (0, C), (C + 5, 7), (KEY_EDGE - 4, 4)]
+    stacks = [sched.matrices(start, count) for start, count in requests]
+    # One aligned chunk per request run, drawn whole; the old one is dropped.
+    assert drawn == [(0, C), (C, C), (KEY_EDGE + 2 - C, C)]
+    assert list(sched._chunk) == [KEY_EDGE + 2 - C]
+    assert all(Ws.base is stacks[0].base for Ws in stacks[1:3])
+    for (start, count), Ws in zip(requests, stacks):
+        assert Ws.shape == (count, 8, 8) and not Ws.flags.writeable
+        for c in range(count):
+            assert Ws[c].tobytes() == sched.matrix(start + c).tobytes(), (start, c)
+    # A request across a chunk boundary is drawn on its own and leaves the slot.
+    drawn.clear()
+    Ws = sched.matrices(C - 2, 4)
+    assert drawn == [(C - 2, 4)] and list(sched._chunk) == [KEY_EDGE + 2 - C]
+    assert Ws[3].tobytes() == sched.matrix(C + 1).tobytes()
+
+
 def test_matrices_rejects_negative_instant_and_empty_count():
     sched = GraphSchedule.seeded_random(6, 0.5, seed=1)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -677,16 +703,28 @@ def test_sigma_gamma_matches_windowwise_products():
     J = np.full((10, 10), 0.1)
     windows = [np.linalg.norm(matrix_product_window(sched, k, gamma) - J, 2)
                for k in range(gamma - 1, horizon + 1)]
-    singles = [sigma(sched.matrix(k)) for k in range(gamma - 1, horizon + 1)]
     assert report.sigma_gamma == min(max(windows), 1.0)
-    assert report.sigma == max(singles)
+
+
+@pytest.mark.parametrize("gamma", [1, 3])
+def test_sigma_gamma_takes_one_svd_stack_per_chunk(monkeypatch, gamma):
+    stacks, svd_max = [], graph.sigma
+    monkeypatch.setattr(graph, "sigma", lambda W: stacks.append(len(W)) or svd_max(W))
+    sched = GraphSchedule.seeded_random(10, 0.3, seed=2)
+    horizon = 2 * graph.SPECTRAL_CHUNK + 5
+    sigma_gamma(sched, gamma, horizon=horizon)
+    windows = horizon + 2 - gamma  # the windows ending at gamma - 1, ..., horizon
+    C = graph.SPECTRAL_CHUNK
+    assert stacks == [C, C, windows - 2 * C]
 
 
 def test_sigma_gamma_of_benchmark_schedule_pinned_bitwise():
     # The multiple-consensus benchmark's schedule; recorded when sigma_gamma
     # took one window and one SVD at a time.
-    report = sigma_gamma(GraphSchedule.seeded_random(20, 0.1, seed=3), 6)
-    assert (report.sigma.hex(), report.sigma_gamma.hex()) == (
+    sched = GraphSchedule.seeded_random(20, 0.1, seed=3)
+    report = sigma_gamma(sched, 6)
+    single = sigma(np.stack([sched.matrix(k) for k in range(5, graph.HORIZON + 1)]))
+    assert (single.hex(), report.sigma_gamma.hex()) == (
         "0x1.0000000000000p+0", "0x1.987dde36307b0p-1")
     assert report.is_estimate
 

@@ -183,6 +183,36 @@ def test_multiple_consensus_seeded_random_chains_the_per_instant_matrices(rng):
     np.testing.assert_array_equal(out, expected)
 
 
+# Starts and lengths across multiples of SPECTRAL_CHUNK, and across 2**32,
+# where the draw key turns from a uint32 pair to a tuple.
+@pytest.mark.parametrize("start,zeta", [(0, 64), (60, 7), (63, 1), (64, 64), (100, 200),
+                                        (2 ** 32 - 70, 100), (2 ** 32 - 3, 5)])
+def test_multiple_consensus_is_bitwise_the_matrix_chain_across_chunks(rng, start, zeta):
+    sched = GraphSchedule.seeded_random(8, 0.3, seed=4)
+    x = rng.standard_normal((8, 3))
+    expected = x
+    for k in range(start, start + zeta):
+        expected = sched.matrix(k) @ expected
+    out = multiple_consensus(GraphSchedule.seeded_random(8, 0.3, seed=4), None, start, zeta, x)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_consecutive_multiple_consensus_calls_draw_each_round_once(rng, monkeypatch):
+    # As the run loop calls it: zeta rounds per call from a moving round pointer.
+    sched = GraphSchedule.seeded_random(8, 0.3, seed=4)
+    u = expected = rng.standard_normal((8, 3))
+    for k in range(300):
+        expected = sched.matrix(k) @ expected
+    drawn, masks = [], GraphSchedule._masks
+    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
+        drawn.append((start, count)) or masks(self, start, count)))
+    for start in range(0, 300, 30):
+        u = multiple_consensus(sched, None, start, 30, u)
+    assert u.tobytes() == expected.tobytes()
+    C = graph.SPECTRAL_CHUNK
+    assert drawn == [(first, C) for first in range(0, 300, C)]
+
+
 def test_multiple_consensus_memory_is_bounded_by_the_chunk(rng):
     m, zeta = 200, 300
     sched = GraphSchedule.seeded_random(m, 0.05, seed=2)
