@@ -30,7 +30,7 @@ step-size rules proved for the four settings are exposed as
 
 ``run`` is the one implementation of the step; ``probe`` observes each
 instant.  Its one mixing function ``mix(k, v)`` applies the instant-k
-operator (W^k from the schedule's cache, or its Chebyshev / multiple-consensus
+operator (the schedule's ``matrix(k)``, or its Chebyshev / multiple-consensus
 wrapper) at a fixed cost of 1, t or zeta rounds per call, so ``run`` counts
 rounds itself: row k has used 3 calls per iteration (2 for gt) and k + 1
 gradient rounds.  With diagnostics on, ``_Margins`` beside the loop adds the
@@ -46,6 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, gamma_connectivity, sigma as sigma_of, sigma_gamma as sigma_gamma_of
+from .graph import _is_int
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .mixing import chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
 from .problems import ProblemInstance, aggregate_gradient, bregman_distance, consensus_error, inexact_value
@@ -119,6 +120,8 @@ class AlgorithmConfig:
                              f"variant {self.variant} does not read it")
         if len(self.seeds) != 1:  # run() draws x0 from seeds[0] and reads no other
             raise ValueError(f"seeds must hold exactly one seed, got {tuple(self.seeds)!r}")
+        if not (_is_int(self.seeds[0]) and self.seeds[0] >= 0):
+            raise ValueError(f"the run seed must be a non-negative integer, got {self.seeds[0]!r}")
 
 
 def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
@@ -269,8 +272,9 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
     """Mixing constants, step size, and wrapper parameters for one run.
 
     Returns a dict with sigma (static variants) or sigma_gamma and its
-    estimate flag (time-varying ones), gamma, the resolved alpha (theorem
-    default or explicit), and zeta / t for the wrapped variants.
+    estimate flag (time-varying ones; not for multiple consensus with zeta
+    given, which reads neither), gamma, the resolved alpha (theorem default
+    or explicit), and zeta / t for the wrapped variants.
     """
     out: dict = {"variant": config.variant, "mu_mode": config.mu_mode}
 
@@ -281,12 +285,16 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
         out["gamma"] = 1
         sig_for_alpha = out["sigma"]
     elif config.variant in ("acc_gt_tv", "acc_gt_multiconsensus"):
-        gamma = resolve_gamma(schedule)
-        report = sigma_gamma_of(schedule, gamma)
-        out["sigma_gamma"] = report.sigma_gamma
-        out["sigma_gamma_is_estimate"] = report.is_estimate
+        gamma = resolve_gamma(schedule)  # also rejects a schedule that never connects
+        # sigma_gamma sets acc_gt_tv's step rule and the default zeta; the
+        # multiple-consensus step rule reads its wrapper's constant instead.
+        sig_for_alpha = None
+        if config.variant == "acc_gt_tv" or config.zeta is None:
+            report = sigma_gamma_of(schedule, gamma)
+            out["sigma_gamma"] = report.sigma_gamma
+            out["sigma_gamma_is_estimate"] = report.is_estimate
+            sig_for_alpha = report.sigma_gamma
         out["gamma"] = gamma
-        sig_for_alpha = report.sigma_gamma
     else:  # gt
         out["gamma"] = 1
         sig_for_alpha = None
@@ -398,7 +406,7 @@ def _mixer(variant: str, schedule: GraphSchedule, consts: dict):
     """The run's one mixing function ``mix(k, v)`` and the rounds each call costs:
     the Chebyshev degree t (also put in ``consts["t"]``), zeta for multiple
     consensus (which keeps its round pointer here), or 1 for gossip with the
-    schedule's cached W^k."""
+    schedule's ``matrix(k)``."""
     if variant == "acc_gt_chebyshev":
         op = chebyshev_operator(schedule.matrix(0))
         consts["t"] = op.t

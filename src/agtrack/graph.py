@@ -21,16 +21,17 @@ value that carries its endpoints as arrays; every schedule instant is one, and
 ``metropolis_weights`` and ``gamma_connectivity`` take its arrays without
 parsing the pairs again.  Any other edge list given to ``metropolis_weights``
 is validated in full.  A build is one vectorized pass, and one kernel builds a
-whole stack of instants as readily as one: ``GraphSchedule.matrix(k)`` is the
-cached per-instant path, while ``GraphSchedule.matrices`` returns a stack of
-consecutive instants for multiple consensus.  A seeded_random schedule draws
-and builds such stacks ``SPECTRAL_CHUNK`` aligned instants at a time and keeps
-the last one, so a caller that walks the instants in chunk-aligned pieces
-draws each instant once.  ``sigma`` takes a whole stack of matrices in one
-batched SVD; ``sigma_gamma`` forms its window products in bounded chunks and
-decomposes each chunk's products in one such SVD, the only one it takes;
-``gamma_connectivity`` tests a chunk of windows at once, by reachability on
-their unions.
+whole stack of instants as readily as one.
+
+``GraphSchedule.matrix(k)`` is the one way the methods get W^k.  A periodic
+schedule builds each of its period matrices once; a seeded_random schedule
+draws and builds ``SPECTRAL_CHUNK`` aligned instants at a time and keeps the
+last such stack, so a caller that walks the instants in order, as gossip and
+multiple consensus do, draws each instant once.  ``sigma`` takes a whole
+stack of matrices in one batched SVD; ``sigma_gamma`` forms its window
+products in bounded chunks and decomposes each chunk's products in one such
+SVD, the only one it takes; ``gamma_connectivity`` tests a chunk of windows at
+once, by reachability on their unions.
 
 A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
 never depends on evaluation order.  ``edge_set(k)`` draws one instant through
@@ -38,9 +39,8 @@ never depends on evaluation order.  ``edge_set(k)`` draws one instant through
 consecutive instants bit for bit the same, without a ``default_rng`` each: it
 hashes all their keys at once in uint32 array arithmetic, as numpy's
 ``SeedSequence`` would, and seeds one reused ``PCG64`` per instant.
-``matrices`` and ``gamma_connectivity`` take their instants from it.
-``matrix(k)``, and with it ``sigma_gamma``, keeps ``edge_set``: for a single
-key ``default_rng`` costs less than the batched hash.
+``matrix`` and ``gamma_connectivity`` take their instants from it;
+``sigma_gamma`` builds its windows from ``edge_set``.
 """
 from __future__ import annotations
 
@@ -55,14 +55,13 @@ import numpy as np
 DS_BUILD_TOL = 1e-12
 DS_INPUT_TOL = 1e-9
 
-# Largest gamma resolve_gamma searches, and the number of recent matrices a
-# seeded_random schedule caches so windows of up to MAX_GAMMA reuse them.
+# Largest gamma resolve_gamma searches.
 MAX_GAMMA = 50
 
 # Window products sigma_gamma forms and decomposes per batch: its memory is
 # O((SPECTRAL_CHUNK + gamma) m^2) whatever the horizon.  gamma_connectivity
 # draws and tests windows in batches of the same size, and a seeded_random
-# schedule draws the stacks that matrices() serves at multiples of it.
+# schedule draws and keeps the stacks matrix(k) serves at multiples of it.
 SPECTRAL_CHUNK = 64
 
 # Last instant whose edge set the constants of a seeded_random schedule read by
@@ -245,9 +244,9 @@ class GraphSchedule:
     edge_sets: tuple[EdgeSet, ...] | None = None
     edge_probability: float | None = None
     seed: int | None = None
+    # matrix(k)'s store: a periodic schedule's matrices by k mod period, a
+    # seeded_random schedule's one chunk stack by its first instant.
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # The last chunk-aligned stack matrices() drew, by its first instant (one slot).
-    _chunk: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.agent_count <= 0:
@@ -359,63 +358,36 @@ class GraphSchedule:
     def matrix(self, k: int) -> np.ndarray:
         """The read-only Metropolis matrix W^k of instant k.
 
-        Periodic schedules build each of their ``period`` matrices once;
-        seeded_random schedules keep the ``MAX_GAMMA`` most recently built.
+        A periodic schedule builds each of its ``period`` matrices once.  A
+        seeded_random schedule returns a view into the stack of the
+        ``SPECTRAL_CHUNK`` aligned instants that hold k, drawn in one batch
+        (``_masks``) and built in one Metropolis pass.  It keeps that one
+        stack and drops it before the next is built, so a caller that walks
+        the instants in order draws each once, and the store holds
+        O(SPECTRAL_CHUNK m^2).  Either way W^k is bitwise
+        ``metropolis_weights(edge_set(k), m)``.
         """
+        if self.schedule_kind == "seeded_random":  # first: multiple consensus calls it per round
+            first = k - k % SPECTRAL_CHUNK
+            Ws = self._matrices.get(first)
+            if Ws is None:
+                if k < 0:
+                    raise ValueError("instant index must be nonnegative")
+                self._matrices.clear()
+                iu, ju = _upper_pairs(self.agent_count)
+                b, pair = np.nonzero(self._masks(first, SPECTRAL_CHUNK))
+                Ws = _metropolis_stack(SPECTRAL_CHUNK, self.agent_count, b, iu[pair], ju[pair])
+                Ws.setflags(write=False)
+                self._matrices[first] = Ws
+            return Ws[k - first]
         if k < 0:
             raise ValueError("instant index must be nonnegative")
-        period = self.period
-        key = k % period if period is not None else k
+        key = k % self.period
         W = self._matrices.get(key)
         if W is None:
-            W = metropolis_weights(self.edge_set(k), self.agent_count)
+            W = self._matrices[key] = metropolis_weights(self.edge_set(k), self.agent_count)
             W.setflags(write=False)
-            if period is None and len(self._matrices) >= MAX_GAMMA:
-                del self._matrices[next(iter(self._matrices))]  # oldest first
-            self._matrices[key] = W
         return W
-
-    def matrices(self, start: int, count: int) -> np.ndarray:
-        """The read-only ``(count, m, m)`` stack W^start, ..., W^(start+count-1).
-
-        Periodic schedules stack their cached ``matrix(k)``.  Seeded_random
-        schedules draw the instants in one batch (``_masks``) and build the
-        whole stack in one Metropolis pass, without making edge sets or
-        touching the per-instant cache; W^k is bit-identical to ``matrix(k)``.
-
-        A seeded_random request that lies inside one chunk of instants
-        ``[c SPECTRAL_CHUNK, (c + 1) SPECTRAL_CHUNK)`` is a read-only slice of
-        that whole chunk's stack, which the schedule keeps in one slot: a
-        caller that walks the instants in chunk-aligned pieces, as
-        ``multiple_consensus`` does, draws and builds each instant once and
-        pays the batch's fixed cost once per chunk.  The old stack is dropped
-        before the next one is built, so the slot holds O(SPECTRAL_CHUNK m^2).
-        Any other request is drawn and built on its own.
-        """
-        if start < 0:
-            raise ValueError("instant index must be nonnegative")
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        if self.period is not None:
-            Ws = np.stack([self.matrix(k) for k in range(start, start + count)])
-            Ws.setflags(write=False)
-            return Ws
-        first = start - start % SPECTRAL_CHUNK
-        if start + count > first + SPECTRAL_CHUNK:
-            return self._drawn_stack(start, count)
-        if first not in self._chunk:
-            self._chunk.clear()
-            self._chunk[first] = self._drawn_stack(first, SPECTRAL_CHUNK)
-        return self._chunk[first][start - first:start - first + count]
-
-    def _drawn_stack(self, start: int, count: int) -> np.ndarray:
-        """The read-only Metropolis stack of a seeded_random run of instants,
-        drawn in one batch."""
-        iu, ju = _upper_pairs(self.agent_count)
-        b, pair = np.nonzero(self._masks(start, count))
-        Ws = _metropolis_stack(count, self.agent_count, b, iu[pair], ju[pair])
-        Ws.setflags(write=False)
-        return Ws
 
 
 @dataclass(frozen=True)
@@ -597,15 +569,22 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     one full period of start instants; seeded_random schedules sample
     ``k in [gamma-1, horizon]`` (default ``HORIZON``, the last instant
     ``gamma_connectivity`` checks by default) and flag the result as an
-    estimate.  Each instant's W^k is built once per call (windows of up to
-    ``MAX_GAMMA`` instants share the schedule's cache).
+    estimate.
 
     Windows are handled ``SPECTRAL_CHUNK`` at a time: their matrices are
     stacked, the products are formed with batched ``@`` in
     ``matrix_product_window``'s order, and ``sigma`` takes each chunk's
     products in one batched SVD, the only SVD stack of the chunk (for
-    gamma = 1 the products are the instants' own matrices).  Memory is
-    O((SPECTRAL_CHUNK + gamma) m^2), not O(horizon m^2).
+    gamma = 1 the products are the instants' own matrices).  One buffer
+    serves every chunk and carries the last gamma - 1 matrices of the one
+    before, as ``gamma_connectivity`` carries its masks, so each W^k is built
+    once per call and memory is O((SPECTRAL_CHUNK + gamma) m^2), not
+    O(horizon m^2).
+
+    W^k is built here as ``metropolis_weights(edge_set(r), m)``, bitwise
+    ``schedule.matrix(r)``: the benchmark's traced run (``agbench``) records
+    calls to ``edge_set`` and this module's ``metropolis_weights``, and on a
+    seeded_random schedule this is their only caller.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
@@ -622,11 +601,16 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
         ks = range(gamma - 1, horizon + 1)
         is_estimate = True
 
-    sig_g = 0.0
+    m = schedule.agent_count
+    sig_g, Ws = 0.0, np.empty((gamma - 1 + SPECTRAL_CHUNK, m, m))
     for first in range(ks.start, ks.stop, SPECTRAL_CHUNK):
         count = min(SPECTRAL_CHUNK, ks.stop - first)
-        # Ws[c + s] = W^{k - gamma + 1 + s} for the window ending at k = first + c.
-        Ws = np.stack([schedule.matrix(r) for r in range(first - gamma + 1, first + count)])
+        # Ws[c + s] = W^{k - gamma + 1 + s} for the window ending at k = first + c:
+        # the last gamma - 1 instants of the (full) chunk before, then this chunk's.
+        if first > ks.start:
+            Ws[:gamma - 1] = Ws[SPECTRAL_CHUNK:]
+        for r in range(first if first > ks.start else 0, first + count):
+            Ws[r - first + gamma - 1] = metropolis_weights(schedule.edge_set(r), m)
         P = Ws[:count]  # for gamma = 1 the windows are the instants themselves
         for s in range(1, gamma):
             P = Ws[s:s + count] @ P

@@ -9,9 +9,7 @@ smaller effective contraction constant:
   ``t = ceil(1/sqrt(nu))`` rounds contract disagreement to a constant factor
   at most 0.65 independent of how close sigma is to 1.
 * Multiple consensus (time-varying schedules) chains ``zeta`` consecutive
-  schedule matrices, a seeded_random schedule's as slices of the
-  chunk-aligned stacks ``GraphSchedule.matrices`` keeps, rather than one
-  ``matrix(k)`` at a time, so consecutive calls draw each instant once; with
+  schedule matrices ``GraphSchedule.matrix(k)``; with
   ``zeta = ceil(gamma / (1 - sigma_gamma))`` the disagreement shrinks by at
   least 1/e per call.
 
@@ -27,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .graph import SPECTRAL_CHUNK, GraphSchedule, metropolis_weights, sigma as sigma_of
+from .graph import GraphSchedule, metropolis_weights, sigma as sigma_of
 
 SYMMETRY_TOL = 1e-12
 # sigma below this is treated as exact consensus in one round: the Chebyshev
@@ -133,25 +131,14 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
 
     With ``zeta = ceil(gamma / (1 - sigma_gamma))`` on a gamma-connected
     schedule the disagreement norm contracts by at least a factor 1/e per
-    call.  A periodic schedule's cached ``matrix(k)`` are chained as they
-    are, since stacking them would copy each one.  A seeded_random schedule's
-    come from ``schedule.matrices``, with the rounds cut at multiples of
-    ``SPECTRAL_CHUNK``: each piece is a slice of the one chunk stack the
-    schedule keeps, so a run of calls draws and builds every instant once,
-    and memory is O(SPECTRAL_CHUNK m^2) whatever zeta is.
-    ``weight_rule`` must be None or ``metropolis_weights``, the only rule the
-    schedule builds.
+    call.  Round k mixes with ``schedule.matrix(k)``, so a run of calls on a
+    seeded_random schedule draws and builds every instant once, and memory is
+    the schedule's one chunk stack whatever zeta is.  ``weight_rule`` must be
+    None or ``metropolis_weights``, the only rule the schedule builds.
     """
     if zeta < 1:
         raise ValueError("zeta must be at least 1")
     if weight_rule not in (None, metropolis_weights):
         raise ValueError("multiple consensus mixes with the schedule's Metropolis matrices only")
-    u = np.asarray(x, dtype=float)
-    stop = start_round + zeta
-    if schedule.period is not None:
-        return reduce(lambda v, k: schedule.matrix(k) @ v, range(start_round, stop), u)
-    cuts = [start_round, *range((start_round // SPECTRAL_CHUNK + 1) * SPECTRAL_CHUNK, stop,
-                                SPECTRAL_CHUNK), stop]
-    for first, last in zip(cuts, cuts[1:]):
-        u = reduce(lambda v, W: W @ v, schedule.matrices(first, last - first), u)
-    return u
+    return reduce(lambda v, k: schedule.matrix(k) @ v, range(start_round, start_round + zeta),
+                  np.asarray(x, dtype=float))

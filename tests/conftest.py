@@ -39,7 +39,9 @@ def rng():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count Metropolis matrix builds made through GraphSchedule.matrix."""
+    """Count Metropolis matrix builds made through graph.metropolis_weights:
+    a periodic schedule's GraphSchedule.matrix and sigma_gamma's windows.  A
+    seeded_random schedule's matrix(k) builds whole chunk stacks without it."""
     count = [0]
     original = graph.metropolis_weights
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule,
+from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule, NotGammaConnectedError,
                      aggregate_gradient, algorithms, default_alpha, graph, make_problem,
                      metropolis_weights, quadratic_objective,
                      random_quadratic_problem, resolve_constants, run,
@@ -278,6 +278,14 @@ def test_config_takes_exactly_one_seed():
     assert AlgorithmConfig(variant="gt", seeds=(5,)).seeds == (5,)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, None, "3"])
+def test_config_run_seed_must_be_a_non_negative_integer(seed):
+    # -1 was accepted and failed in run(), after the whole spectral setup.
+    with pytest.raises(ValueError, match=f"non-negative integer, got {seed!r}"):
+        AlgorithmConfig(variant="gt", seeds=(seed,))
+    assert AlgorithmConfig(variant="gt", seeds=(np.int64(2 ** 40),)).seeds == (2 ** 40,)
+
+
 def test_resolve_constants_static_and_tv(m9_schedule):
     prob = random_quadratic_problem(9, 2, seed=9)
     tv = resolve_constants(AlgorithmConfig(variant="acc_gt_tv"), prob, m9_schedule)
@@ -317,6 +325,26 @@ def test_run_rejects_a_schedule_for_another_agent_count(monkeypatch):
     with pytest.raises(ValueError, match="the schedule has 10 agents but the problem has 8"):
         run(AlgorithmConfig(variant="acc_gt_tv", alpha=0.1), random_quadratic_problem(8, 2),
             GraphSchedule.seeded_random(10, 0.3, seed=1))
+
+
+def test_multiconsensus_with_zeta_given_skips_sigma_gamma(monkeypatch):
+    prob = random_quadratic_problem(8, 2, seed=1)
+    sched = GraphSchedule.seeded_random(8, 0.3, seed=4)
+    derived = resolve_constants(AlgorithmConfig(variant="acc_gt_multiconsensus", alpha=0.1),
+                                prob, sched)  # zeta derived: sigma_gamma is computed
+    assert "sigma_gamma" in derived and derived["zeta"] > 1
+    monkeypatch.setattr(algorithms, "sigma_gamma_of", lambda *args: pytest.fail(
+        "sigma_gamma computed though no step rule or zeta reads it"))
+    for alpha in (0.1, "theorem_default"):  # the step rule reads the wrapper's constant
+        consts = resolve_constants(AlgorithmConfig(variant="acc_gt_multiconsensus",
+                                                   alpha=alpha, zeta=7), prob, sched)
+        assert consts["gamma"] == derived["gamma"] and consts["zeta"] == 7
+        assert "sigma_gamma" not in consts and "sigma_gamma_is_estimate" not in consts
+    assert consts["alpha"] == default_alpha("acc_gt_multiconsensus", prob.L, derived["sigma_gamma"])
+    # gamma is still resolved, so a schedule that never connects is still rejected.
+    with pytest.raises(NotGammaConnectedError):
+        resolve_constants(AlgorithmConfig(variant="acc_gt_multiconsensus", alpha=0.1, zeta=7),
+                          prob, GraphSchedule.seeded_random(8, 0.0, seed=4))
 
 
 def test_multiconsensus_run_draws_each_round_once(monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from agtrack import (AlgorithmConfig, default_alpha, random_logistic_problem,
+from agtrack import (AlgorithmConfig, algorithms, default_alpha, random_logistic_problem,
                      random_quadratic_problem, sigma)
 from agtrack.algorithms import CSV_COLUMNS
 from agtrack.cli import (ALGORITHM_FIELDS, PROBLEM_FIELDS, ConfigError, build_algorithm,
@@ -595,6 +595,22 @@ def test_negative_random_graph_seed_is_a_graph_config_error(tmp_path, capsys, co
     assert captured.err.startswith("config error: graph: ")
     assert "non-negative integer seed, got -1" in captured.err
     assert "gamma-connected" not in captured.out and not out.exists()
+
+
+def test_negative_run_seed_is_an_algorithm_config_error(tmp_path, capsys, monkeypatch):
+    # Once accepted: run() spent the whole spectral setup, then failed with
+    # numpy's "expected non-negative integer".
+    monkeypatch.setattr(algorithms, "resolve_constants", lambda *args: pytest.fail(
+        "constants were computed for a run that cannot start"))
+    data = base_config()
+    data["graph"] = {"m": 5, "kind": "seeded_random", "edge_probability": 0.5, "seed": 1}
+    data["algorithm"].update(variant="acc_gt_tv", seeds=[-1])
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: algorithm: ")
+    assert "non-negative integer, got -1" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_graph_info_step_sizes_use_the_built_problems_L(tmp_path, capsys):

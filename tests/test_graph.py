@@ -294,8 +294,12 @@ def test_schedule_matrix_is_read_only(m9_schedule):
 def test_schedule_matrix_rejects_negative_instant(m9_schedule):
     with pytest.raises(ValueError):
         m9_schedule.matrix(-1)
+    sched = GraphSchedule.seeded_random(6, 0.5, seed=1)
     with pytest.raises(ValueError):
-        GraphSchedule.seeded_random(6, 0.5, seed=1).matrix(-1)
+        sched.matrix(-1)
+    sched.matrix(0)  # a kept chunk stack does not serve a negative instant
+    with pytest.raises(ValueError, match="nonnegative"):
+        sched.matrix(-1)
 
 
 def test_periodic_schedule_builds_each_matrix_once(builds):
@@ -307,20 +311,32 @@ def test_periodic_schedule_builds_each_matrix_once(builds):
 
 
 def test_sigma_gamma_builds_each_instant_once_per_call(builds):
-    assert sigma_gamma(GraphSchedule.cyclic(9, M9_EDGE_SETS), 3).gamma == 3
-    assert builds[0] == 3
+    # Its windows are built apart from matrix(k)'s store, which they leave empty.
+    sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
+    assert sigma_gamma(sched, 3).gamma == 3
+    assert builds[0] == 5  # W^0 .. W^4, the windows ending at 2, 3 and 4
     builds[0] = 0
-    sigma_gamma(GraphSchedule.seeded_random(8, 0.4, seed=5), 3, horizon=40)
-    assert builds[0] == 41  # W^0 .. W^40
-
-
-def test_random_schedule_cache_is_bounded(builds):
     sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
-    sigma_gamma(sched, graph.MAX_GAMMA, horizon=300)
-    assert builds[0] == 301  # a window of MAX_GAMMA instants still reuses its matrices
-    assert len(sched._matrices) == graph.MAX_GAMMA
-    sched.matrix(0)  # evicted long ago: built again
-    assert builds[0] == 302
+    for gamma in (3, graph.MAX_GAMMA):  # a window of MAX_GAMMA spans chunks
+        sigma_gamma(sched, gamma, horizon=300)
+        assert builds[0] == 301  # W^0 .. W^300
+        builds[0] = 0
+    assert not sched._matrices
+
+
+def test_random_schedule_cache_is_bounded(monkeypatch):
+    drawn, masks = [], GraphSchedule._masks
+    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
+        drawn.append(start) or masks(self, start, count)))
+    sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    C = graph.SPECTRAL_CHUNK
+    for k in range(300):
+        sched.matrix(k)
+    # One stack of C instants, whatever was visited before it.
+    assert drawn == list(range(0, 300, C))
+    assert [Ws.shape for Ws in sched._matrices.values()] == [(C, 8, 8)]
+    sched.matrix(0)  # dropped long ago: drawn again
+    assert drawn[-1] == 0 and list(sched._matrices) == [0]
 
 
 def test_matrix_cache_is_not_part_of_schedule_identity():
@@ -562,37 +578,22 @@ def test_masks_of_a_periodic_schedule_mark_its_edge_sets():
         assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == sched.edge_set(2 + c)
 
 
-# ------------------------------------------------- batched stacks of W^k
+# ------------------------------------------------- chunk stacks of W^k
 
 # Instants around 2**32: the draw key is one uint32 pair below it, a tuple from it on.
 KEY_EDGE = 2 ** 32 - 2
 
 
+# The stack a seeded_random schedule draws in one batch and builds in one
+# Metropolis pass serves matrix(k) bitwise as the per-instant build.
 @pytest.mark.parametrize("m,p", BUILD_GRID + [(12, 0.0), (12, 1.0), (1, 0.0)])
 def test_matrices_stack_is_bitwise_the_per_instant_matrices(m, p):
     sched = GraphSchedule.seeded_random(m, p, seed=m)
     for start, count in ((0, 70 if m < 100 else 12), (KEY_EDGE, 4)):
-        Ws = sched.matrices(start, count)
-        assert Ws.shape == (count, m, m)
-        for c in range(count):
-            assert Ws[c].tobytes() == sched.matrix(start + c).tobytes(), (start, c)
-
-
-def test_matrices_of_a_periodic_schedule_stack_its_cached_matrices():
-    sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
-    Ws = sched.matrices(2, 7)
-    for c in range(7):
-        assert Ws[c].tobytes() == sched.matrix(2 + c).tobytes()
-
-
-def test_matrices_stack_is_read_only_and_leaves_the_cache_alone(builds):
-    sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
-    Ws = sched.matrices(3, 5)
-    assert not Ws.flags.writeable
-    with pytest.raises(ValueError):
-        Ws[0, 0, 0] = 0.5
-    assert builds[0] == 0 and not sched._matrices
-    assert not GraphSchedule.cyclic(9, M9_EDGE_SETS).matrices(0, 3).flags.writeable
+        for k in range(start, start + count):
+            W = sched.matrix(k)
+            assert W.shape == (m, m)
+            assert W.tobytes() == metropolis_weights(sched.edge_set(k), m).tobytes(), k
 
 
 def test_matrices_inside_a_chunk_are_slices_of_one_kept_stack(monkeypatch):
@@ -601,29 +602,17 @@ def test_matrices_inside_a_chunk_are_slices_of_one_kept_stack(monkeypatch):
         drawn.append((start, count)) or masks(self, start, count)))
     sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
     C = graph.SPECTRAL_CHUNK
-    requests = [(3, 10), (13, C - 13), (0, C), (C + 5, 7), (KEY_EDGE - 4, 4)]
-    stacks = [sched.matrices(start, count) for start, count in requests]
-    # One aligned chunk per request run, drawn whole; the old one is dropped.
-    assert drawn == [(0, C), (C, C), (KEY_EDGE + 2 - C, C)]
-    assert list(sched._chunk) == [KEY_EDGE + 2 - C]
-    assert all(Ws.base is stacks[0].base for Ws in stacks[1:3])
-    for (start, count), Ws in zip(requests, stacks):
-        assert Ws.shape == (count, 8, 8) and not Ws.flags.writeable
-        for c in range(count):
-            assert Ws[c].tobytes() == sched.matrix(start + c).tobytes(), (start, c)
-    # A request across a chunk boundary is drawn on its own and leaves the slot.
-    drawn.clear()
-    Ws = sched.matrices(C - 2, 4)
-    assert drawn == [(C - 2, 4)] and list(sched._chunk) == [KEY_EDGE + 2 - C]
-    assert Ws[3].tobytes() == sched.matrix(C + 1).tobytes()
-
-
-def test_matrices_rejects_negative_instant_and_empty_count():
-    sched = GraphSchedule.seeded_random(6, 0.5, seed=1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        sched.matrices(-1, 2)
-    with pytest.raises(ValueError, match="at least 1"):
-        sched.matrices(0, 0)
+    instants = [3, 13, C - 1, 0, C + 5, KEY_EDGE - 4, KEY_EDGE + 2]
+    views = [sched.matrix(k) for k in instants]
+    # One aligned chunk per run of instants, drawn whole; the old one is dropped.
+    assert drawn == [(0, C), (C, C), (KEY_EDGE + 2 - C, C), (KEY_EDGE + 2, C)]
+    assert list(sched._matrices) == [KEY_EDGE + 2]
+    assert all(W.base is views[0].base for W in views[1:4])
+    for k, W in zip(instants, views):
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 0.5
+        assert W.tobytes() == metropolis_weights(sched.edge_set(k), 8).tobytes(), k
 
 
 def _connectivity_schedules():
@@ -740,7 +729,7 @@ def test_sigma_gamma_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert report.is_estimate and 0.0 < report.sigma_gamma <= 1.0
-    # The schedule's cache of MAX_GAMMA matrices plus a few chunk-sized
-    # stacks, far below the horizon's worth of matrices.
-    assert peak < (graph.MAX_GAMMA + 4 * graph.SPECTRAL_CHUNK) * matrix_bytes
+    # A few chunk-sized stacks (the window buffer and what the SVD takes),
+    # far below the horizon's worth of matrices.
+    assert peak < 4 * graph.SPECTRAL_CHUNK * matrix_bytes
     assert peak < (horizon + 1) * matrix_bytes / 3

@@ -177,7 +177,7 @@ def test_multiple_consensus_seeded_random_chains_the_per_instant_matrices(rng):
     x = rng.standard_normal((8, 3))
     expected = x
     for k in range(5, 155):
-        expected = sched.matrix(k) @ expected
+        expected = metropolis_weights(sched.edge_set(k), 8) @ expected
     out = multiple_consensus(GraphSchedule.seeded_random(8, 0.3, seed=4),
                              metropolis_weights, 5, 150, x)
     np.testing.assert_array_equal(out, expected)
@@ -192,7 +192,7 @@ def test_multiple_consensus_is_bitwise_the_matrix_chain_across_chunks(rng, start
     x = rng.standard_normal((8, 3))
     expected = x
     for k in range(start, start + zeta):
-        expected = sched.matrix(k) @ expected
+        expected = metropolis_weights(sched.edge_set(k), 8) @ expected
     out = multiple_consensus(GraphSchedule.seeded_random(8, 0.3, seed=4), None, start, zeta, x)
     assert out.tobytes() == expected.tobytes()
 
@@ -202,7 +202,7 @@ def test_consecutive_multiple_consensus_calls_draw_each_round_once(rng, monkeypa
     sched = GraphSchedule.seeded_random(8, 0.3, seed=4)
     u = expected = rng.standard_normal((8, 3))
     for k in range(300):
-        expected = sched.matrix(k) @ expected
+        expected = metropolis_weights(sched.edge_set(k), 8) @ expected
     drawn, masks = [], GraphSchedule._masks
     monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
         drawn.append((start, count)) or masks(self, start, count)))

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agtrack import (AlgorithmConfig, GraphSchedule, ProblemInstance,
-                     consensus_error, metropolis_weights,
-                     random_logistic_problem, random_quadratic_problem, run)
+from agtrack import (AlgorithmConfig, GraphSchedule, ProblemInstance, algorithms,
+                     consensus_error, graph, metropolis_weights,
+                     random_logistic_problem, random_quadratic_problem, resolve_constants,
+                     run)
 from agtrack.algorithms import CSV_COLUMNS
 from conftest import M9_EDGE_SETS, ring_edges
 from reference_steps import gt_init, gt_step
@@ -137,20 +138,36 @@ def test_objective_evaluated_once_per_mean_iterate(monkeypatch, variant, mode, s
 
 
 @pytest.mark.parametrize("variant,sched_name,expected", [
-    # The period-3 schedule: 3 matrices for resolve_constants and the loop together.
+    # The period-3 schedule: the loop builds its 3 matrices once.
     ("acc_gt_tv", "m9_cyclic", 3),
-    # Each visited instant once: W^0..W^{K-1} for gt, which tracks with W^{k-1} ...
-    ("gt", "random8", K),
-    # ... W^0..W^K for acc_gt_tv, after the horizon + 1 = 1001 instants of
-    # its sigma_gamma call, whose cache keeps only the latest ones.
-    ("acc_gt_tv", "random8", 1001 + K + 1),
 ])
-def test_run_builds_each_instant_matrix_once(builds, variant, sched_name, expected):
+def test_run_builds_each_instant_matrix_once(monkeypatch, builds, variant, sched_name,
+                                             expected):
     schedule = SCHEDULES[sched_name]()
     problem = random_quadratic_problem(schedule.agent_count, 3, seed=6)
-    run(AlgorithmConfig(variant=variant, alpha=0.05, max_iterations=K), problem, schedule,
-        diagnostics=False)
+    config = AlgorithmConfig(variant=variant, alpha=0.05, max_iterations=K)
+    consts = resolve_constants(config, problem, schedule)  # sigma_gamma builds its own
+    monkeypatch.setattr(algorithms, "resolve_constants", lambda *args: dict(consts))
+    builds[0] = 0
+    run(config, problem, schedule, diagnostics=False)
     assert builds[0] == expected
+
+
+@pytest.mark.parametrize("variant", ["gt", "acc_gt_tv"])
+def test_run_draws_each_chunk_once(monkeypatch, variant):
+    # 200 iterations visit W^0 .. W^200 (gt tracks with W^{k-1} and stops at
+    # W^199): four chunks of instants, each drawn once, in order.
+    schedule = SCHEDULES["random8"]()
+    problem = random_quadratic_problem(schedule.agent_count, 3, seed=6)
+    config = AlgorithmConfig(variant=variant, alpha=0.05, max_iterations=200)
+    consts = resolve_constants(config, problem, schedule)  # its connectivity check draws too
+    monkeypatch.setattr(algorithms, "resolve_constants", lambda *args: dict(consts))
+    drawn, masks = [], GraphSchedule._masks
+    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
+        drawn.append((start, count)) or masks(self, start, count)))
+    run(config, problem, schedule, diagnostics=False)
+    C = graph.SPECTRAL_CHUNK
+    assert drawn == [(first, C) for first in range(0, 200, C)]
 
 
 if __name__ == "__main__":
