@@ -615,6 +615,32 @@ def test_matrices_inside_a_chunk_are_slices_of_one_kept_stack(monkeypatch):
         assert W.tobytes() == metropolis_weights(sched.edge_set(k), 8).tobytes(), k
 
 
+def test_matrices_stack_is_read_only_and_leaves_the_cache_alone(builds):
+    sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
+    Ws = [sched.matrix(k) for k in range(3, 8)]
+    assert all(W.base is Ws[0].base and not W.base.flags.writeable for W in Ws)
+    with pytest.raises(ValueError):
+        Ws[0].base[0, 0, 0] = 0.5
+    # The chunk is built without a metropolis_weights call per instant, and
+    # edge_set draws of other instants leave the one kept stack as it is.
+    assert builds[0] == 0 and list(sched._matrices) == [0]
+    sched.edge_set(graph.SPECTRAL_CHUNK + 1)
+    assert list(sched._matrices) == [0] and sched._matrices[0] is Ws[0].base
+    assert not GraphSchedule.cyclic(9, M9_EDGE_SETS).matrix(0).flags.writeable
+
+
+def test_matrices_rejects_negative_instant_and_empty_count():
+    for sched in (GraphSchedule.seeded_random(6, 0.5, seed=1), GraphSchedule.cyclic(9, M9_EDGE_SETS)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sched.matrix(-1)
+        assert not sched._matrices  # a rejected instant draws and keeps nothing
+        with pytest.raises(ValueError, match="nonnegative"):
+            matrix_product_window(sched, 0, -1)
+        # An empty window is the identity and builds no matrix.
+        assert np.array_equal(matrix_product_window(sched, 0, 0), np.eye(sched.agent_count))
+        assert not sched._matrices
+
+
 def _connectivity_schedules():
     yield "m9", GraphSchedule.cyclic(9, M9_EDGE_SETS)
     yield "alternating", GraphSchedule.cyclic(3, [[(0, 1)], [(1, 2)]])
