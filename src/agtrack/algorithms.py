@@ -34,7 +34,10 @@ operator (the schedule's ``matrix(k)``, or its Chebyshev / multiple-consensus
 wrapper) at a fixed cost of 1, t or zeta rounds per call, so ``run`` counts
 rounds itself: row k has used 3 calls per iteration (2 for gt) and k + 1
 gradient rounds.  With diagnostics on, ``_Margins`` beside the loop adds the
-inexact-bound (Lemma 1) and master-inequality (Lemma 4) margins.
+inexact-bound (Lemma 1) and master-inequality (Lemma 4) margins.  They reuse
+the row's output: the loop's gradient at y^k, F(xbar^k) and the column means
+and consensus errors the row measures, so each row adds one evaluation of
+the per-agent values f_(i)(y_i).
 """
 from __future__ import annotations
 
@@ -370,7 +373,8 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
 
     x = z = np.tile(np.asarray(x0_row, dtype=float), (problem.m, 1))
     s = grad = aggregate_gradient(problem, x)
-    F_x = problem.value(x.mean(axis=0))
+    xbar = x.mean(axis=0)
+    F_x = problem.value(xbar)
     margins = (_Margins(problem, alpha, mu, momentum, theta_k, F_x, z)
                if diagnostics else _no_margins)
 
@@ -392,13 +396,19 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
                 z_next = (mix(k, ratio * y + z) - (alpha / theta_k) * s) / (1.0 + ratio)
                 # Without the momentum row (gt) x^{k+1} = z^{k+1} and x is not mixed.
                 x_next = theta_k * z_next + (1.0 - theta_k) * mix(k, x) if momentum else z_next
-                nxt = (x_next, z_next, problem.value(x_next.mean(axis=0)))
-            row = _measure(problem, k, x, y, z, s, F_x, comm_per_iteration * k, k + 1, theta_k,
-                           *margins(x, y, z, s, theta_k, nxt))
+                xbar_next = x_next.mean(axis=0)
+                nxt = (x_next, z_next, xbar_next, problem.value(xbar_next))
+            # Each column mean and squared disagreement is taken once per row,
+            # for the trace row and the margins alike.
+            bars = (xbar, y.mean(axis=0), z.mean(axis=0), s.mean(axis=0))
+            cons = tuple(map(consensus_error, (x, y, z, s), bars))
+            row = _measure(problem, k, x, F_x, bars, cons, comm_per_iteration * k, k + 1,
+                           theta_k, *margins(y, grad if k > 0 else None, F_x, bars, cons[1],
+                                             theta_k, nxt))
             _check_finite(config.variant, row, nxt)
             rows.append(row)
             if nxt is not None:
-                x, z, F_x = nxt
+                x, z, xbar, F_x = nxt
     return RunTrace(rows, meta)
 
 
@@ -431,15 +441,20 @@ def _no_margins(*_):
 class _Margins:
     """Lemma-1 and Lemma-4 diagnostic margins, kept beside the run loop.
 
-    Called once per instant k with that instant's iterates x, y, z, s and
-    ``nxt = (x^{k+1}, z^{k+1}, F(xbar^{k+1}))`` (None at the last instant), it
-    returns trace row k's (lemma4, lemma1_lower, lemma1_upper) margins, each
-    a normalized slack.  Lemma 1 brackets F by the inexact value at (ybar, y):
-    the lower margin at w = x*, the upper one at w = xbar^{k+1}.  The
-    master inequality (Lemma 4) applies to the momentum variants only; its
-    accumulators are kept in damped form (multiplied through by theta_K^2,
-    resp. (1-theta)^{K+1}) so nothing overflows on long runs, and the margin
-    computed at instant k belongs to row k+1.
+    Called once per instant k with what row k has already computed -- y^k,
+    the loop's gradient at y^k, F(xbar^k), the column means ``bars = (xbar,
+    ybar, zbar, sbar)``, ``cons_y = ||Pi y^k||^2`` and ``nxt = (x^{k+1},
+    z^{k+1}, xbar^{k+1}, F(xbar^{k+1}))`` (None at the last instant) -- it
+    returns the row's (lemma4, lemma1_lower, lemma1_upper) margins, each a
+    normalized slack.  It evaluates only the per-agent values f_(i)(y_i),
+    and the Bregman term's F(xbar^k) is the row's.  Row 0 passes no gradient
+    and takes the whole local oracle: s^0 was taken at x^0, which y^0 equals
+    only up to rounding.  Lemma 1 brackets F by the inexact value at
+    (ybar, y): the lower margin at w = x*, the upper one at w = xbar^{k+1}.
+    The master inequality (Lemma 4) applies to the momentum variants only;
+    its accumulators are kept in damped form (multiplied through by
+    theta_K^2, resp. (1-theta)^{K+1}) so nothing overflows on long runs, and
+    the margin computed at instant k belongs to row k+1.
     """
 
     def __init__(self, problem: ProblemInstance, alpha: float, mu: float,
@@ -454,33 +469,33 @@ class _Margins:
         coeff = theta0 * theta0 / (2.0 * alpha) + mu * theta0 / 2.0
         self.base = F0 - problem.F_star + coeff * self.zbar0_dist
 
-    def __call__(self, x, y, z, s, theta, nxt):
+    def __call__(self, y, grad_y, F_x, bars, cons_y, theta, nxt):
         P = self.problem
-        ybar = y.mean(axis=0)
-        sbar = s.mean(axis=0)
-        fhat = inexact_value(P, ybar, y)
-        cons_y = consensus_error(y)
+        xbar, ybar, zbar, sbar = bars
+        local = P._local(y) if grad_y is None else (P._values(y), grad_y)
+        fhat = inexact_value(P, ybar, y, local=local)
         dstar = P.x_star - ybar
         lower_side = fhat + sbar @ dstar + 0.5 * self.mu * (dstar @ dstar)
         lower = float((P.F_star - lower_side) / max(1.0, abs(P.F_star)))
         lemma4 = self.lemma4
         if nxt is None:
             return lemma4, lower, NAN
-        x_next, z_next, F_next = nxt
-        d = x_next.mean(axis=0) - ybar
+        _, z_next, xbar_next, F_next = nxt
+        d = xbar_next - ybar
         bound = fhat + sbar @ d + 0.5 * P.L * (d @ d) + P.L / (2.0 * P.m) * cons_y
         upper = (bound - F_next) / max(1.0, abs(F_next))
         if self.momentum:
-            self._next_lemma4(x, y, z, z_next, theta, F_next, cons_y)
+            breg = bregman_distance(P, xbar, y, local=local, F_x=F_x)
+            self._next_lemma4(zbar, z_next, theta, F_next, cons_y, breg)
         return lemma4, lower, upper
 
-    def _next_lemma4(self, x, y, z, z_next, theta, F_next, cons_y):
+    def _next_lemma4(self, zbar, z_next, theta, F_next, cons_y, breg):
         """The master-inequality margin of the next row."""
         P, alpha, L = self.problem, self.alpha, self.problem.L
-        dzbar = z_next.mean(axis=0) - z.mean(axis=0)
+        zbar_next = z_next.mean(axis=0)
+        dzbar = zbar_next - zbar
         dz2 = float(dzbar @ dzbar)
-        breg = bregman_distance(P, x.mean(axis=0), y)
-        zdist = float(np.sum((z_next.mean(axis=0) - P.x_star) ** 2))
+        zdist = float(np.sum((zbar_next - P.x_star) ** 2))
         self.acc_y = (1.0 - theta) * self.acc_y + (L / (2.0 * P.m)) * cons_y
         if self.mu > 0.0:
             self.acc_drop = (1.0 - theta) * self.acc_drop \
@@ -500,18 +515,19 @@ class _Margins:
         self.lemma4 = (rhs - lhs) / max(1.0, abs(lhs))
 
 
-def _measure(problem, k, x, y, z, s, F_x, comm, grad, theta_k, lemma4, lower, upper):
+def _measure(problem, k, x, F_x, bars, cons, comm, grad, theta_k, lemma4, lower, upper):
+    """Trace row k from the row's column means ``bars`` and squared
+    disagreements ``cons``, both ordered (x, y, z, s)."""
     m = problem.m
     per_agent = float((problem.value_many(x) - problem.F_star).max())
-    zbar = z.mean(axis=0)
+    cons_x, cons_y, cons_z, cons_s = cons
     return TraceRow(
         k=k, gap=float(F_x - problem.F_star), per_agent_gap_max=per_agent,
-        cons_x=consensus_error(x) / m, cons_y=consensus_error(y) / m,
-        cons_s=consensus_error(s) / m,
-        zbar_dist=float(np.sum((zbar - problem.x_star) ** 2)),
+        cons_x=cons_x / m, cons_y=cons_y / m, cons_s=cons_s / m,
+        zbar_dist=float(np.sum((bars[2] - problem.x_star) ** 2)),
         comm_rounds=comm, grad_rounds=grad,
         lemma4_margin=lemma4, lemma1_lower_margin=lower, lemma1_upper_margin=upper,
-        cons_z=consensus_error(z) / m, theta=theta_k)
+        cons_z=cons_z / m, theta=theta_k)
 
 
 def _check_finite(variant: str, row: TraceRow, nxt):

@@ -279,6 +279,11 @@ class GraphSchedule:
     def seeded_random(cls, m: int, edge_probability: float, seed: int) -> "GraphSchedule":
         return cls(m, "seeded_random", None, edge_probability, seed)
 
+    def __getstate__(self):
+        # Pickles and deep copies leave matrix(k)'s store behind (a chunk stack
+        # is O(SPECTRAL_CHUNK m^2)); the copy rebuilds what it reads.
+        return {**self.__dict__, "_matrices": {}}
+
     @property
     def period(self) -> int | None:
         """Replay period: 1 for static, len(edge_sets) for cyclic, None for random."""

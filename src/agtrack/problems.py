@@ -103,16 +103,17 @@ class ProblemInstance:
 
     def _local(self, Y: np.ndarray):
         """Per-agent values ``f_(i)(Y_i)`` (m,) and gradients ``grad f_(i)(Y_i)`` (m, n)."""
+        return self._values(Y), self._gradients(Y)
+
+    def _values(self, Y: np.ndarray) -> np.ndarray:
+        """Per-agent values ``f_(i)(Y_i)`` (m,)."""
         if self.kind == "quadratic":
-            AY = np.einsum("ijk,ik->ij", self.A, Y)
-            return np.einsum("ij,ij->i", Y, 0.5 * AY + self.b), AY + self.b
-        margins = self._margins(Y)
-        loss = np.add.reduceat(np.logaddexp(0.0, -margins), self._starts) / self.counts
-        return (loss + 0.5 * self.ridge * np.einsum("ij,ij->i", Y, Y),
-                self._logistic_gradients(Y, margins))
+            return np.einsum("ij,ij->i", Y, 0.5 * np.einsum("ijk,ik->ij", self.A, Y) + self.b)
+        loss = np.add.reduceat(np.logaddexp(0.0, -self._margins(Y)), self._starts) / self.counts
+        return loss + 0.5 * self.ridge * np.einsum("ij,ij->i", Y, Y)
 
     def _gradients(self, Y: np.ndarray) -> np.ndarray:
-        """``_local``'s gradients (m, n) alone, without computing the values."""
+        """Per-agent gradients ``grad f_(i)(Y_i)`` (m, n)."""
         if self.kind == "quadratic":
             return np.einsum("ijk,ik->ij", self.A, Y) + self.b
         return self._logistic_gradients(Y, self._margins(Y))
@@ -147,23 +148,38 @@ def aggregate_gradient(problem: ProblemInstance, y: np.ndarray) -> np.ndarray:
     return problem._gradients(y)
 
 
-def consensus_error(x: np.ndarray) -> float:
-    """Squared disagreement ``||Pi x||^2`` (Frobenius, rows demeaned)."""
+def consensus_error(x: np.ndarray, xbar: np.ndarray | None = None) -> float:
+    """Squared disagreement ``||Pi x||^2`` (Frobenius, rows demeaned).
+
+    ``xbar``, if given, is x's column mean ``x.mean(axis=0)``, already taken.
+    """
     x = np.asarray(x, dtype=float)
-    centered = x - x.mean(axis=0, keepdims=True)
+    centered = x - (x.mean(axis=0, keepdims=True) if xbar is None else xbar)
     return float((centered * centered).sum())
 
 
-def bregman_distance(problem: ProblemInstance, x: np.ndarray, y: np.ndarray) -> float:
-    """Averaged first-order residual D_f(x, y) = F(x) - f(x, y); nonnegative by convexity."""
+def bregman_distance(problem: ProblemInstance, x: np.ndarray, y: np.ndarray, *,
+                     local=None, F_x: float | None = None) -> float:
+    """Averaged first-order residual D_f(x, y) = F(x) - f(x, y); nonnegative by convexity.
+
+    ``local`` is passed on to ``inexact_value``; ``F_x``, if given, is F(x)
+    as ``problem.value(x)`` computes it.
+    """
     x = np.asarray(x, dtype=float)
-    return float(problem._F(x[None, :])[0]) - inexact_value(problem, x, y)
+    if F_x is None:
+        F_x = float(problem._F(x[None, :])[0])
+    return F_x - inexact_value(problem, x, y, local=local)
 
 
-def inexact_value(problem: ProblemInstance, ybar: np.ndarray, y: np.ndarray) -> float:
-    """Linearized surrogate value ``(1/m) sum_i [f_(i)(y_i) + <grad_i, ybar - y_i>]``."""
+def inexact_value(problem: ProblemInstance, ybar: np.ndarray, y: np.ndarray, *,
+                  local=None) -> float:
+    """Linearized surrogate value ``(1/m) sum_i [f_(i)(y_i) + <grad_i, ybar - y_i>]``.
+
+    ``local``, if given, is ``problem._local(y)``: the per-agent values and
+    gradients at y, already evaluated.
+    """
     y = np.asarray(y, dtype=float)
-    values, grads = problem._local(y)
+    values, grads = problem._local(y) if local is None else local
     return float((values + np.einsum("ij,ij->i", grads, np.asarray(ybar, dtype=float) - y)).mean())
 
 

@@ -470,6 +470,21 @@ def test_edge_set_survives_pickle_and_deepcopy():
     assert pickle.loads(pickle.dumps(sched)) == sched
 
 
+@pytest.mark.parametrize("make", [lambda: GraphSchedule.seeded_random(60, 0.05, seed=3),
+                                  lambda: GraphSchedule.cyclic(9, M9_EDGE_SETS)])
+def test_schedule_pickles_and_copies_without_its_matrix_store(make):
+    fresh_size = len(pickle.dumps(make()))
+    sched = make()
+    want = sched.matrix(5).copy()
+    assert sched._matrices  # the store is filled ...
+    assert len(pickle.dumps(sched)) == fresh_size  # ... but not pickled
+    for twin in (pickle.loads(pickle.dumps(sched)), copy.deepcopy(sched)):
+        assert twin == sched and not twin._matrices
+        assert twin.matrix(5).tobytes() == want.tobytes()
+        assert twin._matrices is not sched._matrices
+    assert sched.matrix(5).tobytes() == want.tobytes()
+
+
 def test_edge_set_for_fewer_agents_is_validated_in_full():
     edges = GraphSchedule.static(6, [(0, 5), (1, 2)]).edge_set(0)
     assert metropolis_weights(edges, 8).shape == (8, 8)  # more agents: taken as is

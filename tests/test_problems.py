@@ -125,11 +125,13 @@ def test_aggregate_gradient_counts_one_round(rng, monkeypatch):
 
 
 def test_gradient_round_is_bitwise_the_local_oracles_gradients(rng):
-    # The gradient-only path skips the values but not a bit of the gradients.
+    # The gradient-only and value-only paths each give the local oracle's
+    # bits, so the run's margins can pair the loop's gradient with _values.
     for prob in (random_quadratic_problem(6, 4, mu=0.1, seed=1),
                  random_logistic_problem(5, 3, samples_per_agent=7, ridge=0.05, seed=2)):
         y = rng.standard_normal((prob.m, prob.n))
         assert aggregate_gradient(prob, y).tobytes() == prob._local(y)[1].tobytes()
+        assert prob._values(y).tobytes() == prob._local(y)[0].tobytes()
         w = rng.standard_normal(prob.n)
         local = prob._local(np.broadcast_to(w, (prob.m, prob.n)))[1].mean(axis=0)
         assert prob.mean_gradient(w).tobytes() == local.tobytes()
@@ -232,6 +234,21 @@ def test_inexact_value_two_sided_bounds(rng):
                  + prob.L / (2 * prob.m) * consensus_error(y))
         assert prob.value(w) >= lower - 1e-9
         assert prob.value(w) <= upper + 1e-9
+
+
+def test_shared_oracle_output_gives_the_default_bits(rng):
+    # What a caller has already evaluated -- the local oracle at y, F(x), a
+    # column mean -- stands in for the functions' own evaluation bit for bit.
+    for prob in (random_quadratic_problem(6, 4, mu=0.1, seed=1),
+                 random_logistic_problem(5, 3, samples_per_agent=7, ridge=0.05, seed=2)):
+        y = rng.standard_normal((prob.m, prob.n))
+        x = rng.standard_normal(prob.n)
+        ybar = y.mean(axis=0)
+        local = prob._local(y)
+        assert inexact_value(prob, ybar, y, local=local) == inexact_value(prob, ybar, y)
+        assert (bregman_distance(prob, x, y, local=local, F_x=prob.value(x))
+                == bregman_distance(prob, x, y))
+        assert consensus_error(y, ybar) == consensus_error(y)
 
 
 # ------------------------------------------------- optimum oracle

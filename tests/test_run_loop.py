@@ -137,6 +137,74 @@ def test_objective_evaluated_once_per_mean_iterate(monkeypatch, variant, mode, s
     assert len(seen) == K + 1
 
 
+@pytest.mark.parametrize("mode", ["zero", "strongly_convex"])
+def test_margins_reuse_the_rows_oracle_output(monkeypatch, mode):
+    # With diagnostics on, row k >= 1 adds one per-agent value evaluation at
+    # y^k to the loop's gradient; only row 0 takes the whole local oracle.
+    # F is evaluated at xbar^{k+1} and at the agents' x_i^k, nothing else,
+    # and each row takes ||Pi y^k||^2 once.
+    schedule = SCHEDULES["m9_cyclic"]()
+    problem = random_logistic_problem(9, 3, samples_per_agent=6, ridge=0.05, seed=4)
+    row, ys, calls = [-1], [], []
+
+    def probe(k, x, y, z, s):
+        row[0] = k
+        ys.append(y)
+
+    def counted(name, owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, row[0], args))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for attr in ("_values", "_local", "_F"):
+        counted(attr, ProblemInstance, attr)
+    counted("consensus_error", algorithms, "consensus_error")
+    trace = run(AlgorithmConfig(variant="acc_gt_tv", alpha=0.5, mu_mode=mode, max_iterations=K),
+                problem, schedule, diagnostics=True, probe=probe)
+    assert not math.isnan(trace.rows[K].lemma4_margin)
+
+    def per_row(name):
+        return [sum(1 for n, k, _ in calls if (n, k) == (name, r)) for r in range(-1, K + 1)]
+
+    assert per_row("_local") == [0, 1] + [0] * K
+    assert per_row("_values") == [0, 1] + [1] * K  # row 0's inside _local
+    assert per_row("_F") == [1] + [2] * K + [1]  # F(xbar^0) first, no F(xbar^{K+1})
+    assert per_row("consensus_error") == [0] + [4] * (K + 1)
+    for k, y in enumerate(ys):
+        assert sum(1 for n, r, args in calls
+                   if (n, r) == ("consensus_error", k) and args[0] is y) == 1
+
+
+VARIANT_CASES = [  # variant, schedule, the mu modes it runs
+    ("gt", "m9_cyclic", ("zero",)),
+    ("acc_gt_static", "ring10", ("zero", "strongly_convex")),
+    ("acc_gt_tv", "m9_cyclic", ("zero", "strongly_convex")),
+    ("acc_gt_chebyshev", "ring10", ("zero", "strongly_convex")),
+    ("acc_gt_multiconsensus", "m9_cyclic", ("zero", "strongly_convex")),
+]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("variant,sched_name,modes", VARIANT_CASES)
+def test_diagnostics_change_only_the_margin_columns(variant, sched_name, modes, kind):
+    schedule = SCHEDULES[sched_name]()
+    m = schedule.agent_count
+    problem = (random_logistic_problem(m, 3, samples_per_agent=6, ridge=0.05, seed=4)
+               if kind == "logistic" else random_quadratic_problem(m, 3, mu=0.1, seed=4))
+    fields = algorithms._ROW_FIELDS
+    margin_cols = [i for i, name in enumerate(fields) if name.startswith(("lemma4", "lemma1"))]
+    assert len(margin_cols) == 3
+    others = [i for i in range(len(fields)) if i not in margin_cols]
+    for mode in modes:
+        config = AlgorithmConfig(variant=variant, alpha=0.05, mu_mode=mode, max_iterations=K)
+        on, off = (run(config, problem, schedule, diagnostics=d).table for d in (True, False))
+        assert on[:, others].tobytes() == off[:, others].tobytes(), (variant, kind, mode)
+        assert np.isnan(off[:, margin_cols]).all()
+
+
 @pytest.mark.parametrize("variant,sched_name,expected", [
     # The period-3 schedule: the loop builds its 3 matrices once.
     ("acc_gt_tv", "m9_cyclic", 3),
