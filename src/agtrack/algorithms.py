@@ -277,13 +277,20 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
     Returns a dict with sigma (static variants) or sigma_gamma and its
     estimate flag (time-varying ones; not for multiple consensus with zeta
     given, which reads neither), gamma, the resolved alpha (theorem default
-    or explicit), and zeta / t for the wrapped variants.
+    or explicit), and zeta / t for the wrapped variants.  Raises
+    NotGammaConnectedError when the schedule never connects; for the static
+    variants, when the static graph is disconnected (sigma = 1).
     """
     out: dict = {"variant": config.variant, "mu_mode": config.mu_mode}
 
     if config.variant in ("acc_gt_static", "acc_gt_chebyshev"):
         if schedule.schedule_kind != "static":
             raise ValueError(f"variant {config.variant} requires a static schedule")
+        # A disconnected graph has sigma = 1 up to rounding, so it is found by
+        # graph search, before the SVD, rather than from sigma.
+        if not gamma_connectivity(schedule, 1):
+            raise NotGammaConnectedError(f"variant {config.variant} needs a connected "
+                                         "static graph (sigma < 1); this one is disconnected")
         out["sigma"] = sigma_of(schedule.matrix(0))
         out["gamma"] = 1
         sig_for_alpha = out["sigma"]
@@ -414,11 +421,12 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
 
 def _mixer(variant: str, schedule: GraphSchedule, consts: dict):
     """The run's one mixing function ``mix(k, v)`` and the rounds each call costs:
-    the Chebyshev degree t (also put in ``consts["t"]``), zeta for multiple
+    the Chebyshev degree t (also put in ``consts["t"]``; the operator reuses
+    ``consts["sigma"]``, so W^0 takes one SVD per run), zeta for multiple
     consensus (which keeps its round pointer here), or 1 for gossip with the
     schedule's ``matrix(k)``."""
     if variant == "acc_gt_chebyshev":
-        op = chebyshev_operator(schedule.matrix(0))
+        op = chebyshev_operator(schedule.matrix(0), sigma=consts["sigma"])
         consts["t"] = op.t
         return (lambda k, v: chebyshev_apply(op, v)), op.t
     if variant == "acc_gt_multiconsensus":

@@ -60,13 +60,21 @@ class ChebyshevOperator:
     bypass: bool = False
 
 
-def chebyshev_operator(W, t: int | None = None) -> ChebyshevOperator:
-    """Construct a ChebyshevOperator; t defaults to ``ceil(1/sqrt(nu))``."""
+def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> ChebyshevOperator:
+    """Construct a ChebyshevOperator; t defaults to ``ceil(1/sqrt(nu))``.
+
+    ``sigma``, if given, is ``graph.sigma(W)`` already taken (the run passes
+    the value ``resolve_constants`` computed, so W is decomposed once per
+    run); otherwise it is computed here.  ValueError when sigma is 1, as for
+    the W of a disconnected graph.
+    """
     M = np.asarray(W, dtype=float)
     asym = np.abs(M - M.T).max()
     if asym > SYMMETRY_TOL:
         raise ValueError(f"Chebyshev acceleration needs a symmetric matrix (asymmetry {asym:.3e})")
-    sig = sigma_of(M)
+    sig = sigma_of(M) if sigma is None else sigma
+    if not sig < 1.0:
+        raise ValueError("Chebyshev acceleration needs sigma < 1; the graph is not connected")
     lam = np.linalg.eigvalsh(np.eye(M.shape[0]) - M)
     # lambda1 <= 2 for doubly stochastic W; clip rounding overshoot.
     lambda1 = float(min(lam[-1], 2.0))
@@ -98,24 +106,34 @@ def chebyshev_apply(op: ChebyshevOperator, x: np.ndarray) -> np.ndarray:
     Runs ``a0 = 1, a1 = c2, z0 = x, z1 = c2 (I - c3 L) x`` and then
     ``a_{s+1} = 2 c2 a_s - a_{s-1}``, ``z^{s+1} = 2 c2 (I - c3 L) z^s - z^{s-1}``
     for s = 1..t-1, returning ``z^t / a_t``.  Costs t communication rounds and
-    preserves the column means of x exactly.
+    preserves the column means of x exactly.  Each round's operations run in
+    the textbook order, in place in the array its product ``W z^s`` returns,
+    so a round allocates that one array; x is only read.
     """
     x = np.asarray(x, dtype=float)
     if op.base_matrix.shape[1] != x.shape[0]:
         raise ValueError("state row count does not match the operator")
     if op.bypass:
         return op.base_matrix @ x
+    W, c3 = op.base_matrix, op.c3
 
     def damped(v):
         # (I - c3 L) v = v - c3 (v - W v); one neighbor exchange per call.
-        return v - op.c3 * (v - op.base_matrix @ v)
+        out = W @ v
+        np.subtract(v, out, out=out)
+        np.multiply(c3, out, out=out)
+        return np.subtract(v, out, out=out)
 
+    two_c2 = 2.0 * op.c2
     a_prev, a_cur = 1.0, op.c2
-    z_prev, z_cur = x, op.c2 * damped(x)
+    z_prev, z_cur = x, damped(x)
+    np.multiply(op.c2, z_cur, out=z_cur)
     for _ in range(1, op.t):
-        a_prev, a_cur = a_cur, 2.0 * op.c2 * a_cur - a_prev
-        z_prev, z_cur = z_cur, 2.0 * op.c2 * damped(z_cur) - z_prev
-    return z_cur / a_cur
+        a_prev, a_cur = a_cur, two_c2 * a_cur - a_prev
+        z_next = damped(z_cur)
+        np.multiply(two_c2, z_next, out=z_next)
+        z_prev, z_cur = z_cur, np.subtract(z_next, z_prev, out=z_next)
+    return np.divide(z_cur, a_cur, out=z_cur)
 
 
 def default_zeta(gamma: int, sigma_gamma: float) -> int:

@@ -269,6 +269,12 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
     which keeps the averaged objective as ill-conditioned as the per-agent
     constants say (independent rotations average out toward isotropy); with
     ``mu = 0`` one agent's Hessian is rank-deficient, the average invertible.
+
+    The rotations come from one ``standard_normal((m, n, n))`` draw (one
+    ``(n, n)`` draw when shared), which takes the stream exactly as m
+    per-agent draws would, and one batched ``qr``; ``A_i = (Q_i D_i) Q_i^T``
+    is one batched matmul in that product order, so every instance is bitwise
+    what a per-agent loop builds.
     """
     _check_sizes(m, n)
     if not (L > 0.0 and 0.0 <= mu <= L):
@@ -279,11 +285,8 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
     if hi == lo and L != mu:
         raise ValueError(f"a single drawn eigenvalue cannot take both L = {L} and mu = {mu}")
     spectra = mu + (spectra - lo) * (L - mu) / (hi - lo) if hi > lo else np.full_like(spectra, L)
-    shared = np.linalg.qr(rng.standard_normal((n, n)))[0] if shared_basis else None
-    A = np.empty((m, n, n))
-    for i in range(m):
-        Q = shared if shared_basis else np.linalg.qr(rng.standard_normal((n, n)))[0]
-        A[i] = Q @ np.diag(spectra[i]) @ Q.T
+    Q = np.linalg.qr(rng.standard_normal((1 if shared_basis else m, n, n)))[0]
+    A = Q @ (spectra[:, :, None] * np.eye(n)) @ Q.transpose(0, 2, 1)  # Q_i diag(spectra_i) Q_i^T
     return _solved(ProblemInstance("quadratic", float(spectra.max()), float(spectra.min()),
                                    A=A, b=rng.standard_normal((m, n))))
 

@@ -5,6 +5,8 @@ These hand-written single steps stay as independent oracles for the tests:
 ``gt_init`` / ``gt_step`` are plain gradient tracking on an ``AggregateState``,
 and ``averaged_reference_step`` is the inexact centralized accelerated
 recursion the column means of every accelerated run follow.
+``chebyshev_apply_textbook`` is the Chebyshev recurrence with a new array
+per operation, as the in-place ``chebyshev_apply`` must reproduce it.
 
 The graph layer has two loop oracles of the same kind:
 ``metropolis_weights_loop`` builds W one edge at a time and
@@ -97,6 +99,27 @@ def averaged_reference_step(avg_state: AveragedState, alpha: float, theta_k: flo
     zbar_next = (ratio * ybar + avg_state.zbar - (alpha / theta_k) * np.asarray(sbar_k)) / (1.0 + ratio)
     xbar_next = theta_k * zbar_next + (1.0 - theta_k) * avg_state.xbar
     return AveragedState(xbar_next, ybar, zbar_next)
+
+
+# ---------------------------------------------------------------- mixing layer
+
+def chebyshev_apply_textbook(op, x: np.ndarray) -> np.ndarray:
+    """``(I - P_t(c3 L)) x`` by the three-term recurrence, each step a fresh
+    array: ``z1 = c2 (I - c3 L) x``, ``z^{s+1} = 2 c2 (I - c3 L) z^s - z^{s-1}``,
+    ``a_{s+1} = 2 c2 a_s - a_{s-1}``, returning ``z^t / a_t``."""
+    x = np.asarray(x, dtype=float)
+    if op.bypass:
+        return op.base_matrix @ x
+
+    def damped(v):
+        return v - op.c3 * (v - op.base_matrix @ v)
+
+    a_prev, a_cur = 1.0, op.c2
+    z_prev, z_cur = x, op.c2 * damped(x)
+    for _ in range(1, op.t):
+        a_prev, a_cur = a_cur, 2.0 * op.c2 * a_cur - a_prev
+        z_prev, z_cur = z_cur, 2.0 * op.c2 * damped(z_cur) - z_prev
+    return z_cur / a_cur
 
 
 # ---------------------------------------------------------------- graph layer

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule, NotGammaConnectedError,
-                     aggregate_gradient, algorithms, default_alpha, graph, make_problem,
-                     metropolis_weights, quadratic_objective,
-                     random_quadratic_problem, resolve_constants, run,
+                     aggregate_gradient, algorithms, chebyshev_operator, default_alpha, graph,
+                     make_problem, metropolis_weights, quadratic_objective,
+                     random_quadratic_problem, resolve_constants, run, sigma,
                      theta_next)
 from agtrack.algorithms import CSV_COLUMNS, VARIANTS
 from conftest import M9_EDGE_SETS, ring_edges
@@ -418,6 +418,57 @@ def test_run_round_totals_per_variant(monkeypatch, m9_schedule):
         assert rows == seen, variant
         if r > 1:
             assert trace.meta["t" if variant == "acc_gt_chebyshev" else "zeta"] == r
+
+
+def test_chebyshev_run_takes_one_svd_with_the_operators_constants(monkeypatch):
+    # resolve_constants takes sigma of W^0 and the operator reuses it: one
+    # SVD per run, where each of the two once took its own.
+    W = metropolis_weights(ring_edges(12), 12)
+    expected = chebyshev_operator(W)
+    svds, ops = [0], []
+    svd, apply = np.linalg.svd, algorithms.chebyshev_apply
+
+    def counting_svd(*args, **kwargs):
+        svds[0] += 1
+        return svd(*args, **kwargs)
+
+    def recording_apply(op, v):
+        ops.append(op)
+        return apply(op, v)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(algorithms, "chebyshev_apply", recording_apply)
+    for alpha in (0.05, "theorem_default"):
+        svds[0], ops[:] = 0, []
+        trace = run(AlgorithmConfig(variant="acc_gt_chebyshev", alpha=alpha, max_iterations=4),
+                    random_quadratic_problem(12, 3, seed=2), ring_schedule(12), diagnostics=False)
+        assert svds[0] == 1
+        assert len(ops) == 12 and all(op is ops[0] for op in ops)
+        names = ("t", "nu", "c1", "c2", "c3", "lambda1")
+        assert [float(getattr(ops[0], a)).hex() for a in names] \
+            == [float(getattr(expected, a)).hex() for a in names]
+        assert trace.meta["t"] == expected.t and trace.meta["sigma"] == sigma(W)
+
+
+# A disconnected static graph whose sigma rounds to exactly 1.0 (once a
+# ZeroDivisionError in the Chebyshev constants) and one whose sigma rounds to
+# 0.9999999999999998 (once a Chebyshev degree of about 7e7: the run hung).
+DISCONNECTED_STATIC = {"two_pairs": (4, [(0, 1), (2, 3)]),
+                       "path4_isolated": (5, [(0, 1), (1, 2), (2, 3)])}
+
+
+@pytest.mark.parametrize("graph_name", sorted(DISCONNECTED_STATIC))
+@pytest.mark.parametrize("alpha", [0.05, "theorem_default"])
+@pytest.mark.parametrize("variant", ["acc_gt_static", "acc_gt_chebyshev"])
+def test_static_variants_reject_a_disconnected_graph_before_any_svd(monkeypatch, variant,
+                                                                     alpha, graph_name):
+    m, edges = DISCONNECTED_STATIC[graph_name]
+    schedule = GraphSchedule.static(m, edges)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("SVD taken"))
+    with pytest.raises(NotGammaConnectedError,
+                       match=f"variant {variant} needs a connected static graph"):
+        run(AlgorithmConfig(variant=variant, alpha=alpha, max_iterations=3),
+            random_quadratic_problem(m, 2, seed=1), schedule)
 
 
 def test_run_counters_nondecreasing(m9_schedule):

@@ -211,6 +211,45 @@ def test_run_reports_unsupported_run_settings_as_config_error(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+# Agent 4 is isolated: sigma rounds to 0.9999999999999998, and acc_gt_chebyshev
+# once built an operator of about 7e7 rounds per call and never finished.
+DISCONNECTED_CONFIG = Path(__file__).parent / "data" / "disconnected_static_config.json"
+# Two separate pairs: sigma rounds to 1.0, once a ZeroDivisionError traceback.
+TWO_PAIRS_GRAPH = {"m": 4, "kind": "static", "edge_sets": [[[0, 1], [2, 3]]]}
+
+
+@pytest.mark.parametrize("two_pairs", [False, True], ids=["path4_isolated", "two_pairs"])
+@pytest.mark.parametrize("alpha", [0.1, "theorem_default"])
+@pytest.mark.parametrize("variant", ["acc_gt_static", "acc_gt_chebyshev"])
+def test_run_reports_a_disconnected_static_graph_as_config_error(tmp_path, capsys, variant,
+                                                                 alpha, two_pairs):
+    data = json.loads(DISCONNECTED_CONFIG.read_text())
+    data["algorithm"].update(variant=variant, alpha=alpha)
+    if two_pairs:
+        data["graph"] = TWO_PAIRS_GRAPH
+        data["problem"]["m"] = 4
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: algorithm: variant {variant} needs a connected "
+                            "static graph (sigma < 1); this one is disconnected\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_sweep_reports_a_disconnected_static_graph_per_cell(tmp_path, capsys):
+    data = json.loads(DISCONNECTED_CONFIG.read_text())
+    data["sweep"] = {"algorithm.variant": ["acc_gt_chebyshev", "acc_gt_static", "gt"]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, data), "--out", str(out),
+                 "--deterministic"]) == 2
+    assert "sweep complete: 3 cells" in capsys.readouterr().out
+    rows = read_summary(out)
+    for row, variant in zip(rows[:2], ("acc_gt_chebyshev", "acc_gt_static")):
+        assert row["status"] == (f"config error: algorithm: variant {variant} needs a "
+                                 "connected static graph (sigma < 1); this one is disconnected")
+    assert rows[2]["status"] == "ok"  # gt has no mixing constant to rest on
+
+
 def mismatched_agents_config():
     # A seeded-random graph of 10 agents for a problem of 8: numpy's matmul once
     # failed on it only after the whole spectral setup, as an algorithm error.

@@ -10,7 +10,8 @@ from agtrack import (GraphSchedule, chebyshev_apply, graph,
                      chebyshev_operator, default_zeta, gossip,
                      metropolis_weights, multiple_consensus, sigma,
                      sigma_gamma)
-from conftest import M9_EDGE_SETS, ring_edges
+from conftest import M9_EDGE_SETS, path_edges, ring_edges
+from reference_steps import chebyshev_apply_textbook
 
 
 def demean(x):
@@ -129,6 +130,46 @@ def test_chebyshev_bypass_on_exact_consensus(rng):
     x = rng.standard_normal((3, 2))
     out = chebyshev_apply(op, x)
     np.testing.assert_allclose(out, np.tile(x.mean(axis=0), (3, 1)), atol=1e-12)
+
+
+def torus_edges(side):
+    return [(r * side + c, r * side + (c + 1) % side) for r in range(side) for c in range(side)] \
+        + [(r * side + c, ((r + 1) % side) * side + c) for r in range(side) for c in range(side)]
+
+
+@pytest.mark.parametrize("m, edges, n, t", [
+    (10, ring_edges(10), 3, None), (25, ring_edges(25), 1, None), (16, torus_edges(4), 5, 1),
+    (16, torus_edges(4), 5, 2), (36, torus_edges(6), 4, 7), (7, path_edges(7), 2, 12),
+    (3, [(0, 1), (0, 2), (1, 2)], 2, None)])  # the last one is the sigma = 0 bypass
+def test_chebyshev_apply_is_bitwise_the_textbook_recurrence(rng, m, edges, n, t):
+    op = chebyshev_operator(metropolis_weights(edges, m), t=t)
+    assert op.bypass == (m == 3)
+    x = rng.standard_normal((m, n))
+    x.setflags(write=False)  # the in-place recurrence must only read its input
+    before = x.copy()
+    out = chebyshev_apply(op, x)
+    expected = chebyshev_apply_textbook(op, x)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    assert x.tobytes() == before.tobytes() and not np.shares_memory(out, x)
+
+
+def test_chebyshev_operator_takes_a_given_sigma_bitwise():
+    W = metropolis_weights(torus_edges(5), 25)
+    given_sigma = chebyshev_operator(W, sigma=sigma(W))
+    assert dataclasses.astuple(given_sigma)[1:] == dataclasses.astuple(chebyshev_operator(W))[1:]
+
+
+@pytest.mark.parametrize("m, edges", [(4, [(0, 1), (2, 3)]),
+                                      (12, ring_edges(5) + [(5 + i, 5 + (i + 1) % 7) for i in range(7)])])
+def test_chebyshev_operator_rejects_sigma_one(m, edges):
+    # Both graphs are disconnected with sigma exactly 1.0, which ended in a
+    # ZeroDivisionError.  When sigma rounds just below 1, only run()'s graph
+    # search before the SVD can tell (tests/test_algorithms.py).
+    W = metropolis_weights(edges, m)
+    assert sigma(W) == 1.0
+    with pytest.raises(ValueError, match="needs sigma < 1; the graph is not connected"):
+        chebyshev_operator(W)
 
 
 # ------------------------------------------------- multiple consensus

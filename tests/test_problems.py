@@ -430,6 +430,15 @@ INSTANCE_PINS = {
     "quad_seed11_shared": (lambda: random_quadratic_problem(5, 3, L=2.0, mu=0.05, seed=11,
                                                             shared_basis=True),
                            "88fad48a4f54a2dc447539d0fed4773bca81cf75c1015cb21b235fc86db56817"),
+    # Benchmark scale (cheb-torus-m196, mc-random-m20) and a larger shared
+    # basis, recorded from the per-agent generator loop.
+    "quad_m196_seed100": (lambda: random_quadratic_problem(196, 20, L=1.0, mu=0.0, seed=100),
+                          "96af8ddf5f9e841917ac009534279d1d44453fee28337c4666b164d25002e59f"),
+    "quad_m20_seed100": (lambda: random_quadratic_problem(20, 4, L=1.0, mu=0.0, seed=100),
+                         "887b44248b83783dc435fedebc15d5db9e0d589dfd466b8950b8aaf9e6d7cbd2"),
+    "quad_m50_seed3_shared": (lambda: random_quadratic_problem(50, 20, L=1.0, mu=0.0, seed=3,
+                                                               shared_basis=True),
+                              "848e1d8c018a110b8f6d2137d69f76c272a72fa4735bef430fd1b0953eb81476"),
     "logistic_seed6": (lambda: random_logistic_problem(4, 3, samples_per_agent=10, ridge=0.1,
                                                        seed=6),
                        "5349707d601b840e72ac684586652b590961ba655ed5702f8b99db392559329a"),
@@ -440,6 +449,9 @@ INSTANCE_PINS = {
 CONSTANT_PINS = {
     "quad_seed3": ("0x1.0000000000000p+0", "0x0.0p+0"),
     "quad_seed11_shared": ("0x1.0000000000000p+1", "0x1.999999999999ap-5"),
+    "quad_m196_seed100": ("0x1.0000000000000p+0", "0x0.0p+0"),
+    "quad_m20_seed100": ("0x1.0000000000000p+0", "0x0.0p+0"),
+    "quad_m50_seed3_shared": ("0x1.0000000000000p+0", "0x0.0p+0"),
     "logistic_seed6": ("0x1.73195c80fdf1cp+0", "0x1.999999999999ap-4"),
     "logistic_seed9": ("0x1.38783be8a4addp+0", "0x1.999999999999ap-5"),
 }
