@@ -27,11 +27,13 @@ whole stack of instants as readily as one.
 schedule builds each of its period matrices once; a seeded_random schedule
 draws and builds ``SPECTRAL_CHUNK`` aligned instants at a time and keeps the
 last such stack, so a caller that walks the instants in order, as gossip and
-multiple consensus do, draws each instant once.  ``sigma`` takes a whole
-stack of matrices in one batched SVD; ``sigma_gamma`` forms its window
-products in bounded chunks and decomposes each chunk's products in one such
-SVD, the only one it takes; ``gamma_connectivity`` tests a chunk of windows at
-once, by reachability on their unions.
+multiple consensus do, draws each instant once.  ``sigma`` of a stack bounds
+every matrix's norm with two batched matmuls and decomposes only the matrices
+that can hold the maximum, in at most two SVD calls, with the same result bit
+for bit as one SVD of the whole stack; ``sigma_gamma`` forms its window
+products in bounded chunks and takes one ``sigma`` of each chunk;
+``gamma_connectivity`` tests a chunk of windows at once, by reachability on
+their unions.
 
 A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
 never depends on evaluation order.  ``edge_set(k)`` draws one instant through
@@ -464,14 +466,49 @@ def sigma(W) -> float:
     Equals the second largest singular value of W; strictly below 1 exactly
     when one round of gossip contracts disagreement.  ``W`` may also be a
     ``(..., m, m)`` stack of matrices: the result is the largest of their
-    norms, from one batched SVD.
+    norms, and only the matrices that can hold it are decomposed.
+
+    Every matrix of a stack is checked for double stochasticity.  Then, with
+    ``D = W_b - J`` and ``G = D^T D``, each matrix gets the bound
+    ``||D||_2 <= ||G^2||_F^(1/4)`` (``lambda_max(G)^2 <= ||G^2||_F`` for
+    symmetric positive semidefinite G; Horn & Johnson, Schatten norms), two
+    batched matmuls per stack.  The matrix with the highest bound is
+    decomposed first; one more SVD takes the others whose ``bound * (1 +
+    1e-9)`` still reaches its norm, a slack far above the bound's rounding
+    (relative error of order m eps).  An SVD of a subset of a stack, or of one
+    matrix, gives bitwise the singular values the whole batched call gives,
+    so the maximum is the same float as one SVD of the stack; a single matrix
+    takes that one plain SVD.
     """
     M = np.asarray(W, dtype=float)
     _check_doubly_stochastic(M, DS_INPUT_TOL)
     m = M.shape[-1]
-    val = np.linalg.svd(M - np.ones((m, m)) / m, compute_uv=False).max()
+    J = np.ones((m, m)) / m
+    if M.ndim == 2 or M.size == m * m:
+        val = np.linalg.svd(M - J, compute_uv=False).max()
+    else:
+        val = _screened_norm_max(M.reshape(-1, m, m), J)
     # Doubly stochastic matrices have singular values at most 1; trim rounding.
     return float(min(max(val, 0.0), 1.0))
+
+
+def _screened_norm_max(M: np.ndarray, J: np.ndarray) -> float:
+    """``max_b ||M[b] - J||_2`` over a ``(count, m, m)`` stack, screened as
+    ``sigma`` says, in two (count, m, m) buffers reused through ``out=``."""
+    D = np.subtract(M, J, out=np.empty(M.shape))
+    G = np.matmul(D.transpose(0, 2, 1), D, out=np.empty(M.shape))
+    G2 = np.matmul(G, G, out=D)  # D is spent; G is symmetric, so G @ G = G^T G
+    del G
+    bound = np.einsum("bij,bij->b", G2, G2) ** 0.125  # ||G^2||_F^(1/4)
+    top = int(bound.argmax())
+    best = np.linalg.svd(M[top] - J, compute_uv=False).max()
+    rest = np.flatnonzero(bound * (1.0 + 1e-9) >= best)
+    rest = rest[rest != top]
+    if len(rest):
+        D = np.take(M, rest, axis=0, out=G2[:len(rest)], mode="clip")  # "clip": unbuffered
+        D -= J
+        best = max(best, np.linalg.svd(D, compute_uv=False).max())
+    return best
 
 
 def matrix_product_window(schedule: GraphSchedule, k: int, gamma: int) -> np.ndarray:
@@ -578,9 +615,15 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
 
     Windows are handled ``SPECTRAL_CHUNK`` at a time: their matrices are
     stacked, the products are formed with batched ``@`` in
-    ``matrix_product_window``'s order, and ``sigma`` takes each chunk's
-    products in one batched SVD, the only SVD stack of the chunk (for
-    gamma = 1 the products are the instants' own matrices).  One buffer
+    ``matrix_product_window``'s order, and one ``sigma`` call takes each
+    chunk's products (for gamma = 1 the products are the instants' own
+    matrices).  ``sigma`` bounds every window's norm by ``||G^2||_F^(1/4)``,
+    ``G = D^T D`` with ``D`` the window minus J, and decomposes only the
+    highest-bound window and those whose bound, with a relative slack of
+    1e-9, still reaches its norm.  An SVD of a subset of the stack gives the
+    batched call's values bitwise, so the result is the same float as an
+    SVD of every window; on a seeded_random schedule the screen usually
+    leaves one window of a chunk to decompose.  One buffer
     serves every chunk and carries the last gamma - 1 matrices of the one
     before, as ``gamma_connectivity`` carries its masks, so each W^k is built
     once per call and memory is O((SPECTRAL_CHUNK + gamma) m^2), not

@@ -25,7 +25,8 @@ from functools import reduce
 
 import numpy as np
 
-from .graph import GraphSchedule, metropolis_weights, sigma as sigma_of
+from .graph import (GraphSchedule, _all_connected, _upper_pairs, metropolis_weights,
+                    sigma as sigma_of)
 
 SYMMETRY_TOL = 1e-12
 # sigma below this is treated as exact consensus in one round: the Chebyshev
@@ -65,17 +66,25 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
 
     ``sigma``, if given, is ``graph.sigma(W)`` already taken (the run passes
     the value ``resolve_constants`` computed, so W is decomposed once per
-    run); otherwise it is computed here.  ValueError when sigma is 1, as for
-    the W of a disconnected graph.
+    run); otherwise it is computed here.  ValueError when W's support graph
+    (its nonzero off-diagonal entries) is disconnected, tested before any
+    decomposition: sigma alone cannot tell, since it rounds to 1 or just below
+    1 there, and the operator would take some 10^7 rounds per call.
     """
     M = np.asarray(W, dtype=float)
     asym = np.abs(M - M.T).max()
     if asym > SYMMETRY_TOL:
         raise ValueError(f"Chebyshev acceleration needs a symmetric matrix (asymmetry {asym:.3e})")
-    sig = sigma_of(M) if sigma is None else sigma
+    m = M.shape[0]
+    iu, ju = _upper_pairs(m)
+    support = (M[iu, ju] != 0) | (M[ju, iu] != 0)  # the graph of W's off-diagonal entries
+    if not _all_connected(support[None], m):
+        sig = 1.0
+    else:
+        sig = sigma_of(M) if sigma is None else sigma
     if not sig < 1.0:
         raise ValueError("Chebyshev acceleration needs sigma < 1; the graph is not connected")
-    lam = np.linalg.eigvalsh(np.eye(M.shape[0]) - M)
+    lam = np.linalg.eigvalsh(np.eye(m) - M)
     # lambda1 <= 2 for doubly stochastic W; clip rounding overshoot.
     lambda1 = float(min(lam[-1], 2.0))
     if sig <= SIGMA_BYPASS_TOL:

@@ -272,9 +272,11 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
 
     The rotations come from one ``standard_normal((m, n, n))`` draw (one
     ``(n, n)`` draw when shared), which takes the stream exactly as m
-    per-agent draws would, and one batched ``qr``; ``A_i = (Q_i D_i) Q_i^T``
-    is one batched matmul in that product order, so every instance is bitwise
-    what a per-agent loop builds.
+    per-agent draws would, and one batched ``qr``.  ``Q_i D_i`` scales Q_i's
+    columns by the spectrum elementwise, which gives bitwise the product with
+    the diagonal matrix (its other terms are zeros), and ``A_i = (Q_i D_i)
+    Q_i^T`` is one batched matmul in that product order, so every instance is
+    bitwise what a per-agent loop builds.
     """
     _check_sizes(m, n)
     if not (L > 0.0 and 0.0 <= mu <= L):
@@ -286,7 +288,7 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
         raise ValueError(f"a single drawn eigenvalue cannot take both L = {L} and mu = {mu}")
     spectra = mu + (spectra - lo) * (L - mu) / (hi - lo) if hi > lo else np.full_like(spectra, L)
     Q = np.linalg.qr(rng.standard_normal((1 if shared_basis else m, n, n)))[0]
-    A = Q @ (spectra[:, :, None] * np.eye(n)) @ Q.transpose(0, 2, 1)  # Q_i diag(spectra_i) Q_i^T
+    A = (Q * spectra[:, None, :]) @ Q.transpose(0, 2, 1)  # Q_i diag(spectra_i) Q_i^T
     return _solved(ProblemInstance("quadratic", float(spectra.max()), float(spectra.min()),
                                    A=A, b=rng.standard_normal((m, n))))
 

@@ -726,6 +726,88 @@ def test_sigma_of_stack_is_max_of_each():
         sigma(np.concatenate([mats, 0.9 * np.eye(12)[None]]))
 
 
+def one_svd_sigma(stack):
+    """sigma as one SVD of the whole stack, clipped as sigma clips."""
+    m = stack.shape[-1]
+    val = np.linalg.svd(stack - np.ones((m, m)) / m, compute_uv=False).max()
+    return float(min(max(val, 0.0), 1.0))
+
+
+def window_stack(sched, gamma, count=70):
+    return np.stack([matrix_product_window(sched, k, gamma)
+                     for k in range(gamma - 1, gamma - 1 + count)])
+
+
+SCREEN_SCHEDULES = {  # (constructor, args): each test builds its own schedule
+    "m9-cyclic": (GraphSchedule.cyclic, (9, M9_EDGE_SETS)),
+    "ring10-path10": (GraphSchedule.cyclic, (10, [ring_edges(10), path_edges(10), [(0, 5)]])),
+    "random-m10": (GraphSchedule.seeded_random, (10, 0.3, 2)),
+    "random-m20": (GraphSchedule.seeded_random, (20, 0.1, 3)),
+    "random-m50": (GraphSchedule.seeded_random, (50, 0.08, 3)),
+}
+
+
+def screen_schedule(name):
+    make, args = SCREEN_SCHEDULES[name]
+    return make(*args)
+
+
+@pytest.mark.parametrize("gamma", range(1, 7))
+@pytest.mark.parametrize("name", SCREEN_SCHEDULES)
+def test_screened_sigma_of_windows_is_bitwise_one_svd(name, gamma):
+    stack = window_stack(screen_schedule(name), gamma)
+    assert sigma(stack).hex() == one_svd_sigma(stack).hex()
+
+
+def test_screened_sigma_of_tied_and_disconnected_stacks():
+    W = metropolis_weights(ring_edges(12), 12)
+    tied = np.stack([W] * 9)
+    assert sigma(tied).hex() == one_svd_sigma(tied).hex() == sigma(W).hex()
+    windows = window_stack(GraphSchedule.seeded_random(12, 0.4, seed=5), 3, count=30)
+    assert sigma(windows) < 1.0
+    # One window of two components (norm 1) among connected ones.
+    split = np.insert(windows, 17, metropolis_weights(path_edges(6) + [(6, 7)], 12), axis=0)
+    assert sigma(split) == one_svd_sigma(split) == 1.0
+    batched = window_stack(GraphSchedule.seeded_random(12, 0.3, seed=4), 2, count=40)
+    assert sigma(batched.reshape(4, 10, 12, 12)).hex() == one_svd_sigma(batched).hex()
+
+
+@pytest.fixture
+def svd_sizes(monkeypatch):
+    """The number of matrices each np.linalg.svd call decomposes."""
+    sizes, svd = [], np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        sizes.append(1 if a.ndim == 2 else len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return sizes
+
+
+@pytest.mark.parametrize("name", SCREEN_SCHEDULES)
+def test_screened_sigma_takes_at_most_two_svds(svd_sizes, name):
+    for gamma in range(1, 7):
+        stack = window_stack(screen_schedule(name), gamma)
+        svd_sizes.clear()
+        sigma(stack)
+        assert 1 <= len(svd_sizes) <= 2 and sum(svd_sizes) <= len(stack), gamma
+    svd_sizes.clear()
+    sigma(stack[0])
+    sigma(stack[:1])
+    assert svd_sizes == [1, 1]
+
+
+def test_screen_decomposes_few_windows_of_the_benchmark_schedule(svd_sizes):
+    # The multiple-consensus benchmark's schedule at its gamma: the bound
+    # leaves few of a chunk's windows to decompose.
+    stack = window_stack(GraphSchedule.seeded_random(20, 0.1, seed=3), 6, count=64)
+    expected = one_svd_sigma(stack)
+    svd_sizes.clear()
+    assert sigma(stack).hex() == expected.hex()
+    assert sum(svd_sizes) < 8
+
+
 def test_sigma_gamma_matches_windowwise_products():
     sched = GraphSchedule.seeded_random(10, 0.3, seed=2)
     gamma, horizon = 3, 2 * graph.SPECTRAL_CHUNK + 5  # three chunks, the last one short

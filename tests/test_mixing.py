@@ -172,6 +172,24 @@ def test_chebyshev_operator_rejects_sigma_one(m, edges):
         chebyshev_operator(W)
 
 
+@pytest.mark.parametrize("given_sigma", [False, True])
+def test_chebyshev_operator_rejects_a_disconnected_graph_before_any_decomposition(
+        monkeypatch, given_sigma):
+    # A 4-agent path plus an isolated agent: sigma rounds to 0.9999999999999998,
+    # which gave t = 71,592,018 rounds per call.
+    W = metropolis_weights(path_edges(4), 5)
+    sig = sigma(W)
+    assert sig == 0.9999999999999998
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("decomposed a disconnected graph's matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", no_decomposition)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_decomposition)
+    with pytest.raises(ValueError, match="needs sigma < 1; the graph is not connected"):
+        chebyshev_operator(W, sigma=sig if given_sigma else None)
+
+
 # ------------------------------------------------- multiple consensus
 
 def test_default_zeta_examples():
