@@ -63,11 +63,6 @@ MULTICONSENSUS_EFFECTIVE_SIGMA = 1.0 / math.e
 
 NAN = float("nan")
 
-CSV_COLUMNS = ("k", "gap", "per_agent_gap_max", "cons_x", "cons_y", "cons_s",
-               "zbar_dist", "comm_rounds", "grad_rounds", "lemma4_margin",
-               "lemma1_lower_margin", "lemma1_upper_margin")
-
-
 class DivergenceError(RuntimeError):
     """Raised when an iterate turns non-finite (step size too large)."""
 
@@ -199,6 +194,7 @@ class TraceRow:
 
 _ROW_FIELDS = tuple(f.name for f in fields(TraceRow))
 _INT_FIELDS = ("k", "comm_rounds", "grad_rounds")
+CSV_COLUMNS = _ROW_FIELDS[:12]  # cons_z and theta are kept in the table only
 
 
 def _row(values: list) -> TraceRow:
@@ -227,15 +223,17 @@ class _Rows(Sequence):
 class RunTrace:
     """Per-iteration records plus run metadata (constants the certificates need).
 
-    The records are stored as one float64 table with a column per TraceRow
-    field (the integer counters are exact below 2**53), 8 bytes per number
-    instead of a Python object per value; ``rows`` reads them back as
-    TraceRow records.
+    ``table`` holds one row per instant and one float64 column per TraceRow
+    field, in field order (the integer counters are exact below 2**53); ``run``
+    writes each row into it once.  ``column`` reads one field as an array;
+    ``rows`` is a read-only TraceRow view for callers that want records.
     """
 
-    def __init__(self, rows=(), meta: dict | None = None):
-        self.table = np.array([[getattr(r, name) for name in _ROW_FIELDS] for r in rows],
-                              dtype=float).reshape(-1, len(_ROW_FIELDS))
+    def __init__(self, table: np.ndarray, meta: dict | None = None):
+        if table.ndim != 2 or table.shape[1] != len(_ROW_FIELDS):
+            raise ValueError(f"a trace table has {len(_ROW_FIELDS)} columns, "
+                             f"got shape {table.shape}")
+        self.table = table
         self.meta = {} if meta is None else meta
 
     @property
@@ -243,23 +241,24 @@ class RunTrace:
         return _Rows(self.table)
 
     def column(self, name: str) -> np.ndarray:
+        """One field over all rows: an int array for k and the round counters,
+        else a float copy."""
+        if name not in _ROW_FIELDS:
+            raise ValueError(f"unknown trace column {name!r}; the columns are "
+                             f"{', '.join(_ROW_FIELDS)}")
         col = self.table[:, _ROW_FIELDS.index(name)]
         return col.astype(int) if name in _INT_FIELDS else col.copy()
 
     def to_csv(self, path, timestamp: str | None = None):
         """Write the fixed 12-column CSV; floats carry 17 significant digits."""
+        cells = [int if name in _INT_FIELDS else "{:.17g}".format for name in CSV_COLUMNS]
         with open(path, "w", newline="") as fh:
             if timestamp is not None:
                 fh.write(f"# generated {timestamp}\n")
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow([
-                    r.k,
-                    *(format(getattr(r, c), ".17g") for c in CSV_COLUMNS[1:7]),
-                    r.comm_rounds, r.grad_rounds,
-                    *(format(getattr(r, c), ".17g") for c in CSV_COLUMNS[9:]),
-                ])
+            writer.writerows([cell(v) for cell, v in zip(cells, row)]
+                             for row in self.table[:, :len(CSV_COLUMNS)].tolist())
 
 
 def resolve_gamma(schedule: GraphSchedule) -> int:
@@ -366,7 +365,7 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
 
     meta = {**consts, "m": problem.m, "n": problem.n, "max_iterations": K,
             "seeds": tuple(config.seeds), "mu_used": mu, "diagnostics": diagnostics}
-    rows = []
+    table = np.empty((K + 1, len(_ROW_FIELDS)))
 
     # gt is the theta = 1, mu = 0 case without the momentum row; it tracks s
     # with W^{k-1}, the matrix that produced x^k, so each W^k serves two
@@ -409,14 +408,13 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
             # for the trace row and the margins alike.
             bars = (xbar, y.mean(axis=0), z.mean(axis=0), s.mean(axis=0))
             cons = tuple(map(consensus_error, (x, y, z, s), bars))
-            row = _measure(problem, k, x, F_x, bars, cons, comm_per_iteration * k, k + 1,
-                           theta_k, *margins(y, grad if k > 0 else None, F_x, bars, cons[1],
-                                             theta_k, nxt))
-            _check_finite(config.variant, row, nxt)
-            rows.append(row)
+            table[k] = _measure(problem, k, x, F_x, bars, cons, comm_per_iteration * k, k + 1,
+                                theta_k, *margins(y, grad if k > 0 else None, F_x, bars,
+                                                  cons[1], theta_k, nxt))
+            _check_finite(config.variant, table[k], nxt)
             if nxt is not None:
                 x, z, xbar, F_x = nxt
-    return RunTrace(rows, meta)
+    return RunTrace(table, meta)
 
 
 def _mixer(variant: str, schedule: GraphSchedule, consts: dict):
@@ -524,27 +522,21 @@ class _Margins:
 
 
 def _measure(problem, k, x, F_x, bars, cons, comm, grad, theta_k, lemma4, lower, upper):
-    """Trace row k from the row's column means ``bars`` and squared
-    disagreements ``cons``, both ordered (x, y, z, s)."""
+    """Row k of the trace table, in TraceRow field order, from the row's column
+    means ``bars`` and squared disagreements ``cons``, both ordered (x, y, z, s)."""
     m = problem.m
-    per_agent = float((problem.value_many(x) - problem.F_star).max())
     cons_x, cons_y, cons_z, cons_s = cons
-    return TraceRow(
-        k=k, gap=float(F_x - problem.F_star), per_agent_gap_max=per_agent,
-        cons_x=cons_x / m, cons_y=cons_y / m, cons_s=cons_s / m,
-        zbar_dist=float(np.sum((bars[2] - problem.x_star) ** 2)),
-        comm_rounds=comm, grad_rounds=grad,
-        lemma4_margin=lemma4, lemma1_lower_margin=lower, lemma1_upper_margin=upper,
-        cons_z=cons_z / m, theta=theta_k)
+    return (k, F_x - problem.F_star, (problem.value_many(x) - problem.F_star).max(),
+            cons_x / m, cons_y / m, cons_s / m, np.sum((bars[2] - problem.x_star) ** 2),
+            comm, grad, lemma4, lower, upper, cons_z / m, theta_k)
 
 
-def _check_finite(variant: str, row: TraceRow, nxt):
-    """Raise DivergenceError at instant k if a recorded metric of row k, or
-    the next x / z, is non-finite.  The row's metrics cover x, y, z and s of
-    instant k, and catch divergence the iterates alone can hide (the mean
-    stays bounded while squared norms overflow)."""
-    metrics = (row.gap, row.per_agent_gap_max, row.cons_x, row.cons_y, row.cons_s,
-               row.zbar_dist)
-    if not (all(math.isfinite(v) for v in metrics)
+def _check_finite(variant: str, row: np.ndarray, nxt):
+    """Raise DivergenceError at instant k if a recorded metric of table row k
+    (its gap..zbar_dist cells), or the next x / z, is non-finite.  The row's
+    metrics cover x, y, z and s of instant k, and catch divergence the iterates
+    alone can hide (the mean stays bounded while squared norms overflow)."""
+    if not (np.isfinite(row[1:7]).all()
             and (nxt is None or (np.isfinite(nxt[0]).all() and np.isfinite(nxt[1]).all()))):
-        raise DivergenceError(f"{variant} diverged at iteration {row.k}", iteration=row.k)
+        k = int(row[0])
+        raise DivergenceError(f"{variant} diverged at iteration {k}", iteration=k)

@@ -17,9 +17,16 @@ T3 / T4 are the gamma-step analogues checked at instants K = T gamma, with
 initialization maxima taken over the first gamma(+1) recorded iterates
 (the z-maximum weighted by theta^2 per its definition).
 
+The certificates read the trace by column (``trace.column``).  T1 / T2
+check every recorded row; T3 / T4 share the gamma grid: gap rows 1, 1 + gamma,
+... and consensus rows 0, gamma, ..., on a trace that holds at least the first
+gamma iterates beyond row 0.  Each bound is one array expression over its
+rows; the powers (1-theta)^k are scalar powers, one per instant, since numpy's
+array power can differ from them in the last bit.
+
 Margins are evaluated pointwise with a relative tolerance of
 1e-7 * max(1, |checked side|): the inequalities are exact in real arithmetic,
-so only rounding may intrude.
+so only rounding may intrude.  A NaN margin counts as a violation.
 """
 from __future__ import annotations
 
@@ -41,7 +48,7 @@ class BoundCertificate:
     """Verdict of one bound over a whole trace.
 
     ``worst_margin`` is the minimum of (bound - checked value) over the
-    examined instants; ``holds`` applies the relative tolerance pointwise;
+    examined instants (NaN if any margin is NaN); ``holds`` applies the relative tolerance pointwise;
     ``first_violation_k`` is the first instant that failed, if any.
     """
 
@@ -51,25 +58,40 @@ class BoundCertificate:
     first_violation_k: int | None = None
 
 
-def _certify(theorem_id: str, points) -> BoundCertificate:
-    worst = float("inf")
-    first_violation = None
-    for k, lhs, rhs in points:
-        margin = rhs - lhs
-        worst = min(worst, margin)
-        if margin < -REL_TOL * max(1.0, abs(lhs)) and first_violation is None:
-            first_violation = k
-    if worst == float("inf"):
+def _certify(theorem_id: str, ks: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> BoundCertificate:
+    """Verdict of ``lhs <= rhs`` at the instants ``ks``; a NaN margin fails."""
+    if not len(ks):
         raise ValueError(f"no instants to check for {theorem_id}")
-    return BoundCertificate(theorem_id, first_violation is None, float(worst), first_violation)
+    margin = rhs - lhs
+    failed = np.flatnonzero(~(margin >= -REL_TOL * np.maximum(1.0, np.abs(lhs))))
+    first_violation = int(ks[failed[0]]) if failed.size else None
+    return BoundCertificate(theorem_id, first_violation is None, float(margin.min()),
+                            first_violation)
+
+
+def _powers(base, exponents: np.ndarray) -> np.ndarray:
+    """``base ** k`` for each k, one scalar power at a time: numpy's array power
+    can differ from it in the last bit."""
+    return np.array([base ** k for k in exponents.tolist()])
 
 
 def _require_mode(trace: RunTrace, mode: str, theorem: str):
     got = trace.meta.get("mu_mode")
     if got is not None and got != mode:
         raise ValueError(f"{theorem} applies to mu_mode={mode!r} runs, trace has {got!r}")
-    if not trace.rows:
+    if not len(trace.table):
         raise ValueError("empty trace")
+
+
+def _gamma_grid(trace: RunTrace, gamma: int, needs: str):
+    """The rows T3 / T4 check: gap rows 1, 1 + gamma, ... and consensus rows
+    0, gamma, ...  Their initialization maxima read rows 0..gamma; ``needs``
+    words the error a shorter trace raises."""
+    last = len(trace.table) - 1
+    if last < gamma:
+        raise ValueError(f"trace too short: the initialization {needs} the "
+                         f"first {gamma} iterates beyond row 0")
+    return np.arange(1, last + 1, gamma), np.arange(0, last + 1, gamma)
 
 
 def certify_theorem1(trace: RunTrace, problem: ProblemInstance, alpha: float,
@@ -77,15 +99,13 @@ def certify_theorem1(trace: RunTrace, problem: ProblemInstance, alpha: float,
     """Sublinear bounds for the static mu = 0 setting; returns (gap, consensus)."""
     _require_mode(trace, "zero", "the static mu=0 bound")
     L = problem.L
-    zbar0 = trace.rows[0].zbar_dist
-    s0 = trace.rows[0].cons_s
+    k = trace.column("k")
+    zbar0, s0 = trace.column("zbar_dist")[0], trace.column("cons_s")[0]
     b_gap = (2.0 / alpha) * zbar0 + (1.0 - sigma) / (2.0 * L) * s0
     b_cons = 5.0 / (L * alpha) * zbar0 + 9.0 * (1.0 - sigma) / (4.0 * L * L) * s0
-    gap_cert = _certify("T1_gap", ((r.k, r.gap, b_gap / r.k ** 2)
-                                   for r in trace.rows if r.k >= 1))
-    cons_cert = _certify("T1_consensus", ((r.k, r.cons_x, b_cons / (r.k + 1) ** 2)
-                                          for r in trace.rows))
-    return gap_cert, cons_cert
+    on = k >= 1
+    return (_certify("T1_gap", k[on], trace.column("gap")[on], b_gap / k[on] ** 2),
+            _certify("T1_consensus", k, trace.column("cons_x"), b_cons / (k + 1) ** 2))
 
 
 def certify_theorem2(trace: RunTrace, problem: ProblemInstance, alpha: float,
@@ -95,14 +115,13 @@ def certify_theorem2(trace: RunTrace, problem: ProblemInstance, alpha: float,
     L, mu = problem.L, problem.mu
     theta = np.sqrt(mu * alpha) / 2.0
     coeff = theta * theta / (2.0 * alpha) + mu * theta / 2.0
-    r0 = trace.rows[0]
-    C = r0.gap + coeff * r0.zbar_dist + 4.0 * (1.0 - sigma) / (59.0 * L * (1.0 - theta)) * r0.cons_s
+    k, gap, zbar = trace.column("k"), trace.column("gap"), trace.column("zbar_dist")
+    C = (gap[0] + coeff * zbar[0]
+         + 4.0 * (1.0 - sigma) / (59.0 * L * (1.0 - theta)) * trace.column("cons_s")[0])
     decay = 1.0 - theta
-    gap_cert = _certify("T2_gap", ((r.k, r.gap + coeff * r.zbar_dist, decay ** r.k * C)
-                                   for r in trace.rows))
-    cons_cert = _certify("T2_consensus", ((r.k, r.cons_x, decay ** (r.k + 1) * 4.0 * C / L)
-                                          for r in trace.rows))
-    return gap_cert, cons_cert
+    return (_certify("T2_gap", k, gap + coeff * zbar, _powers(decay, k) * C),
+            _certify("T2_consensus", k, trace.column("cons_x"),
+                     _powers(decay, k + 1) * 4.0 * C / L))
 
 
 def certify_theorem3(trace: RunTrace, problem: ProblemInstance, alpha: float,
@@ -110,23 +129,14 @@ def certify_theorem3(trace: RunTrace, problem: ProblemInstance, alpha: float,
     """Sublinear bounds for the time-varying mu = 0 setting, checked at the
     gamma-grid instants K = T gamma; returns (gap, consensus)."""
     _require_mode(trace, "zero", "the time-varying mu=0 bound")
-    if len(trace.rows) - 1 < gamma:
-        raise ValueError(f"trace too short: the initialization maximum needs the "
-                         f"first {gamma} iterates beyond row 0")
+    gap_k, cons_k = _gamma_grid(trace, gamma, "maximum needs")
     L, m = problem.L, problem.m
-    zbar0 = trace.rows[0].zbar_dist
-    max_s = m * max(r.cons_s for r in trace.rows[:gamma + 1])
-    bracket = (2.0 / alpha) * zbar0 + (1.0 - sigma_gamma) / (5.0 * m * L * gamma) * max_s
-    last = len(trace.rows) - 1
-    gap_points = [(t * gamma + 1,
-                   trace.rows[t * gamma + 1].gap,
-                   bracket / (t * gamma + 1) ** 2)
-                  for t in range(0, (last - 1) // gamma + 1)]
-    cons_points = [(t * gamma,
-                    trace.rows[t * gamma].cons_x,
-                    9.0 * bracket / (2.0 * L * (t * gamma + 1) ** 2))
-                   for t in range(0, last // gamma + 1)]
-    return _certify("T3_gap", gap_points), _certify("T3_consensus", cons_points)
+    max_s = m * trace.column("cons_s")[:gamma + 1].max()
+    bracket = ((2.0 / alpha) * trace.column("zbar_dist")[0]
+               + (1.0 - sigma_gamma) / (5.0 * m * L * gamma) * max_s)
+    return (_certify("T3_gap", gap_k, trace.column("gap")[gap_k], bracket / gap_k ** 2),
+            _certify("T3_consensus", cons_k, trace.column("cons_x")[cons_k],
+                     9.0 * bracket / (2.0 * L * (cons_k + 1) ** 2)))
 
 
 def certify_theorem4(trace: RunTrace, problem: ProblemInstance, alpha: float,
@@ -136,33 +146,23 @@ def certify_theorem4(trace: RunTrace, problem: ProblemInstance, alpha: float,
     first gamma iterates: raw ||Pi s^r||^2 and ||Pi x^r||^2, and the
     theta^2-weighted ||Pi z^r||^2."""
     _require_mode(trace, "strongly_convex", "the time-varying mu>0 bound")
-    if len(trace.rows) - 1 < gamma:
-        raise ValueError(f"trace too short: the initialization maxima need the "
-                         f"first {gamma} iterates beyond row 0")
+    gap_k, cons_k = _gamma_grid(trace, gamma, "maxima need")
     L, mu, m = problem.L, problem.mu, problem.m
     theta = np.sqrt(mu * alpha) / 2.0
     coeff = theta * theta / (2.0 * alpha) + mu * theta / 2.0
-    r0 = trace.rows[0]
-    head = trace.rows[1:gamma + 1]
-    max_s = m * max(r.cons_s for r in head)
-    max_x = m * max(r.cons_x for r in head)
-    max_z = theta * theta * m * max(r.cons_z for r in head)
+    gap, zbar, cons_x = trace.column("gap"), trace.column("zbar_dist"), trace.column("cons_x")
+    max_s = m * trace.column("cons_s")[1:gamma + 1].max()
+    max_x = m * cons_x[1:gamma + 1].max()
+    max_z = theta * theta * m * trace.column("cons_z")[1:gamma + 1].max()
     one = 1.0 - sigma_gamma
-    C = (r0.gap + coeff * r0.zbar_dist
+    C = (gap[0] + coeff * zbar[0]
          + one / (49.0 * m * L * gamma * (1.0 - theta)) * max_s
          + 1459.0 * L * gamma ** 3 / (m * (1.0 - theta) * one ** 3) * max_z
          + 6.6 * L * gamma / (m * (1.0 - theta) * one) * max_x)
     decay = 1.0 - theta
-    last = len(trace.rows) - 1
-    gap_points = [(t * gamma + 1,
-                   trace.rows[t * gamma + 1].gap + coeff * trace.rows[t * gamma + 1].zbar_dist,
-                   decay ** (t * gamma + 1) * C)
-                  for t in range(0, (last - 1) // gamma + 1)]
-    cons_points = [(t * gamma,
-                    trace.rows[t * gamma].cons_x,
-                    decay ** (t * gamma + 1) * 4.0 * C / L)
-                   for t in range(0, last // gamma + 1)]
-    return _certify("T4_gap", gap_points), _certify("T4_consensus", cons_points)
+    return (_certify("T4_gap", gap_k, gap[gap_k] + coeff * zbar[gap_k], _powers(decay, gap_k) * C),
+            _certify("T4_consensus", cons_k, cons_x[cons_k],
+                     _powers(decay, cons_k + 1) * 4.0 * C / L))
 
 
 def fit_rate(trace: RunTrace, window: tuple[int, int] | None = None) -> float:
@@ -174,27 +174,24 @@ def fit_rate(trace: RunTrace, window: tuple[int, int] | None = None) -> float:
     window drops the first 10% of iterations as transient; gaps at or below
     1e-14 truncate the window.
     """
-    if not trace.rows:
+    if not len(trace.table):
         raise ValueError("empty trace")
-    last = trace.rows[-1].k
+    k, gap = trace.column("k"), trace.column("gap")
     if window is None:
-        window = (max(1, int(np.ceil(0.1 * last))), last)
+        window = (max(1, int(np.ceil(0.1 * k[-1]))), k[-1])
     lo, hi = window
     sc = trace.meta.get("mu_mode") == "strongly_convex"
     if not sc:
         lo = max(lo, 1)  # log k needs k >= 1
-    ks, gaps = [], []
-    for r in trace.rows:
-        if r.k < lo or r.k > hi:
-            continue
-        if r.gap <= 1e-14:
-            break  # underflow truncates the window
-        ks.append(r.k)
-        gaps.append(r.gap)
-    if len(ks) < 2:
+    inside = (k >= lo) & (k <= hi)
+    k, gap = k[inside], gap[inside]
+    underflow = np.flatnonzero(gap <= 1e-14)  # truncates the window
+    if underflow.size:
+        k, gap = k[:underflow[0]], gap[:underflow[0]]
+    if len(k) < 2:
         raise ValueError("window too small (or gap underflowed immediately)")
-    xs = np.array(ks, dtype=float) if sc else np.log(np.array(ks, dtype=float))
-    return float(np.polyfit(xs, np.log(np.array(gaps)), 1)[0])
+    xs = k.astype(float) if sc else np.log(k.astype(float))
+    return float(np.polyfit(xs, np.log(gap), 1)[0])
 
 
 def certificates_to_report(certs) -> list[dict]:

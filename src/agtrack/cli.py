@@ -26,7 +26,7 @@ Config schema (JSON object; ``*`` marks a required key)::
                      "max_iterations": int, "zeta": int|null, "seeds": [int]},  # one seed
       "diagnostics": "on"|"off",    # default "on"
       "target_gap": float,          # sweep summary threshold (default 1e-6)
-      "sweep": {"algorithm.alpha": [...], ...}   # dotted paths to lists
+      "sweep": {"algorithm.alpha": [...], ...}   # dotted paths to non-empty lists
     }
 
 ``CONFIG_FIELDS``, ``PROBLEM_FIELDS``, ``GRAPH_FIELDS`` and
@@ -56,6 +56,8 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, sigma as sigma_of, sigma_gamma as sigma_gamma_of
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
@@ -117,8 +119,8 @@ _edge_sets = _expect(lambda value: isinstance(value, list), "expected a list of 
 _section = _expect(lambda value: isinstance(value, dict), "required object is missing")
 _on_off = _expect(lambda value: value in ("on", "off"), "expected 'on' or 'off', got {!r}")
 _axes = _expect(lambda value: isinstance(value, dict)
-                and all(isinstance(axis, list) for axis in value.values()),
-                "expected an object mapping dotted paths to lists")
+                and all(isinstance(axis, list) and axis for axis in value.values()),
+                "expected an object mapping dotted paths to non-empty lists")
 
 
 # Field tables: key -> (check, default), in the order the keys are checked.  A key
@@ -379,10 +381,13 @@ def _set_path(data: dict, dotted: str, value):
 
 
 def _rounds_to_target(trace: RunTrace, target: float):
-    for r in trace.rows:
-        if r.gap <= target:
-            return r.comm_rounds, r.grad_rounds
-    return None, None
+    """The cumulative (comm, grad) rounds of the first row whose gap is at most
+    ``target``, or (None, None)."""
+    reached = np.flatnonzero(trace.column("gap") <= target)
+    if not reached.size:
+        return None, None
+    comm, grad = trace.column("comm_rounds"), trace.column("grad_rounds")
+    return int(comm[reached[0]]), int(grad[reached[0]])
 
 
 def cmd_sweep(args) -> int:
@@ -418,7 +423,7 @@ def cmd_sweep(args) -> int:
             return {**row, "status": "diverged", "detail": str(err)}
         comm, grad = _rounds_to_target(trace, cell["target_gap"])
         return {**row, "status": "ok",
-                "final_gap": format(trace.rows[-1].gap, ".17g"),
+                "final_gap": format(float(trace.column("gap")[-1]), ".17g"),
                 "comm_rounds_to_target": comm, "grad_rounds_to_target": grad,
                 "certificates": ";".join(
                     f"{c.theorem_id}:{'pass' if c.holds else 'FAIL'}" for c in certs)}

@@ -11,6 +11,10 @@ per operation, as the in-place ``chebyshev_apply`` must reproduce it.
 The graph layer has two loop oracles of the same kind:
 ``metropolis_weights_loop`` builds W one edge at a time and
 ``gamma_connected_bfs`` searches each window's union graph breadth first.
+
+``reference_certificates`` replays the bounds T1-T4 one trace row and one
+Python float at a time, as the column certificates in ``agtrack.analysis``
+must reproduce them bit for bit.
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from agtrack import DivergenceError, ProblemInstance, aggregate_gradient, gossip
+from agtrack import BoundCertificate, DivergenceError, ProblemInstance, aggregate_gradient, gossip
+from agtrack.analysis import REL_TOL
 
 
 @dataclass(frozen=True)
@@ -162,3 +167,90 @@ def gamma_connected_bfs(schedule, gamma: int, horizon: int) -> bool:
         if len(seen) < m:
             return False
     return True
+
+
+# ---------------------------------------------------------------- certificates
+
+def certify_points(theorem_id: str, points) -> BoundCertificate:
+    """The verdict over ``(k, checked side, bound side)`` points, one at a time."""
+    worst = float("inf")
+    first_violation = None
+    for k, lhs, rhs in points:
+        margin = rhs - lhs
+        worst = min(worst, margin)
+        if margin < -REL_TOL * max(1.0, abs(lhs)) and first_violation is None:
+            first_violation = k
+    if worst == float("inf"):
+        raise ValueError(f"no instants to check for {theorem_id}")
+    return BoundCertificate(theorem_id, first_violation is None, float(worst), first_violation)
+
+
+def _t1_points(rows, problem, alpha, sigma):
+    L = problem.L
+    zbar0, s0 = rows[0].zbar_dist, rows[0].cons_s
+    b_gap = (2.0 / alpha) * zbar0 + (1.0 - sigma) / (2.0 * L) * s0
+    b_cons = 5.0 / (L * alpha) * zbar0 + 9.0 * (1.0 - sigma) / (4.0 * L * L) * s0
+    return ([(r.k, r.gap, b_gap / r.k ** 2) for r in rows if r.k >= 1],
+            [(r.k, r.cons_x, b_cons / (r.k + 1) ** 2) for r in rows])
+
+
+def _t2_points(rows, problem, alpha, sigma):
+    L, mu = problem.L, problem.mu
+    theta = np.sqrt(mu * alpha) / 2.0
+    coeff = theta * theta / (2.0 * alpha) + mu * theta / 2.0
+    r0 = rows[0]
+    C = r0.gap + coeff * r0.zbar_dist + 4.0 * (1.0 - sigma) / (59.0 * L * (1.0 - theta)) * r0.cons_s
+    decay = 1.0 - theta
+    return ([(r.k, r.gap + coeff * r.zbar_dist, decay ** r.k * C) for r in rows],
+            [(r.k, r.cons_x, decay ** (r.k + 1) * 4.0 * C / L) for r in rows])
+
+
+def _t3_points(rows, problem, alpha, sigma_gamma, gamma):
+    L, m = problem.L, problem.m
+    zbar0 = rows[0].zbar_dist
+    max_s = m * max(r.cons_s for r in rows[:gamma + 1])
+    bracket = (2.0 / alpha) * zbar0 + (1.0 - sigma_gamma) / (5.0 * m * L * gamma) * max_s
+    last = len(rows) - 1
+    return ([(t * gamma + 1, rows[t * gamma + 1].gap, bracket / (t * gamma + 1) ** 2)
+             for t in range(0, (last - 1) // gamma + 1)],
+            [(t * gamma, rows[t * gamma].cons_x, 9.0 * bracket / (2.0 * L * (t * gamma + 1) ** 2))
+             for t in range(0, last // gamma + 1)])
+
+
+def _t4_points(rows, problem, alpha, sigma_gamma, gamma):
+    L, mu, m = problem.L, problem.mu, problem.m
+    theta = np.sqrt(mu * alpha) / 2.0
+    coeff = theta * theta / (2.0 * alpha) + mu * theta / 2.0
+    r0 = rows[0]
+    head = rows[1:gamma + 1]
+    max_s = m * max(r.cons_s for r in head)
+    max_x = m * max(r.cons_x for r in head)
+    max_z = theta * theta * m * max(r.cons_z for r in head)
+    one = 1.0 - sigma_gamma
+    C = (r0.gap + coeff * r0.zbar_dist
+         + one / (49.0 * m * L * gamma * (1.0 - theta)) * max_s
+         + 1459.0 * L * gamma ** 3 / (m * (1.0 - theta) * one ** 3) * max_z
+         + 6.6 * L * gamma / (m * (1.0 - theta) * one) * max_x)
+    decay = 1.0 - theta
+    last = len(rows) - 1
+    return ([(t * gamma + 1,
+              rows[t * gamma + 1].gap + coeff * rows[t * gamma + 1].zbar_dist,
+              decay ** (t * gamma + 1) * C)
+             for t in range(0, (last - 1) // gamma + 1)],
+            [(t * gamma, rows[t * gamma].cons_x, decay ** (t * gamma + 1) * 4.0 * C / L)
+             for t in range(0, last // gamma + 1)])
+
+
+_POINTS = {1: _t1_points, 2: _t2_points, 3: _t3_points, 4: _t4_points}
+
+
+def reference_certificates(theorem: int, trace, problem: ProblemInstance, alpha: float,
+                           *constants) -> tuple[BoundCertificate, BoundCertificate]:
+    """(gap, consensus) certificates of Theorem ``theorem`` (1-4) built from the
+    trace's rows one record at a time; ``constants`` are sigma for T1/T2 and
+    (sigma_gamma, gamma) for T3/T4.  Mode and length checks are left to the
+    caller."""
+    rows = list(trace.rows)
+    gap_points, cons_points = _POINTS[theorem](rows, problem, alpha, *constants)
+    return (certify_points(f"T{theorem}_gap", gap_points),
+            certify_points(f"T{theorem}_consensus", cons_points))

@@ -311,6 +311,20 @@ def test_resolve_constants_flags_estimated_sigma_gamma(m9_schedule):
 
 # ---------------------------------------------------------------- run
 
+def test_trace_column_names_an_unknown_column():
+    trace = run(AlgorithmConfig(variant="acc_gt_static", alpha=0.1, max_iterations=2),
+                random_quadratic_problem(5, 2, seed=10), ring_schedule(5), diagnostics=False)
+    assert trace.column("gap").shape == (3,)
+    with pytest.raises(ValueError, match=r"unknown trace column 'gaps'; the columns are "
+                                         r"k, gap, per_agent_gap_max, .*, cons_z, theta$"):
+        trace.column("gaps")
+
+
+def test_trace_table_must_hold_one_column_per_field():
+    with pytest.raises(ValueError, match="14 columns"):
+        algorithms.RunTrace(np.zeros((3, 12)))
+
+
 def test_run_k0_has_single_row():
     prob = random_quadratic_problem(5, 2, seed=10)
     trace = run(AlgorithmConfig(variant="acc_gt_static", max_iterations=0),

@@ -1,28 +1,34 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from agtrack import (AlgorithmConfig, BoundCertificate, GraphSchedule,
+from agtrack import (AlgorithmConfig, BoundCertificate, GraphSchedule, algorithms,
                      certificates_to_report, certify_theorem1,
                      certify_theorem2, certify_theorem3, certify_theorem4,
                      fit_rate, random_quadratic_problem, resolve_constants,
                      run)
-from agtrack.algorithms import RunTrace, TraceRow
+from agtrack.algorithms import _ROW_FIELDS, RunTrace
+from agtrack.cli import build_schedule
 from conftest import M9_EDGE_SETS, ring_edges
+from reference_steps import reference_certificates
+
+CERTIFY = {1: certify_theorem1, 2: certify_theorem2, 3: certify_theorem3, 4: certify_theorem4}
+SEEDED_RANDOM_CONFIG = Path(__file__).parent / "data" / "seeded_random_config.json"
 
 
 def synthetic_trace(gaps, mu_mode, *, start_k=0, zbar_dist=0.0, cons_x=0.0,
                     cons_s=0.0):
     """Trace with a prescribed gap sequence and constant everything else."""
-    rows = [TraceRow(k=start_k + i, gap=g, per_agent_gap_max=g, cons_x=cons_x,
-                     cons_y=0.0, cons_s=cons_s, zbar_dist=zbar_dist,
-                     comm_rounds=0, grad_rounds=0,
-                     lemma4_margin=float("nan"),
-                     lemma1_lower_margin=float("nan"),
-                     lemma1_upper_margin=float("nan"))
-            for i, g in enumerate(gaps)]
-    return RunTrace(rows=rows, meta={"mu_mode": mu_mode})
+    table = np.full((len(gaps), len(_ROW_FIELDS)), float("nan"))
+    for name, value in (("k", start_k + np.arange(len(gaps))), ("gap", gaps),
+                        ("per_agent_gap_max", gaps), ("cons_x", cons_x), ("cons_y", 0.0),
+                        ("cons_s", cons_s), ("zbar_dist", zbar_dist), ("cons_z", 0.0),
+                        ("comm_rounds", 0), ("grad_rounds", 0)):
+        table[:, _ROW_FIELDS.index(name)] = value
+    return RunTrace(table, meta={"mu_mode": mu_mode})
 
 
 def run_case(variant, mu_mode, problem, schedule, iterations):
@@ -81,7 +87,7 @@ def test_fit_rate_rejects_degenerate_window():
 
 def test_fit_rate_rejects_empty_trace():
     with pytest.raises(ValueError):
-        fit_rate(RunTrace(rows=[], meta={}))
+        fit_rate(RunTrace(np.empty((0, len(_ROW_FIELDS))), meta={}))
 
 
 def test_fit_rate_on_accelerated_run(ring10):
@@ -155,8 +161,19 @@ def test_certificate_rejects_mismatched_mode():
 def test_certificate_rejects_empty_trace():
     problem = random_quadratic_problem(3, 2, L=1.0, mu=0.0, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        certify_theorem1(RunTrace(rows=[], meta={"mu_mode": "zero"}),
+        certify_theorem1(RunTrace(np.empty((0, len(_ROW_FIELDS))), meta={"mu_mode": "zero"}),
                          problem, 0.1, 0.0)
+
+
+def test_nan_bound_is_a_violation():
+    # A bound that evaluates to NaN cannot certify its instant: it counts as a
+    # violation there, and the worst margin reads NaN rather than skipping it.
+    trace = synthetic_trace([0.0, 0.0, 0.0], "zero", zbar_dist=1.0)
+    problem = random_quadratic_problem(3, 2, L=1.0, mu=0.0, seed=0)
+    gap_cert, cons_cert = certify_theorem1(trace, problem, 0.1, float("nan"))
+    assert not gap_cert.holds and gap_cert.first_violation_k == 1
+    assert math.isnan(gap_cert.worst_margin)
+    assert not cons_cert.holds and cons_cert.first_violation_k == 0
 
 
 # ------------------------------------------------- certificates on runs
@@ -284,3 +301,103 @@ def test_certificates_to_report_carries_violation():
     (row,) = certificates_to_report([cert])
     assert row == {"theorem_id": "T1_gap", "holds": False,
                    "worst_margin": -3.5, "first_violation_k": 7}
+
+
+# ------------------------------------- column certificates vs the row reference
+
+def assert_same_certificates(got, want):
+    """Equal verdicts, bit for bit, with the JSON report's Python types."""
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert (g.theorem_id, g.holds, g.first_violation_k) == \
+            (w.theorem_id, w.holds, w.first_violation_k)
+        assert g.worst_margin.hex() == w.worst_margin.hex(), g.theorem_id
+        assert type(g.holds) is bool and type(g.worst_margin) is float
+        assert g.first_violation_k is None or type(g.first_violation_k) is int
+
+
+@pytest.fixture(scope="module")
+def seeded_random_schedule():
+    return build_schedule(json.loads(SEEDED_RANDOM_CONFIG.read_text())["graph"])
+
+
+@pytest.mark.parametrize("alpha", ["theorem_default", 0.3])
+@pytest.mark.parametrize("mu_mode", ["zero", "strongly_convex"])
+@pytest.mark.parametrize("variant,schedule_name,gamma", [
+    ("acc_gt_static", "ring10", 1),
+    ("acc_gt_tv", "ring10", 1),
+    ("acc_gt_tv", "m9_schedule", 3),
+    ("acc_gt_tv", "seeded_random_schedule", 4),
+])
+def test_column_certificates_match_the_row_reference_on_runs(request, variant, schedule_name,
+                                                             gamma, mu_mode, alpha):
+    schedule = request.getfixturevalue(schedule_name)
+    problem = random_quadratic_problem(schedule.agent_count, 4, L=1.0, mu=0.05, seed=2)
+    trace = run(AlgorithmConfig(variant=variant, alpha=alpha, mu_mode=mu_mode,
+                                max_iterations=60), problem, schedule, diagnostics=False)
+    meta = trace.meta
+    assert meta["gamma"] == gamma
+    if variant == "acc_gt_static":
+        theorem, constants = 1, (meta["sigma"],)
+    else:
+        theorem, constants = 3, (meta["sigma_gamma"], gamma)
+    theorem += mu_mode == "strongly_convex"
+    assert_same_certificates(CERTIFY[theorem](trace, problem, meta["alpha"], *constants),
+                             reference_certificates(theorem, trace, problem, meta["alpha"],
+                                                    *constants))
+
+
+def test_time_varying_certificates_locate_violations_of_an_oversized_step(m9_schedule):
+    # One of the alpha = 0.3 cases above: a run trace whose T3 bounds fail,
+    # so the comparison covers located violations, not only None.
+    problem = random_quadratic_problem(9, 4, L=1.0, mu=0.05, seed=2)
+    trace = run(AlgorithmConfig(variant="acc_gt_tv", alpha=0.3, max_iterations=60),
+                problem, m9_schedule, diagnostics=False)
+    certs = certify_theorem3(trace, problem, 0.3, trace.meta["sigma_gamma"], 3)
+    assert [c.first_violation_k for c in certs] == [19, 9]
+
+
+@pytest.mark.parametrize("gaps", [[0.0, 1e9, 0.0, 0.0], [0.0, (2.0 / 0.1) * (1 + 1e-9), 0.0]],
+                         ids=["violation", "tolerance"])
+@pytest.mark.parametrize("theorem,constants", [(1, (0.0,)), (2, (0.0,)),
+                                               (3, (0.0, 1)), (3, (0.5, 2)),
+                                               (4, (0.0, 1)), (4, (0.5, 2))])
+def test_column_certificates_match_the_row_reference_on_synthetic_traces(theorem, constants,
+                                                                         gaps):
+    mode = "strongly_convex" if theorem in (2, 4) else "zero"
+    # The traces of test_certificate_violation_is_located and
+    # test_certificate_tolerates_rounding_noise.
+    trace = synthetic_trace(gaps, mode, zbar_dist=1.0)
+    problem = random_quadratic_problem(3, 2, L=1.0, mu=0.1, seed=0)
+    assert_same_certificates(CERTIFY[theorem](trace, problem, 0.1, *constants),
+                             reference_certificates(theorem, trace, problem, 0.1, *constants))
+
+
+def test_run_csv_and_certificates_build_no_trace_row(monkeypatch, ring10, m9_schedule,
+                                                     tmp_path):
+    built = []
+    record_class, read_row = algorithms.TraceRow, algorithms._row
+
+    def counting_record(*args, **kwargs):
+        built.append("TraceRow")
+        return record_class(*args, **kwargs)
+
+    def counting_row(values):
+        built.append("_row")
+        return read_row(values)
+
+    monkeypatch.setattr(algorithms, "TraceRow", counting_record)
+    monkeypatch.setattr(algorithms, "_row", counting_row)
+    for variant, schedule, theorem, constants in (
+            ("acc_gt_static", ring10, 1, ("sigma",)),
+            ("acc_gt_tv", m9_schedule, 3, ("sigma_gamma", "gamma"))):
+        problem = random_quadratic_problem(schedule.agent_count, 4, L=1.0, mu=0.05, seed=2)
+        for mode in ("zero", "strongly_convex"):
+            trace = run(AlgorithmConfig(variant=variant, mu_mode=mode, max_iterations=12),
+                        problem, schedule)
+            trace.to_csv(tmp_path / "trace.csv")
+            CERTIFY[theorem + (mode == "strongly_convex")](
+                trace, problem, trace.meta["alpha"], *(trace.meta[c] for c in constants))
+    assert built == []
+    assert trace.rows[-1].k == 12  # the read-only view still builds records
+    assert built == ["_row", "TraceRow"]

@@ -67,8 +67,9 @@ def test_config_rejects_bad_diagnostics_flag():
 
 
 def test_config_rejects_non_list_sweep_axis():
-    with pytest.raises(ConfigError, match="sweep"):
-        check_config(base_config(sweep={"algorithm.alpha": 0.1}))
+    for axis in (0.1, []):
+        with pytest.raises(ConfigError, match="sweep"):
+            check_config(base_config(sweep={"algorithm.alpha": axis}))
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -699,6 +700,18 @@ def test_sweep_runs_all_cells(tmp_path, capsys):
     assert [r["algorithm.alpha"] for r in rows] == ["0.05", "0.05", "0.1", "0.1"]
     assert [r["problem.seed"] for r in rows] == ["0", "1", "0", "1"]
     assert all("T1_gap:pass" in r["certificates"] for r in rows)
+
+
+def test_sweep_rejects_an_empty_axis(tmp_path, capsys):
+    cfg = sweep_config()
+    cfg["sweep"] = {"problem.seed": [0, 1], "algorithm.alpha": []}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: sweep: expected an object mapping dotted paths to non-empty lists" \
+        in captured.err
+    assert "sweep complete" not in captured.out
+    assert not out.exists()
 
 
 def test_sweep_without_axes_behaves_as_run(tmp_path, capsys):
