@@ -10,11 +10,10 @@ from .graph import (EdgeSet, GraphSchedule, SpectralReport,
                     metropolis_weights, sigma, sigma_gamma)
 from .mixing import (ChebyshevOperator, chebyshev_apply, chebyshev_operator,
                      default_zeta, gossip, multiple_consensus)
-from .problems import (LocalObjective, ProblemInstance, aggregate_gradient,
-                       bregman_distance, consensus_error, inexact_value,
-                       logistic_objective, make_problem, quadratic_objective,
-                       random_logistic_problem, random_quadratic_problem,
-                       solve_optimum)
+from .problems import (ProblemInstance, aggregate_gradient, bregman_distance,
+                       consensus_error, inexact_value, logistic_problem,
+                       quadratic_problem, random_logistic_problem,
+                       random_quadratic_problem, solve_optimum)
 from .algorithms import (AlgorithmConfig, DivergenceError, NotGammaConnectedError,
                          RunTrace, TraceRow, default_alpha, resolve_constants,
                          resolve_gamma, run, theta_next)

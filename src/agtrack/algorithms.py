@@ -49,7 +49,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, gamma_connectivity, sigma as sigma_of, sigma_gamma as sigma_gamma_of
-from .graph import _is_int
+from .graph import _BOOL_TYPES, _is_int
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .mixing import chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
 from .problems import ProblemInstance, aggregate_gradient, bregman_distance, consensus_error, inexact_value
@@ -107,10 +107,17 @@ class AlgorithmConfig:
         if isinstance(self.alpha, str):
             if self.alpha != "theorem_default":
                 raise ValueError(f"alpha must be positive or 'theorem_default', got {self.alpha!r}")
+        elif type(self.alpha) in _BOOL_TYPES or not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite number or 'theorem_default', "
+                             f"got {self.alpha!r}")
         elif self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
+        if not _is_int(self.max_iterations):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
+        if self.zeta is not None and not _is_int(self.zeta):
+            raise ValueError(f"zeta must be an integer or None, got {self.zeta!r}")
         if self.zeta is not None and self.zeta < 1:
             raise ValueError("zeta must be at least 1")
         if self.zeta is not None and self.variant != "acc_gt_multiconsensus":

@@ -83,13 +83,13 @@ def _require_mode(trace: RunTrace, mode: str, theorem: str):
         raise ValueError("empty trace")
 
 
-def _gamma_grid(trace: RunTrace, gamma: int, needs: str):
+def _gamma_grid(trace: RunTrace, gamma: int):
     """The rows T3 / T4 check: gap rows 1, 1 + gamma, ... and consensus rows
-    0, gamma, ...  Their initialization maxima read rows 0..gamma; ``needs``
-    words the error a shorter trace raises."""
+    0, gamma, ...  Their initialization maxima read rows 0..gamma, so a
+    shorter trace is an error."""
     last = len(trace.table) - 1
     if last < gamma:
-        raise ValueError(f"trace too short: the initialization {needs} the "
+        raise ValueError(f"trace too short: the initialization maximum needs the "
                          f"first {gamma} iterates beyond row 0")
     return np.arange(1, last + 1, gamma), np.arange(0, last + 1, gamma)
 
@@ -129,7 +129,7 @@ def certify_theorem3(trace: RunTrace, problem: ProblemInstance, alpha: float,
     """Sublinear bounds for the time-varying mu = 0 setting, checked at the
     gamma-grid instants K = T gamma; returns (gap, consensus)."""
     _require_mode(trace, "zero", "the time-varying mu=0 bound")
-    gap_k, cons_k = _gamma_grid(trace, gamma, "maximum needs")
+    gap_k, cons_k = _gamma_grid(trace, gamma)
     L, m = problem.L, problem.m
     max_s = m * trace.column("cons_s")[:gamma + 1].max()
     bracket = ((2.0 / alpha) * trace.column("zbar_dist")[0]
@@ -146,7 +146,7 @@ def certify_theorem4(trace: RunTrace, problem: ProblemInstance, alpha: float,
     first gamma iterates: raw ||Pi s^r||^2 and ||Pi x^r||^2, and the
     theta^2-weighted ||Pi z^r||^2."""
     _require_mode(trace, "strongly_convex", "the time-varying mu>0 bound")
-    gap_k, cons_k = _gamma_grid(trace, gamma, "maxima need")
+    gap_k, cons_k = _gamma_grid(trace, gamma)
     L, mu, m = problem.L, problem.mu, problem.m
     theta = np.sqrt(mu * alpha) / 2.0
     coeff = theta * theta / (2.0 * alpha) + mu * theta / 2.0

@@ -6,17 +6,20 @@ allowed).  Aggregate matrices stack one row per agent, so a state is m-by-n
 and the consensus violation of x is measured through the projector
 ``Pi = I - (1/m) 1 1^T`` as ``||Pi x||^2``.  A ``ProblemInstance`` stores
 every agent's data once, stacked over agents, and evaluates all agents in one
-array expression.  Quadratics keep ``A`` (m, n, n) and ``b`` (m, n); F is the
-quadratic of their means.  Logistic agents share one ``data`` matrix (N, n)
-and ``labels`` (N,), rows grouped by agent, with ``counts`` and ``ridge`` (m,)
-per agent; an owner index (N,) maps each row to its agent, and per-agent sums
-over rows are ``np.add.reduceat`` at the group starts.  Besides values and
-gradients the module provides the Bregman distance and the inexact value the
-verification harness checks, and the optimum oracle.
+array expression.  Quadratics keep ``A`` (m, n, n), every A_i symmetric, and
+``b`` (m, n); F is the quadratic of their means.  Logistic agents share one
+``data`` matrix (N, n) and ``labels`` (N,), rows grouped by agent, with integer
+``counts`` and ``ridge`` (m,) per agent; an owner index (N,) maps each row to
+its agent, and per-agent sums over rows are ``np.add.reduceat`` at the group
+starts.  Constructing an instance checks these stacks (ValueError before any
+arithmetic on them) and solves its optimum ``x_star`` / ``F_star``.
+``quadratic_problem`` and ``logistic_problem`` build an instance from stacks
+and derive its L and mu; the seeded generators draw random ones.  Besides
+values and gradients the module provides the Bregman distance and the inexact
+value the verification harness checks, and the optimum oracle.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,45 +29,42 @@ OPTIMUM_MAX_ITERS = 1_000_000
 OPTIMUM_RESIDUAL = 1e-10
 
 
-@dataclass(frozen=True)
-class LocalObjective:
-    """One agent's objective, an input record of ``make_problem``: ``quadratic``
-    (quad_A, quad_b) or ``logistic`` (data, labels, ridge), curvature L_i..mu_i."""
-
-    kind: str
-    L_i: float
-    mu_i: float
-    quad_A: np.ndarray | None = None
-    quad_b: np.ndarray | None = None
-    data: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    ridge: float = 0.0
+def _check_sizes(m: int, n: int):
+    if m < 1 or n < 1:
+        raise ValueError(f"need at least one agent and one dimension (got m = {m}, n = {n})")
 
 
-def quadratic_objective(A: np.ndarray, b: np.ndarray) -> LocalObjective:
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    eigs = np.linalg.eigvalsh((A + A.T) / 2.0)
-    return LocalObjective("quadratic", float(eigs[-1]), float(eigs[0]), quad_A=A, quad_b=b)
-
-
-def logistic_objective(data: np.ndarray, labels: np.ndarray, ridge: float = 0.0) -> LocalObjective:
-    data = np.asarray(data, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if data.shape[0] == 0:
-        raise ValueError("every logistic agent needs at least one sample")
-    if not ridge >= 0.0:
-        raise ValueError(f"need ridge >= 0, or the objective is not convex (got ridge = {ridge})")
-    top = float(np.linalg.eigvalsh(data.T @ data)[-1])
-    return LocalObjective("logistic", top / (4.0 * data.shape[0]) + ridge, float(ridge),
-                          data=data, labels=labels, ridge=ridge)
+def _check_stacks(kind, A=None, b=None, data=None, labels=None, counts=None, ridge=None):
+    """Sizes ``(m, n)`` of stacks laid out as the module docstring says;
+    ValueError naming the first check they fail."""
+    if kind not in ("quadratic", "logistic"):
+        raise ValueError(f"unknown objective kind {kind!r}")
+    m, n = (len(b), b.shape[-1]) if kind == "quadratic" else (len(counts), data.shape[-1])
+    _check_sizes(m, n)
+    if kind == "quadratic":
+        if A.shape != (m, n, n) or b.shape != (m, n):
+            raise ValueError(f"need A (m, n, n) and b (m, n), got {A.shape} and {b.shape}")
+        # Products such as Q_i D_i Q_i^T are symmetric only up to rounding, hence a
+        # relative tolerance; A_i - A_i^T is antisymmetric, so its maximum is its
+        # largest magnitude.
+        if not (A - A.transpose(0, 2, 1)).max() <= 1e-10 * max(A.max(), -A.min()):
+            raise ValueError("every A_i must be symmetric")
+    elif counts.ndim != 1 or counts.dtype.kind not in "iu" or (counts < 1).any():
+        raise ValueError("every logistic agent needs at least one sample (integer counts >= 1)")
+    elif data.shape != (counts.sum(), n) or labels.shape != (counts.sum(),):
+        raise ValueError(f"counts must cover the rows of data {data.shape}, labels {labels.shape}")
+    elif ridge.shape != (m,) or not (ridge >= 0.0).all():
+        raise ValueError(f"need ridge >= 0 per agent or the objective is not convex (got {ridge})")
+    return m, n
 
 
 @dataclass(frozen=True)
 class ProblemInstance:
     """m local objectives of one kind, stacked as the module docstring says;
     ``L = max_i L_i`` and ``mu = min_i mu_i`` are the constants the step-size
-    rules and certificates use, and ``||mean_gradient(x_star)|| <= 1e-10``."""
+    rules and certificates use.  Construction checks the stacks, sets the
+    sizes ``m``, ``n`` and solves the optimum ``x_star``, ``F_star`` with
+    ``solve_optimum``, so ``||mean_gradient(x_star)|| <= 1e-10``."""
 
     kind: str
     L: float
@@ -75,23 +75,18 @@ class ProblemInstance:
     labels: np.ndarray | None = None  # logistic (N,)
     counts: np.ndarray | None = None  # logistic (m,) rows per agent
     ridge: np.ndarray | None = None   # logistic (m,)
-    x_star: np.ndarray | None = None
-    F_star: float | None = None
 
     def __post_init__(self):
-        put = object.__setattr__  # derived arrays of a frozen instance
+        m, n = _check_stacks(self.kind, self.A, self.b, self.data, self.labels, self.counts,
+                             self.ridge)
+        derived = vars(self)  # a frozen instance's derived values go straight to its dict
+        derived.update(m=m, n=n)
         if self.kind == "quadratic":
-            put(self, "_Abar", self.A.mean(axis=0))
-            put(self, "_bbar", self.b.mean(axis=0))
-        elif self.kind == "logistic":
-            if (self.counts < 1).any():
-                raise ValueError("every logistic agent needs at least one sample")
-            put(self, "_owner", np.repeat(np.arange(self.counts.shape[0]), self.counts))
-            put(self, "_starts", np.cumsum(self.counts) - self.counts)
+            derived.update(_Abar=self.A.mean(axis=0), _bbar=self.b.mean(axis=0))
         else:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        put(self, "m", (self.b if self.kind == "quadratic" else self.counts).shape[0])
-        put(self, "n", (self.b if self.kind == "quadratic" else self.data).shape[1])
+            derived.update(_owner=np.repeat(np.arange(m), self.counts),
+                           _starts=np.cumsum(self.counts) - self.counts)
+        derived["x_star"], derived["F_star"] = solve_optimum(self)
 
     def _F(self, X: np.ndarray) -> np.ndarray:
         """F at each row of X (P-by-n) -> (P,)."""
@@ -116,17 +111,14 @@ class ProblemInstance:
         """Per-agent gradients ``grad f_(i)(Y_i)`` (m, n)."""
         if self.kind == "quadratic":
             return np.einsum("ijk,ik->ij", self.A, Y) + self.b
-        return self._logistic_gradients(Y, self._margins(Y))
+        # d/dm log(1+e^{-m}) = -sigmoid(-m)
+        coeff = -self.labels / (1.0 + np.exp(self._margins(Y)))
+        grads = np.add.reduceat(coeff[:, None] * self.data, self._starts) / self.counts[:, None]
+        return grads + self.ridge[:, None] * Y
 
     def _margins(self, Y: np.ndarray) -> np.ndarray:
         """Logistic margins ``label_r <data_r, Y_owner(r)>`` per row (N,)."""
         return self.labels * np.einsum("rj,rj->r", self.data, Y[self._owner])
-
-    def _logistic_gradients(self, Y: np.ndarray, margins: np.ndarray) -> np.ndarray:
-        # d/dm log(1+e^{-m}) = -sigmoid(-m)
-        coeff = -self.labels / (1.0 + np.exp(margins))
-        grads = np.add.reduceat(coeff[:, None] * self.data, self._starts) / self.counts[:, None]
-        return grads + self.ridge[:, None] * Y
 
     def value(self, w: np.ndarray) -> float:
         return float(self._F(np.asarray(w, dtype=float)[None, :])[0])
@@ -229,32 +221,29 @@ def _agd_minimize(problem: ProblemInstance) -> np.ndarray:
                        f"within {OPTIMUM_MAX_ITERS} iterations")
 
 
-def _solved(inst: ProblemInstance) -> ProblemInstance:
-    x_star, F_star = solve_optimum(inst)
-    return dataclasses.replace(inst, x_star=x_star, F_star=F_star)
+def quadratic_problem(A, b) -> ProblemInstance:
+    """Quadratic agents ``f_(i)(x) = 0.5 x^T A_i x + b_i^T x`` from A (m, n, n)
+    and b (m, n), every A_i symmetric, with L and mu the extreme eigenvalues
+    over the A_i; ValueError for stacks ``ProblemInstance`` rejects."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    _check_stacks("quadratic", A, b)
+    eigs = np.linalg.eigvalsh((A + A.transpose(0, 2, 1)) / 2.0)
+    return ProblemInstance("quadratic", float(eigs.max()), float(eigs.min()), A=A, b=b)
 
 
-def make_problem(locals_list) -> ProblemInstance:
-    """Stack records of one kind into a ProblemInstance with its optimum oracle."""
-    locs = tuple(locals_list)
-    kinds = sorted({f.kind for f in locs})
-    if len(kinds) != 1:
-        raise ValueError(f"need at least one local objective, all of one kind (got {kinds})")
-    L, mu = max(f.L_i for f in locs), min(f.mu_i for f in locs)
-    if kinds == ["quadratic"]:
-        inst = ProblemInstance("quadratic", L, mu, A=np.stack([f.quad_A for f in locs]),
-                               b=np.stack([f.quad_b for f in locs]))
-    else:
-        inst = ProblemInstance("logistic", L, mu, data=np.concatenate([f.data for f in locs]),
-                               labels=np.concatenate([f.labels for f in locs]),
-                               counts=np.array([f.labels.shape[0] for f in locs]),
-                               ridge=np.array([f.ridge for f in locs], dtype=float))
-    return _solved(inst)
-
-
-def _check_sizes(m: int, n: int):
-    if m < 1 or n < 1:
-        raise ValueError(f"need at least one agent and one dimension (got m = {m}, n = {n})")
+def logistic_problem(data, labels, counts, ridge) -> ProblemInstance:
+    """Logistic agents over the rows of data (N, n) and labels (N,), grouped by
+    agent in ``counts`` (m,) rows each, with a ridge (m,) per agent;
+    ``L = max_i lambda_max(D_i^T D_i) / (4 counts_i) + ridge_i`` and
+    ``mu = min_i ridge_i``; ValueError for stacks ``ProblemInstance`` rejects,
+    before any arithmetic on the rows."""
+    data, labels = np.asarray(data, dtype=float), np.asarray(labels, dtype=float)
+    counts, ridge = np.asarray(counts), np.asarray(ridge, dtype=float)
+    _check_stacks("logistic", data=data, labels=labels, counts=counts, ridge=ridge)
+    grams = np.stack([d.T @ d for d in np.split(data, np.cumsum(counts)[:-1])])
+    L = np.linalg.eigvalsh(grams)[:, -1] / (4.0 * counts) + ridge
+    return ProblemInstance("logistic", float(L.max()), float(ridge.min()), data=data,
+                           labels=labels, counts=counts, ridge=ridge)
 
 
 def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
@@ -289,8 +278,8 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
     spectra = mu + (spectra - lo) * (L - mu) / (hi - lo) if hi > lo else np.full_like(spectra, L)
     Q = np.linalg.qr(rng.standard_normal((1 if shared_basis else m, n, n)))[0]
     A = (Q * spectra[:, None, :]) @ Q.transpose(0, 2, 1)  # Q_i diag(spectra_i) Q_i^T
-    return _solved(ProblemInstance("quadratic", float(spectra.max()), float(spectra.min()),
-                                   A=A, b=rng.standard_normal((m, n))))
+    return ProblemInstance("quadratic", float(spectra.max()), float(spectra.min()),
+                           A=A, b=rng.standard_normal((m, n)))
 
 
 def random_logistic_problem(m: int, n: int, samples_per_agent: int = 20,
@@ -306,7 +295,5 @@ def random_logistic_problem(m: int, n: int, samples_per_agent: int = 20,
     for i in range(m):
         labels[i] = np.where(rng.random(p) < 0.5, -1.0, 1.0)
         data[i] = labels[i][:, None] * center + rng.standard_normal((p, n))
-    L = max(logistic_objective(d, y, ridge).L_i for d, y in zip(data, labels))
-    return _solved(ProblemInstance("logistic", L, float(ridge), data=data.reshape(m * p, n),
-                                   labels=labels.reshape(m * p), counts=np.full(m, p),
-                                   ridge=np.full(m, float(ridge))))
+    return logistic_problem(data.reshape(m * p, n), labels.reshape(m * p), np.full(m, p),
+                            np.full(m, float(ridge)))

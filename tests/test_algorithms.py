@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule, NotGammaConnectedError,
                      aggregate_gradient, algorithms, chebyshev_operator, default_alpha, graph,
-                     make_problem, metropolis_weights, quadratic_objective,
-                     random_quadratic_problem, resolve_constants, run, sigma,
-                     theta_next)
+                     metropolis_weights, quadratic_problem, random_quadratic_problem,
+                     resolve_constants, run, sigma, theta_next)
 from agtrack.algorithms import CSV_COLUMNS, VARIANTS
 from conftest import M9_EDGE_SETS, ring_edges
 from reference_steps import (AveragedState, averaged_reference_step, gt_init,
@@ -19,7 +18,7 @@ from reference_steps import (AveragedState, averaged_reference_step, gt_init,
 
 def scalar_problem():
     """Single agent, f(x) = 0.5 x^2."""
-    return make_problem([quadratic_objective(np.eye(1), np.zeros(1))])
+    return quadratic_problem(np.ones((1, 1, 1)), np.zeros((1, 1)))
 
 
 def ring_schedule(m):
@@ -127,7 +126,7 @@ def identical_agents_problem(m, rng):
     at x* and the consensual optimum is an exact fixed point."""
     A = np.diag([1.0, 2.0, 4.0])
     b = rng.standard_normal(3)
-    return make_problem([quadratic_objective(A, b) for _ in range(m)])
+    return quadratic_problem(np.tile(A, (m, 1, 1)), np.tile(b, (m, 1)))
 
 
 def test_gt_fixed_point_at_optimum(rng):
@@ -262,6 +261,17 @@ def test_config_validation():
         AlgorithmConfig(variant="acc_gt_multiconsensus", zeta=0)
     with pytest.raises(ValueError):
         AlgorithmConfig(variant="gt", seeds=())
+
+
+@pytest.mark.parametrize("field,value", [("alpha", float("nan")), ("alpha", float("inf")),
+                                         ("alpha", True), ("max_iterations", 2.5),
+                                         ("max_iterations", True), ("zeta", 1.5),
+                                         ("zeta", True)])
+def test_config_rejects_non_finite_alpha_and_non_integer_counts(field, value):
+    # Unchecked, a nan / inf alpha reads as a divergence at iteration 0, a
+    # float count fails inside run(), and True runs as 1.
+    with pytest.raises(ValueError, match=f"{field} must be .*, got {value!r}"):
+        AlgorithmConfig(variant="acc_gt_multiconsensus", **{field: value})
 
 
 @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "acc_gt_multiconsensus"])

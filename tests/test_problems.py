@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (LocalObjective, ProblemInstance, aggregate_gradient,
-                     bregman_distance, consensus_error, inexact_value,
-                     logistic_objective, make_problem, quadratic_objective,
-                     random_logistic_problem, random_quadratic_problem,
-                     solve_optimum)
+from agtrack import (AlgorithmConfig, GraphSchedule, ProblemInstance, aggregate_gradient,
+                     bregman_distance, consensus_error, inexact_value, logistic_problem,
+                     quadratic_problem, random_logistic_problem, random_quadratic_problem,
+                     run, solve_optimum)
 from reference_steps import AggregateState, averages
 
 
 def identity_quadratics(m, n):
     """f_(i)(x) = 0.5 ||x||^2 for every agent."""
-    return make_problem([quadratic_objective(np.eye(n), np.zeros(n))
-                         for _ in range(m)])
+    return quadratic_problem(np.tile(np.eye(n), (m, 1, 1)), np.zeros((m, n)))
 
 
 def shifted_quadratics(centers):
     """f_(i)(x) = 0.5 ||x - c_i||^2."""
-    n = centers.shape[1]
-    return make_problem([quadratic_objective(np.eye(n), -c) for c in centers])
+    m, n = centers.shape
+    return quadratic_problem(np.tile(np.eye(n), (m, 1, 1)), -centers)
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -38,9 +36,9 @@ def fd_gradient(f, x, h=1e-6):
 def test_quadratic_constants_are_eigenvalue_range(rng):
     Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     A = Q @ np.diag([0.5, 1.0, 2.0, 8.0]) @ Q.T
-    f = quadratic_objective(A, np.zeros(4))
-    assert f.L_i == pytest.approx(8.0, rel=1e-12)
-    assert f.mu_i == pytest.approx(0.5, rel=1e-12)
+    f = quadratic_problem(A[None], np.zeros((1, 4)))
+    assert f.L == pytest.approx(8.0, rel=1e-12)
+    assert f.mu == pytest.approx(0.5, rel=1e-12)
 
 
 def single_agent_gradient(prob, x):
@@ -48,10 +46,9 @@ def single_agent_gradient(prob, x):
 
 
 def test_gradient_matches_finite_differences(rng):
-    quad = make_problem([quadratic_objective(np.diag([1.0, 3.0]) + 0.2, rng.standard_normal(2))])
-    logi = make_problem([logistic_objective(rng.standard_normal((15, 3)),
-                                            np.where(rng.random(15) < 0.5, -1.0, 1.0),
-                                            ridge=0.05)])
+    quad = quadratic_problem([np.diag([1.0, 3.0]) + 0.2], [rng.standard_normal(2)])
+    logi = logistic_problem(rng.standard_normal((15, 3)),
+                            np.where(rng.random(15) < 0.5, -1.0, 1.0), [15], [0.05])
     for f, n in ((quad, 2), (logi, 3)):
         for _ in range(20):
             x = rng.standard_normal(n)
@@ -60,9 +57,8 @@ def test_gradient_matches_finite_differences(rng):
 
 
 def test_smoothness_sandwich(rng):
-    f = make_problem([logistic_objective(rng.standard_normal((25, 4)),
-                                         np.where(rng.random(25) < 0.5, -1.0, 1.0),
-                                         ridge=0.01)])
+    f = logistic_problem(rng.standard_normal((25, 4)),
+                         np.where(rng.random(25) < 0.5, -1.0, 1.0), [25], [0.01])
     for _ in range(50):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
         gx, gy = single_agent_gradient(f, x), single_agent_gradient(f, y)
@@ -90,7 +86,7 @@ def test_aggregate_gradient_identity_quadratic(rng):
 def test_aggregate_gradient_single_logistic_sample_at_zero():
     # The ridge keeps a minimizer and adds nothing to the gradient at 0.
     feature = np.array([2.0, -1.0, 0.5])
-    prob = make_problem([logistic_objective(feature[None, :], np.array([1.0]), ridge=1e-3)])
+    prob = logistic_problem(feature[None, :], [1.0], [1], [1e-3])
     g = aggregate_gradient(prob, np.zeros((1, 3)))
     np.testing.assert_allclose(g[0], -0.5 * feature, atol=1e-12)
 
@@ -100,7 +96,7 @@ def test_separable_ridge_free_logistic_has_no_optimum():
     # which no point attains.
     feature = np.array([2.0, -1.0, 0.5])
     with pytest.raises(ValueError, match="separable data, F has no minimizer"):
-        make_problem([logistic_objective(feature[None, :], np.array([1.0]))])
+        logistic_problem(feature[None, :], [1.0], [1], [0.0])
     # 30 samples in 20 dimensions are separable as well.
     with pytest.raises(ValueError, match="separable data"):
         random_logistic_problem(3, 20, samples_per_agent=10, seed=0)
@@ -262,7 +258,7 @@ def test_optimum_of_shifted_quadratics_is_mean_center(rng):
 def test_optimum_single_quadratic_closed_form(rng):
     A = np.diag([2.0, 5.0]) + 0.3
     b = rng.standard_normal(2)
-    prob = make_problem([quadratic_objective(A, b)])
+    prob = quadratic_problem([A], [b])
     np.testing.assert_allclose(prob.x_star, np.linalg.solve(A, -b), atol=1e-10)
 
 
@@ -330,19 +326,10 @@ def test_single_eigenvalue_quadratic_with_equal_constants():
     np.testing.assert_allclose(prob.x_star, -prob.b[0] / 2.0, rtol=1e-15)
 
 
-def test_make_problem_rejects_mixed_kinds_and_empty_agents(rng):
-    quad = quadratic_objective(np.eye(2), np.zeros(2))
-    logi = logistic_objective(rng.standard_normal((4, 2)), np.ones(4), ridge=0.1)
-    with pytest.raises(ValueError, match="one kind"):
-        make_problem([quad, logi])
-    with pytest.raises(ValueError, match="at least one local objective"):
-        make_problem([])
+def test_logistic_rejects_an_agent_without_rows(rng):
+    # The check comes before L, which divides by each agent's count.
     with pytest.raises(ValueError, match="at least one sample"):
-        logistic_objective(np.empty((0, 2)), np.empty(0))
-    empty = LocalObjective("logistic", 1.0, 0.1, data=np.empty((0, 2)), labels=np.empty(0),
-                           ridge=0.1)
-    with pytest.raises(ValueError, match="at least one sample"):
-        make_problem([logi, empty])
+        logistic_problem(rng.standard_normal((4, 2)), np.ones(4), [4, 0], [0.1, 0.1])
     with pytest.raises(ValueError, match="at least one sample"):
         random_logistic_problem(3, 2, samples_per_agent=0, ridge=0.1)
 
@@ -353,31 +340,83 @@ def test_generators_reject_empty_sizes(m, n):
         random_quadratic_problem(m, n)
     with pytest.raises(ValueError, match="at least one agent and one dimension"):
         random_logistic_problem(m, n, ridge=0.1)
+    with pytest.raises(ValueError, match="at least one agent and one dimension"):
+        quadratic_problem(np.empty((m, n, n)), np.empty((m, n)))
+    with pytest.raises(ValueError, match="at least one agent and one dimension"):
+        logistic_problem(np.empty((2 * m, n)), np.empty(2 * m), np.full(m, 2), np.full(m, 0.1))
 
 
 @pytest.mark.parametrize("ridge", [-1.0, -1e-12, float("nan")])
 def test_logistic_rejects_a_negative_ridge(rng, ridge):
     with pytest.raises(ValueError, match="need ridge >= 0"):
-        logistic_objective(rng.standard_normal((4, 2)), np.ones(4), ridge=ridge)
+        logistic_problem(rng.standard_normal((4, 2)), np.ones(4), [4], [ridge])
     with pytest.raises(ValueError, match="need ridge >= 0"):
         random_logistic_problem(3, 2, samples_per_agent=5, ridge=ridge)
+
+
+# Stacks the instance rejects, as (kind, stacks, message).  Unchecked, a
+# non-symmetric A reports L and mu of its symmetric part while the gradient
+# oracle returns A x + b, and counts that miss rows give a value and a
+# broadcast error on the gradient.
+MALFORMED_STACKS = {
+    "non_symmetric_A": ("quadratic", {"A": [[[1.0, 2.0], [0.0, 1.0]]], "b": [[0.0, 0.0]]},
+                        "symmetric"),
+    "A_not_matching_b": ("quadratic", {"A": np.ones((2, 3, 3)), "b": np.zeros((2, 2))},
+                         r"need A \(m, n, n\) and b \(m, n\)"),
+    "counts_missing_rows": ("logistic", {"data": np.ones((6, 2)), "labels": np.ones(6),
+                                         "counts": [2, 2], "ridge": [0.1, 0.1]},
+                            "counts must cover the rows"),
+    "float_counts": ("logistic", {"data": np.ones((4, 2)), "labels": np.ones(4),
+                                  "counts": [2.0, 2.0], "ridge": [0.1, 0.1]},
+                     "integer counts"),
+    "one_ridge_for_two_agents": ("logistic", {"data": np.ones((4, 2)), "labels": np.ones(4),
+                                              "counts": [2, 2], "ridge": [0.1]},
+                                 "need ridge >= 0 per agent"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_STACKS))
+def test_malformed_stacks_are_rejected(name):
+    kind, stacks, message = MALFORMED_STACKS[name]
+    build = quadratic_problem if kind == "quadratic" else logistic_problem
+    with pytest.raises(ValueError, match=message):
+        build(**stacks)
+    arrays = {key: np.asarray(value) for key, value in stacks.items()}
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance(kind, 1.0, 0.1, **arrays)
+
+
+def test_directly_built_instance_carries_its_optimum_and_runs():
+    prob = random_quadratic_problem(4, 3, mu=0.1, seed=5)
+    direct = ProblemInstance("quadratic", prob.L, prob.mu, A=prob.A, b=prob.b)
+    x_star, F_star = solve_optimum(direct)
+    assert direct.x_star.tobytes() == x_star.tobytes() and direct.F_star == F_star
+    assert direct.F_star == prob.F_star
+    trace = run(AlgorithmConfig(variant="acc_gt_static", max_iterations=5), direct,
+                GraphSchedule.static(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert np.isfinite(trace.column("gap")).all()
 
 
 # ------------------------------------------------- stacked layer against per-agent loops
 
 def loop_value(f, x):
-    """f_(i)(x) for one record, written out per sample."""
-    if f.kind == "quadratic":
-        return 0.5 * x @ f.quad_A @ x + f.quad_b @ x
-    loss = sum(np.logaddexp(0.0, -lab * (row @ x)) for row, lab in zip(f.data, f.labels))
-    return loss / len(f.labels) + 0.5 * f.ridge * (x @ x)
+    """f_(i)(x) for one agent's tuple, (A, b) or (data, labels, ridge), written
+    out per sample."""
+    if len(f) == 2:
+        A, b = f
+        return 0.5 * x @ A @ x + b @ x
+    data, labels, ridge = f
+    loss = sum(np.logaddexp(0.0, -lab * (row @ x)) for row, lab in zip(data, labels))
+    return loss / len(labels) + 0.5 * ridge * (x @ x)
 
 
 def loop_grad(f, x):
-    if f.kind == "quadratic":
-        return f.quad_A @ x + f.quad_b
-    g = sum(-lab / (1.0 + np.exp(lab * (row @ x))) * row for row, lab in zip(f.data, f.labels))
-    return g / len(f.labels) + f.ridge * x
+    if len(f) == 2:
+        A, b = f
+        return A @ x + b
+    data, labels, ridge = f
+    g = sum(-lab / (1.0 + np.exp(lab * (row @ x))) * row for row, lab in zip(data, labels))
+    return g / len(labels) + ridge * x
 
 
 def oracle_records(kind, rng):
@@ -385,18 +424,27 @@ def oracle_records(kind, rng):
         records = []
         for _ in range(5):
             M = rng.standard_normal((3, 3))
-            records.append(quadratic_objective(M @ M.T + 0.1 * np.eye(3), rng.standard_normal(3)))
+            records.append((M @ M.T + 0.1 * np.eye(3), rng.standard_normal(3)))
         return records
     # Unequal sample counts, a one-sample agent, and a different ridge per agent.
-    return [logistic_objective(rng.standard_normal((p, 3)),
-                               np.where(rng.random(p) < 0.5, -1.0, 1.0), ridge=r)
+    return [(rng.standard_normal((p, 3)), np.where(rng.random(p) < 0.5, -1.0, 1.0), r)
             for p, r in ((1, 0.3), (7, 0.05), (2, 0.1), (12, 0.2), (4, 0.15))]
+
+
+def stacked_problem(kind, records):
+    """The builder's instance over per-agent tuples."""
+    if kind == "quadratic":
+        A, b = zip(*records)
+        return quadratic_problem(np.stack(A), np.stack(b))
+    data, labels, ridge = zip(*records)
+    return logistic_problem(np.concatenate(data), np.concatenate(labels),
+                            [len(y) for y in labels], ridge)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_stacked_layer_matches_per_agent_loops(kind, rng):
     records = oracle_records(kind, rng)
-    prob = make_problem(records)
+    prob = stacked_problem(kind, records)
     m = len(records)
     assert (prob.m, prob.n) == (m, 3)
 
