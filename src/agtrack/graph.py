@@ -30,10 +30,15 @@ last such stack, so a caller that walks the instants in order, as gossip and
 multiple consensus do, draws each instant once.  ``sigma`` of a stack bounds
 every matrix's norm with two batched matmuls and decomposes only the matrices
 that can hold the maximum, in at most two SVD calls, with the same result bit
-for bit as one SVD of the whole stack; ``sigma_gamma`` forms its window
-products in bounded chunks and takes one ``sigma`` of each chunk;
-``gamma_connectivity`` tests a chunk of windows at once, by reachability on
-their unions.
+for bit as one SVD of the whole stack.
+
+The two constants read the same windows of gamma consecutive instants, in one
+walk (``_window_ends``, ``_window_stacks``): ``sigma_gamma`` forms a chunk's
+window products and takes one ``sigma`` of them, ``gamma_connectivity`` tests
+a chunk's windows at once, by reachability on their unions.  A static or
+cyclic schedule has one period of windows and ignores ``horizon``; on a
+seeded_random schedule ``horizon`` is the last instant read, so both read
+instants 0..horizon (default ``HORIZON``).
 
 A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
 never depends on evaluation order.  ``edge_set(k)`` draws one instant through
@@ -60,14 +65,15 @@ DS_INPUT_TOL = 1e-9
 # Largest gamma resolve_gamma searches.
 MAX_GAMMA = 50
 
-# Window products sigma_gamma forms and decomposes per batch: its memory is
-# O((SPECTRAL_CHUNK + gamma) m^2) whatever the horizon.  gamma_connectivity
-# draws and tests windows in batches of the same size, and a seeded_random
-# schedule draws and keeps the stacks matrix(k) serves at multiples of it.
+# Windows per chunk of the constants' walk: sigma_gamma's memory is
+# O((SPECTRAL_CHUNK + gamma) m^2) whatever the horizon, and gamma_connectivity
+# tests that many windows at once.  A seeded_random schedule draws and keeps
+# the stacks matrix(k) serves at multiples of it.
 SPECTRAL_CHUNK = 64
 
-# Last instant whose edge set the constants of a seeded_random schedule read by
-# default: gamma_connectivity and sigma_gamma both examine instants 0..HORIZON.
+# Default horizon, the last instant whose edge set the constants of a
+# seeded_random schedule read: gamma_connectivity and sigma_gamma both examine
+# instants 0..HORIZON.
 HORIZON = 1000
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
@@ -288,12 +294,8 @@ class GraphSchedule:
 
     @property
     def period(self) -> int | None:
-        """Replay period: 1 for static, len(edge_sets) for cyclic, None for random."""
-        if self.schedule_kind == "static":
-            return 1
-        if self.schedule_kind == "cyclic":
-            return len(self.edge_sets)
-        return None
+        """Replay period: the number of edge sets (1 for static), None for random."""
+        return None if self.schedule_kind == "seeded_random" else len(self.edge_sets)
 
     def edge_set(self, k: int) -> EdgeSet:
         """The edge set active at instant k (total for all k >= 0).
@@ -303,10 +305,8 @@ class GraphSchedule:
         """
         if k < 0:
             raise ValueError("instant index must be nonnegative")
-        if self.schedule_kind == "static":
-            return self.edge_sets[0]
-        if self.schedule_kind == "cyclic":
-            return self.edge_sets[k % len(self.edge_sets)]
+        if self.period is not None:
+            return self.edge_sets[k % self.period]
         iu, ju = _upper_pairs(self.agent_count)
         mask = self._uniforms(k, np.empty(iu.shape[0])) < self.edge_probability
         return _edge_set_of(iu[mask], ju[mask])
@@ -511,21 +511,6 @@ def _screened_norm_max(M: np.ndarray, J: np.ndarray) -> float:
     return best
 
 
-def matrix_product_window(schedule: GraphSchedule, k: int, gamma: int) -> np.ndarray:
-    """Ordered product ``W^k W^{k-1} ... W^{k-gamma+1}`` of schedule matrices.
-
-    ``gamma = 0`` returns the identity.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if k < gamma - 1:
-        raise ValueError(f"need k >= gamma - 1 (got k={k}, gamma={gamma})")
-    P = np.eye(schedule.agent_count)
-    for r in range(k - gamma + 1, k + 1):
-        P = schedule.matrix(r) @ P
-    return P
-
-
 def _window_unions(masks: np.ndarray, gamma: int) -> np.ndarray:
     """Row s: the union (elementwise or) of rows s, ..., s+gamma-1 of a
     stack of edge masks, for every window of gamma rows in the stack.
@@ -565,100 +550,114 @@ def _all_connected(edges: np.ndarray, m: int) -> bool:
     return True
 
 
+def _window_ends(schedule: GraphSchedule, gamma: int, horizon: int | None) -> tuple[range, bool]:
+    """The instants at which the windows of gamma instants that the constants
+    read end, and whether a constant over them is an estimate.
+
+    A periodic schedule (static ones have period 1) has one period of window
+    ends, ``gamma - 1 .. gamma + period - 2``, whatever the horizon, and its
+    constants are exact.  A seeded_random schedule has the ends ``gamma - 1 ..
+    horizon`` (default ``HORIZON``), so instants 0..horizon are read, and its
+    constants are estimates.
+    """
+    if gamma < 1:
+        raise ValueError("gamma must be at least 1")
+    if schedule.period is not None:
+        return range(gamma - 1, gamma - 1 + schedule.period), False
+    horizon = HORIZON if horizon is None else horizon
+    if horizon < gamma - 1:
+        raise ValueError(f"horizon must be at least gamma - 1 = {gamma - 1}, got {horizon}")
+    return range(gamma - 1, horizon + 1), True
+
+
+def _window_stacks(ends: range, gamma: int, fill, stack):
+    """Yield, for each chunk of at most ``SPECTRAL_CHUNK`` window ends, the
+    stack of the instants its windows span: row s of the chunk whose first
+    end is e is instant ``e - gamma + 1 + s``, and the window ending at
+    ``e + c`` is rows ``c .. c + gamma - 1``.
+
+    ``stack(rows)`` makes the one buffer every chunk is written into, and
+    ``fill(rows, first)`` writes instants ``first, first + 1, ...`` into
+    ``rows``.  The last gamma - 1 rows of a chunk carry into the next, so
+    each instant is filled once per walk, in order.  A yielded stack is
+    overwritten by the next.
+    """
+    buffer = stack(gamma - 1 + min(SPECTRAL_CHUNK, len(ends)))
+    carry = 0  # the first chunk starts at instant ends.start - gamma + 1 = 0
+    for first in range(ends.start, ends.stop, SPECTRAL_CHUNK):
+        rows = buffer[:gamma - 1 + min(SPECTRAL_CHUNK, ends.stop - first)]
+        rows[:carry] = buffer[SPECTRAL_CHUNK:SPECTRAL_CHUNK + carry]  # the full chunk before
+        fill(rows[carry:], first - gamma + 1 + carry)
+        yield rows
+        carry = gamma - 1
+
+
 def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None = None) -> bool:
     """Whether the union of every gamma consecutive edge sets is connected.
 
-    The windows checked are those of instants ``[k, k + gamma)`` with
-    ``k + gamma <= horizon``.  For static and cyclic schedules one period of
-    window starts is checked and the verdict is exact; for seeded_random
-    schedules the default horizon covers instants 0..HORIZON, the instants
-    ``sigma_gamma`` reads.
+    The windows checked are those ``sigma_gamma`` reads (``_window_ends``):
+    for static and cyclic schedules one period of windows, whatever the
+    horizon, and the verdict is exact; for seeded_random schedules the
+    windows within instants 0..horizon (default ``HORIZON``).
 
-    Instants are taken ``SPECTRAL_CHUNK`` at a time as a stack of edge masks
+    Instants are taken a chunk at a time as a stack of edge masks
     (``GraphSchedule._masks``: a seeded_random stack is drawn in one batch, a
     periodic one comes from its edge sets), each once per call and in order.
     The windows that end in a chunk have their unions formed from the stack
     (``_window_unions``) and are tested together by batched reachability;
     the call returns at the first chunk that holds a disconnected window.
     """
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
-    period = schedule.period
-    if horizon is None:
-        horizon = gamma + period - 1 if period is not None else HORIZON + 1
-    if horizon < gamma:
-        raise ValueError("horizon must be at least gamma")
-    last_start = horizon - gamma
-    if period is not None:
-        last_start = min(last_start, period - 1)
-    stop = last_start + gamma
+    ends, _ = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count
-    masks = np.zeros((0, len(_upper_pairs(m)[0])), dtype=bool)
-    for start in range(0, stop, SPECTRAL_CHUNK):
-        # The last gamma - 1 instants of earlier chunks, then this chunk's.
-        masks = np.concatenate((masks[max(0, len(masks) - gamma + 1):],
-                                schedule._masks(start, min(SPECTRAL_CHUNK, stop - start))))
-        if len(masks) >= gamma and not _all_connected(_window_unions(masks, gamma), m):
-            return False
-    return True
+
+    def fill(rows, first):
+        rows[:] = schedule._masks(first, len(rows))
+
+    stacks = _window_stacks(ends, gamma, fill,
+                            lambda rows: np.empty((rows, len(_upper_pairs(m)[0])), dtype=bool))
+    return all(_all_connected(_window_unions(masks, gamma), m) for masks in stacks)
 
 
 def sigma_gamma(schedule: GraphSchedule, gamma: int,
                 horizon: int | None = None) -> SpectralReport:
     """Gamma-step mixing constant ``sup_k ||W^{k,gamma} - (1/m) 1 1^T||_2``.
 
-    Periodic schedules (static ones have period 1) take the exact max over
-    one full period of start instants; seeded_random schedules sample
-    ``k in [gamma-1, horizon]`` (default ``HORIZON``, the last instant
-    ``gamma_connectivity`` checks by default) and flag the result as an
+    The windows are those ``gamma_connectivity`` checks (``_window_ends``):
+    periodic schedules (static ones have period 1) take the exact max over
+    one full period of windows, whatever the horizon; seeded_random
+    schedules sample the windows ending at ``k in [gamma-1, horizon]``
+    (default ``HORIZON``), instants 0..horizon, and flag the result as an
     estimate.
 
     Windows are handled ``SPECTRAL_CHUNK`` at a time: their matrices are
-    stacked, the products are formed with batched ``@`` in
-    ``matrix_product_window``'s order, and one ``sigma`` call takes each
-    chunk's products (for gamma = 1 the products are the instants' own
-    matrices).  ``sigma`` bounds every window's norm by ``||G^2||_F^(1/4)``,
-    ``G = D^T D`` with ``D`` the window minus J, and decomposes only the
-    highest-bound window and those whose bound, with a relative slack of
-    1e-9, still reaches its norm.  An SVD of a subset of the stack gives the
-    batched call's values bitwise, so the result is the same float as an
-    SVD of every window; on a seeded_random schedule the screen usually
-    leaves one window of a chunk to decompose.  One buffer
-    serves every chunk and carries the last gamma - 1 matrices of the one
-    before, as ``gamma_connectivity`` carries its masks, so each W^k is built
-    once per call and memory is O((SPECTRAL_CHUNK + gamma) m^2), not
-    O(horizon m^2).
+    stacked, the products ``W^k ... W^{k-gamma+1}`` are formed with batched
+    ``@``, and one ``sigma`` call takes each chunk's products (for gamma = 1
+    the products are the instants' own matrices).  ``sigma`` bounds every
+    window's norm by ``||G^2||_F^(1/4)``, ``G = D^T D`` with ``D`` the window
+    minus J, and decomposes only the highest-bound window and those whose
+    bound, with a relative slack of 1e-9, still reaches its norm.  An SVD of
+    a subset of the stack gives the batched call's values bitwise, so the
+    result is the same float as an SVD of every window; on a seeded_random
+    schedule the screen usually leaves one window of a chunk to decompose.
+    One buffer serves every chunk and carries the last gamma - 1 matrices of
+    the one before (``_window_stacks``), so each W^k is built once per call
+    and memory is O((SPECTRAL_CHUNK + gamma) m^2), not O(horizon m^2).
 
     W^k is built here as ``metropolis_weights(edge_set(r), m)``, bitwise
     ``schedule.matrix(r)``: the benchmark's traced run (``agbench``) records
     calls to ``edge_set`` and this module's ``metropolis_weights``, and on a
     seeded_random schedule this is their only caller.
     """
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
-    period = schedule.period
-
-    if period is not None:
-        ks = range(gamma - 1, gamma - 1 + period)
-        is_estimate = False
-    else:
-        if horizon is None:
-            horizon = HORIZON
-        if horizon < gamma:
-            raise ValueError("horizon must be at least gamma")
-        ks = range(gamma - 1, horizon + 1)
-        is_estimate = True
-
+    ends, is_estimate = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count
-    sig_g, Ws = 0.0, np.empty((gamma - 1 + SPECTRAL_CHUNK, m, m))
-    for first in range(ks.start, ks.stop, SPECTRAL_CHUNK):
-        count = min(SPECTRAL_CHUNK, ks.stop - first)
-        # Ws[c + s] = W^{k - gamma + 1 + s} for the window ending at k = first + c:
-        # the last gamma - 1 instants of the (full) chunk before, then this chunk's.
-        if first > ks.start:
-            Ws[:gamma - 1] = Ws[SPECTRAL_CHUNK:]
-        for r in range(first if first > ks.start else 0, first + count):
-            Ws[r - first + gamma - 1] = metropolis_weights(schedule.edge_set(r), m)
+
+    def fill(rows, first):
+        for row, r in zip(rows, range(first, first + len(rows))):
+            row[:] = metropolis_weights(schedule.edge_set(r), m)
+
+    sig_g = 0.0
+    for Ws in _window_stacks(ends, gamma, fill, lambda rows: np.empty((rows, m, m))):
+        count = len(Ws) - gamma + 1
         P = Ws[:count]  # for gamma = 1 the windows are the instants themselves
         for s in range(1, gamma):
             P = Ws[s:s + count] @ P

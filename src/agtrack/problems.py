@@ -11,8 +11,9 @@ array expression.  Quadratics keep ``A`` (m, n, n), every A_i symmetric, and
 ``data`` matrix (N, n) and ``labels`` (N,), rows grouped by agent, with integer
 ``counts`` and ``ridge`` (m,) per agent; an owner index (N,) maps each row to
 its agent, and per-agent sums over rows are ``np.add.reduceat`` at the group
-starts.  Constructing an instance checks these stacks (ValueError before any
-arithmetic on them) and solves its optimum ``x_star`` / ``F_star``.
+starts.  Constructing an instance checks these stacks, every entry finite
+(ValueError before any arithmetic on them), and solves its optimum
+``x_star`` / ``F_star``.
 ``quadratic_problem`` and ``logistic_problem`` build an instance from stacks
 and derive its L and mu; the seeded generators draw random ones.  Besides
 values and gradients the module provides the Bregman distance and the inexact
@@ -36,25 +37,34 @@ def _check_sizes(m: int, n: int):
 
 def _check_stacks(kind, A=None, b=None, data=None, labels=None, counts=None, ridge=None):
     """Sizes ``(m, n)`` of stacks laid out as the module docstring says;
-    ValueError naming the first check they fail."""
+    ValueError naming the first check they fail.  Every entry of A, b,
+    data, labels and ridge must be finite: a NaN would otherwise pass the
+    optimum's residual test (``nan > tol`` is False) or stall its solver."""
     if kind not in ("quadratic", "logistic"):
         raise ValueError(f"unknown objective kind {kind!r}")
     m, n = (len(b), b.shape[-1]) if kind == "quadratic" else (len(counts), data.shape[-1])
     _check_sizes(m, n)
     if kind == "quadratic":
+        stacks = {"A": A, "b": b}
         if A.shape != (m, n, n) or b.shape != (m, n):
             raise ValueError(f"need A (m, n, n) and b (m, n), got {A.shape} and {b.shape}")
-        # Products such as Q_i D_i Q_i^T are symmetric only up to rounding, hence a
-        # relative tolerance; A_i - A_i^T is antisymmetric, so its maximum is its
-        # largest magnitude.
-        if not (A - A.transpose(0, 2, 1)).max() <= 1e-10 * max(A.max(), -A.min()):
-            raise ValueError("every A_i must be symmetric")
     elif counts.ndim != 1 or counts.dtype.kind not in "iu" or (counts < 1).any():
         raise ValueError("every logistic agent needs at least one sample (integer counts >= 1)")
     elif data.shape != (counts.sum(), n) or labels.shape != (counts.sum(),):
         raise ValueError(f"counts must cover the rows of data {data.shape}, labels {labels.shape}")
     elif ridge.shape != (m,) or not (ridge >= 0.0).all():
         raise ValueError(f"need ridge >= 0 per agent or the objective is not convex (got {ridge})")
+    else:
+        stacks = {"data": data, "labels": labels, "ridge": ridge}
+    for name, stack in stacks.items():
+        if not np.isfinite(stack).all():
+            raise ValueError(f"every entry of {name} must be finite (no NaN or infinity)")
+    # Products such as Q_i D_i Q_i^T are symmetric only up to rounding, hence a
+    # relative tolerance; A_i - A_i^T is antisymmetric, so its maximum is its
+    # largest magnitude.
+    if kind == "quadratic" and not ((A - A.transpose(0, 2, 1)).max()
+                                    <= 1e-10 * max(A.max(), -A.min())):
+        raise ValueError("every A_i must be symmetric")
     return m, n
 
 

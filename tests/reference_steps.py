@@ -8,8 +8,9 @@ recursion the column means of every accelerated run follow.
 ``chebyshev_apply_textbook`` is the Chebyshev recurrence with a new array
 per operation, as the in-place ``chebyshev_apply`` must reproduce it.
 
-The graph layer has two loop oracles of the same kind:
-``metropolis_weights_loop`` builds W one edge at a time and
+The graph layer has three loop oracles of the same kind:
+``metropolis_weights_loop`` builds W one edge at a time,
+``matrix_product_window`` multiplies a window's matrices one at a time, and
 ``gamma_connected_bfs`` searches each window's union graph breadth first.
 
 ``reference_certificates`` replays the bounds T1-T4 one trace row and one
@@ -147,11 +148,26 @@ def metropolis_weights_loop(edge_set, m: int) -> np.ndarray:
     return W
 
 
+def matrix_product_window(schedule, k: int, gamma: int) -> np.ndarray:
+    """Ordered product ``W^k W^{k-1} ... W^{k-gamma+1}`` of schedule matrices.
+
+    ``gamma = 0`` returns the identity.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    if k < gamma - 1:
+        raise ValueError(f"need k >= gamma - 1 (got k={k}, gamma={gamma})")
+    P = np.eye(schedule.agent_count)
+    for r in range(k - gamma + 1, k + 1):
+        P = schedule.matrix(r) @ P
+    return P
+
+
 def gamma_connected_bfs(schedule, gamma: int, horizon: int) -> bool:
     """Whether the union of the edge sets of every window ``[k, k + gamma)``
-    with ``k + gamma <= horizon`` is connected, by breadth-first search."""
+    within instants 0..horizon is connected, by breadth-first search."""
     m = schedule.agent_count
-    for k in range(horizon - gamma + 1):
+    for k in range(horizon - gamma + 2):
         adj = [[] for _ in range(m)]
         for r in range(k, k + gamma):
             for i, j in schedule.edge_set(r):

@@ -11,11 +11,11 @@ from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule,
                      aggregate_gradient, certify_theorem1, certify_theorem2,
                      certify_theorem3, certify_theorem4, chebyshev_apply,
                      chebyshev_operator, consensus_error, default_zeta,
-                     fit_rate, matrix_product_window, metropolis_weights,
+                     fit_rate, metropolis_weights,
                      multiple_consensus, random_quadratic_problem,
                      resolve_constants, run, sigma, sigma_gamma, theta_next)
 from conftest import M9_EDGE_SETS, ring_edges
-from reference_steps import AveragedState, averaged_reference_step
+from reference_steps import AveragedState, averaged_reference_step, matrix_product_window
 
 
 RING10 = GraphSchedule.static(10, ring_edges(10))

@@ -5,14 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agtrack import (AlgorithmConfig, BoundCertificate, GraphSchedule, algorithms,
+from agtrack import (AlgorithmConfig, BoundCertificate, algorithms,
                      certificates_to_report, certify_theorem1,
                      certify_theorem2, certify_theorem3, certify_theorem4,
                      fit_rate, random_quadratic_problem, resolve_constants,
                      run)
 from agtrack.algorithms import _ROW_FIELDS, RunTrace
 from agtrack.cli import build_schedule
-from conftest import M9_EDGE_SETS, ring_edges
 from reference_steps import reference_certificates
 
 CERTIFY = {1: certify_theorem1, 2: certify_theorem2, 3: certify_theorem3, 4: certify_theorem4}
@@ -37,16 +36,6 @@ def run_case(variant, mu_mode, problem, schedule, iterations):
     trace = run(cfg, problem, schedule, diagnostics=False)
     constants = resolve_constants(cfg, problem, schedule)
     return trace, constants
-
-
-@pytest.fixture(scope="module")
-def ring10():
-    return GraphSchedule.static(10, ring_edges(10))
-
-
-@pytest.fixture(scope="module")
-def m9_schedule():
-    return GraphSchedule.cyclic(9, M9_EDGE_SETS)
 
 
 # ---------------------------------------------------------------- fit_rate

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agtrack import (EdgeSet, GraphSchedule, NotGammaConnectedError, gamma_connectivity, graph,
-                     matrix_product_window, metropolis_weights, resolve_gamma, sigma,
-                     sigma_gamma)
+                     metropolis_weights, resolve_gamma, sigma, sigma_gamma)
 from conftest import M9_EDGE_SETS, path_edges, ring_edges
-from reference_steps import gamma_connected_bfs, metropolis_weights_loop
+from reference_steps import gamma_connected_bfs, matrix_product_window, metropolis_weights_loop
 
 J3 = np.full((3, 3), 1.0 / 3.0)
 
@@ -368,16 +367,16 @@ def test_gamma_connectivity_draws_each_instant_once_per_call(monkeypatch):
     for gamma in (3, 5):
         draws.clear()
         edge_sets.clear()
-        assert gamma_connectivity(sched, gamma, horizon=horizon)
+        assert gamma_connectivity(sched, gamma, horizon=horizon - 1)
         assert draws == list(range(horizon))
         assert edge_sets == []  # seeded_random instants are drawn in batches
     # A failing window ends the call within one chunk of the instants it covers.
     sparse = GraphSchedule.seeded_random(8, 0.02, seed=1)
-    first_fail = next(h for h in range(2, 600) if not gamma_connected_bfs(sparse, 2, h))
+    first_fail = next(h for h in range(1, 600) if not gamma_connected_bfs(sparse, 2, h))
     draws.clear()
-    assert not gamma_connectivity(sparse, 2, horizon=600)
+    assert not gamma_connectivity(sparse, 2, horizon=599)
     assert draws == list(range(len(draws)))
-    assert first_fail <= len(draws) < first_fail + graph.SPECTRAL_CHUNK
+    assert first_fail < len(draws) <= first_fail + graph.SPECTRAL_CHUNK
 
 
 # ------------------------------------------------- array-native graph layer
@@ -662,7 +661,8 @@ def _connectivity_schedules():
     yield "split", GraphSchedule.cyclic(6, [[(0, 1), (1, 2)], [(3, 4), (4, 5)], [(2, 0)]])
     yield "ring", GraphSchedule.static(10, ring_edges(10))
     yield "single", GraphSchedule.static(1, [])
-    for m, p, seed in ((8, 0.4, 5), (8, 0.02, 1), (12, 0.12, 3), (20, 0.1, 3), (5, 0.0, 0)):
+    for m, p, seed in ((8, 0.4, 5), (8, 0.02, 1), (12, 0.12, 3), (20, 0.1, 3), (5, 0.0, 0),
+                       (2, 0.5, 891)):
         yield f"random{m}_{p}_{seed}", GraphSchedule.seeded_random(m, p, seed)
 
 
@@ -670,29 +670,36 @@ def _connectivity_schedules():
 def test_gamma_connectivity_matches_bfs_reference(name, sched):
     verdicts = []
     for gamma in (1, 2, 3, 4, 6):
-        horizon = gamma + sched.period - 1 if sched.period else 80
+        horizon = gamma + sched.period - 2 if sched.period else 80
         got = gamma_connectivity(sched, gamma, horizon=horizon)
         assert got == gamma_connected_bfs(sched, gamma, horizon), gamma
         verdicts.append(got)
     if name in ("split", "random8_0.02_1", "random5_0.0_0"):  # the disconnected verdict is covered
         assert not any(verdicts[:2])
+    if name == "random2_0.5_891":  # its only disconnected window of 8 ends at instant 1000
+        for horizon in (graph.HORIZON - 1, graph.HORIZON):
+            got = gamma_connectivity(sched, 8, horizon=horizon)
+            assert got == gamma_connected_bfs(sched, 8, horizon) == (horizon < graph.HORIZON)
 
 
 # Seeded-random schedules and gammas, with the end of the first disconnected
 # window below 3 * SPECTRAL_CHUNK + 11: in each chunk, or none; two gammas are
-# longer than a chunk.
+# longer than a chunk.  The last one's only disconnected window ends at the
+# default horizon, and is checked at that horizon and the one before.
 @pytest.mark.parametrize("m,p,seed,gamma", [
     (12, 0.12, 3, 4),  # 46
     (2, 0.5, 891, 5),  # 87
     (20, 0.1, 3, 4),  # 71
     (10, 0.2, 3, 3),  # 108
     (6, 0.01, 1, 70),  # 190
-    (2, 0.5, 891, 7), (20, 0.1, 3, 6), (6, 0.3, 1, 70)])  # none
+    (2, 0.5, 891, 7), (20, 0.1, 3, 6), (6, 0.3, 1, 70),  # none
+    (2, 0.5, 891, 8)])  # 1000
 def test_batched_gamma_connectivity_matches_bfs_across_chunks(m, p, seed, gamma):
     sched = GraphSchedule.seeded_random(m, p, seed)
-    horizon = 3 * graph.SPECTRAL_CHUNK + 11
-    for h in (gamma, graph.SPECTRAL_CHUNK + 1, horizon):
-        if h >= gamma:
+    horizon = 3 * graph.SPECTRAL_CHUNK + 10
+    last_window = (graph.HORIZON - 1, graph.HORIZON) if (m, seed, gamma) == (2, 891, 8) else ()
+    for h in (gamma - 1, graph.SPECTRAL_CHUNK, horizon) + last_window:
+        if h >= gamma - 1:
             assert gamma_connectivity(sched, gamma, horizon=h) == gamma_connected_bfs(
                 sched, gamma, h), h
 
@@ -708,11 +715,80 @@ def test_connectivity_horizon_covers_the_last_instant_sigma_gamma_reads():
     # Instants 993..1000 have no edge, and every earlier window of 8 has one:
     # the only disconnected window of 8 ends at instant 1000.
     sched = GraphSchedule.seeded_random(2, 0.5, 891)
-    assert gamma_connectivity(sched, 8, horizon=graph.HORIZON)  # instants 0..999
+    assert gamma_connectivity(sched, 8, horizon=graph.HORIZON - 1)  # instants 0..999
     assert not gamma_connectivity(sched, 8)
     assert gamma_connectivity(sched, 9)
     assert resolve_gamma(sched) == 9
     assert sigma_gamma(sched, 9).sigma_gamma < 1.0
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The instants each walk reads: gamma_connectivity's through
+    GraphSchedule._masks, sigma_gamma's through GraphSchedule.edge_set."""
+    seen = {"masks": [], "edge_set": []}
+    masks, edge_set = GraphSchedule._masks, GraphSchedule.edge_set
+
+    def reading_masks(self, start, count):
+        seen["masks"].extend(range(start, start + count))
+        return masks(self, start, count)
+
+    def reading_edge_set(self, k):
+        seen["edge_set"].append(k)
+        return edge_set(self, k)
+
+    monkeypatch.setattr(GraphSchedule, "_masks", reading_masks)
+    monkeypatch.setattr(GraphSchedule, "edge_set", reading_edge_set)
+    return seen
+
+
+def walk_reads(reads, sched, gamma, horizon):
+    """The instants gamma_connectivity and sigma_gamma read, each in one call."""
+    reads["masks"].clear()
+    assert gamma_connectivity(sched, gamma, horizon=horizon)
+    connectivity = list(reads["masks"])
+    reads["edge_set"].clear()
+    sigma_gamma(sched, gamma, horizon=horizon)
+    return connectivity, list(reads["edge_set"])
+
+
+@pytest.mark.parametrize("gamma", [1, 3, 70])
+def test_both_walks_read_the_same_instants(reads, gamma):
+    sched = GraphSchedule.seeded_random(6, 0.8, seed=0)  # connected at every instant
+    C = graph.SPECTRAL_CHUNK
+    for horizon in (gamma - 1, C - 1, C, 2 * C + 5):
+        if horizon >= gamma - 1:
+            assert walk_reads(reads, sched, gamma, horizon) == ([*range(horizon + 1)],) * 2, horizon
+    # A periodic schedule reads one period of windows, whatever the horizon.
+    for periodic, g in ((GraphSchedule.cyclic(9, M9_EDGE_SETS), 3),
+                         (GraphSchedule.static(10, ring_edges(10)), gamma)):
+        for horizon in (None, 0, g + periodic.period, 2 * C + 5):
+            expected = [*range(g + periodic.period - 1)]
+            assert walk_reads(reads, periodic, g, horizon) == (expected, expected), horizon
+
+
+@pytest.mark.parametrize("gamma", [1, 3, 70])
+def test_shortest_horizon_is_one_window_in_both_walks(monkeypatch, gamma):
+    sched = GraphSchedule.seeded_random(6, 0.8, seed=0)
+    stacks, svd_max = [], graph.sigma
+    monkeypatch.setattr(graph, "sigma", lambda W: stacks.append(len(W)) or svd_max(W))
+    report = sigma_gamma(sched, gamma, horizon=gamma - 1)
+    window = matrix_product_window(sched, gamma - 1, gamma)
+    J = np.full((6, 6), 1 / 6)
+    assert stacks == [1]
+    assert report.sigma_gamma == min(np.linalg.svd(window - J, compute_uv=False).max(), 1.0)
+    assert report.is_estimate
+    sparse = GraphSchedule.seeded_random(8, 0.02, seed=1)  # its first window is disconnected
+    for s in (sched, sparse):
+        assert gamma_connectivity(s, gamma, horizon=gamma - 1) == gamma_connected_bfs(
+            s, gamma, gamma - 1)
+    # A horizon below gamma - 1 holds no window: both walks reject it alike.
+    errors = []
+    for walk in (gamma_connectivity, sigma_gamma):
+        with pytest.raises(ValueError, match="horizon must be at least gamma - 1") as error:
+            walk(sched, gamma, horizon=gamma - 2)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1]
 
 
 def test_sigma_of_stack_is_max_of_each():

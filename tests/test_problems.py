@@ -372,6 +372,28 @@ MALFORMED_STACKS = {
     "one_ridge_for_two_agents": ("logistic", {"data": np.ones((4, 2)), "labels": np.ones(4),
                                               "counts": [2, 2], "ridge": [0.1]},
                                  "need ridge >= 0 per agent"),
+    # Unchecked, a NaN in b gave x_star = [nan nan] and F_star = nan (the
+    # optimum's residual test reads False for NaN), and a NaN in logistic data
+    # ran the optimum solver's 10^6 iterations before its RuntimeError.  A NaN
+    # or -inf ridge is "need ridge >= 0" (test_logistic_rejects_a_negative_ridge).
+    "nan_in_A": ("quadratic", {"A": [[[np.nan, 0.0], [0.0, 1.0]]], "b": [[0.0, 0.0]]},
+                 "every entry of A must be finite"),
+    "inf_in_A": ("quadratic", {"A": [[[1.0, np.inf], [np.inf, 1.0]]], "b": [[0.0, 0.0]]},
+                 "every entry of A must be finite"),
+    "nan_in_b": ("quadratic", {"A": [np.eye(2)], "b": [[np.nan, 0.0]]},
+                 "every entry of b must be finite"),
+    "nan_in_data": ("logistic", {"data": [[1.0, np.nan], [0.5, -1.0]], "labels": [1.0, -1.0],
+                                 "counts": [1, 1], "ridge": [0.1, 0.1]},
+                    "every entry of data must be finite"),
+    "inf_in_data": ("logistic", {"data": [[1.0, -np.inf], [0.5, -1.0]], "labels": [1.0, -1.0],
+                                 "counts": [1, 1], "ridge": [0.1, 0.1]},
+                    "every entry of data must be finite"),
+    "nan_label": ("logistic", {"data": [[1.0, 2.0], [0.5, -1.0]], "labels": [np.nan, -1.0],
+                               "counts": [1, 1], "ridge": [0.1, 0.1]},
+                  "every entry of labels must be finite"),
+    "inf_ridge": ("logistic", {"data": [[1.0, 2.0], [0.5, -1.0]], "labels": [1.0, -1.0],
+                               "counts": [1, 1], "ridge": [0.1, np.inf]},
+                  "every entry of ridge must be finite"),
 }
 
 
