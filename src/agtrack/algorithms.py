@@ -283,7 +283,9 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
     Returns a dict with sigma (static variants) or sigma_gamma and its
     estimate flag (time-varying ones; not for multiple consensus with zeta
     given, which reads neither), gamma, the resolved alpha (theorem default
-    or explicit), and zeta / t for the wrapped variants.  Raises
+    or explicit), and zeta for multiple consensus.  The Chebyshev degree t is
+    not returned: ``_mixer`` builds the operator and puts t in the run's
+    meta.  Raises
     NotGammaConnectedError when the schedule never connects; for the static
     variants, when the static graph is disconnected (sigma = 1).
     """
@@ -347,6 +349,13 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     aggregate matrices of instant k (read-only), once per instant --
     an observation hook for property checks that need more than the trace
     columns (e.g. the mean of s against the mean gradient).
+
+    ``trace.meta`` holds ``resolve_constants``' dict and the run's sizes and
+    settings.  The certificates read from it the constants the run used:
+    ``L`` (``problem.L``, which the theorem-default step reads), ``m``,
+    ``mu_used`` (``problem.mu`` in strongly_convex mode, else 0), ``alpha``,
+    and ``sigma`` (static variants) or ``sigma_gamma`` and ``gamma``
+    (time-varying ones).
     """
     if schedule.agent_count != problem.m:
         raise ValueError(f"the schedule has {schedule.agent_count} agents "
@@ -370,7 +379,7 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
 
     mix, rounds_per_mix = _mixer(config.variant, schedule, consts)
 
-    meta = {**consts, "m": problem.m, "n": problem.n, "max_iterations": K,
+    meta = {**consts, "L": problem.L, "m": problem.m, "n": problem.n, "max_iterations": K,
             "seeds": tuple(config.seeds), "mu_used": mu, "diagnostics": diagnostics}
     table = np.empty((K + 1, len(_ROW_FIELDS)))
 

@@ -17,6 +17,12 @@ T3 / T4 are the gamma-step analogues checked at instants K = T gamma, with
 initialization maxima taken over the first gamma(+1) recorded iterates
 (the z-maximum weighted by theta^2 per its definition).
 
+Each certificate takes the trace alone and reads the constants the run used
+from ``trace.meta``, as ``run`` records them: L, m, ``mu_used`` (mu in the
+strongly convex mode), the step ``alpha``, and ``sigma`` (static variants) or
+``sigma_gamma`` and ``gamma`` (time-varying ones).  A trace without one of them
+is a ValueError that names it.
+
 The certificates read the trace by column (``trace.column``).  T1 / T2
 check every recorded row; T3 / T4 share the gamma grid: gap rows 1, 1 + gamma,
 ... and consensus rows 0, gamma, ..., on a trace that holds at least the first
@@ -34,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance
 from .algorithms import RunTrace
 
 REL_TOL = 1e-7
@@ -75,12 +80,19 @@ def _powers(base, exponents: np.ndarray) -> np.ndarray:
     return np.array([base ** k for k in exponents.tolist()])
 
 
-def _require_mode(trace: RunTrace, mode: str, theorem: str):
+def _constants(trace: RunTrace, mode: str, theorem: str, *names: str):
+    """The run's constants ``names`` from ``trace.meta``, once the trace is
+    known to be a non-empty run in ``mode``."""
     got = trace.meta.get("mu_mode")
     if got is not None and got != mode:
         raise ValueError(f"{theorem} applies to mu_mode={mode!r} runs, trace has {got!r}")
     if not len(trace.table):
         raise ValueError("empty trace")
+    missing = [name for name in names if name not in trace.meta]
+    if missing:
+        raise ValueError(f"{theorem} reads the run's {missing[0]!r}, which the trace's "
+                         "meta does not hold")
+    return tuple(trace.meta[name] for name in names)
 
 
 def _gamma_grid(trace: RunTrace, gamma: int):
@@ -94,11 +106,9 @@ def _gamma_grid(trace: RunTrace, gamma: int):
     return np.arange(1, last + 1, gamma), np.arange(0, last + 1, gamma)
 
 
-def certify_theorem1(trace: RunTrace, problem: ProblemInstance, alpha: float,
-                     sigma: float):
+def certify_theorem1(trace: RunTrace):
     """Sublinear bounds for the static mu = 0 setting; returns (gap, consensus)."""
-    _require_mode(trace, "zero", "the static mu=0 bound")
-    L = problem.L
+    L, alpha, sigma = _constants(trace, "zero", "the static mu=0 bound", "L", "alpha", "sigma")
     k = trace.column("k")
     zbar0, s0 = trace.column("zbar_dist")[0], trace.column("cons_s")[0]
     b_gap = (2.0 / alpha) * zbar0 + (1.0 - sigma) / (2.0 * L) * s0
@@ -108,11 +118,10 @@ def certify_theorem1(trace: RunTrace, problem: ProblemInstance, alpha: float,
             _certify("T1_consensus", k, trace.column("cons_x"), b_cons / (k + 1) ** 2))
 
 
-def certify_theorem2(trace: RunTrace, problem: ProblemInstance, alpha: float,
-                     sigma: float):
+def certify_theorem2(trace: RunTrace):
     """Linear-rate bounds for the static mu > 0 setting; returns (gap, consensus)."""
-    _require_mode(trace, "strongly_convex", "the static mu>0 bound")
-    L, mu = problem.L, problem.mu
+    L, mu, alpha, sigma = _constants(trace, "strongly_convex", "the static mu>0 bound",
+                                     "L", "mu_used", "alpha", "sigma")
     theta = np.sqrt(mu * alpha) / 2.0
     coeff = theta * theta / (2.0 * alpha) + mu * theta / 2.0
     k, gap, zbar = trace.column("k"), trace.column("gap"), trace.column("zbar_dist")
@@ -124,13 +133,12 @@ def certify_theorem2(trace: RunTrace, problem: ProblemInstance, alpha: float,
                      _powers(decay, k + 1) * 4.0 * C / L))
 
 
-def certify_theorem3(trace: RunTrace, problem: ProblemInstance, alpha: float,
-                     sigma_gamma: float, gamma: int):
+def certify_theorem3(trace: RunTrace):
     """Sublinear bounds for the time-varying mu = 0 setting, checked at the
     gamma-grid instants K = T gamma; returns (gap, consensus)."""
-    _require_mode(trace, "zero", "the time-varying mu=0 bound")
+    L, m, alpha, sigma_gamma, gamma = _constants(trace, "zero", "the time-varying mu=0 bound",
+                                                 "L", "m", "alpha", "sigma_gamma", "gamma")
     gap_k, cons_k = _gamma_grid(trace, gamma)
-    L, m = problem.L, problem.m
     max_s = m * trace.column("cons_s")[:gamma + 1].max()
     bracket = ((2.0 / alpha) * trace.column("zbar_dist")[0]
                + (1.0 - sigma_gamma) / (5.0 * m * L * gamma) * max_s)
@@ -139,15 +147,15 @@ def certify_theorem3(trace: RunTrace, problem: ProblemInstance, alpha: float,
                      9.0 * bracket / (2.0 * L * (cons_k + 1) ** 2)))
 
 
-def certify_theorem4(trace: RunTrace, problem: ProblemInstance, alpha: float,
-                     sigma_gamma: float, gamma: int):
+def certify_theorem4(trace: RunTrace):
     """Linear-rate bounds for the time-varying mu > 0 setting; returns
     (gap, consensus).  The constant C uses the trajectory maxima over the
     first gamma iterates: raw ||Pi s^r||^2 and ||Pi x^r||^2, and the
     theta^2-weighted ||Pi z^r||^2."""
-    _require_mode(trace, "strongly_convex", "the time-varying mu>0 bound")
+    L, mu, m, alpha, sigma_gamma, gamma = _constants(
+        trace, "strongly_convex", "the time-varying mu>0 bound",
+        "L", "mu_used", "m", "alpha", "sigma_gamma", "gamma")
     gap_k, cons_k = _gamma_grid(trace, gamma)
-    L, mu, m = problem.L, problem.mu, problem.m
     theta = np.sqrt(mu * alpha) / 2.0
     coeff = theta * theta / (2.0 * alpha) + mu * theta / 2.0
     gap, zbar, cons_x = trace.column("gap"), trace.column("zbar_dist"), trace.column("cons_x")

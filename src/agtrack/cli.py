@@ -60,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, sigma as sigma_of, sigma_gamma as sigma_gamma_of
+from .graph import _is_int
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .problems import ProblemInstance, random_logistic_problem, random_quadratic_problem
 from .algorithms import (AlgorithmConfig, DivergenceError, NotGammaConnectedError,
@@ -82,10 +83,6 @@ def _expect(test, message: str):
             return value
         raise ConfigError(message.format(value))
     return check
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite(value) -> float:
@@ -257,20 +254,20 @@ def _configured(args) -> dict:
     return config
 
 
-def _certify(trace: RunTrace, problem: ProblemInstance):
+def _certify(trace: RunTrace):
     """The bound certificates applicable to this run's variant and mode, and
     notes for the report: why none were checked, or whether the T3/T4 mixing
-    constant was only estimated."""
+    constant was only estimated.  The theorems are looked up here at call
+    time, so a wrapper put on this module's names is the one called."""
     meta = trace.meta
     variant, mode = meta["variant"], meta["mu_mode"]
     try:
         if variant == "acc_gt_static":
             theorem = certify_theorem1 if mode == "zero" else certify_theorem2
-            return list(theorem(trace, problem, meta["alpha"], meta["sigma"])), {}
+            return list(theorem(trace)), {}
         if variant == "acc_gt_tv":
             theorem = certify_theorem3 if mode == "zero" else certify_theorem4
-            certs = list(theorem(trace, problem, meta["alpha"], meta["sigma_gamma"],
-                                 meta["gamma"]))
+            certs = list(theorem(trace))
             return certs, {"sigma_gamma_is_estimate": meta["sigma_gamma_is_estimate"]}
     except ValueError as err:  # e.g. a trace too short for the initialization maxima
         return [], {"not_checked": str(err)}
@@ -290,7 +287,7 @@ def _execute(config: dict, problem: ProblemInstance, out_dir: Path, deterministi
         trace = run(alg, problem, schedule, diagnostics=config["diagnostics"] == "on")
     except ValueError as err:  # the variant, step rule or mode does not fit the schedule or problem
         raise ConfigError(f"algorithm: {err}") from err
-    certs, notes = _certify(trace, problem)
+    certs, notes = _certify(trace)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "trace.csv", timestamp=_timestamp(deterministic))
     report = {"certificates": certificates_to_report(certs), **notes}

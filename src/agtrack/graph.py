@@ -558,10 +558,13 @@ def _window_ends(schedule: GraphSchedule, gamma: int, horizon: int | None) -> tu
     ends, ``gamma - 1 .. gamma + period - 2``, whatever the horizon, and its
     constants are exact.  A seeded_random schedule has the ends ``gamma - 1 ..
     horizon`` (default ``HORIZON``), so instants 0..horizon are read, and its
-    constants are estimates.
+    constants are estimates.  A gamma or horizon that is not an integer is
+    a ValueError, never truncated.
     """
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
+    if not (_is_int(gamma) and gamma >= 1):
+        raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
+    if horizon is not None and not _is_int(horizon):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if schedule.period is not None:
         return range(gamma - 1, gamma - 1 + schedule.period), False
     horizon = HORIZON if horizon is None else horizon

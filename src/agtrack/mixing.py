@@ -25,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .graph import (GraphSchedule, _all_connected, _upper_pairs, metropolis_weights,
+from .graph import (GraphSchedule, _all_connected, _is_int, _upper_pairs, metropolis_weights,
                     sigma as sigma_of)
 
 SYMMETRY_TOL = 1e-12
@@ -69,8 +69,11 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     run); otherwise it is computed here.  ValueError when W's support graph
     (its nonzero off-diagonal entries) is disconnected, tested before any
     decomposition: sigma alone cannot tell, since it rounds to 1 or just below
-    1 there, and the operator would take some 10^7 rounds per call.
+    1 there, and the operator would take some 10^7 rounds per call.  A t
+    that is not an integer of at least 1 is a ValueError, never truncated.
     """
+    if t is not None and not (_is_int(t) and t >= 1):
+        raise ValueError(f"t must be an integer at least 1, got {t!r}")
     M = np.asarray(W, dtype=float)
     asym = np.abs(M - M.T).max()
     if asym > SYMMETRY_TOL:
@@ -92,8 +95,6 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     nu = (1.0 - sig) / lambda1
     if t is None:
         t = math.ceil(1.0 / math.sqrt(nu))
-    if t < 1:
-        raise ValueError("t must be at least 1")
     c1 = (1.0 - math.sqrt(nu)) / (1.0 + math.sqrt(nu))
     c2 = (1.0 + nu) / (1.0 - nu)
     c3 = 2.0 / (lambda1 + 1.0 - sig)

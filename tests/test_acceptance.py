@@ -13,7 +13,7 @@ from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule,
                      chebyshev_operator, consensus_error, default_zeta,
                      fit_rate, metropolis_weights,
                      multiple_consensus, random_quadratic_problem,
-                     resolve_constants, run, sigma, sigma_gamma, theta_next)
+                     run, sigma, sigma_gamma, theta_next)
 from conftest import M9_EDGE_SETS, ring_edges
 from reference_steps import AveragedState, averaged_reference_step, matrix_product_window
 
@@ -41,9 +41,7 @@ def test_criterion_01_static_sublinear_certificate():
         cfg = AlgorithmConfig(variant="acc_gt_static", mu_mode="zero",
                               max_iterations=2000)
         trace = run(cfg, problem, RING10, diagnostics=False)
-        consts = resolve_constants(cfg, problem, RING10)
-        for cert in certify_theorem1(trace, problem, consts["alpha"],
-                                     consts["sigma"]):
+        for cert in certify_theorem1(trace):
             assert cert.holds, (seed, cert)
     print("criterion 01: PASS - static sublinear bounds hold on 5 seeds")
 
@@ -57,11 +55,9 @@ def test_criterion_02_static_linear_certificate_and_rate():
         cfg = AlgorithmConfig(variant="acc_gt_static",
                               mu_mode="strongly_convex", max_iterations=5000)
         trace = run(cfg, problem, RING10, diagnostics=False)
-        consts = resolve_constants(cfg, problem, RING10)
-        for cert in certify_theorem2(trace, problem, consts["alpha"],
-                                     consts["sigma"]):
+        for cert in certify_theorem2(trace):
             assert cert.holds, (seed, ratio, cert)
-        theta = math.sqrt(problem.mu * consts["alpha"]) / 2.0
+        theta = math.sqrt(problem.mu * trace.meta["alpha"]) / 2.0
         assert fit_rate(trace) <= 0.9 * math.log(1.0 - theta), (seed, ratio)
     print("criterion 02: PASS - linear bounds and decay rate hold on 5 instances")
 
@@ -73,18 +69,14 @@ def test_criterion_03_time_varying_certificates():
     cfg = AlgorithmConfig(variant="acc_gt_tv", mu_mode="zero",
                           max_iterations=600)
     trace = run(cfg, problem, M9, diagnostics=False)
-    consts = resolve_constants(cfg, problem, M9)
-    assert consts["gamma"] == 3
-    for cert in certify_theorem3(trace, problem, consts["alpha"],
-                                 consts["sigma_gamma"], consts["gamma"]):
+    assert trace.meta["gamma"] == 3
+    for cert in certify_theorem3(trace):
         assert cert.holds, cert
     sc_problem = random_quadratic_problem(9, 4, L=1.0, mu=0.02, seed=1)
     sc_cfg = AlgorithmConfig(variant="acc_gt_tv", mu_mode="strongly_convex",
                              max_iterations=600)
     sc_trace = run(sc_cfg, sc_problem, M9, diagnostics=False)
-    sc_consts = resolve_constants(sc_cfg, sc_problem, M9)
-    for cert in certify_theorem4(sc_trace, sc_problem, sc_consts["alpha"],
-                                 sc_consts["sigma_gamma"], sc_consts["gamma"]):
+    for cert in certify_theorem4(sc_trace):
         assert cert.holds, cert
     print("criterion 03: PASS - time-varying bounds hold at gamma = 3")
 

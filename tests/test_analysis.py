@@ -18,24 +18,30 @@ CERTIFY = {1: certify_theorem1, 2: certify_theorem2, 3: certify_theorem3, 4: cer
 SEEDED_RANDOM_CONFIG = Path(__file__).parent / "data" / "seeded_random_config.json"
 
 
-def synthetic_trace(gaps, mu_mode, *, start_k=0, zbar_dist=0.0, cons_x=0.0,
-                    cons_s=0.0):
-    """Trace with a prescribed gap sequence and constant everything else."""
+def synthetic_trace(gaps, mu_mode, problem=None, alpha=None, sigma=None, gamma=None, *,
+                    start_k=0, zbar_dist=0.0, cons_x=0.0, cons_s=0.0):
+    """Trace with a prescribed gap sequence and constant everything else.  Given
+    a problem, its meta carries the constants a run records for the
+    certificates: ``sigma``, or ``sigma_gamma`` and ``gamma`` when gamma is given."""
     table = np.full((len(gaps), len(_ROW_FIELDS)), float("nan"))
     for name, value in (("k", start_k + np.arange(len(gaps))), ("gap", gaps),
                         ("per_agent_gap_max", gaps), ("cons_x", cons_x), ("cons_y", 0.0),
                         ("cons_s", cons_s), ("zbar_dist", zbar_dist), ("cons_z", 0.0),
                         ("comm_rounds", 0), ("grad_rounds", 0)):
         table[:, _ROW_FIELDS.index(name)] = value
-    return RunTrace(table, meta={"mu_mode": mu_mode})
+    meta = {"mu_mode": mu_mode}
+    if problem is not None:
+        meta.update(L=problem.L, m=problem.m, alpha=alpha,
+                    mu_used=problem.mu if mu_mode == "strongly_convex" else 0.0)
+        meta.update({"sigma": sigma} if gamma is None else
+                    {"sigma_gamma": sigma, "gamma": gamma})
+    return RunTrace(table, meta=meta)
 
 
 def run_case(variant, mu_mode, problem, schedule, iterations):
     cfg = AlgorithmConfig(variant=variant, mu_mode=mu_mode,
                           max_iterations=iterations)
-    trace = run(cfg, problem, schedule, diagnostics=False)
-    constants = resolve_constants(cfg, problem, schedule)
-    return trace, constants
+    return run(cfg, problem, schedule, diagnostics=False)
 
 
 # ---------------------------------------------------------------- fit_rate
@@ -95,9 +101,9 @@ def test_certificate_violation_is_located():
     # One wildly infeasible row: holds must flip, the first offending instant
     # must be reported, and the worst margin is the raw (unnormalized) slack.
     gaps = [0.0, 1e9, 0.0, 0.0]
-    trace = synthetic_trace(gaps, "zero", zbar_dist=1.0)
     problem = random_quadratic_problem(3, 2, L=1.0, mu=0.0, seed=0)
-    gap_cert, cons_cert = certify_theorem1(trace, problem, 0.1, 0.0)
+    trace = synthetic_trace(gaps, "zero", problem, 0.1, 0.0, zbar_dist=1.0)
+    gap_cert, cons_cert = certify_theorem1(trace)
     b_gap = 2.0 / 0.1  # zbar_dist = 1, cons_s = 0
     assert not gap_cert.holds
     assert gap_cert.first_violation_k == 1
@@ -106,9 +112,9 @@ def test_certificate_violation_is_located():
 
 
 def test_certificate_worst_margin_is_pointwise_minimum():
-    trace = synthetic_trace([0.0, 0.0, 0.0, 0.0], "zero", zbar_dist=1.0)
     problem = random_quadratic_problem(3, 2, L=1.0, mu=0.0, seed=0)
-    gap_cert, _ = certify_theorem1(trace, problem, 0.1, 0.0)
+    trace = synthetic_trace([0.0, 0.0, 0.0, 0.0], "zero", problem, 0.1, 0.0, zbar_dist=1.0)
+    gap_cert, _ = certify_theorem1(trace)
     # gap rows are k = 1, 2, 3 with lhs = 0, so the minimum slack is the
     # bound at the last instant.
     assert gap_cert.holds
@@ -122,44 +128,60 @@ def test_certificate_tolerates_rounding_noise():
     # rounding can push the slack slightly below zero).
     b_gap = 2.0 / 0.1
     gaps = [0.0, b_gap * (1 + 1e-9), 0.0]
-    trace = synthetic_trace(gaps, "zero", zbar_dist=1.0)
     problem = random_quadratic_problem(3, 2, L=1.0, mu=0.0, seed=0)
-    gap_cert, _ = certify_theorem1(trace, problem, 0.1, 0.0)
+    trace = synthetic_trace(gaps, "zero", problem, 0.1, 0.0, zbar_dist=1.0)
+    gap_cert, _ = certify_theorem1(trace)
     assert gap_cert.holds
     assert gap_cert.worst_margin < 0.0
 
 
 def test_certificate_requires_checkable_instants():
     # Only row 0 exists, and the gap bound starts at k = 1: nothing to check.
-    trace = synthetic_trace([1.0], "zero", zbar_dist=1.0)
     problem = random_quadratic_problem(3, 2, L=1.0, mu=0.0, seed=0)
+    trace = synthetic_trace([1.0], "zero", problem, 0.1, 0.0, zbar_dist=1.0)
     with pytest.raises(ValueError):
-        certify_theorem1(trace, problem, 0.1, 0.0)
+        certify_theorem1(trace)
 
 
 def test_certificate_rejects_mismatched_mode():
-    trace = synthetic_trace([1.0, 0.5], "strongly_convex")
     problem = random_quadratic_problem(3, 2, L=1.0, mu=0.1, seed=0)
+    trace = synthetic_trace([1.0, 0.5], "strongly_convex", problem, 0.1, 0.0)
     with pytest.raises(ValueError, match="mu_mode"):
-        certify_theorem1(trace, problem, 0.1, 0.0)
-    zero_trace = synthetic_trace([1.0, 0.5], "zero")
+        certify_theorem1(trace)
+    zero_trace = synthetic_trace([1.0, 0.5], "zero", problem, 0.1, 0.0)
     with pytest.raises(ValueError, match="mu_mode"):
-        certify_theorem2(zero_trace, problem, 0.1, 0.0)
+        certify_theorem2(zero_trace)
 
 
 def test_certificate_rejects_empty_trace():
-    problem = random_quadratic_problem(3, 2, L=1.0, mu=0.0, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        certify_theorem1(RunTrace(np.empty((0, len(_ROW_FIELDS))), meta={"mu_mode": "zero"}),
-                         problem, 0.1, 0.0)
+        certify_theorem1(RunTrace(np.empty((0, len(_ROW_FIELDS))), meta={"mu_mode": "zero"}))
+
+
+@pytest.mark.parametrize("theorem,variant,missing", [(1, "acc_gt_tv", "sigma"),
+                                                     (2, "acc_gt_tv", "sigma"),
+                                                     (3, "acc_gt_static", "sigma_gamma"),
+                                                     (4, "acc_gt_static", "sigma_gamma")])
+def test_certificates_refuse_a_trace_without_the_run_constants(ring10, theorem, variant,
+                                                               missing):
+    # The constants come from the trace alone: a run of another variant lacks
+    # the mixing constant, and a table-only trace lacks them all.
+    mode = "strongly_convex" if theorem in (2, 4) else "zero"
+    problem = random_quadratic_problem(10, 4, L=1.0, mu=0.05, seed=2)
+    trace = run_case(variant, mode, problem, ring10, 12)
+    assert trace.meta["mu_mode"] == mode and missing not in trace.meta
+    with pytest.raises(ValueError, match=f"the run's '{missing}'"):
+        CERTIFY[theorem](trace)
+    with pytest.raises(ValueError, match="the run's 'L'"):
+        CERTIFY[theorem](RunTrace(trace.table))
 
 
 def test_nan_bound_is_a_violation():
     # A bound that evaluates to NaN cannot certify its instant: it counts as a
     # violation there, and the worst margin reads NaN rather than skipping it.
-    trace = synthetic_trace([0.0, 0.0, 0.0], "zero", zbar_dist=1.0)
     problem = random_quadratic_problem(3, 2, L=1.0, mu=0.0, seed=0)
-    gap_cert, cons_cert = certify_theorem1(trace, problem, 0.1, float("nan"))
+    trace = synthetic_trace([0.0, 0.0, 0.0], "zero", problem, 0.1, float("nan"), zbar_dist=1.0)
+    gap_cert, cons_cert = certify_theorem1(trace)
     assert not gap_cert.holds and gap_cert.first_violation_k == 1
     assert math.isnan(gap_cert.worst_margin)
     assert not cons_cert.holds and cons_cert.first_violation_k == 0
@@ -169,9 +191,8 @@ def test_nan_bound_is_a_violation():
 
 def test_static_sublinear_bounds_hold(ring10):
     problem = random_quadratic_problem(10, 4, L=1.0, mu=0.0, seed=0)
-    trace, consts = run_case("acc_gt_static", "zero", problem, ring10, 300)
-    gap_cert, cons_cert = certify_theorem1(trace, problem, consts["alpha"],
-                                           consts["sigma"])
+    trace = run_case("acc_gt_static", "zero", problem, ring10, 300)
+    gap_cert, cons_cert = certify_theorem1(trace)
     assert gap_cert.theorem_id == "T1_gap"
     assert cons_cert.theorem_id == "T1_consensus"
     assert gap_cert.holds and cons_cert.holds
@@ -181,10 +202,8 @@ def test_static_sublinear_bounds_hold(ring10):
 
 def test_static_linear_bounds_hold(ring10):
     problem = random_quadratic_problem(10, 4, L=1.0, mu=0.01, seed=1)
-    trace, consts = run_case("acc_gt_static", "strongly_convex", problem,
-                             ring10, 300)
-    gap_cert, cons_cert = certify_theorem2(trace, problem, consts["alpha"],
-                                           consts["sigma"])
+    trace = run_case("acc_gt_static", "strongly_convex", problem, ring10, 300)
+    gap_cert, cons_cert = certify_theorem2(trace)
     assert gap_cert.holds and cons_cert.holds
     assert gap_cert.theorem_id == "T2_gap"
     assert cons_cert.theorem_id == "T2_consensus"
@@ -192,11 +211,9 @@ def test_static_linear_bounds_hold(ring10):
 
 def test_time_varying_sublinear_bounds_hold(m9_schedule):
     problem = random_quadratic_problem(9, 4, L=1.0, mu=0.0, seed=2)
-    trace, consts = run_case("acc_gt_tv", "zero", problem, m9_schedule, 60)
-    gap_cert, cons_cert = certify_theorem3(trace, problem, consts["alpha"],
-                                           consts["sigma_gamma"],
-                                           consts["gamma"])
-    assert consts["gamma"] == 3
+    trace = run_case("acc_gt_tv", "zero", problem, m9_schedule, 60)
+    gap_cert, cons_cert = certify_theorem3(trace)
+    assert trace.meta["gamma"] == 3
     assert gap_cert.holds and cons_cert.holds
     assert gap_cert.theorem_id == "T3_gap"
     assert cons_cert.theorem_id == "T3_consensus"
@@ -204,11 +221,8 @@ def test_time_varying_sublinear_bounds_hold(m9_schedule):
 
 def test_time_varying_linear_bounds_hold(m9_schedule):
     problem = random_quadratic_problem(9, 4, L=1.0, mu=0.02, seed=3)
-    trace, consts = run_case("acc_gt_tv", "strongly_convex", problem,
-                             m9_schedule, 60)
-    gap_cert, cons_cert = certify_theorem4(trace, problem, consts["alpha"],
-                                           consts["sigma_gamma"],
-                                           consts["gamma"])
+    trace = run_case("acc_gt_tv", "strongly_convex", problem, m9_schedule, 60)
+    gap_cert, cons_cert = certify_theorem4(trace)
     assert gap_cert.holds and cons_cert.holds
     assert gap_cert.theorem_id == "T4_gap"
     assert cons_cert.theorem_id == "T4_consensus"
@@ -218,33 +232,28 @@ def test_time_varying_bounds_on_static_schedule(ring10):
     # A static graph is the gamma = 1 special case of the joint-connectivity
     # machinery, so the gamma-grid certificate degenerates to every instant.
     problem = random_quadratic_problem(10, 4, L=1.0, mu=0.0, seed=0)
-    trace, consts = run_case("acc_gt_tv", "zero", problem, ring10, 100)
-    assert consts["gamma"] == 1
-    gap_cert, cons_cert = certify_theorem3(trace, problem, consts["alpha"],
-                                           consts["sigma_gamma"],
-                                           consts["gamma"])
+    trace = run_case("acc_gt_tv", "zero", problem, ring10, 100)
+    assert trace.meta["gamma"] == 1
+    gap_cert, cons_cert = certify_theorem3(trace)
     assert gap_cert.holds and cons_cert.holds
 
 
 def test_time_varying_certificates_need_full_first_window(m9_schedule):
     problem = random_quadratic_problem(9, 4, L=1.0, mu=0.0, seed=2)
-    trace, consts = run_case("acc_gt_tv", "zero", problem, m9_schedule, 2)
+    trace = run_case("acc_gt_tv", "zero", problem, m9_schedule, 2)
     with pytest.raises(ValueError, match="too short"):
-        certify_theorem3(trace, problem, consts["alpha"],
-                         consts["sigma_gamma"], consts["gamma"])
+        certify_theorem3(trace)
     sc_problem = random_quadratic_problem(9, 4, L=1.0, mu=0.02, seed=3)
-    sc_trace, sc_consts = run_case("acc_gt_tv", "strongly_convex", sc_problem,
-                                   m9_schedule, 2)
+    sc_trace = run_case("acc_gt_tv", "strongly_convex", sc_problem, m9_schedule, 2)
     with pytest.raises(ValueError, match="too short"):
-        certify_theorem4(sc_trace, sc_problem, sc_consts["alpha"],
-                         sc_consts["sigma_gamma"], sc_consts["gamma"])
+        certify_theorem4(sc_trace)
 
 
 def test_certification_is_deterministic(ring10):
     problem = random_quadratic_problem(10, 4, L=1.0, mu=0.0, seed=0)
-    trace, consts = run_case("acc_gt_static", "zero", problem, ring10, 200)
-    first = certify_theorem1(trace, problem, consts["alpha"], consts["sigma"])
-    second = certify_theorem1(trace, problem, consts["alpha"], consts["sigma"])
+    trace = run_case("acc_gt_static", "zero", problem, ring10, 200)
+    first = certify_theorem1(trace)
+    second = certify_theorem1(trace)
     assert first == second
 
 
@@ -264,8 +273,7 @@ def test_oversized_step_is_detected_or_diverges(ring10):
         trace = run(cfg, problem, ring10, diagnostics=False)
     except DivergenceError:
         return
-    for cert in certify_theorem1(trace, problem, 100 * consts["alpha"],
-                                 consts["sigma"]):
+    for cert in certify_theorem1(trace):
         assert cert.holds == (cert.first_violation_k is None)
 
 
@@ -273,8 +281,8 @@ def test_oversized_step_is_detected_or_diverges(ring10):
 
 def test_certificates_to_report_shape(ring10):
     problem = random_quadratic_problem(10, 4, L=1.0, mu=0.0, seed=0)
-    trace, consts = run_case("acc_gt_static", "zero", problem, ring10, 100)
-    certs = certify_theorem1(trace, problem, consts["alpha"], consts["sigma"])
+    trace = run_case("acc_gt_static", "zero", problem, ring10, 100)
+    certs = certify_theorem1(trace)
     report = certificates_to_report(certs)
     assert [row["theorem_id"] for row in report] == ["T1_gap", "T1_consensus"]
     for row in report:
@@ -331,7 +339,7 @@ def test_column_certificates_match_the_row_reference_on_runs(request, variant, s
     else:
         theorem, constants = 3, (meta["sigma_gamma"], gamma)
     theorem += mu_mode == "strongly_convex"
-    assert_same_certificates(CERTIFY[theorem](trace, problem, meta["alpha"], *constants),
+    assert_same_certificates(CERTIFY[theorem](trace),
                              reference_certificates(theorem, trace, problem, meta["alpha"],
                                                     *constants))
 
@@ -342,7 +350,7 @@ def test_time_varying_certificates_locate_violations_of_an_oversized_step(m9_sch
     problem = random_quadratic_problem(9, 4, L=1.0, mu=0.05, seed=2)
     trace = run(AlgorithmConfig(variant="acc_gt_tv", alpha=0.3, max_iterations=60),
                 problem, m9_schedule, diagnostics=False)
-    certs = certify_theorem3(trace, problem, 0.3, trace.meta["sigma_gamma"], 3)
+    certs = certify_theorem3(trace)
     assert [c.first_violation_k for c in certs] == [19, 9]
 
 
@@ -356,9 +364,9 @@ def test_column_certificates_match_the_row_reference_on_synthetic_traces(theorem
     mode = "strongly_convex" if theorem in (2, 4) else "zero"
     # The traces of test_certificate_violation_is_located and
     # test_certificate_tolerates_rounding_noise.
-    trace = synthetic_trace(gaps, mode, zbar_dist=1.0)
     problem = random_quadratic_problem(3, 2, L=1.0, mu=0.1, seed=0)
-    assert_same_certificates(CERTIFY[theorem](trace, problem, 0.1, *constants),
+    trace = synthetic_trace(gaps, mode, problem, 0.1, *constants, zbar_dist=1.0)
+    assert_same_certificates(CERTIFY[theorem](trace),
                              reference_certificates(theorem, trace, problem, 0.1, *constants))
 
 
@@ -377,16 +385,14 @@ def test_run_csv_and_certificates_build_no_trace_row(monkeypatch, ring10, m9_sch
 
     monkeypatch.setattr(algorithms, "TraceRow", counting_record)
     monkeypatch.setattr(algorithms, "_row", counting_row)
-    for variant, schedule, theorem, constants in (
-            ("acc_gt_static", ring10, 1, ("sigma",)),
-            ("acc_gt_tv", m9_schedule, 3, ("sigma_gamma", "gamma"))):
+    for variant, schedule, theorem in (("acc_gt_static", ring10, 1),
+                                       ("acc_gt_tv", m9_schedule, 3)):
         problem = random_quadratic_problem(schedule.agent_count, 4, L=1.0, mu=0.05, seed=2)
         for mode in ("zero", "strongly_convex"):
             trace = run(AlgorithmConfig(variant=variant, mu_mode=mode, max_iterations=12),
                         problem, schedule)
             trace.to_csv(tmp_path / "trace.csv")
-            CERTIFY[theorem + (mode == "strongly_convex")](
-                trace, problem, trace.meta["alpha"], *(trace.meta[c] for c in constants))
+            CERTIFY[theorem + (mode == "strongly_convex")](trace)
     assert built == []
     assert trace.rows[-1].k == 12  # the read-only view still builds records
     assert built == ["_row", "TraceRow"]

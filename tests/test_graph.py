@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (EdgeSet, GraphSchedule, NotGammaConnectedError, gamma_connectivity, graph,
-                     metropolis_weights, resolve_gamma, sigma, sigma_gamma)
+from agtrack import (EdgeSet, GraphSchedule, NotGammaConnectedError, chebyshev_operator,
+                     gamma_connectivity, graph, metropolis_weights, resolve_gamma, sigma,
+                     sigma_gamma)
 from conftest import M9_EDGE_SETS, path_edges, ring_edges
 from reference_steps import gamma_connected_bfs, matrix_product_window, metropolis_weights_loop
 
@@ -205,6 +206,27 @@ def test_sigma_gamma_rejects_horizon_below_gamma():
     sched = GraphSchedule.seeded_random(6, 0.5, seed=7)
     with pytest.raises(ValueError):
         sigma_gamma(sched, 4, horizon=2)
+
+
+RING5_W = metropolis_weights(ring_edges(5), 5)
+RANDOM6 = GraphSchedule.seeded_random(6, 0.5, seed=0)
+M9 = GraphSchedule.cyclic(9, M9_EDGE_SETS)
+
+
+@pytest.mark.parametrize("call,argument", [
+    (lambda: chebyshev_operator(RING5_W, t=2.5), "t"),
+    (lambda: chebyshev_operator(RING5_W, t=True), "t"),
+    (lambda: gamma_connectivity(RANDOM6, True), "gamma"),
+    (lambda: gamma_connectivity(RANDOM6, 2, horizon=40.0), "horizon"),
+    (lambda: sigma_gamma(RANDOM6, 1, horizon=True), "horizon"),
+    (lambda: sigma_gamma(RANDOM6, 2.5), "gamma"),
+    (lambda: sigma_gamma(M9, 3, horizon=True), "horizon"),  # a periodic schedule too
+], ids=["cheb-t-float", "cheb-t-bool", "connectivity-gamma-bool",
+        "connectivity-horizon-float", "sigma-gamma-horizon-bool", "sigma-gamma-gamma-float",
+        "sigma-gamma-periodic-horizon-bool"])
+def test_integer_arguments_are_checked_not_truncated(call, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer"):
+        call()
 
 
 @given(st.integers(0, 10 ** 6))
