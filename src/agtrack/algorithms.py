@@ -141,7 +141,8 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
     The Chebyshev and multiple-consensus wrappers use the same rules with
     sigma replaced by their guaranteed effective contraction (0.65 and 1/e,
     with gamma = 1 for multiple consensus, since every wrapped call contracts
-    regardless of the underlying graph).
+    regardless of the underlying graph).  A gamma that is not an integer of
+    at least 1 (bools included) is a ValueError, never truncated.
     """
     if variant == "gt":
         raise ValueError("no default step-size rule is defined for the gt variant; "
@@ -150,8 +151,8 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
         raise ValueError(f"unknown variant {variant!r}")
     if L <= 0.0:
         raise ValueError("L must be positive")
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
+    if not (_is_int(gamma) and gamma >= 1):
+        raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
     sc = mu_mode == "strongly_convex"
     if variant == "acc_gt_chebyshev":
         sig = CHEBYSHEV_EFFECTIVE_SIGMA

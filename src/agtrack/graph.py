@@ -41,13 +41,17 @@ seeded_random schedule ``horizon`` is the last instant read, so both read
 instants 0..horizon (default ``HORIZON``).
 
 A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
-never depends on evaluation order.  ``edge_set(k)`` draws one instant through
-``np.random.default_rng``.  ``GraphSchedule._masks`` draws a run of
-consecutive instants bit for bit the same, without a ``default_rng`` each: it
-hashes all their keys at once in uint32 array arithmetic, as numpy's
-``SeedSequence`` would, and seeds one reused ``PCG64`` per instant.
-``matrix`` and ``gamma_connectivity`` take their instants from it;
-``sigma_gamma`` builds its windows from ``edge_set``.
+never depends on evaluation order.  ``GraphSchedule._masks`` draws a run of
+consecutive instants bit for bit as ``np.random.default_rng`` would, without
+a ``default_rng`` each: it hashes all their keys at once in uint32 array
+arithmetic, as numpy's ``SeedSequence`` would, and seeds one reused ``PCG64``
+per instant.  It draws the aligned ``SPECTRAL_CHUNK`` chunks that hold
+instants 0..``HORIZON`` once per schedule and keeps them packed, a bit per
+candidate pair, so every constant and the run read one draw of each of those
+instants: ``gamma_connectivity`` (once per gamma that ``resolve_gamma``
+tries) and ``matrix`` take their instants from ``_masks``, and
+``sigma_gamma`` builds its windows from ``edge_set``, which reads a stored
+chunk and draws any other instant alone through ``default_rng``.
 """
 from __future__ import annotations
 
@@ -75,6 +79,10 @@ SPECTRAL_CHUNK = 64
 # seeded_random schedule read: gamma_connectivity and sigma_gamma both examine
 # instants 0..HORIZON.
 HORIZON = 1000
+
+# The end of the aligned SPECTRAL_CHUNK chunks that hold instants 0..HORIZON:
+# a seeded_random schedule keeps the edge masks it draws below it.
+_STORED_STOP = (HORIZON // SPECTRAL_CHUNK + 1) * SPECTRAL_CHUNK
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
@@ -164,7 +172,7 @@ def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # numpy's stream for the key [seed, k], rebuilt for a batch of k (see
-# GraphSchedule._masks).  SeedSequence (O'Neill's seed_seq_fe, NEP 19) hashes a
+# GraphSchedule._draw).  SeedSequence (O'Neill's seed_seq_fe, NEP 19) hashes a
 # key into a pool of four uint32 words, and each hash call xors a running
 # constant into its word, steps the constant and multiplies by it.  A two-word
 # key takes 16 calls (_XOR_A / _MUL_A, one row each); generate_state(4, uint64)
@@ -255,6 +263,9 @@ class GraphSchedule:
     # matrix(k)'s store: a periodic schedule's matrices by k mod period, a
     # seeded_random schedule's one chunk stack by its first instant.
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _masks's store: a seeded_random schedule's drawn chunks of instants
+    # 0.._STORED_STOP - 1, packed with np.packbits, by their first instant.
+    _mask_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.agent_count <= 0:
@@ -288,9 +299,9 @@ class GraphSchedule:
         return cls(m, "seeded_random", None, edge_probability, seed)
 
     def __getstate__(self):
-        # Pickles and deep copies leave matrix(k)'s store behind (a chunk stack
-        # is O(SPECTRAL_CHUNK m^2)); the copy rebuilds what it reads.
-        return {**self.__dict__, "_matrices": {}}
+        # Pickles and deep copies leave both stores behind (a chunk stack is
+        # O(SPECTRAL_CHUNK m^2)); the copy draws and rebuilds what it reads.
+        return {**self.__dict__, "_matrices": {}, "_mask_chunks": {}}
 
     @property
     def period(self) -> int | None:
@@ -300,15 +311,21 @@ class GraphSchedule:
     def edge_set(self, k: int) -> EdgeSet:
         """The edge set active at instant k (total for all k >= 0).
 
-        A seeded_random instant is drawn alone, through ``default_rng``: for
-        one key that costs less than ``_masks``'s batched hash.
+        A seeded_random instant whose chunk ``_masks`` has already stored is
+        read from that store; any other is drawn alone, through
+        ``default_rng`` (for one key that costs less than the batched hash),
+        and not stored.
         """
         if k < 0:
             raise ValueError("instant index must be nonnegative")
         if self.period is not None:
             return self.edge_sets[k % self.period]
         iu, ju = _upper_pairs(self.agent_count)
-        mask = self._uniforms(k, np.empty(iu.shape[0])) < self.edge_probability
+        chunk = self._mask_chunks.get(k - k % SPECTRAL_CHUNK)
+        if chunk is not None:
+            mask = np.unpackbits(chunk[k % SPECTRAL_CHUNK], count=len(iu)).view(bool)
+        else:
+            mask = self._uniforms(k, np.empty(iu.shape[0])) < self.edge_probability
         return _edge_set_of(iu[mask], ju[mask])
 
     def _uniforms(self, k: int, out: np.ndarray) -> np.ndarray:
@@ -329,16 +346,14 @@ class GraphSchedule:
         """The ``(count, pairs)`` bool edge masks of instants start, ...,
         start+count-1: row c marks the pairs of ``_upper_pairs`` in E^(start+c).
 
-        Periodic rows are their instants' edge sets.  Seeded_random rows are
-        drawn as ``edge_set`` draws them, bit for bit, but without a
-        ``default_rng`` per instant: ``_pcg64_states`` rebuilds each key's
-        PCG64 state for the whole batch, one generator takes each state in
-        turn, and ``random(out=row)`` fills the row, as ``edge_set`` fills
-        its own.  This rests on numpy keeping SeedSequence's hash and PCG64's
-        seeding fixed, as its stream policy for bit generators (NEP 19)
-        does; the tests compare batches with ``default_rng``, so a change
-        would show there.  A key at or above 2**32 keeps the per-instant
-        draw, so a batch that straddles 2**32 splits there.
+        Periodic rows are their instants' edge sets.  A seeded_random
+        schedule draws each aligned ``SPECTRAL_CHUNK`` of instants below
+        ``_STORED_STOP`` (the chunks that hold instants 0..``HORIZON``) once,
+        whole, and keeps it packed (``np.packbits``, pairs / 8 bytes a row),
+        so the gamma search, ``sigma_gamma`` (through ``edge_set``) and
+        ``matrix`` read one draw of every instant the constants read.  Rows
+        from ``_STORED_STOP`` on, and every row of a seed at or above 2**32,
+        are drawn for the range asked (``_draw``) and not kept.
         """
         m = self.agent_count
         iu, _ = _upper_pairs(m)
@@ -348,7 +363,37 @@ class GraphSchedule:
                 e = self.edge_set(k)
                 row[e.i * (2 * m - 1 - e.i) // 2 + e.j - e.i - 1] = True  # triu order
             return masks
-        u = np.empty((count, len(iu)))
+        stop = start + count
+        stored = min(stop, _STORED_STOP) if self.seed < 1 << 32 else 0
+        if stored <= start:
+            return self._draw(start, count)
+        masks = np.empty((count, len(iu)), dtype=bool)
+        for first in range(start - start % SPECTRAL_CHUNK, stored, SPECTRAL_CHUNK):
+            chunk = self._mask_chunks.get(first)
+            if chunk is None:
+                chunk = np.packbits(self._draw(first, SPECTRAL_CHUNK), axis=1)
+                self._mask_chunks[first] = chunk
+            lo, hi = max(first, start), min(first + SPECTRAL_CHUNK, stored)
+            masks[lo - start:hi - start] = np.unpackbits(
+                chunk[lo - first:hi - first], axis=1, count=len(iu)).view(bool)
+        if stored < stop:
+            masks[stored - start:] = self._draw(stored, stop - stored)
+        return masks
+
+    def _draw(self, start: int, count: int) -> np.ndarray:
+        """``_masks``'s rows of a seeded_random schedule, drawn for this range.
+
+        The rows are drawn as ``edge_set`` draws them, bit for bit, but
+        without a ``default_rng`` per instant: ``_pcg64_states`` rebuilds
+        each key's PCG64 state for the whole batch, one generator takes each
+        state in turn, and ``random(out=row)`` fills the row, as ``edge_set``
+        fills its own.  This rests on numpy keeping SeedSequence's hash and
+        PCG64's seeding fixed, as its stream policy for bit generators
+        (NEP 19) does; the tests compare batches with ``default_rng``, so a
+        change would show there.  A key at or above 2**32 keeps the
+        per-instant draw, so a batch that straddles 2**32 splits there.
+        """
+        u = np.empty((count, len(_upper_pairs(self.agent_count)[0])))
         batched = min(count, max(0, (1 << 32) - start)) if self.seed < 1 << 32 else 0
         if batched:
             bitgen = np.random.PCG64(0)  # its state is set before every draw
@@ -367,8 +412,9 @@ class GraphSchedule:
 
         A periodic schedule builds each of its ``period`` matrices once.  A
         seeded_random schedule returns a view into the stack of the
-        ``SPECTRAL_CHUNK`` aligned instants that hold k, drawn in one batch
-        (``_masks``) and built in one Metropolis pass.  It keeps that one
+        ``SPECTRAL_CHUNK`` aligned instants that hold k, whose masks come from
+        ``_masks`` in one call (stored or drawn in one batch) and whose
+        matrices are built in one Metropolis pass.  It keeps that one
         stack and drops it before the next is built, so a caller that walks
         the instants in order draws each once, and the store holds
         O(SPECTRAL_CHUNK m^2).  Either way W^k is bitwise
@@ -382,7 +428,7 @@ class GraphSchedule:
                     raise ValueError("instant index must be nonnegative")
                 self._matrices.clear()
                 iu, ju = _upper_pairs(self.agent_count)
-                b, pair = np.nonzero(self._masks(first, SPECTRAL_CHUNK))
+                b, pair = divmod(np.flatnonzero(self._masks(first, SPECTRAL_CHUNK)), len(iu))
                 Ws = _metropolis_stack(SPECTRAL_CHUNK, self.agent_count, b, iu[pair], ju[pair])
                 Ws.setflags(write=False)
                 self._matrices[first] = Ws
@@ -604,8 +650,11 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
     windows within instants 0..horizon (default ``HORIZON``).
 
     Instants are taken a chunk at a time as a stack of edge masks
-    (``GraphSchedule._masks``: a seeded_random stack is drawn in one batch, a
-    periodic one comes from its edge sets), each once per call and in order.
+    (``GraphSchedule._masks``: a seeded_random stack comes from the
+    schedule's stored draws, so the calls for each gamma that
+    ``resolve_gamma`` tries draw each instant to ``HORIZON`` once between
+    them, and later instants are drawn in one batch; a periodic one comes
+    from its edge sets), each once per call and in order.
     The windows that end in a chunk have their unions formed from the stack
     (``_window_unions``) and are tested together by batched reachability;
     the call returns at the first chunk that holds a disconnected window.
@@ -649,7 +698,11 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     W^k is built here as ``metropolis_weights(edge_set(r), m)``, bitwise
     ``schedule.matrix(r)``: the benchmark's traced run (``agbench``) records
     calls to ``edge_set`` and this module's ``metropolis_weights``, and on a
-    seeded_random schedule this is their only caller.
+    seeded_random schedule this is their only caller.  After ``resolve_gamma``
+    (whose gamma_connectivity calls draw and store the chunks of instants
+    0..``HORIZON``), each ``edge_set`` reads its instant from that store;
+    called on its own, on instants no walk has stored, it draws each instant
+    through ``default_rng``.
     """
     ends, is_estimate = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count

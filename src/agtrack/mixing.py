@@ -48,7 +48,8 @@ class ChebyshevOperator:
     and applying the operator computes ``(I - P_t(c3 L)) x`` whose restriction
     to the disagreement subspace has norm at most ``2 c1^t / (1 + c1^(2t))``.
     ``bypass`` marks the degenerate sigma = 0 case where plain gossip with W
-    already achieves consensus in a single round.
+    already achieves consensus in a single round; each of the operator's t
+    rounds is then one such gossip.
     """
 
     base_matrix: np.ndarray
@@ -71,6 +72,8 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     decomposition: sigma alone cannot tell, since it rounds to 1 or just below
     1 there, and the operator would take some 10^7 rounds per call.  A t
     that is not an integer of at least 1 is a ValueError, never truncated.
+    When sigma <= ``SIGMA_BYPASS_TOL`` the operator is plain gossip with W,
+    t rounds of it (one when t is None).
     """
     if t is not None and not (_is_int(t) and t >= 1):
         raise ValueError(f"t must be an integer at least 1, got {t!r}")
@@ -91,7 +94,8 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     # lambda1 <= 2 for doubly stochastic W; clip rounding overshoot.
     lambda1 = float(min(lam[-1], 2.0))
     if sig <= SIGMA_BYPASS_TOL:
-        return ChebyshevOperator(M, 1, 1.0, 0.0, float("inf"), 1.0, lambda1, bypass=True)
+        t = 1 if t is None else int(t)
+        return ChebyshevOperator(M, t, 1.0, 0.0, float("inf"), 1.0, lambda1, bypass=True)
     nu = (1.0 - sig) / lambda1
     if t is None:
         t = math.ceil(1.0 / math.sqrt(nu))
@@ -118,13 +122,14 @@ def chebyshev_apply(op: ChebyshevOperator, x: np.ndarray) -> np.ndarray:
     for s = 1..t-1, returning ``z^t / a_t``.  Costs t communication rounds and
     preserves the column means of x exactly.  Each round's operations run in
     the textbook order, in place in the array its product ``W z^s`` returns,
-    so a round allocates that one array; x is only read.
+    so a round allocates that one array; x is only read.  A bypass operator
+    gossips with W t times, one product per round it costs.
     """
     x = np.asarray(x, dtype=float)
     if op.base_matrix.shape[1] != x.shape[0]:
         raise ValueError("state row count does not match the operator")
     if op.bypass:
-        return op.base_matrix @ x
+        return reduce(lambda v, _: op.base_matrix @ v, range(op.t), x)
     W, c3 = op.base_matrix, op.c3
 
     def damped(v):
@@ -162,10 +167,11 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
     call.  Round k mixes with ``schedule.matrix(k)``, so a run of calls on a
     seeded_random schedule draws and builds every instant once, and memory is
     the schedule's one chunk stack whatever zeta is.  ``weight_rule`` must be
-    None or ``metropolis_weights``, the only rule the schedule builds.
+    None or ``metropolis_weights``, the only rule the schedule builds.  A zeta
+    that is not an integer of at least 1 (bools included) is a ValueError.
     """
-    if zeta < 1:
-        raise ValueError("zeta must be at least 1")
+    if not (_is_int(zeta) and zeta >= 1):
+        raise ValueError(f"zeta must be an integer at least 1, got {zeta!r}")
     if weight_rule not in (None, metropolis_weights):
         raise ValueError("multiple consensus mixes with the schedule's Metropolis matrices only")
     return reduce(lambda v, k: schedule.matrix(k) @ v, range(start_round, start_round + zeta),

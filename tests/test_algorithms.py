@@ -105,6 +105,12 @@ def test_default_alpha_wrapped_variants_use_effective_constants():
     assert mc == pytest.approx((1 - 1 / math.e) ** 4 / 21675)
 
 
+@pytest.mark.parametrize("gamma", [True, 2.5])
+def test_default_alpha_rejects_a_gamma_that_is_not_an_integer(gamma):
+    with pytest.raises(ValueError, match=f"gamma must be an integer at least 1, got {gamma!r}"):
+        default_alpha("acc_gt_tv", 1.0, 0.5, gamma=gamma)
+
+
 def test_default_alpha_rejects_gt_and_no_mixing():
     with pytest.raises(ValueError):
         default_alpha("gt", 1.0, 0.5)
@@ -584,3 +590,33 @@ def test_trace_csv_contract(tmp_path):
     trace.to_csv(stamped, timestamp="2020-01-01T00:00:00")
     first = stamped.read_text().splitlines()[0]
     assert first == "# generated 2020-01-01T00:00:00"
+
+
+@pytest.mark.parametrize("variant", ["acc_gt_multiconsensus", "acc_gt_tv"])
+def test_run_draws_each_seeded_random_instant_once(monkeypatch, variant):
+    # The gamma search, sigma_gamma and the loop's matrices share one draw of
+    # each instant to the horizon; past it the loop draws each instant once.
+    prob = random_quadratic_problem(20, 2, seed=1)
+    sched = GraphSchedule.seeded_random(20, 0.1, 3)
+    keys = []
+    states, default_rng = graph._pcg64_states, np.random.default_rng
+
+    def spy_states(seed, ks):
+        keys.extend((seed, k) for k in ks.tolist())
+        return states(seed, ks)
+
+    def spy_rng(key):
+        if np.size(key) == 2:  # an instant's (seed, k); the run seed is one int
+            keys.append(tuple(np.asarray(key).tolist()))
+        return default_rng(key)
+
+    monkeypatch.setattr(graph, "_pcg64_states", spy_states)
+    monkeypatch.setattr(graph.np.random, "default_rng", spy_rng)
+    # acc_gt_tv reads instant k at iteration k, multiple consensus one per round.
+    K = 20 if variant == "acc_gt_multiconsensus" else 1100
+    run(AlgorithmConfig(variant=variant, max_iterations=K), prob, sched, diagnostics=False)
+    assert len(keys) == len(set(keys))
+    drawn = {k for _, k in keys}
+    assert drawn >= set(range(graph.HORIZON + 1)) and max(drawn) >= graph._STORED_STOP
+    C = graph.SPECTRAL_CHUNK
+    assert len(sched._mask_chunks) <= math.ceil((graph.HORIZON + 1) / C)

@@ -954,3 +954,83 @@ def test_sigma_gamma_memory_is_bounded_by_the_chunk():
     # far below the horizon's worth of matrices.
     assert peak < 4 * graph.SPECTRAL_CHUNK * matrix_bytes
     assert peak < (horizon + 1) * matrix_bytes / 3
+
+
+# ------------------------------------------------- the stored mask chunks
+
+def stored_schedule(m=20, p=0.1, seed=3):
+    """A seeded_random schedule whose mask store holds every chunk of
+    instants 0..HORIZON, as resolve_gamma leaves it."""
+    sched = GraphSchedule.seeded_random(m, p, seed)
+    sched._masks(0, graph.HORIZON + 1)
+    return sched
+
+
+def test_mask_store_holds_the_chunks_of_instants_to_the_horizon_packed():
+    sched = stored_schedule()
+    C, pairs = graph.SPECTRAL_CHUNK, 20 * 19 // 2
+    assert sorted(sched._mask_chunks) == list(range(0, graph.HORIZON + 1, C))
+    for first, chunk in sched._mask_chunks.items():
+        assert chunk.dtype == np.uint8 and chunk.shape == (C, math.ceil(pairs / 8))
+        assert np.array_equal(np.unpackbits(chunk, axis=1, count=pairs).view(bool),
+                              sched._draw(first, C))
+    # Past the stored chunks, rows are drawn for the range asked and not kept.
+    stop = graph._STORED_STOP
+    masks = sched._masks(stop - 3, 70)
+    assert np.array_equal(masks, sched._draw(stop - 3, 70))
+    assert len(sched._mask_chunks) == math.ceil((graph.HORIZON + 1) / C)
+
+
+@pytest.mark.parametrize("k", [0, 63, 64, 1000, 1001])
+def test_edge_set_read_from_the_store_is_the_fresh_draw(monkeypatch, k):
+    sched = stored_schedule()
+    expected = GraphSchedule.seeded_random(20, 0.1, 3).edge_set(k)
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(graph.np.random, "default_rng",
+                        lambda key: calls.append(key) or default_rng(key))
+    got = sched.edge_set(k)
+    assert calls == []  # read from the store, not drawn
+    assert got == expected and type(got) is EdgeSet
+    assert got.i.tobytes() == expected.i.tobytes() and got.j.tobytes() == expected.j.tobytes()
+    assert sched.matrix(k).tobytes() == metropolis_weights(expected, 20).tobytes()
+
+
+def test_mask_store_is_read_whatever_range_asks(monkeypatch):
+    sched = GraphSchedule.seeded_random(9, 0.4, 5)
+    keys, states = [], graph._pcg64_states
+    monkeypatch.setattr(graph, "_pcg64_states",
+                        lambda seed, ks: keys.extend(ks.tolist()) or states(seed, ks))
+    C = graph.SPECTRAL_CHUNK
+    for start, count in ((5, 3), (C - 2, 5), (0, 2 * C + 1), (graph.HORIZON - 4, 30)):
+        masks = sched._masks(start, count)
+        for c, row in enumerate(masks):
+            expected = np.random.default_rng((5, start + c)).random(36) < 0.4
+            assert np.array_equal(row, expected), (start, c)
+    stored = [k for k in keys if k < graph._STORED_STOP]
+    assert len(stored) == len(set(stored))  # every stored instant drawn once
+    assert sorted(stored) == sorted(set().union(
+        *(range(f, f + C) for f in sched._mask_chunks)))
+
+
+def test_mask_store_is_not_part_of_schedule_identity_and_is_not_copied():
+    used = stored_schedule()
+    fresh = GraphSchedule.seeded_random(20, 0.1, 3)
+    assert used._mask_chunks and not fresh._mask_chunks
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and "_mask_chunks" not in repr(used)
+    assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
+    for twin in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+        assert twin == used and not twin._mask_chunks
+        assert twin.edge_set(70) == used.edge_set(70)
+
+
+def test_mask_store_keeps_nothing_for_a_seed_from_2_32_on(monkeypatch):
+    keys = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(graph.np.random, "default_rng",
+                        lambda key: keys.append(key) or default_rng(key))
+    big = GraphSchedule.seeded_random(9, 0.4, 2 ** 32)
+    big._masks(0, 3)
+    big._masks(0, 3)
+    assert keys == [(2 ** 32, k) for k in (0, 1, 2)] * 2 and not big._mask_chunks

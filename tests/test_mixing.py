@@ -319,3 +319,26 @@ def test_multiple_consensus_rejects_zeta_zero(rng):
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
     with pytest.raises(ValueError):
         multiple_consensus(sched, metropolis_weights, 0, 0, rng.standard_normal((9, 2)))
+
+
+@pytest.mark.parametrize("zeta", [True, 2.5])
+def test_multiple_consensus_rejects_a_zeta_that_is_not_an_integer(rng, zeta):
+    sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
+    with pytest.raises(ValueError, match=f"zeta must be an integer at least 1, got {zeta!r}"):
+        multiple_consensus(sched, None, 0, zeta, rng.standard_normal((9, 2)))
+
+
+def test_chebyshev_bypass_performs_every_round_it_is_given(rng):
+    J = np.full((4, 4), 0.25)
+    x = rng.standard_normal((4, 2))
+    assert chebyshev_operator(J).t == 1
+    op = chebyshev_operator(J, t=5)
+    assert op.bypass and op.t == 5
+    np.testing.assert_allclose(chebyshev_apply(op, x), np.tile(x.mean(axis=0), (4, 1)), atol=1e-12)
+    # Each of the t rounds gossips with the operator's matrix once.
+    W = metropolis_weights(path_edges(4), 4)
+    gossips = dataclasses.replace(op, base_matrix=W)
+    expected = x
+    for _ in range(5):
+        expected = W @ expected
+    assert chebyshev_apply(gossips, x).tobytes() == expected.tobytes()
