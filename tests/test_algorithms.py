@@ -1,6 +1,8 @@
 import csv
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,22 @@ def test_default_alpha_rejects_gt_and_no_mixing():
         default_alpha("gt", 1.0, 0.5)
     with pytest.raises(ValueError):
         default_alpha("acc_gt_static", 1.0, 1.0)
+
+
+def test_default_alpha_pinned_bitwise():
+    """float.hex of every theorem-default step over L in {1, 2.5}, sigma in
+    {0, 0.3, 0.9} and gamma in {1, 3}, both modes.  The static and Chebyshev
+    rules ignore gamma, so their gamma-3 entries equal their gamma-1 ones;
+    gt has no rule in either mode."""
+    golden = json.loads((Path(__file__).parent / "data" / "default_alpha_golden.json").read_text())
+    got = {f"{variant} {mode} {L} {sig} {gamma}": default_alpha(variant, L, sig, gamma, mode).hex()
+           for variant, mode, L, sig, gamma in itertools.product(
+               ("acc_gt_static", "acc_gt_tv", "acc_gt_chebyshev", "acc_gt_multiconsensus"),
+               ("zero", "strongly_convex"), (1.0, 2.5), (0.0, 0.3, 0.9), (1, 3))}
+    assert got == golden
+    for mode in ("zero", "strongly_convex"):
+        with pytest.raises(ValueError, match="no default step-size rule is defined for the gt"):
+            default_alpha("gt", 1.0, 0.5, 1, mode)
 
 
 # ---------------------------------------------------------------- gt steps

@@ -493,6 +493,47 @@ def test_graph_info_cyclic_schedule(tmp_path, capsys):
     assert "(exact) at gamma = 3" in out
 
 
+def test_graph_info_stdout_pinned(tmp_path, capsys):
+    """The whole graph-info report of the static ring and the 9-agent cyclic
+    schedule: which variants each schedule lists, in what order, and their
+    default steps to the last digit."""
+    ring = base_config(problem={**base_config()["problem"], "m": 10},
+                       graph={"m": 10, "kind": "static",
+                              "edge_sets": [[[i, (i + 1) % 10] for i in range(10)]]})
+    cyclic = base_config(problem={**base_config()["problem"], "m": 9},
+                         graph={"m": 9, "kind": "cyclic", "period": 3,
+                                "edge_sets": [list(map(list, s)) for s in M9_EDGE_SETS]})
+    expected = {
+        "ring": (
+            "agents: 10\n"
+            "schedule: static, period 1\n"
+            "gamma-connected: true (smallest gamma = 1)\n"
+            "sigma = 0.87267799624996467\n"
+            "default step sizes (L = 1):\n"
+            "  acc_gt_static            zero             alpha = 4.893725142471521e-07\n"
+            "  acc_gt_static            strongly_convex  alpha = 1.7344565826592464e-05\n"
+            "  acc_gt_chebyshev         zero             alpha = 2.7944599627560514e-05\n"
+            "  acc_gt_chebyshev         strongly_convex  alpha = 0.00036029411764705875\n"
+            "  acc_gt_tv                zero             alpha = 1.2124246373735671e-08\n"
+            "  acc_gt_tv                strongly_convex  alpha = 4.8633443293225809e-07\n"
+            "  acc_gt_multiconsensus    zero             alpha = 7.366149949304972e-06\n"
+            "  acc_gt_multiconsensus    strongly_convex  alpha = 5.9514716736014878e-05\n"),
+        "cyclic": (
+            "agents: 9\n"
+            "schedule: cyclic, period 3\n"
+            "gamma-connected: true (smallest gamma = 3)\n"
+            "sigma_gamma = 0.76136871888869395 (exact) at gamma = 3\n"
+            "default step sizes (L = 1):\n"
+            "  acc_gt_tv                zero             alpha = 1.8469934961348668e-09\n"
+            "  acc_gt_tv                strongly_convex  alpha = 1.1858861009610786e-07\n"
+            "  acc_gt_multiconsensus    zero             alpha = 7.366149949304972e-06\n"
+            "  acc_gt_multiconsensus    strongly_convex  alpha = 5.9514716736014878e-05\n"),
+    }
+    for name, cfg in (("ring", ring), ("cyclic", cyclic)):
+        assert main(["graph-info", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+        assert capsys.readouterr().out == expected[name]
+
+
 def test_graph_info_disconnected_graph(tmp_path, capsys):
     cfg = base_config()
     cfg["graph"] = {"m": 4, "kind": "static", "edge_sets": [[[0, 1]]]}
