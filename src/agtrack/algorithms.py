@@ -28,6 +28,14 @@ for mu > 0 a constant theta = sqrt(mu alpha)/2 gives a linear rate.  The
 step-size rules proved for the four settings are exposed as
 ``default_alpha``.
 
+A variant is a setting plus a mixing (``VARIANT_TABLE``): the setting names
+the theorems that cover its step rules and certificates (static graphs,
+Theorems 1-2; time-varying ones, Theorems 3-4; none for gt), and the mixing
+is plain gossip or one of the wrappers, whose guaranteed contraction
+(``WRAPPER_SIGMA``) replaces sigma in the step rule.  ``THEOREMS`` holds one
+record per (setting, mu_mode): the theorem number and its step rule.  Every
+rule that depends on the variant reads these tables, not variant names.
+
 ``run`` is the one implementation of the step; ``probe`` observes each
 instant.  Its one mixing function ``mix(k, v)`` applies the instant-k
 operator (the schedule's ``matrix(k)``, or its Chebyshev / multiple-consensus
@@ -54,12 +62,26 @@ from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark
 from .mixing import chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
 from .problems import ProblemInstance, aggregate_gradient, bregman_distance, consensus_error, inexact_value
 
-VARIANTS = ("gt", "acc_gt_static", "acc_gt_tv", "acc_gt_chebyshev", "acc_gt_multiconsensus")
+# variant -> (setting, mixing).  The setting is "static" (Theorems 1-2),
+# "time_varying" (Theorems 3-4) or None (gt, which no theorem covers and
+# which has no momentum row).
+VARIANT_TABLE = {"gt": (None, "gossip"),
+                 "acc_gt_static": ("static", "gossip"),
+                 "acc_gt_tv": ("time_varying", "gossip"),
+                 "acc_gt_chebyshev": ("static", "chebyshev"),
+                 "acc_gt_multiconsensus": ("time_varying", "multiple_consensus")}
+VARIANTS = tuple(VARIANT_TABLE)
+MU_MODES = ("zero", "strongly_convex")
 
-# Effective contraction constants the accelerated wrappers guarantee,
-# used by their step-size rules in place of sigma / sigma_gamma.
-CHEBYSHEV_EFFECTIVE_SIGMA = 0.65
-MULTICONSENSUS_EFFECTIVE_SIGMA = 1.0 / math.e
+# The contraction each wrapper guarantees per call; its step rule reads it in
+# place of sigma / sigma_gamma, with gamma = 1.
+WRAPPER_SIGMA = {"chebyshev": 0.65, "multiple_consensus": 1.0 / math.e}
+
+# (setting, mu_mode) -> (theorem, p, c): the step rule
+# alpha = (1 - sigma)^p / (c L gamma^p) that the theorem proves.
+THEOREMS = {("static", "zero"): (1, 4, 537.0), ("static", "strongly_convex"): (2, 3, 119.0),
+            ("time_varying", "zero"): (3, 4, 21675.0),
+            ("time_varying", "strongly_convex"): (4, 3, 4244.0)}
 
 NAN = float("nan")
 
@@ -100,9 +122,10 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.mu_mode not in ("zero", "strongly_convex"):
+        if self.mu_mode not in MU_MODES:
             raise ValueError(f"unknown mu_mode {self.mu_mode!r}")
-        if self.variant == "gt" and self.mu_mode == "strongly_convex":
+        setting, mixing = VARIANT_TABLE[self.variant]
+        if setting is None and self.mu_mode == "strongly_convex":
             raise ValueError("gt has no momentum row and runs mu = 0 only; use mu_mode 'zero'")
         if isinstance(self.alpha, str):
             if self.alpha != "theorem_default":
@@ -120,7 +143,7 @@ class AlgorithmConfig:
             raise ValueError(f"zeta must be an integer or None, got {self.zeta!r}")
         if self.zeta is not None and self.zeta < 1:
             raise ValueError("zeta must be at least 1")
-        if self.zeta is not None and self.variant != "acc_gt_multiconsensus":
+        if self.zeta is not None and mixing != "multiple_consensus":
             raise ValueError(f"zeta sets the rounds of acc_gt_multiconsensus only; "
                              f"variant {self.variant} does not read it")
         if len(self.seeds) != 1:  # run() draws x0 from seeds[0] and reads no other
@@ -131,45 +154,41 @@ class AlgorithmConfig:
 
 def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
                   gamma: int = 1, mu_mode: str = "zero") -> float:
-    """The proved step-size upper bound for each variant, taken with equality.
+    """The proved step-size upper bound for each variant, taken with equality:
+    ``(1 - sigma)^p / (c L gamma^p)`` with (p, c) from the ``THEOREMS`` record
+    of the variant's setting (``VARIANT_TABLE``) and ``mu_mode``:
 
     static:          (1-sigma)^4 / (537 L)            [mu = 0]
                      (1-sigma)^3 / (119 L)            [mu > 0]
     time-varying:    (1-sigma_gamma)^4 / (21675 L gamma^4)   [mu = 0]
                      (1-sigma_gamma)^3 / (4244 L gamma^3)    [mu > 0]
 
-    The Chebyshev and multiple-consensus wrappers use the same rules with
-    sigma replaced by their guaranteed effective contraction (0.65 and 1/e,
-    with gamma = 1 for multiple consensus, since every wrapped call contracts
-    regardless of the underlying graph).  A gamma that is not an integer of
-    at least 1 (bools included) is a ValueError, never truncated.
+    A static rule ignores gamma.  The Chebyshev and multiple-consensus
+    wrappers use their setting's rule with sigma replaced by their guaranteed
+    contraction (``WRAPPER_SIGMA``: 0.65 and 1/e) and gamma = 1, since every
+    wrapped call contracts regardless of the underlying graph.  A gamma that
+    is not an integer of at least 1 (bools included) and an unknown
+    ``mu_mode`` are ValueErrors, never truncated or read as mu = 0.
     """
-    if variant == "gt":
-        raise ValueError("no default step-size rule is defined for the gt variant; "
-                         "pass alpha explicitly")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    setting, mixing = VARIANT_TABLE[variant]
+    if setting is None:
+        raise ValueError("no default step-size rule is defined for the gt variant; "
+                         "pass alpha explicitly")
+    if mu_mode not in MU_MODES:
+        raise ValueError(f"unknown mu_mode {mu_mode!r}")
     if L <= 0.0:
         raise ValueError("L must be positive")
     if not (_is_int(gamma) and gamma >= 1):
         raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
-    sc = mu_mode == "strongly_convex"
-    if variant == "acc_gt_chebyshev":
-        sig = CHEBYSHEV_EFFECTIVE_SIGMA
-    elif variant == "acc_gt_multiconsensus":
-        sig, gamma = MULTICONSENSUS_EFFECTIVE_SIGMA, 1
-    else:
-        sig = sigma_or_sigma_gamma
+    gamma = gamma if setting == "time_varying" and mixing == "gossip" else 1
+    sig = WRAPPER_SIGMA.get(mixing, sigma_or_sigma_gamma)
     if not (0.0 <= sig < 1.0):
         raise ValueError(f"mixing constant must lie in [0, 1), got {sig}; "
                          "the schedule does not mix in the required sense")
-    if variant in ("acc_gt_static", "acc_gt_chebyshev"):
-        if sc:
-            return (1.0 - sig) ** 3 / (119.0 * L)
-        return (1.0 - sig) ** 4 / (537.0 * L)
-    if sc:
-        return (1.0 - sig) ** 3 / (4244.0 * L * gamma ** 3)
-    return (1.0 - sig) ** 4 / (21675.0 * L * gamma ** 4)
+    _, p, c = THEOREMS[setting, mu_mode]
+    return (1.0 - sig) ** p / (c * L * gamma ** p)
 
 
 @dataclass(frozen=True)
@@ -291,8 +310,9 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
     variants, when the static graph is disconnected (sigma = 1).
     """
     out: dict = {"variant": config.variant, "mu_mode": config.mu_mode}
-
-    if config.variant in ("acc_gt_static", "acc_gt_chebyshev"):
+    setting, mixing = VARIANT_TABLE[config.variant]
+    sig_for_alpha, gamma = None, 1
+    if setting == "static":
         if schedule.schedule_kind != "static":
             raise ValueError(f"variant {config.variant} requires a static schedule")
         # A disconnected graph has sigma = 1 up to rounding, so it is found by
@@ -300,33 +320,23 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
         if not gamma_connectivity(schedule, 1):
             raise NotGammaConnectedError(f"variant {config.variant} needs a connected "
                                          "static graph (sigma < 1); this one is disconnected")
-        out["sigma"] = sigma_of(schedule.matrix(0))
-        out["gamma"] = 1
-        sig_for_alpha = out["sigma"]
-    elif config.variant in ("acc_gt_tv", "acc_gt_multiconsensus"):
+        out["sigma"] = sig_for_alpha = sigma_of(schedule.matrix(0))
+    elif setting == "time_varying":
         gamma = resolve_gamma(schedule)  # also rejects a schedule that never connects
-        # sigma_gamma sets acc_gt_tv's step rule and the default zeta; the
+        # sigma_gamma sets the gossip step rule and the default zeta; the
         # multiple-consensus step rule reads its wrapper's constant instead.
-        sig_for_alpha = None
-        if config.variant == "acc_gt_tv" or config.zeta is None:
+        if mixing == "gossip" or config.zeta is None:
             report = sigma_gamma_of(schedule, gamma)
-            out["sigma_gamma"] = report.sigma_gamma
+            out["sigma_gamma"] = sig_for_alpha = report.sigma_gamma
             out["sigma_gamma_is_estimate"] = report.is_estimate
-            sig_for_alpha = report.sigma_gamma
-        out["gamma"] = gamma
-    else:  # gt
-        out["gamma"] = 1
-        sig_for_alpha = None
+    out["gamma"] = gamma
 
-    if config.alpha == "theorem_default":
-        out["alpha"] = default_alpha(config.variant, problem.L, sig_for_alpha,
-                                     out["gamma"], config.mu_mode)
-    else:
-        out["alpha"] = float(config.alpha)
+    out["alpha"] = (default_alpha(config.variant, problem.L, sig_for_alpha, gamma, config.mu_mode)
+                    if config.alpha == "theorem_default" else float(config.alpha))
 
-    if config.variant == "acc_gt_multiconsensus":
+    if mixing == "multiple_consensus":
         out["zeta"] = config.zeta if config.zeta is not None else default_zeta(
-            out["gamma"], out["sigma_gamma"])
+            gamma, out["sigma_gamma"])
     return out
 
 
@@ -378,16 +388,17 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     elif not np.isfinite(x0_row).all():
         raise ValueError("x0_row must be finite")
 
-    mix, rounds_per_mix = _mixer(config.variant, schedule, consts)
+    setting, mixing = VARIANT_TABLE[config.variant]
+    mix, rounds_per_mix = _mixer(mixing, schedule, consts)
 
     meta = {**consts, "L": problem.L, "m": problem.m, "n": problem.n, "max_iterations": K,
             "seeds": tuple(config.seeds), "mu_used": mu, "diagnostics": diagnostics}
     table = np.empty((K + 1, len(_ROW_FIELDS)))
 
-    # gt is the theta = 1, mu = 0 case without the momentum row; it tracks s
+    # gt (no setting) is the theta = 1, mu = 0 case without the momentum row; it tracks s
     # with W^{k-1}, the matrix that produced x^k, so each W^k serves two
     # consecutive mixing calls.
-    momentum = config.variant != "gt"
+    momentum = setting is not None
     track_lag = 0 if momentum else 1
     comm_per_iteration = (3 if momentum else 2) * rounds_per_mix
     # theta_k: 1 for gt, sqrt(mu alpha)/2 for mu > 0, else 1 and then theta_next.
@@ -434,17 +445,17 @@ def run(config: AlgorithmConfig, problem: ProblemInstance, schedule: GraphSchedu
     return RunTrace(table, meta)
 
 
-def _mixer(variant: str, schedule: GraphSchedule, consts: dict):
+def _mixer(mixing: str, schedule: GraphSchedule, consts: dict):
     """The run's one mixing function ``mix(k, v)`` and the rounds each call costs:
     the Chebyshev degree t (also put in ``consts["t"]``; the operator reuses
     ``consts["sigma"]``, so W^0 takes one SVD per run), zeta for multiple
     consensus (which keeps its round pointer here), or 1 for gossip with the
     schedule's ``matrix(k)``."""
-    if variant == "acc_gt_chebyshev":
+    if mixing == "chebyshev":
         op = chebyshev_operator(schedule.matrix(0), sigma=consts["sigma"])
         consts["t"] = op.t
         return (lambda k, v: chebyshev_apply(op, v)), op.t
-    if variant == "acc_gt_multiconsensus":
+    if mixing == "multiple_consensus":
         zeta = consts["zeta"]
         next_round = 0
 

@@ -63,8 +63,8 @@ from .graph import MAX_GAMMA, GraphSchedule, sigma as sigma_of, sigma_gamma as s
 from .graph import _is_int
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .problems import ProblemInstance, random_logistic_problem, random_quadratic_problem
-from .algorithms import (AlgorithmConfig, DivergenceError, NotGammaConnectedError,
-                         RunTrace, default_alpha, resolve_gamma, run)
+from .algorithms import (MU_MODES, THEOREMS, VARIANT_TABLE, AlgorithmConfig, DivergenceError,
+                         NotGammaConnectedError, RunTrace, default_alpha, resolve_gamma, run)
 from .analysis import (certificates_to_report, certify_theorem1,
                        certify_theorem2, certify_theorem3, certify_theorem4)
 
@@ -255,23 +255,24 @@ def _configured(args) -> dict:
 
 
 def _certify(trace: RunTrace):
-    """The bound certificates applicable to this run's variant and mode, and
-    notes for the report: why none were checked, or whether the T3/T4 mixing
-    constant was only estimated.  The theorems are looked up here at call
-    time, so a wrapper put on this module's names is the one called."""
+    """The bound certificates of the theorem that covers this run's setting and
+    mode, and notes for the report: why none were checked, or whether the
+    T3/T4 mixing constant was only estimated.  A theorem applies to a variant
+    that has a setting and mixes by plain gossip (``VARIANT_TABLE``).  The
+    theorems are looked up here at call time, so a wrapper put on this
+    module's names is the one called."""
     meta = trace.meta
-    variant, mode = meta["variant"], meta["mu_mode"]
+    setting, mixing = VARIANT_TABLE[meta["variant"]]
+    if setting is None or mixing != "gossip":
+        return [], {"not_checked": f"no convergence theorem covers variant {meta['variant']}"}
+    number = THEOREMS[setting, meta["mu_mode"]][0]
+    theorem = (certify_theorem1, certify_theorem2, certify_theorem3, certify_theorem4)[number - 1]
     try:
-        if variant == "acc_gt_static":
-            theorem = certify_theorem1 if mode == "zero" else certify_theorem2
-            return list(theorem(trace)), {}
-        if variant == "acc_gt_tv":
-            theorem = certify_theorem3 if mode == "zero" else certify_theorem4
-            certs = list(theorem(trace))
-            return certs, {"sigma_gamma_is_estimate": meta["sigma_gamma_is_estimate"]}
+        certs = list(theorem(trace))
     except ValueError as err:  # e.g. a trace too short for the initialization maxima
         return [], {"not_checked": str(err)}
-    return [], {"not_checked": f"no convergence theorem covers variant {variant}"}
+    return certs, ({} if setting == "static"
+                   else {"sigma_gamma_is_estimate": meta["sigma_gamma_is_estimate"]})
 
 
 def _timestamp(deterministic: bool) -> str | None:
@@ -345,23 +346,24 @@ def cmd_graph_info(args) -> int:
     if schedule.schedule_kind == "static":  # connected, so gamma = 1
         sig = sigma_of(schedule.matrix(0))
         print(f"sigma = {sig:.17g}")
-        variants = ("acc_gt_static", "acc_gt_chebyshev", "acc_gt_tv", "acc_gt_multiconsensus")
+        settings = ("static", "time_varying")
     else:
         report = sigma_gamma_of(schedule, gamma)
         sig = report.sigma_gamma
         flag = " (estimate)" if report.is_estimate else " (exact)"
         print(f"sigma_gamma = {sig:.17g}{flag} at gamma = {gamma}")
-        variants = ("acc_gt_tv", "acc_gt_multiconsensus")
+        settings = ("time_varying",)
     L = problem.L  # data-derived for logistic problems
     print(f"default step sizes (L = {L:g}):")
-    for variant in variants:
-        for mode in ("zero", "strongly_convex"):
-            try:
-                a = default_alpha(variant, L, sig, gamma, mode)
-                print(f"  {variant:24s} {mode:16s} alpha = {a:.17g}")
-            except ValueError:
-                print(f"  {variant:24s} {mode:16s} assumption violated: "
-                      "mixing constant below 1 required")
+    # The variants of each setting the schedule meets, static ones first.
+    variants = [v for want in settings for v, (got, _) in VARIANT_TABLE.items() if got == want]
+    for variant, mode in itertools.product(variants, MU_MODES):
+        try:
+            a = default_alpha(variant, L, sig, gamma, mode)
+            print(f"  {variant:24s} {mode:16s} alpha = {a:.17g}")
+        except ValueError:
+            print(f"  {variant:24s} {mode:16s} assumption violated: "
+                  "mixing constant below 1 required")
     return 0
 
 

@@ -252,7 +252,9 @@ class GraphSchedule:
     (a finite list replayed with its period), or ``seeded_random`` (each
     instant draws an Erdos-Renyi edge set reproducibly from ``(seed, k)``).
     Construction validates every given edge set and stores it as an
-    ``EdgeSet``; a seeded_random seed is a non-negative integer.
+    ``EdgeSet``; the agent count is an integer at least 1, a seeded_random
+    seed a non-negative integer and its edge probability a number in
+    [0, 1] (a bool is none of these).
     """
 
     agent_count: int
@@ -268,8 +270,8 @@ class GraphSchedule:
     _mask_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.agent_count <= 0:
-            raise ValueError("agent_count must be positive")
+        if not (_is_int(self.agent_count) and self.agent_count >= 1):
+            raise ValueError(f"agent_count must be an integer at least 1, got {self.agent_count!r}")
         if self.schedule_kind not in ("static", "cyclic", "seeded_random"):
             raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
         if self.schedule_kind in ("static", "cyclic"):
@@ -280,8 +282,10 @@ class GraphSchedule:
             sets = tuple(_canonical_edges(e, self.agent_count) for e in self.edge_sets)
             object.__setattr__(self, "edge_sets", sets)
         else:
-            if self.edge_probability is None or not (0.0 <= self.edge_probability <= 1.0):
-                raise ValueError("seeded_random schedule requires edge_probability in [0, 1]")
+            p = self.edge_probability
+            if p is None or type(p) in _BOOL_TYPES or not (0.0 <= p <= 1.0):
+                raise ValueError("seeded_random schedule requires edge_probability in [0, 1], "
+                                 f"got {p!r}")
             if not (_is_int(self.seed) and self.seed >= 0):
                 raise ValueError("seeded_random schedule requires a non-negative integer "
                                  f"seed, got {self.seed!r}")

@@ -203,10 +203,14 @@ def _agd_minimize(problem: ProblemInstance) -> np.ndarray:
     """Centralized Nesterov descent on F until the gradient norm reaches
     ``OPTIMUM_TOL_LOGISTIC``.
 
-    Ridge-free separable data have no minimizer (F > 0, inf F = 0; the iterate
-    norm diverges, Soudry et al., arXiv 1710.10345): ValueError once an
-    iterate v strictly separates them, ``min(labels * (data @ v)) > 0``.
-    Weakly separable data (no margin > 0 at any iterate) are not caught."""
+    Ridge-free separable data have no minimizer (the iterate norm diverges,
+    Soudry et al., arXiv 1710.10345): ValueError once the margins
+    ``labels * (data @ v)`` of an iterate v are all >= 0 with at least one
+    > 0.  Then every x has F(x + v) < F(x), so F only approaches its infimum
+    along v; strictly separable data (every margin > 0) are the case where
+    that infimum is 0.  The test reads the rounded margins, so a tie broken by
+    rounding (a margin that is 0 in exact arithmetic but rounds below 0) is
+    still not caught, nor are weakly separable data that no iterate separates."""
     L, mu = problem.L, problem.mu
     x = v = np.zeros(problem.n)
     if mu > 0:
@@ -214,8 +218,10 @@ def _agd_minimize(problem: ProblemInstance) -> np.ndarray:
     ridge_free = not problem.ridge.any()
     theta = 1.0
     for _ in range(OPTIMUM_MAX_ITERS):
-        if ridge_free and (problem.labels * (problem.data @ v)).min() > 0.0:
-            raise ValueError("separable data, F has no minimizer without a ridge; set ridge > 0")
+        if ridge_free:
+            margins = problem.labels * (problem.data @ v)
+            if margins.min() >= 0.0 and margins.max() > 0.0:
+                raise ValueError("separable data, F has no minimizer without a ridge; set ridge > 0")
         g = problem.mean_gradient(v)
         if np.linalg.norm(g) <= OPTIMUM_TOL_LOGISTIC:
             return v

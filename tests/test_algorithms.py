@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,14 @@ def test_default_alpha_pinned_bitwise():
     for mode in ("zero", "strongly_convex"):
         with pytest.raises(ValueError, match="no default step-size rule is defined for the gt"):
             default_alpha("gt", 1.0, 0.5, 1, mode)
+
+
+@pytest.mark.parametrize("mode", ["strong", "", None])
+def test_default_alpha_rejects_an_unknown_mu_mode(mode):
+    # "strong" used to read as mu = 0 and return the Theorem 1 step.
+    for variant in ("acc_gt_static", "acc_gt_tv", "acc_gt_chebyshev", "acc_gt_multiconsensus"):
+        with pytest.raises(ValueError, match=f"unknown mu_mode {re.escape(repr(mode))}$"):
+            default_alpha(variant, 1.0, 0.5, 1, mode)
 
 
 # ---------------------------------------------------------------- gt steps

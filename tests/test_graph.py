@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -531,6 +532,26 @@ def test_direct_construction_validates_edge_sets():
 def test_seeded_random_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(ValueError, match="non-negative integer seed"):
         GraphSchedule.seeded_random(4, 0.5, seed)
+
+
+@pytest.mark.parametrize("count", [0, -3, True, np.True_, 2.0, 2.5, None, "4"])
+def test_agent_count_must_be_an_integer_at_least_one(count):
+    # A bool is no count, and a float one used to fail inside numpy with a TypeError.
+    for build in (lambda: GraphSchedule.static(count, [(0, 1)]),
+                  lambda: GraphSchedule.cyclic(count, [[(0, 1)], [(0, 1)]]),
+                  lambda: GraphSchedule.seeded_random(count, 0.5, 0)):
+        with pytest.raises(ValueError,
+                           match=f"agent_count must be an integer at least 1, got {count!r}$"):
+            build()
+    assert GraphSchedule.seeded_random(np.int64(4), 0.5, 0).agent_count == 4
+
+
+@pytest.mark.parametrize("p", [True, False, np.True_, None, -0.1, 1.5, math.nan])
+def test_seeded_random_edge_probability_is_a_number_in_the_unit_interval(p):
+    # True used to draw the complete graph and False the empty one.
+    with pytest.raises(ValueError,
+                       match=rf"requires edge_probability in \[0, 1\], got {re.escape(repr(p))}$"):
+        GraphSchedule.seeded_random(4, p, 0)
 
 
 def _tuple_key_draw(m, p, seed, k):

@@ -102,6 +102,18 @@ def test_separable_ridge_free_logistic_has_no_optimum():
         random_logistic_problem(3, 20, samples_per_agent=10, seed=0)
 
 
+def test_weakly_separable_ridge_free_logistic_has_no_optimum():
+    # The zero sample's margin is 0 at every iterate and the first sample's
+    # turns positive after one step: scaling that iterate up lowers F forever,
+    # so F (infimum log(2)/2) has no minimizer.  The solver used to return
+    # x_star = [22.33, 0] after two seconds.
+    with pytest.raises(ValueError, match="separable data, F has no minimizer"):
+        logistic_problem([[1, 0], [0, 0]], [1, 1], [2], [0])
+    # Margins of both signs at every nonzero point: a minimizer exists.
+    prob = logistic_problem([[1.0], [-1.0], [2.0]], [1, 1, 1], [3], [0])
+    assert np.linalg.norm(prob.mean_gradient(prob.x_star)) <= 1e-9
+
+
 def test_aggregate_gradient_zero_mean_at_optimum():
     prob = random_quadratic_problem(6, 4, mu=0.1, seed=1)
     y = np.tile(prob.x_star, (6, 1))
