@@ -57,7 +57,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, gamma_connectivity, sigma as sigma_of, sigma_gamma as sigma_gamma_of
-from .graph import _BOOL_TYPES, _is_int
+from .graph import _BOOL_TYPES, _is_int, _is_real
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .mixing import chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
 from .problems import ProblemInstance, aggregate_gradient, bregman_distance, consensus_error, inexact_value
@@ -168,7 +168,9 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
     contraction (``WRAPPER_SIGMA``: 0.65 and 1/e) and gamma = 1, since every
     wrapped call contracts regardless of the underlying graph.  A gamma that
     is not an integer of at least 1 (bools included) and an unknown
-    ``mu_mode`` are ValueErrors, never truncated or read as mu = 0.
+    ``mu_mode`` are ValueErrors, never truncated or read as mu = 0; so are an
+    L that is not a finite number (NaN and infinity included) and, for a
+    gossip variant, a mixing constant that is not a number in [0, 1).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -178,14 +180,16 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
                          "pass alpha explicitly")
     if mu_mode not in MU_MODES:
         raise ValueError(f"unknown mu_mode {mu_mode!r}")
+    if not (_is_real(L) and math.isfinite(L)):
+        raise ValueError(f"L must be a finite number, got {L!r}")
     if L <= 0.0:
         raise ValueError("L must be positive")
     if not (_is_int(gamma) and gamma >= 1):
         raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
     gamma = gamma if setting == "time_varying" and mixing == "gossip" else 1
     sig = WRAPPER_SIGMA.get(mixing, sigma_or_sigma_gamma)
-    if not (0.0 <= sig < 1.0):
-        raise ValueError(f"mixing constant must lie in [0, 1), got {sig}; "
+    if not (_is_real(sig) and 0.0 <= sig < 1.0):
+        raise ValueError(f"mixing constant must lie in [0, 1), got {sig!r}; "
                          "the schedule does not mix in the required sense")
     _, p, c = THEOREMS[setting, mu_mode]
     return (1.0 - sig) ** p / (c * L * gamma ** p)

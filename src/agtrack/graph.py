@@ -43,15 +43,17 @@ instants 0..horizon (default ``HORIZON``).
 A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
 never depends on evaluation order.  ``GraphSchedule._masks`` draws a run of
 consecutive instants bit for bit as ``np.random.default_rng`` would, without
-a ``default_rng`` each: it hashes all their keys at once in uint32 array
-arithmetic, as numpy's ``SeedSequence`` would, and seeds one reused ``PCG64``
-per instant.  It draws the aligned ``SPECTRAL_CHUNK`` chunks that hold
-instants 0..``HORIZON`` once per schedule and keeps them packed, a bit per
-candidate pair, so every constant and the run read one draw of each of those
-instants: ``gamma_connectivity`` (once per gamma that ``resolve_gamma``
-tries) and ``matrix`` take their instants from ``_masks``, and
-``sigma_gamma`` builds its windows from ``edge_set``, which reads a stored
-chunk and draws any other instant alone through ``default_rng``.
+a ``SeedSequence`` each: it hashes all their keys at once in uint32 array
+arithmetic, as numpy's ``SeedSequence`` would, and hands each instant's four
+seeding words to a fresh ``PCG64`` through numpy's public seed-sequence
+interface (``ISeedSequence``), so numpy's own C code does the 128-bit
+seeding.  It draws the aligned ``SPECTRAL_CHUNK`` chunks that hold instants
+0..``HORIZON`` once per schedule and keeps them packed, a bit per candidate
+pair, so every constant and the run read one draw of each of those instants:
+``gamma_connectivity`` (once per gamma that ``resolve_gamma`` tries) and
+``matrix`` take their instants from ``_masks``, and ``sigma_gamma`` builds
+its windows from ``edge_set``, which reads a stored chunk and draws any other
+instant alone through ``default_rng``.
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Double-stochasticity tolerances: tight for matrices we build ourselves,
 # looser when accepting user-supplied matrices.
@@ -115,6 +118,10 @@ def _edge_set_of(i: np.ndarray, j: np.ndarray) -> EdgeSet:
 
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and type(v) not in _BOOL_TYPES
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and type(v) not in _BOOL_TYPES
 
 
 def _edge_arrays(edges, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +184,7 @@ def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 # constant into its word, steps the constant and multiplies by it.  A two-word
 # key takes 16 calls (_XOR_A / _MUL_A, one row each); generate_state(4, uint64)
 # takes 8 more, two passes over the pool (_XOR_B / _MUL_B, shaped (2, 4, 1)).
-# PCG64 (O'Neill, HMC-CS-2014-0905) seeds from those words with
-# inc = 2 initseq + 1 and state = ((inc + initstate) * _PCG_MULT + inc) mod 2**128.
+# PCG64 (O'Neill, HMC-CS-2014-0905) seeds itself from those four words.
 def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
     """The constant each of ``calls`` hash calls xors with and the one it
     multiplies by, as ``(calls, 1)`` uint32 columns."""
@@ -192,8 +198,6 @@ def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.nd
 _XOR_A, _MUL_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _XOR_B, _MUL_B = (c.reshape(2, 4, 1) for c in _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
 _MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -222,12 +226,14 @@ def _seed_words(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return words, into[0]
 
 
-def _pcg64_states(seed: int, ks: np.ndarray):
-    """Yield ``(state, inc)`` of ``np.random.default_rng([seed, k])``'s PCG64
-    for each k of the uint32 array ``ks``; seed is below 2**32.
+def _pcg64_states(seed: int, ks: np.ndarray) -> np.ndarray:
+    """The seeding words of ``np.random.default_rng([seed, k])``'s PCG64 for
+    each k of the uint32 array ``ks``; seed is below 2**32.
 
-    The pool is hashed for all keys at once, one array op per step of
-    SeedSequence's fixed sequence, and the 128-bit seeding is done per key.
+    Row c is ``SeedSequence([seed, ks[c]]).generate_state(4, np.uint64)``,
+    ``(initstate_hi, initstate_lo, initseq_hi, initseq_lo)``, and the result
+    is a C-contiguous ``(len(ks), 4)`` uint64 array.  The pool is hashed for
+    all keys at once, one array op per step of SeedSequence's fixed sequence.
     """
     words, into = _seed_words(seed)
     pool = np.empty((4, len(ks)), dtype=np.uint32)
@@ -239,9 +245,31 @@ def _pcg64_states(seed: int, ks: np.ndarray):
     pool[:3] = _mix(pool[:3], _hashmix(pool[3], _XOR_A[13:], _MUL_A[13:]))
     words32 = _hashmix(pool, _XOR_B, _MUL_B).reshape(8, -1).astype(np.uint64)
     words64 = words32[0::2] | words32[1::2] << np.uint64(32)  # little-endian pairs
-    for hi, lo, seq_hi, seq_lo in words64.T.tolist():
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        yield ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128, inc
+    return np.ascontiguousarray(words64.T)
+
+
+class _SeedWords(ISeedSequence):
+    """The seed sequence of a run of PCG64s: each takes the next row of
+    ``words``, a C-contiguous ``(n, 4)`` uint64 array of ``_pcg64_states``.
+
+    A ``PCG64`` made from an ``ISeedSequence`` asks it once for
+    ``generate_state(4, np.uint64)`` and seeds itself from those words in C,
+    as it does from a ``SeedSequence``.  numpy reads the returned row's memory
+    as it is, so the array's layout is checked here; any other request is a
+    ValueError, so this object seeds nothing but a PCG64.
+    """
+
+    def __init__(self, words: np.ndarray):
+        if not (words.dtype == np.uint64 and words.ndim == 2 and words.shape[1] == 4
+                and words.flags.c_contiguous):
+            raise ValueError("seeding words are a C-contiguous (n, 4) uint64 array")
+        self._rows = iter(words)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if not (n_words == 4 and np.dtype(dtype) == np.uint64):
+            raise ValueError("only PCG64's seeding request generate_state(4, np.uint64) is "
+                             f"served, not ({n_words!r}, {dtype!r})")
+        return next(self._rows)
 
 
 @dataclass(frozen=True)
@@ -283,7 +311,7 @@ class GraphSchedule:
             object.__setattr__(self, "edge_sets", sets)
         else:
             p = self.edge_probability
-            if p is None or type(p) in _BOOL_TYPES or not (0.0 <= p <= 1.0):
+            if not (_is_real(p) and 0.0 <= p <= 1.0):
                 raise ValueError("seeded_random schedule requires edge_probability in [0, 1], "
                                  f"got {p!r}")
             if not (_is_int(self.seed) and self.seed >= 0):
@@ -388,11 +416,12 @@ class GraphSchedule:
         """``_masks``'s rows of a seeded_random schedule, drawn for this range.
 
         The rows are drawn as ``edge_set`` draws them, bit for bit, but
-        without a ``default_rng`` per instant: ``_pcg64_states`` rebuilds
-        each key's PCG64 state for the whole batch, one generator takes each
-        state in turn, and ``random(out=row)`` fills the row, as ``edge_set``
-        fills its own.  This rests on numpy keeping SeedSequence's hash and
-        PCG64's seeding fixed, as its stream policy for bit generators
+        without a ``SeedSequence`` per instant: ``_pcg64_states`` hashes the
+        batch's keys into their PCG64 seeding words at once, each row gets a
+        fresh ``PCG64`` that ``_SeedWords`` hands its key's words (numpy's C
+        code does the 128-bit seeding), and ``random(out=row)`` fills the
+        row, as ``edge_set`` fills its own.  This rests on numpy keeping
+        SeedSequence's hash fixed, as its stream policy for bit generators
         (NEP 19) does; the tests compare batches with ``default_rng``, so a
         change would show there.  A key at or above 2**32 keeps the
         per-instant draw, so a batch that straddles 2**32 splits there.
@@ -400,13 +429,10 @@ class GraphSchedule:
         u = np.empty((count, len(_upper_pairs(self.agent_count)[0])))
         batched = min(count, max(0, (1 << 32) - start)) if self.seed < 1 << 32 else 0
         if batched:
-            bitgen = np.random.PCG64(0)  # its state is set before every draw
-            draw = np.random.Generator(bitgen).random
             ks = np.arange(start, start + batched, dtype=np.int64).astype(np.uint32)
-            for row, (state, inc) in zip(u, _pcg64_states(self.seed, ks)):
-                bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
-                draw(out=row)
+            seeds = _SeedWords(_pcg64_states(self.seed, ks))
+            for row in u[:batched]:
+                np.random.Generator(np.random.PCG64(seeds)).random(out=row)
         for c in range(batched, count):
             self._uniforms(start + c, u[c])
         return u < self.edge_probability

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -129,7 +128,9 @@ def chebyshev_apply(op: ChebyshevOperator, x: np.ndarray) -> np.ndarray:
     if op.base_matrix.shape[1] != x.shape[0]:
         raise ValueError("state row count does not match the operator")
     if op.bypass:
-        return reduce(lambda v, _: op.base_matrix @ v, range(op.t), x)
+        for _ in range(op.t):
+            x = op.base_matrix @ x
+        return x
     W, c3 = op.base_matrix, op.c3
 
     def damped(v):
@@ -164,15 +165,18 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
 
     With ``zeta = ceil(gamma / (1 - sigma_gamma))`` on a gamma-connected
     schedule the disagreement norm contracts by at least a factor 1/e per
-    call.  Round k mixes with ``schedule.matrix(k)``, so a run of calls on a
-    seeded_random schedule draws and builds every instant once, and memory is
-    the schedule's one chunk stack whatever zeta is.  ``weight_rule`` must be
-    None or ``metropolis_weights``, the only rule the schedule builds.  A zeta
-    that is not an integer of at least 1 (bools included) is a ValueError.
+    call.  Round k is one product with ``schedule.matrix(k)``, the rounds in
+    order, so a run of calls on a seeded_random schedule draws and builds
+    every instant once, and memory is the schedule's one chunk stack whatever
+    zeta is.  ``weight_rule`` must be None or ``metropolis_weights``, the only
+    rule the schedule builds.  A zeta that is not an integer of at least 1
+    (bools included) is a ValueError.
     """
     if not (_is_int(zeta) and zeta >= 1):
         raise ValueError(f"zeta must be an integer at least 1, got {zeta!r}")
     if weight_rule not in (None, metropolis_weights):
         raise ValueError("multiple consensus mixes with the schedule's Metropolis matrices only")
-    return reduce(lambda v, k: schedule.matrix(k) @ v, range(start_round, start_round + zeta),
-                  np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    for k in range(start_round, start_round + zeta):
+        x = schedule.matrix(k) @ x
+    return x

@@ -145,6 +145,32 @@ def test_default_alpha_rejects_an_unknown_mu_mode(mode):
             default_alpha(variant, 1.0, 0.5, 1, mode)
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, None, "1.0", True])
+def test_default_alpha_rejects_an_L_that_is_not_a_finite_number(L):
+    # NaN used to return nan, inf a step of 0.0, None and "1.0" a TypeError.
+    for variant in ("acc_gt_static", "acc_gt_tv", "acc_gt_chebyshev", "acc_gt_multiconsensus"):
+        with pytest.raises(ValueError,
+                           match=f"L must be a finite number, got {re.escape(repr(L))}$"):
+            default_alpha(variant, L, 0.5)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, 0])
+def test_default_alpha_rejects_an_L_that_is_not_positive(L):
+    with pytest.raises(ValueError, match="L must be positive$"):
+        default_alpha("acc_gt_static", L, 0.5)
+
+
+@pytest.mark.parametrize("sig", [None, "0.5", True, math.nan])
+def test_default_alpha_rejects_a_gossip_mixing_constant_that_is_not_a_number(sig):
+    # None and "0.5" used to fail with TypeError: '<=' not supported.
+    for variant in ("acc_gt_static", "acc_gt_tv"):
+        with pytest.raises(ValueError, match=re.escape(f"must lie in [0, 1), got {sig!r};")):
+            default_alpha(variant, 1.0, sig, 3)
+    # A wrapper reads its own guaranteed contraction, never this argument.
+    for variant in ("acc_gt_chebyshev", "acc_gt_multiconsensus"):
+        assert default_alpha(variant, 1.0, sig, 3) == default_alpha(variant, 1.0, 0.5, 3)
+
+
 # ---------------------------------------------------------------- gt steps
 
 def test_gt_step_centralized_gd_hand_trace():

@@ -554,6 +554,14 @@ def test_seeded_random_edge_probability_is_a_number_in_the_unit_interval(p):
         GraphSchedule.seeded_random(4, p, 0)
 
 
+@pytest.mark.parametrize("p", ["0.5", 0.5j, [0.5]])
+def test_seeded_random_edge_probability_that_is_not_a_real_number_is_rejected(p):
+    # These used to fail with TypeError: '<=' not supported.
+    with pytest.raises(ValueError,
+                       match=rf"requires edge_probability in \[0, 1\], got {re.escape(repr(p))}$"):
+        GraphSchedule.seeded_random(4, p, 0)
+
+
 def _tuple_key_draw(m, p, seed, k):
     """An instant drawn with the (seed, k) tuple key, as every draw once was."""
     iu, ju = np.triu_indices(m, 1)
@@ -625,6 +633,68 @@ def test_masks_keep_the_tuple_key_from_2_32_on(monkeypatch):
     big = GraphSchedule.seeded_random(9, 0.4, 2 ** 40)
     big._masks(5, 3)
     assert keys == [(2 ** 40, 5), (2 ** 40, 6), (2 ** 40, 7)]  # a seed beyond one word
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3])
+def test_draw_rows_are_the_default_rng_draws_across_2_32(seed):
+    sched = GraphSchedule.seeded_random(9, 0.4, seed)
+    for start, count in ((0, 3), (2 ** 32 - 3, 6)):  # the second straddles 2**32
+        rows = sched._draw(start, count)
+        assert rows.shape == (count, 36)
+        for c, row in enumerate(rows):
+            expected = np.random.default_rng((seed, start + c)).random(36) < 0.4
+            assert np.array_equal(row, expected), (start, c)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 31, 2 ** 32 - 1])
+def test_seeding_words_give_the_default_rng_stream_bit_for_bit(seed):
+    ks = np.array([0, 1, 63, 1000, 2 ** 31, 2 ** 32 - 1], dtype=np.uint32)
+    words = graph._pcg64_states(seed, ks)
+    assert words.dtype == np.uint64 and words.shape == (len(ks), 4)
+    assert words.flags.c_contiguous
+    seeds = graph._SeedWords(words)
+    for k, row in zip(ks.tolist(), words):
+        expected = np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
+        assert row.tolist() == expected.tolist()
+        u = np.random.Generator(np.random.PCG64(seeds)).random(50)
+        assert u.tobytes() == np.random.default_rng((seed, k)).random(50).tobytes()
+
+
+@pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (8, np.uint64),
+                                           (2, np.uint64), (4, np.int64), (4, np.float64)])
+def test_seed_words_serve_only_pcg64s_seeding_request(n_words, dtype):
+    seeds = graph._SeedWords(graph._pcg64_states(3, np.arange(2, dtype=np.uint32)))
+    with pytest.raises(ValueError, match="only PCG64's seeding request"):
+        seeds.generate_state(n_words, dtype)
+
+
+def test_seed_words_seed_no_other_bit_generator_and_check_their_layout():
+    words = graph._pcg64_states(3, np.arange(4, dtype=np.uint32))
+    for bitgen in (np.random.MT19937, np.random.SFC64):  # 624 uint32 / 3 uint64 words
+        with pytest.raises(ValueError, match="only PCG64's seeding request"):
+            bitgen(graph._SeedWords(words))
+    for bad in (words.astype(np.uint32), words[:, :2], words.T.copy().T, words[0]):
+        with pytest.raises(ValueError, match=r"C-contiguous \(n, 4\) uint64"):
+            graph._SeedWords(bad)
+
+
+@pytest.mark.parametrize("k", [70, graph._STORED_STOP + 5])
+def test_a_pair_whose_uniform_equals_p_is_not_an_edge(k):
+    # The edge rule is u < p, strictly: with p set to one of instant k's own
+    # uniforms, that pair stays out, whether k is read from the mask store or
+    # drawn past it.
+    m, seed = 9, 4
+    u = np.random.default_rng((seed, k)).random(36)
+    pair = int(np.argsort(u)[18])  # a middle uniform, so both sides hold pairs
+    sched = GraphSchedule.seeded_random(m, float(u[pair]), seed)
+    masks = sched._masks(k - 1, 3)
+    assert (k < graph._STORED_STOP) == bool(sched._mask_chunks)
+    iu, ju = graph._upper_pairs(m)
+    edge = (int(iu[pair]), int(ju[pair]))
+    for row in (masks[1], sched._draw(k, 1)[0]):
+        assert not row[pair] and np.array_equal(row, u < u[pair]) and row.sum() == 18
+    assert edge not in sched.edge_set(k) and len(sched.edge_set(k)) == 18
+    assert sched.matrix(k)[edge] == 0.0
 
 
 def test_masks_of_a_periodic_schedule_mark_its_edge_sets():
