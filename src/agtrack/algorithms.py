@@ -103,6 +103,8 @@ def theta_next(theta_prev: float) -> float:
     Explicitly ``t = theta_prev (sqrt(theta_prev^2 + 4) - theta_prev) / 2``,
     which always lies in (0, theta_prev).
     """
+    if not (_is_real(theta_prev) and math.isfinite(theta_prev)):
+        raise ValueError(f"theta_prev must be a finite number, got {theta_prev!r}")
     if theta_prev <= 0.0:
         raise ValueError("theta_prev must be positive")
     return theta_prev * (math.sqrt(theta_prev * theta_prev + 4.0) - theta_prev) / 2.0

@@ -44,10 +44,6 @@ from .algorithms import RunTrace
 
 REL_TOL = 1e-7
 
-THEOREM_IDS = ("T1_gap", "T1_consensus", "T2_gap", "T2_consensus",
-               "T3_gap", "T3_consensus", "T4_gap", "T4_consensus")
-
-
 @dataclass(frozen=True)
 class BoundCertificate:
     """Verdict of one bound over a whole trace.

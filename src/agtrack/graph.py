@@ -41,19 +41,22 @@ seeded_random schedule ``horizon`` is the last instant read, so both read
 instants 0..horizon (default ``HORIZON``).
 
 A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
-never depends on evaluation order.  ``GraphSchedule._masks`` draws a run of
-consecutive instants bit for bit as ``np.random.default_rng`` would, without
-a ``SeedSequence`` each: it hashes all their keys at once in uint32 array
-arithmetic, as numpy's ``SeedSequence`` would, and hands each instant's four
-seeding words to a fresh ``PCG64`` through numpy's public seed-sequence
-interface (``ISeedSequence``), so numpy's own C code does the 128-bit
-seeding.  It draws the aligned ``SPECTRAL_CHUNK`` chunks that hold instants
-0..``HORIZON`` once per schedule and keeps them packed, a bit per candidate
-pair, so every constant and the run read one draw of each of those instants:
-``gamma_connectivity`` (once per gamma that ``resolve_gamma`` tries) and
-``matrix`` take their instants from ``_masks``, and ``sigma_gamma`` builds
-its windows from ``edge_set``, which reads a stored chunk and draws any other
-instant alone through ``default_rng``.
+never depends on evaluation order.  One method holds each rule of that path.
+``GraphSchedule._draw`` is the only code that draws an instant, bit for bit
+as ``np.random.default_rng`` would: a batch of keys that fit one uint32 word
+each is hashed at once in uint32 array arithmetic, as numpy's
+``SeedSequence`` would, and each instant's four seeding words go to a fresh
+``PCG64`` through numpy's public seed-sequence interface (``ISeedSequence``),
+so numpy's own C code does the 128-bit seeding; a single instant, or a key
+from 2**32 on, goes through ``default_rng`` itself.  ``GraphSchedule._masks``
+is the only code that decides what is stored: the aligned ``SPECTRAL_CHUNK``
+chunks that hold instants 0..``HORIZON``, for every seed, drawn once per
+schedule and kept packed, a bit per candidate pair.  Every reader goes
+through ``_masks``, so every constant and the run read one draw of each of
+those instants: ``gamma_connectivity`` (once per gamma that
+``resolve_gamma`` tries) and ``matrix`` directly, and ``sigma_gamma``
+through ``edge_set``, which reads a stored row itself and asks ``_masks``
+for any other.
 """
 from __future__ import annotations
 
@@ -122,6 +125,14 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and type(v) not in _BOOL_TYPES
+
+
+def _check_instant(k) -> None:
+    """Raise ValueError unless k is an instant index, an integer k >= 0."""
+    if not _is_int(k):
+        raise ValueError(f"instant index must be an integer, got {k!r}")
+    if k < 0:
+        raise ValueError("instant index must be nonnegative")
 
 
 def _edge_arrays(edges, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,15 +352,14 @@ class GraphSchedule:
         return None if self.schedule_kind == "seeded_random" else len(self.edge_sets)
 
     def edge_set(self, k: int) -> EdgeSet:
-        """The edge set active at instant k (total for all k >= 0).
+        """The edge set active at instant k, an integer k >= 0 (bools are not
+        instants).
 
-        A seeded_random instant whose chunk ``_masks`` has already stored is
-        read from that store; any other is drawn alone, through
-        ``default_rng`` (for one key that costs less than the batched hash),
-        and not stored.
+        A seeded_random row that ``_masks`` has stored is read from its
+        packed chunk here, which costs less than a ``_masks`` call; any other
+        row comes from ``_masks(k, 1)``, which decides what is stored.
         """
-        if k < 0:
-            raise ValueError("instant index must be nonnegative")
+        _check_instant(k)
         if self.period is not None:
             return self.edge_sets[k % self.period]
         iu, ju = _upper_pairs(self.agent_count)
@@ -357,35 +367,22 @@ class GraphSchedule:
         if chunk is not None:
             mask = np.unpackbits(chunk[k % SPECTRAL_CHUNK], count=len(iu)).view(bool)
         else:
-            mask = self._uniforms(k, np.empty(iu.shape[0])) < self.edge_probability
+            mask = self._masks(k, 1)[0]
         return _edge_set_of(iu[mask], ju[mask])
-
-    def _uniforms(self, k: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with instant k's uniforms, one per candidate pair of
-        ``_upper_pairs``; the pair is an edge when its uniform is below p.
-
-        The stream is keyed by (seed, k), so a draw never depends on
-        evaluation order.  SeedSequence reads an int below 2**32 as one uint32
-        word, so the uint32 key gives the tuple's stream and is cheaper to
-        convert; larger values keep the tuple key.
-        """
-        key = (self.seed, k)
-        if self.seed < 1 << 32 and k < 1 << 32:
-            key = np.array(key, dtype=np.uint32)
-        return np.random.default_rng(key).random(out=out)
 
     def _masks(self, start: int, count: int) -> np.ndarray:
         """The ``(count, pairs)`` bool edge masks of instants start, ...,
         start+count-1: row c marks the pairs of ``_upper_pairs`` in E^(start+c).
 
-        Periodic rows are their instants' edge sets.  A seeded_random
-        schedule draws each aligned ``SPECTRAL_CHUNK`` of instants below
-        ``_STORED_STOP`` (the chunks that hold instants 0..``HORIZON``) once,
-        whole, and keeps it packed (``np.packbits``, pairs / 8 bytes a row),
-        so the gamma search, ``sigma_gamma`` (through ``edge_set``) and
+        Periodic rows are their instants' edge sets.  This is the one place
+        that decides what a seeded_random schedule stores: each aligned
+        ``SPECTRAL_CHUNK`` of instants below ``_STORED_STOP`` (the chunks
+        that hold instants 0..``HORIZON``), whatever the seed, is drawn once,
+        whole, and kept packed (``np.packbits``, pairs / 8 bytes a row), so
+        the gamma search, ``sigma_gamma`` (through ``edge_set``) and
         ``matrix`` read one draw of every instant the constants read.  Rows
-        from ``_STORED_STOP`` on, and every row of a seed at or above 2**32,
-        are drawn for the range asked (``_draw``) and not kept.
+        from ``_STORED_STOP`` on are drawn for the range asked (``_draw``)
+        and not kept.
         """
         m = self.agent_count
         iu, _ = _upper_pairs(m)
@@ -396,7 +393,7 @@ class GraphSchedule:
                 row[e.i * (2 * m - 1 - e.i) // 2 + e.j - e.i - 1] = True  # triu order
             return masks
         stop = start + count
-        stored = min(stop, _STORED_STOP) if self.seed < 1 << 32 else 0
+        stored = min(stop, _STORED_STOP)
         if stored <= start:
             return self._draw(start, count)
         masks = np.empty((count, len(iu)), dtype=bool)
@@ -415,26 +412,35 @@ class GraphSchedule:
     def _draw(self, start: int, count: int) -> np.ndarray:
         """``_masks``'s rows of a seeded_random schedule, drawn for this range.
 
-        The rows are drawn as ``edge_set`` draws them, bit for bit, but
-        without a ``SeedSequence`` per instant: ``_pcg64_states`` hashes the
-        batch's keys into their PCG64 seeding words at once, each row gets a
-        fresh ``PCG64`` that ``_SeedWords`` hands its key's words (numpy's C
-        code does the 128-bit seeding), and ``random(out=row)`` fills the
-        row, as ``edge_set`` fills its own.  This rests on numpy keeping
-        SeedSequence's hash fixed, as its stream policy for bit generators
-        (NEP 19) does; the tests compare batches with ``default_rng``, so a
-        change would show there.  A key at or above 2**32 keeps the
-        per-instant draw, so a batch that straddles 2**32 splits there.
+        This is the one place that draws a seeded_random instant: row c holds
+        a uniform per pair of ``_upper_pairs``, from numpy's stream for the
+        key (seed, start + c), and the pair is an edge when it is below p.  A
+        batch of keys that fit one uint32 word each is drawn without a
+        ``SeedSequence`` per instant: ``_pcg64_states`` hashes the keys into
+        their PCG64 seeding words at once, and each row gets a fresh
+        ``PCG64`` that ``_SeedWords`` hands its key's words (numpy's C code
+        does the 128-bit seeding).  This rests on numpy keeping SeedSequence's
+        hash fixed, as its stream policy for bit generators (NEP 19) does;
+        the tests compare batches with ``default_rng``, so a change would
+        show there.  A single row is drawn through ``default_rng`` (for one
+        key that costs less than the batched hash), and so is every key at or
+        above 2**32, so a batch that straddles 2**32 splits there; the key is
+        the uint32 pair when seed and k fit one word each, which SeedSequence
+        reads as the tuple, else the tuple.
         """
         u = np.empty((count, len(_upper_pairs(self.agent_count)[0])))
-        batched = min(count, max(0, (1 << 32) - start)) if self.seed < 1 << 32 else 0
+        seed_fits = self.seed < 1 << 32
+        batched = min(count, max(0, (1 << 32) - start)) if seed_fits and count > 1 else 0
         if batched:
             ks = np.arange(start, start + batched, dtype=np.int64).astype(np.uint32)
             seeds = _SeedWords(_pcg64_states(self.seed, ks))
             for row in u[:batched]:
                 np.random.Generator(np.random.PCG64(seeds)).random(out=row)
-        for c in range(batched, count):
-            self._uniforms(start + c, u[c])
+        for k, row in zip(range(start + batched, start + count), u[batched:]):
+            key = (self.seed, k)
+            if seed_fits and k < 1 << 32:
+                key = np.array(key, dtype=np.uint32)
+            np.random.default_rng(key).random(out=row)
         return u < self.edge_probability
 
     def matrix(self, k: int) -> np.ndarray:
@@ -450,12 +456,12 @@ class GraphSchedule:
         O(SPECTRAL_CHUNK m^2).  Either way W^k is bitwise
         ``metropolis_weights(edge_set(k), m)``.
         """
+        if type(k) is not int or k < 0:  # a Python int instant pays only these tests
+            _check_instant(k)
         if self.schedule_kind == "seeded_random":  # first: multiple consensus calls it per round
             first = k - k % SPECTRAL_CHUNK
             Ws = self._matrices.get(first)
             if Ws is None:
-                if k < 0:
-                    raise ValueError("instant index must be nonnegative")
                 self._matrices.clear()
                 iu, ju = _upper_pairs(self.agent_count)
                 b, pair = divmod(np.flatnonzero(self._masks(first, SPECTRAL_CHUNK)), len(iu))
@@ -463,8 +469,6 @@ class GraphSchedule:
                 Ws.setflags(write=False)
                 self._matrices[first] = Ws
             return Ws[k - first]
-        if k < 0:
-            raise ValueError("instant index must be nonnegative")
         key = k % self.period
         W = self._matrices.get(key)
         if W is None:
@@ -507,8 +511,11 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
     matrix with positive diagonal for any undirected graph.  An ``EdgeSet``
     whose endpoints lie below m is used as it is; any other edge list is
     validated like a schedule's (integer endpoints in ``[0, m)``, no
-    self-loops), and duplicates and orientation do not matter.
+    self-loops), and duplicates and orientation do not matter.  An m that
+    is not an integer (bools included) is a ValueError.
     """
+    if not _is_int(m):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m <= 0:
         raise ValueError("m must be positive")
     edges = _canonical_edges(edge_set, m)
@@ -731,8 +738,8 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     seeded_random schedule this is their only caller.  After ``resolve_gamma``
     (whose gamma_connectivity calls draw and store the chunks of instants
     0..``HORIZON``), each ``edge_set`` reads its instant from that store;
-    called on its own, on instants no walk has stored, it draws each instant
-    through ``default_rng``.
+    called on its own, the first read of a chunk below ``_STORED_STOP`` draws
+    and stores it, and an instant past it is drawn alone.
     """
     ends, is_estimate = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count

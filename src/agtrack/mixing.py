@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (GraphSchedule, _all_connected, _is_int, _upper_pairs, metropolis_weights,
-                    sigma as sigma_of)
+from .graph import (GraphSchedule, _all_connected, _is_int, _is_real, _upper_pairs,
+                    metropolis_weights, sigma as sigma_of)
 
 SYMMETRY_TOL = 1e-12
 # sigma below this is treated as exact consensus in one round: the Chebyshev
@@ -153,7 +153,13 @@ def chebyshev_apply(op: ChebyshevOperator, x: np.ndarray) -> np.ndarray:
 
 
 def default_zeta(gamma: int, sigma_gamma: float) -> int:
-    """Rounds per multiple-consensus call: ``ceil(gamma / (1 - sigma_gamma))``."""
+    """Rounds per multiple-consensus call: ``ceil(gamma / (1 - sigma_gamma))``;
+    ValueError unless gamma is an integer at least 1 and sigma_gamma a number
+    in [0, 1) (bools are neither)."""
+    if not (_is_int(gamma) and gamma >= 1):
+        raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
+    if not _is_real(sigma_gamma):
+        raise ValueError(f"sigma_gamma must be a number, got {sigma_gamma!r}")
     if not (0.0 <= sigma_gamma < 1.0):
         raise ValueError("sigma_gamma must lie in [0, 1)")
     return math.ceil(gamma / (1.0 - sigma_gamma))
@@ -169,9 +175,12 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
     order, so a run of calls on a seeded_random schedule draws and builds
     every instant once, and memory is the schedule's one chunk stack whatever
     zeta is.  ``weight_rule`` must be None or ``metropolis_weights``, the only
-    rule the schedule builds.  A zeta that is not an integer of at least 1
-    (bools included) is a ValueError.
+    rule the schedule builds.  A start_round that is not an integer, or a
+    zeta that is not an integer of at least 1 (bools included), is a
+    ValueError.
     """
+    if not _is_int(start_round):
+        raise ValueError(f"start_round must be an integer, got {start_round!r}")
     if not (_is_int(zeta) and zeta >= 1):
         raise ValueError(f"zeta must be an integer at least 1, got {zeta!r}")
     if weight_rule not in (None, metropolis_weights):

@@ -12,12 +12,15 @@ array expression.  Quadratics keep ``A`` (m, n, n), every A_i symmetric, and
 ``counts`` and ``ridge`` (m,) per agent; an owner index (N,) maps each row to
 its agent, and per-agent sums over rows are ``np.add.reduceat`` at the group
 starts.  Constructing an instance checks these stacks, every entry finite
-(ValueError before any arithmetic on them), and solves its optimum
-``x_star`` / ``F_star``.
+and every logistic label -1 or +1 (ValueError before any arithmetic on
+them), and solves its optimum ``x_star`` / ``F_star``; a quadratic whose mean
+Hessian is singular has no unique minimizer and is a ValueError.
 ``quadratic_problem`` and ``logistic_problem`` build an instance from stacks
-and derive its L and mu; the seeded generators draw random ones.  Besides
-values and gradients the module provides the Bregman distance and the inexact
-value the verification harness checks, and the optimum oracle.
+and derive its L and mu, and ``quadratic_problem`` rejects an agent that is
+not convex (an A_i with a negative eigenvalue); the seeded generators draw
+random ones.  Besides values and gradients the module provides the Bregman
+distance and the inexact value the verification harness checks, and the
+optimum oracle.
 """
 from __future__ import annotations
 
@@ -59,6 +62,10 @@ def _check_stacks(kind, A=None, b=None, data=None, labels=None, counts=None, rid
     for name, stack in stacks.items():
         if not np.isfinite(stack).all():
             raise ValueError(f"every entry of {name} must be finite (no NaN or infinity)")
+    # L = lambda_max(D_i^T D_i) / (4 counts_i) + ridge_i holds for labels of
+    # magnitude 1; a label y scales its row's curvature by y^2.
+    if kind == "logistic" and not (np.abs(labels) == 1.0).all():
+        raise ValueError("every label must be -1 or +1")
     # Products such as Q_i D_i Q_i^T are symmetric only up to rounding, hence a
     # relative tolerance; A_i - A_i^T is antisymmetric, so its maximum is its
     # largest magnitude.
@@ -187,11 +194,18 @@ def inexact_value(problem: ProblemInstance, ybar: np.ndarray, y: np.ndarray, *,
 
 def solve_optimum(problem: ProblemInstance):
     """High-precision minimizer ``(x_star, F_star)`` of F, with mean-gradient norm
-    at most 1e-10: direct solve for quadratic sums, accelerated gradient descent
-    for logistic (RuntimeError when it fails to reach ``OPTIMUM_TOL_LOGISTIC``,
-    ValueError when ridge-free data turn out separable, see ``_agd_minimize``)."""
-    x_star = (np.linalg.solve(problem._Abar, -problem._bbar) if problem.kind == "quadratic"
-              else _agd_minimize(problem))
+    at most 1e-10: direct solve for quadratic sums (ValueError when the mean
+    Hessian is singular), accelerated gradient descent for logistic
+    (RuntimeError when it fails to reach ``OPTIMUM_TOL_LOGISTIC``, ValueError
+    when ridge-free data turn out separable, see ``_agd_minimize``)."""
+    if problem.kind == "quadratic":
+        try:
+            x_star = np.linalg.solve(problem._Abar, -problem._bbar)
+        except np.linalg.LinAlgError:
+            raise ValueError("the mean Hessian (1/m) sum_i A_i is singular, so F has no "
+                             "unique minimizer") from None
+    else:
+        x_star = _agd_minimize(problem)
     resid = float(np.linalg.norm(problem.mean_gradient(x_star)))
     if resid > OPTIMUM_RESIDUAL:
         raise RuntimeError(f"optimum residual {resid:.3e} exceeds {OPTIMUM_RESIDUAL:.0e}; "
@@ -240,10 +254,15 @@ def _agd_minimize(problem: ProblemInstance) -> np.ndarray:
 def quadratic_problem(A, b) -> ProblemInstance:
     """Quadratic agents ``f_(i)(x) = 0.5 x^T A_i x + b_i^T x`` from A (m, n, n)
     and b (m, n), every A_i symmetric, with L and mu the extreme eigenvalues
-    over the A_i; ValueError for stacks ``ProblemInstance`` rejects."""
+    over the A_i; ValueError for stacks ``ProblemInstance`` rejects and for an
+    A_i with an eigenvalue below ``-1e-10 max(1, |L|)``: such an agent is not
+    convex, and F's stationary point can be its maximizer."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     _check_stacks("quadratic", A, b)
     eigs = np.linalg.eigvalsh((A + A.transpose(0, 2, 1)) / 2.0)
+    if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
+        raise ValueError("every A_i must be positive semidefinite (a convex agent), got the "
+                         f"eigenvalue {float(eigs.min())!r}")
     return ProblemInstance("quadratic", float(eigs.max()), float(eigs.min()), A=A, b=b)
 
 

@@ -39,6 +39,16 @@ def test_theta_next_rejects_nonpositive():
         theta_next(0.0)
 
 
+@pytest.mark.parametrize("theta_prev", [math.nan, math.inf, None, True])
+def test_theta_next_rejects_a_theta_that_is_not_a_finite_number(theta_prev):
+    # theta_next(nan) and theta_next(inf) used to return nan.
+    with pytest.raises(ValueError,
+                       match=rf"theta_prev must be a finite number, got {re.escape(repr(theta_prev))}$"):
+        theta_next(theta_prev)
+    with pytest.raises(ValueError, match="theta_prev must be positive$"):
+        theta_next(-0.5)
+
+
 @given(st.floats(1e-6, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_theta_next_defining_identity(theta_prev):

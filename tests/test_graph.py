@@ -52,6 +52,18 @@ def test_metropolis_rejects_bad_input():
         metropolis_weights([(1, 1)], 3)
 
 
+@pytest.mark.parametrize("m", [True, 2.5, np.float64(3.0), "3", None])
+def test_metropolis_rejects_an_agent_count_that_is_not_an_integer(m):
+    # m = True used to report "out of range for True agents", m = 2.5 a TypeError.
+    with pytest.raises(ValueError, match=rf"m must be an integer, got {re.escape(repr(m))}$"):
+        metropolis_weights([(0, 1)], m)
+    for bad in (0, np.int64(-2)):
+        with pytest.raises(ValueError, match="m must be positive$"):
+            metropolis_weights([(0, 1)], bad)
+    assert metropolis_weights([(0, 1)], np.int64(2)).tobytes() == metropolis_weights(
+        [(0, 1)], 2).tobytes()
+
+
 def test_metropolis_dedups_orientation():
     a = metropolis_weights([(0, 1), (1, 0)], 3)
     b = metropolis_weights([(0, 1)], 3)
@@ -324,6 +336,33 @@ def test_schedule_matrix_rejects_negative_instant(m9_schedule):
         sched.matrix(-1)
 
 
+def instant_readers():
+    """(name, schedule) of each kind, the seeded_random one both before and
+    after its chunk of instants 0..SPECTRAL_CHUNK - 1 is stored and built."""
+    stored = GraphSchedule.seeded_random(6, 0.5, seed=1)
+    stored.matrix(2)
+    return [("static", GraphSchedule.static(6, ring_edges(6))),
+            ("cyclic", GraphSchedule.cyclic(9, M9_EDGE_SETS)),
+            ("random unstored", GraphSchedule.seeded_random(6, 0.5, seed=1)),
+            ("random stored", stored)]
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, np.float64(1.0), True, False, np.True_, "2", None])
+def test_instant_index_that_is_not_an_integer_is_rejected(k):
+    # A seeded_random edge_set(True) used to read instant 1 and edge_set(2.5)
+    # instant 2 while its chunk was unstored; a static schedule's edge_set(2.5)
+    # raised TypeError.
+    for name, sched in instant_readers():
+        for read in (sched.edge_set, sched.matrix):
+            with pytest.raises(ValueError,
+                               match=rf"instant index must be an integer, got {re.escape(repr(k))}$"):
+                read(k)
+            with pytest.raises(ValueError, match="instant index must be nonnegative$"):
+                read(np.int64(-1))
+        assert sched.edge_set(np.int64(2)) == sched.edge_set(2), name
+        assert sched.matrix(np.uint8(2)).tobytes() == sched.matrix(2).tobytes(), name
+
+
 def test_periodic_schedule_builds_each_matrix_once(builds):
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
     for k in range(30):
@@ -578,20 +617,26 @@ def test_uint32_draw_key_gives_the_tuple_key_stream(monkeypatch):
         return default_rng(key)
 
     monkeypatch.setattr(graph.np.random, "default_rng", spy)
+    iu, ju = np.triu_indices(9, 1)
     words = (0, 1, 2 ** 31, 2 ** 32 - 1)
     for seed in words + (np.uint32(7), np.int64(2 ** 31)):
         sched = GraphSchedule.seeded_random(9, 0.4, seed)
         for k in words:
             expected = _tuple_key_draw(9, 0.4, seed, k)
-            keys.clear()
             assert sched.edge_set(k) == expected
+            keys.clear()
+            (row,) = sched._draw(k, 1)  # one row: drawn alone, through default_rng
+            assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == expected
             (key,) = keys
             assert isinstance(key, np.ndarray) and key.dtype == np.uint32
             assert key.tolist() == [seed, k]
     for seed, k in ((2 ** 32, 0), (0, 2 ** 32), (2 ** 40, 3), (5, 2 ** 40)):
         expected = _tuple_key_draw(9, 0.4, seed, k)
+        sched = GraphSchedule.seeded_random(9, 0.4, seed)
+        assert sched.edge_set(k) == expected
         keys.clear()
-        assert GraphSchedule.seeded_random(9, 0.4, seed).edge_set(k) == expected
+        (row,) = sched._draw(k, 1)
+        assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == expected
         assert keys == [(seed, k)]  # beyond one uint32 word: the tuple key
 
 
@@ -631,8 +676,14 @@ def test_masks_keep_the_tuple_key_from_2_32_on(monkeypatch):
             9, 0.4, 3, 2 ** 32 - 3 + c)
     keys.clear()
     big = GraphSchedule.seeded_random(9, 0.4, 2 ** 40)
-    big._masks(5, 3)
-    assert keys == [(2 ** 40, 5), (2 ** 40, 6), (2 ** 40, 7)]  # a seed beyond one word
+    first = big._masks(5, 3)
+    # A seed beyond one word: its chunk is drawn once, key by key, and stored.
+    assert keys == [(2 ** 40, k) for k in range(graph.SPECTRAL_CHUNK)]
+    keys.clear()
+    assert np.array_equal(big._masks(5, 3), first) and keys == []
+    for c, row in enumerate(first):
+        assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == _tuple_key_draw(
+            9, 0.4, 2 ** 40, 5 + c)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3])
@@ -1116,12 +1167,29 @@ def test_mask_store_is_not_part_of_schedule_identity_and_is_not_copied():
         assert twin.edge_set(70) == used.edge_set(70)
 
 
-def test_mask_store_keeps_nothing_for_a_seed_from_2_32_on(monkeypatch):
+@pytest.mark.parametrize("seed", [3, 2 ** 32])
+def test_mask_store_keeps_the_chunks_of_any_seed_and_draws_each_instant_once(monkeypatch, seed):
+    # Every reader goes through the one store, so each instant below
+    # _STORED_STOP is drawn once per schedule; a seed from 2**32 on, whose
+    # instants are drawn key by key with the tuple key, stores its chunks too.
+    C, stop = graph.SPECTRAL_CHUNK, graph._STORED_STOP
+    expected = {k: _tuple_key_draw(9, 0.4, seed, k) for k in (0, C - 1, 70, stop - 1)}
     keys = []
-    default_rng = np.random.default_rng
+    states, default_rng = graph._pcg64_states, np.random.default_rng
+    monkeypatch.setattr(graph, "_pcg64_states",
+                        lambda s, ks: keys.extend(ks.tolist()) or states(s, ks))
     monkeypatch.setattr(graph.np.random, "default_rng",
-                        lambda key: keys.append(key) or default_rng(key))
-    big = GraphSchedule.seeded_random(9, 0.4, 2 ** 32)
-    big._masks(0, 3)
-    big._masks(0, 3)
-    assert keys == [(2 ** 32, k) for k in (0, 1, 2)] * 2 and not big._mask_chunks
+                        lambda key: keys.append(int(np.asarray(key)[1])) or default_rng(key))
+    sched = GraphSchedule.seeded_random(9, 0.4, seed)
+    assert sched.edge_set(70) == expected[70]  # its first read stores its chunk
+    assert sorted(keys) == list(range(C, 2 * C)) and list(sched._mask_chunks) == [C]
+    sched.matrix(3)
+    sched._masks(C - 2, 5)
+    sigma_gamma(sched, 2)  # edge_set over instants 0..HORIZON
+    gamma_connectivity(sched, 3)
+    sched._masks(0, stop)
+    for k in (0, C - 1, stop - 1):
+        assert sched.edge_set(k) == expected[k]
+        sched.matrix(k)
+    assert sorted(keys) == list(range(stop))  # each instant below _STORED_STOP once
+    assert sorted(sched._mask_chunks) == list(range(0, stop, C))

@@ -199,6 +199,23 @@ def test_default_zeta_examples():
         default_zeta(2, 1.0)
 
 
+@pytest.mark.parametrize("gamma", [True, 2.5, 0, None])
+def test_default_zeta_rejects_a_gamma_that_is_not_a_positive_integer(gamma):
+    # default_zeta(True, 0.5) used to return 2 and default_zeta(2.5, 0.5) 5.
+    with pytest.raises(ValueError, match=f"gamma must be an integer at least 1, got {gamma!r}$"):
+        default_zeta(gamma, 0.5)
+
+
+@pytest.mark.parametrize("sig", [None, "0.5", True])
+def test_default_zeta_rejects_a_sigma_gamma_that_is_not_a_number(sig):
+    # default_zeta(2, None) used to raise TypeError.
+    with pytest.raises(ValueError, match=f"sigma_gamma must be a number, got {sig!r}$"):
+        default_zeta(2, sig)
+    for out_of_range in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"sigma_gamma must lie in \[0, 1\)$"):
+            default_zeta(2, out_of_range)
+
+
 def test_multiple_consensus_consensual_fixed(rng):
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
     x = np.tile(rng.standard_normal(3), (9, 1))
@@ -326,6 +343,14 @@ def test_multiple_consensus_rejects_a_zeta_that_is_not_an_integer(rng, zeta):
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
     with pytest.raises(ValueError, match=f"zeta must be an integer at least 1, got {zeta!r}"):
         multiple_consensus(sched, None, 0, zeta, rng.standard_normal((9, 2)))
+
+
+@pytest.mark.parametrize("start", [True, 2.0])
+def test_multiple_consensus_rejects_a_start_round_that_is_not_an_integer(rng, start):
+    # start_round True used to start at round 1 without a word.
+    for sched in (GraphSchedule.cyclic(9, M9_EDGE_SETS), GraphSchedule.seeded_random(9, 0.4, 3)):
+        with pytest.raises(ValueError, match=f"start_round must be an integer, got {start!r}$"):
+            multiple_consensus(sched, None, start, 2, rng.standard_normal((9, 2)))
 
 
 def test_chebyshev_bypass_performs_every_round_it_is_given(rng):

@@ -406,6 +406,18 @@ MALFORMED_STACKS = {
     "inf_ridge": ("logistic", {"data": [[1.0, 2.0], [0.5, -1.0]], "labels": [1.0, -1.0],
                                "counts": [1, 1], "ridge": [0.1, np.inf]},
                   "every entry of ridge must be finite"),
+    # Unchecked, labels +-2 reported L = 0.225, the value for labels +-1, where
+    # the curvature is 4 times that (L = 0.6); a label of 0 makes its row's
+    # loss the constant log 2.
+    "labels_two": ("logistic", {"data": np.eye(2), "labels": [2.0, -2.0], "counts": [2],
+                                "ridge": [0.1]},
+                   "every label must be -1 or \\+1"),
+    "label_zero": ("logistic", {"data": [[1.0, 2.0], [0.5, -1.0]], "labels": [1.0, 0.0],
+                                "counts": [1, 1], "ridge": [0.1, 0.1]},
+                   "every label must be -1 or \\+1"),
+    # Unchecked, numpy's LinAlgError: Singular matrix came out of solve_optimum.
+    "singular_mean_hessian": ("quadratic", {"A": [[[1.0, 0.0], [0.0, 0.0]]], "b": [[0.0, 1.0]]},
+                              "F has no unique minimizer"),
 }
 
 
@@ -418,6 +430,20 @@ def test_malformed_stacks_are_rejected(name):
     arrays = {key: np.asarray(value) for key, value in stacks.items()}
     with pytest.raises(ValueError, match=message):
         ProblemInstance(kind, 1.0, 0.1, **arrays)
+
+
+def test_quadratic_problem_rejects_an_agent_that_is_not_convex():
+    # Unchecked, -I reported L = mu = -1.0 with x* = (1, 1), F's maximizer.
+    for A in ([[[-1.0, 0.0], [0.0, -1.0]]], [3.0 * np.eye(2), np.diag([1.0, -1.0])],
+              [np.diag([1e6, -1e-3]), np.eye(2)]):
+        with pytest.raises(ValueError, match="every A_i must be positive semidefinite"):
+            quadratic_problem(A, np.ones((len(A), 2)))
+    # An eigenvalue that rounding puts below zero, within 1e-10 of the
+    # largest, is kept, and so is a generated instance with mu = 0.
+    prob = quadratic_problem([np.diag([1e6, -1e-5]), np.eye(2)], np.ones((2, 2)))
+    assert prob.mu == -1e-5 and prob.L == 1e6
+    generated = random_quadratic_problem(4, 3, mu=0.0, seed=2)
+    assert quadratic_problem(generated.A, generated.b).L == pytest.approx(generated.L)
 
 
 def test_directly_built_instance_carries_its_optimum_and_runs():
