@@ -21,7 +21,9 @@ value that carries its endpoints as arrays; every schedule instant is one, and
 ``metropolis_weights`` and ``gamma_connectivity`` take its arrays without
 parsing the pairs again.  Any other edge list given to ``metropolis_weights``
 is validated in full.  A build is one vectorized pass, and one kernel builds a
-whole stack of instants as readily as one.
+whole stack of instants as readily as one.  Every built stack, and every
+matrix ``sigma`` takes, is checked for double stochasticity with row and
+column sums as matrix-vector products; a NaN entry fails the check.
 
 ``GraphSchedule.matrix(k)`` is the one way the methods get W^k.  A periodic
 schedule builds each of its period matrices once; a seeded_random schedule
@@ -48,7 +50,11 @@ each is hashed at once in uint32 array arithmetic, as numpy's
 ``SeedSequence`` would, and each instant's four seeding words go to a fresh
 ``PCG64`` through numpy's public seed-sequence interface (``ISeedSequence``),
 so numpy's own C code does the 128-bit seeding; a single instant, or a key
-from 2**32 on, goes through ``default_rng`` itself.  ``GraphSchedule._masks``
+from 2**32 on, goes through ``default_rng`` itself.  Below ``_STORED_STOP``
+each stored chunk hashes its own keys; from it on the words are hashed
+``_WORD_BLOCK`` (1024) aligned instants at a time and the schedule keeps the
+last block, so multiple consensus, which walks far past the store, pays the
+hash's fixed cost once per block, not once per chunk.  ``GraphSchedule._masks``
 is the only code that decides what is stored: the aligned ``SPECTRAL_CHUNK``
 chunks that hold instants 0..``HORIZON``, for every seed, drawn once per
 schedule and kept packed, a bit per candidate pair.  Every reader goes
@@ -89,6 +95,13 @@ HORIZON = 1000
 # The end of the aligned SPECTRAL_CHUNK chunks that hold instants 0..HORIZON:
 # a seeded_random schedule keeps the edge masks it draws below it.
 _STORED_STOP = (HORIZON // SPECTRAL_CHUNK + 1) * SPECTRAL_CHUNK
+
+# Aligned instants whose PCG64 seeding words are hashed in one call from
+# _STORED_STOP on: the hash costs about 64 us for 64 keys and 139 us for 1024,
+# so a 64-instant chunk that hashed its own keys paid mostly its fixed cost.
+# A multiple of SPECTRAL_CHUNK and a divisor of 2**32, so no chunk straddles a
+# block and no block straddles 2**32.
+_WORD_BLOCK = 1024
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
@@ -307,6 +320,9 @@ class GraphSchedule:
     # _masks's store: a seeded_random schedule's drawn chunks of instants
     # 0.._STORED_STOP - 1, packed with np.packbits, by their first instant.
     _mask_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # _draw's store: the (_WORD_BLOCK, 4) seeding words of the last block of
+    # instants from _STORED_STOP on that it drew, by the block's first instant.
+    _word_block: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (_is_int(self.agent_count) and self.agent_count >= 1):
@@ -342,9 +358,9 @@ class GraphSchedule:
         return cls(m, "seeded_random", None, edge_probability, seed)
 
     def __getstate__(self):
-        # Pickles and deep copies leave both stores behind (a chunk stack is
+        # Pickles and deep copies leave the stores behind (a chunk stack is
         # O(SPECTRAL_CHUNK m^2)); the copy draws and rebuilds what it reads.
-        return {**self.__dict__, "_matrices": {}, "_mask_chunks": {}}
+        return {**self.__dict__, "_matrices": {}, "_mask_chunks": {}, "_word_block": {}}
 
     @property
     def period(self) -> int | None:
@@ -422,8 +438,14 @@ class GraphSchedule:
         does the 128-bit seeding).  This rests on numpy keeping SeedSequence's
         hash fixed, as its stream policy for bit generators (NEP 19) does;
         the tests compare batches with ``default_rng``, so a change would
-        show there.  A single row is drawn through ``default_rng`` (for one
-        key that costs less than the batched hash), and so is every key at or
+        show there.  A batch that starts below ``_STORED_STOP`` hashes its own
+        keys, once per stored chunk; one from ``_STORED_STOP`` on takes its
+        words from blocks of ``_WORD_BLOCK`` aligned instants, each hashed in
+        one call, and the schedule keeps the last block (32 KB), so a caller
+        that walks the instants in order, as multiple consensus does, hashes
+        each key once and pays the hash's fixed cost once per block, not per
+        chunk.  A single row is drawn through ``default_rng`` (for one key
+        that costs less than the batched hash), and so is every key at or
         above 2**32, so a batch that straddles 2**32 splits there; the key is
         the uint32 pair when seed and k fit one word each, which SeedSequence
         reads as the tuple, else the tuple.
@@ -432,8 +454,7 @@ class GraphSchedule:
         seed_fits = self.seed < 1 << 32
         batched = min(count, max(0, (1 << 32) - start)) if seed_fits and count > 1 else 0
         if batched:
-            ks = np.arange(start, start + batched, dtype=np.int64).astype(np.uint32)
-            seeds = _SeedWords(_pcg64_states(self.seed, ks))
+            seeds = _SeedWords(self._seeding_words(start, batched))
             for row in u[:batched]:
                 np.random.Generator(np.random.PCG64(seeds)).random(out=row)
         for k, row in zip(range(start + batched, start + count), u[batched:]):
@@ -442,6 +463,23 @@ class GraphSchedule:
                 key = np.array(key, dtype=np.uint32)
             np.random.default_rng(key).random(out=row)
         return u < self.edge_probability
+
+    def _seeding_words(self, start: int, count: int) -> np.ndarray:
+        """``_pcg64_states`` of the uint32 keys start, ..., start+count-1, as
+        ``_draw`` says: hashed here below ``_STORED_STOP``, else read from the
+        kept ``_WORD_BLOCK`` blocks, which replace one another."""
+        if start < _STORED_STOP:
+            ks = np.arange(start, start + count, dtype=np.int64).astype(np.uint32)
+            return _pcg64_states(self.seed, ks)
+        stop, rows = start + count, []
+        for first in range(start - start % _WORD_BLOCK, stop, _WORD_BLOCK):
+            block = self._word_block.get(first)
+            if block is None:
+                self._word_block.clear()
+                ks = np.arange(first, first + _WORD_BLOCK, dtype=np.int64).astype(np.uint32)
+                block = self._word_block[first] = _pcg64_states(self.seed, ks)
+            rows.append(block[max(start, first) - first:min(stop, first + _WORD_BLOCK) - first])
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
     def matrix(self, k: int) -> np.ndarray:
         """The read-only Metropolis matrix W^k of instant k.
@@ -494,12 +532,20 @@ class SpectralReport:
 
 
 def _check_doubly_stochastic(W: np.ndarray, tol: float):
-    """Raise unless W, or every matrix of a ``(..., m, m)`` stack, is doubly stochastic."""
+    """Raise unless W, or every matrix of a ``(..., m, m)`` stack, is doubly stochastic.
+
+    Row sums are one matrix-vector product over the stack's rows and column
+    sums one batched ``ones @ W``; two strided ``sum`` reductions over a
+    (64, 20, 20) stack cost about three times as much.  A NaN entry makes its
+    sums NaN, which the maximum keeps and ``dev <= tol`` rejects.
+    """
     if W.ndim < 2 or W.shape[-1] != W.shape[-2]:
         raise ValueError("mixing matrix must be square")
-    sums = np.concatenate((W.sum(axis=-2), W.sum(axis=-1)), axis=-1)
+    m = W.shape[-1]
+    ones = np.ones(m)
+    sums = np.concatenate((W.reshape(-1, m) @ ones, (ones @ W).reshape(-1)))
     dev = np.abs(sums - 1.0).max()
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"matrix is not doubly stochastic (max row/col sum deviation {dev:.3e})")
 
 

@@ -14,7 +14,9 @@ its agent, and per-agent sums over rows are ``np.add.reduceat`` at the group
 starts.  Constructing an instance checks these stacks, every entry finite
 and every logistic label -1 or +1 (ValueError before any arithmetic on
 them), and solves its optimum ``x_star`` / ``F_star``; a quadratic whose mean
-Hessian is singular has no unique minimizer and is a ValueError.
+Hessian is singular to working precision (smallest eigenvalue not above n eps
+times the largest magnitude, so a rank-deficient one that rounding leaves
+invertible too) has no unique minimizer and is a ValueError.
 ``quadratic_problem`` and ``logistic_problem`` build an instance from stacks
 and derive its L and mu, and ``quadratic_problem`` rejects an agent that is
 not convex (an A_i with a negative eigenvalue); the seeded generators draw
@@ -31,6 +33,7 @@ import numpy as np
 OPTIMUM_TOL_LOGISTIC = 1e-10
 OPTIMUM_MAX_ITERS = 1_000_000
 OPTIMUM_RESIDUAL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_sizes(m: int, n: int):
@@ -195,15 +198,21 @@ def inexact_value(problem: ProblemInstance, ybar: np.ndarray, y: np.ndarray, *,
 def solve_optimum(problem: ProblemInstance):
     """High-precision minimizer ``(x_star, F_star)`` of F, with mean-gradient norm
     at most 1e-10: direct solve for quadratic sums (ValueError when the mean
-    Hessian is singular), accelerated gradient descent for logistic
-    (RuntimeError when it fails to reach ``OPTIMUM_TOL_LOGISTIC``, ValueError
-    when ridge-free data turn out separable, see ``_agd_minimize``)."""
+    Hessian is singular to working precision, its smallest eigenvalue not
+    above ``n eps`` times its largest magnitude), accelerated gradient descent
+    for logistic (RuntimeError when it fails to reach
+    ``OPTIMUM_TOL_LOGISTIC``, ValueError when ridge-free data turn out
+    separable, see ``_agd_minimize``)."""
     if problem.kind == "quadratic":
-        try:
-            x_star = np.linalg.solve(problem._Abar, -problem._bbar)
-        except np.linalg.LinAlgError:
+        # numpy's matrix_rank tolerance, n eps times the largest magnitude: a
+        # rank-deficient Hessian that rounding leaves with a nonzero LU pivot
+        # is caught, as is one with no positive eigenvalue (F unbounded below).
+        eigs = np.linalg.eigvalsh(problem._Abar)
+        lo, hi = eigs[0], eigs[-1]  # ascending
+        if not lo > problem.n * _EPS * max(-lo, hi):
             raise ValueError("the mean Hessian (1/m) sum_i A_i is singular, so F has no "
-                             "unique minimizer") from None
+                             "unique minimizer")
+        x_star = np.linalg.solve(problem._Abar, -problem._bbar)
     else:
         x_star = _agd_minimize(problem)
     resid = float(np.linalg.norm(problem.mean_gradient(x_star)))

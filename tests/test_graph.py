@@ -106,6 +106,53 @@ def test_sigma_rejects_non_doubly_stochastic():
         sigma(np.array([[0.9, 0.0], [0.0, 0.9]]))
 
 
+@pytest.mark.parametrize("rows", [False, True])
+def test_sigma_rejects_a_stack_with_one_matrix_off_in_one_kind_of_sum(rows):
+    # Matrix b, neither the first nor the highest-norm one, gets only its
+    # column sums (rows=False) or only its row sums (rows=True) off by 1e-8:
+    # +d, -d in one row keeps that row's sum and moves two column sums; in
+    # one column, the reverse.
+    sched = GraphSchedule.seeded_random(8, 0.3, 1)
+    Ws = np.array([sched.matrix(k) for k in range(10)])
+    norms = [sigma(W) for W in Ws]
+    b = 1 + int(np.argmin(norms[1:]))
+    assert b != int(np.argmax(norms))
+    i, j = (1, 0) if rows else (0, 1)
+    Ws[b, 0, 0] += 1e-8
+    Ws[b, i, j] -= 1e-8
+    ones = np.ones(8)
+    off, kept = (Ws[b] @ ones, ones @ Ws[b]) if rows else (ones @ Ws[b], Ws[b] @ ones)
+    assert np.abs(off - 1.0).max() > graph.DS_INPUT_TOL > np.abs(kept - 1.0).max()
+    for stack in (Ws, Ws.reshape(2, 5, 8, 8)):
+        with pytest.raises(ValueError, match="not doubly stochastic"):
+            sigma(stack)
+    assert sigma(np.delete(Ws, b, axis=0)) == max(sigma(W) for W in np.delete(Ws, b, axis=0))
+
+
+def test_doubly_stochastic_check_keeps_its_tolerance():
+    W = metropolis_weights(ring_edges(6), 6)
+    graph._check_doubly_stochastic(W, graph.DS_BUILD_TOL)  # a built matrix is accepted
+    near = W.copy()
+    near[0, 0] += graph.DS_INPUT_TOL / 2
+    assert sigma(near) == pytest.approx(sigma(W), abs=1e-8)
+    assert sigma(np.array([W, near])) == pytest.approx(sigma(W), abs=1e-8)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (2, 3)])
+def test_sigma_rejects_a_nan_entry(entry):
+    # Unchecked, the deviation NaN > tol read False and numpy's SVD raised
+    # LinAlgError ("SVD did not converge"), for chebyshev_operator too.
+    W = metropolis_weights(ring_edges(6), 6)
+    W[entry] = W[entry[::-1]] = np.nan
+    stack = np.array([metropolis_weights(ring_edges(6), 6)] * 3)
+    stack[1] = W
+    for bad in (W, stack):
+        with pytest.raises(ValueError, match=r"not doubly stochastic \(.* deviation nan\)"):
+            sigma(bad)
+    with pytest.raises(ValueError, match="not doubly stochastic"):
+        chebyshev_operator(W)
+
+
 @given(st.integers(2, 10), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_consensus_contraction_single_step(m, seed):
@@ -1193,3 +1240,51 @@ def test_mask_store_keeps_the_chunks_of_any_seed_and_draws_each_instant_once(mon
         sched.matrix(k)
     assert sorted(keys) == list(range(stop))  # each instant below _STORED_STOP once
     assert sorted(sched._mask_chunks) == list(range(0, stop, C))
+
+
+# ------------------------------------------------- the seeding-word block
+
+@pytest.mark.parametrize("start,count", [(2040, 20), (graph._STORED_STOP - 3, 70),
+                                         (2 ** 32 - 1030, 1040)])
+def test_draw_past_the_store_is_the_default_rng_draw_across_blocks(start, count):
+    # The last batch spans two blocks and runs past 2**32, where the keys no
+    # longer fit one word and are drawn one by one.
+    sched = GraphSchedule.seeded_random(9, 0.4, 6)
+    rows = sched._draw(start, count)
+    for c, row in enumerate(rows):
+        expected = np.random.default_rng((6, start + c)).random(36) < 0.4
+        assert np.array_equal(row, expected), (start, c)
+    assert len(sched._word_block) <= 1
+    assert np.array_equal(sched._draw(start, count), rows)
+
+
+def test_seeding_words_are_hashed_once_per_block_walked_in_order(monkeypatch):
+    hashed, states = [], graph._pcg64_states
+    monkeypatch.setattr(graph, "_pcg64_states",
+                        lambda seed, ks: hashed.append(ks.tolist()) or states(seed, ks))
+    sched = GraphSchedule.seeded_random(9, 0.4, 5)
+    B, C, stop = graph._WORD_BLOCK, graph.SPECTRAL_CHUNK, graph._STORED_STOP
+    for first in range(stop, stop + 2 * B + C, C):  # as matrix(k) reads them
+        sched._masks(first, C)
+        (block,) = sched._word_block.values()
+        assert block.shape == (B, 4) and len(sched._word_block) == 1
+    assert hashed == [list(range(f, f + B)) for f in range(stop, stop + 3 * B, B)]
+    assert list(sched._word_block) == [stop + 2 * B]
+    del hashed[:]
+    sched._masks(stop + 2 * B + C, C)  # within the kept block: no hash
+    sched._masks(C, C)  # below the store's stop: the chunk hashes its own keys
+    assert hashed == [list(range(C, 2 * C))] and list(sched._word_block) == [stop + 2 * B]
+
+
+def test_word_block_is_not_part_of_schedule_identity_and_is_not_copied():
+    used = GraphSchedule.seeded_random(20, 0.1, 3)
+    used.matrix(graph._STORED_STOP + 5)
+    fresh = GraphSchedule.seeded_random(20, 0.1, 3)
+    assert used._word_block and not fresh._word_block
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and "_word_block" not in repr(used)
+    assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
+    for twin in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+        assert twin == used and not twin._word_block
+        assert twin.matrix(graph._STORED_STOP + 5).tobytes() == \
+            used.matrix(graph._STORED_STOP + 5).tobytes()

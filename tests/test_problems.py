@@ -366,6 +366,11 @@ def test_logistic_rejects_a_negative_ridge(rng, ridge):
         random_logistic_problem(3, 2, samples_per_agent=5, ridge=ridge)
 
 
+# A rank-2 Hessian that rounding leaves with nonzero LU pivots: a rotated
+# diag(1, 2, 0), whose range holds Q e_1 and Q e_2 and not Q e_3.
+_Q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+_RANK2 = (_Q * [1.0, 2.0, 0.0]) @ _Q.T
+
 # Stacks the instance rejects, as (kind, stacks, message).  Unchecked, a
 # non-symmetric A reports L and mu of its symmetric part while the gradient
 # oracle returns A x + b, and counts that miss rows give a value and a
@@ -418,6 +423,13 @@ MALFORMED_STACKS = {
     # Unchecked, numpy's LinAlgError: Singular matrix came out of solve_optimum.
     "singular_mean_hessian": ("quadratic", {"A": [[[1.0, 0.0], [0.0, 0.0]]], "b": [[0.0, 1.0]]},
                               "F has no unique minimizer"),
+    # Unchecked, b outside the range gave a RuntimeError on the optimum's
+    # residual, and b inside it one of infinitely many minimizers, silently.
+    "rank_deficient_mean_hessian_b_outside_range": (
+        "quadratic", {"A": [_RANK2], "b": [_Q[:, 2]]}, "F has no unique minimizer"),
+    "rank_deficient_mean_hessian_b_in_range": (
+        "quadratic", {"A": [_RANK2], "b": [_Q[:, 0] + 2.0 * _Q[:, 1]]},
+        "F has no unique minimizer"),
 }
 
 
