@@ -112,7 +112,9 @@ class ProblemInstance:
         """F at each row of X (P-by-n) -> (P,)."""
         if self.kind == "quadratic":
             return np.einsum("pj,pj->p", X, 0.5 * (X @ self._Abar) + self._bbar)
-        loss = np.logaddexp(0.0, -self.labels[:, None] * (self.data @ X.T))  # (N, P)
+        loss = self.data @ X.T  # (N, P): products, then margins and losses in place
+        np.multiply(-self.labels[:, None], loss, out=loss)
+        np.logaddexp(0.0, loss, out=loss)
         per_agent = np.add.reduceat(loss, self._starts) / self.counts[:, None]
         return (per_agent + 0.5 * self.ridge[:, None] * (X * X).sum(axis=1)).mean(axis=0)
 

@@ -2,11 +2,17 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from agtrack import (AlgorithmConfig, algorithms, default_alpha, random_logistic_problem,
+import agtrack
+from agtrack import (AlgorithmConfig, algorithms, cli, default_alpha, random_logistic_problem,
                      random_quadratic_problem, sigma)
 from agtrack.algorithms import CSV_COLUMNS
 from agtrack.cli import (ALGORITHM_FIELDS, PROBLEM_FIELDS, ConfigError, build_algorithm,
@@ -887,6 +893,157 @@ def test_sweep_strict_flags_violations(tmp_path):
                  "--strict"]) == 4
     rows = read_summary(out)
     assert "T1_consensus:FAIL" in rows[1]["certificates"]
+
+
+def mixed_sweep_config():
+    """Sixteen cells: ok and diverged runs (alpha 0.1 and 5.0), a problem whose
+    build fails (L below mu) and a value the config check rejects."""
+    cfg = base_config(diagnostics="on")
+    cfg["problem"]["mu"] = 0.5
+    cfg["algorithm"] = {"variant": "gt", "max_iterations": 400}
+    cfg["sweep"] = {"algorithm.alpha": [0.1, 5.0], "problem.L": [1.0, 0.25],
+                    "problem.seed": [0, 1], "diagnostics": ["on", "maybe"]}
+    return cfg
+
+
+def sweep_outputs(run_dir):
+    """Every file a sweep wrote under ``run_dir/sweep``, as bytes by relative path."""
+    out = run_dir / "sweep"
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def sweep_in_process(run_dir, cfg_path, workers, monkeypatch, capsys):
+    """Exit code, stdout and output files of a sweep on ``workers`` threads."""
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)  # a relative --out, so stdout names the same path
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    code = main(["sweep", "--config", cfg_path, "--out", "sweep", "--deterministic"])
+    return code, capsys.readouterr().out, sweep_outputs(run_dir)
+
+
+SWEEP_ON_WORKERS = """
+import sys
+from agtrack import cli
+cli._usable_cpus = lambda: int(sys.argv[1])
+sys.exit(cli.main(["sweep", "--config", sys.argv[2], "--out", "sweep", "--deterministic"]))
+"""
+
+
+def sweep_in_subprocess(run_dir, cfg_path, workers):
+    """As ``sweep_in_process``, in a fresh interpreter without OPENBLAS_NUM_THREADS,
+    so BLAS may run its own threads beside the sweep's."""
+    run_dir.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(agtrack.__file__).parent.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SWEEP_ON_WORKERS, str(workers), cfg_path],
+                          cwd=run_dir, env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, sweep_outputs(run_dir)
+
+
+def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, mixed_sweep_config())
+    serial = sweep_in_process(tmp_path / "one", cfg_path, 1, monkeypatch, capsys)
+    code, stdout, files = serial
+    assert code == 3
+    assert stdout == "sweep complete: 16 cells -> sweep/summary.csv\n"
+    statuses = [r["status"] for r in read_summary(tmp_path / "one" / "sweep")]
+    assert statuses.count("ok") == 2 and statuses.count("diverged") == 2
+    assert statuses.count("config error: diagnostics: expected 'on' or 'off', got 'maybe'") == 8
+    assert sum(s.startswith("config error: problem: need L > 0") for s in statuses) == 4
+    assert sum(name.endswith("/trace.csv") for name in files) == 2
+    assert sum(name.endswith("/certificates.json") for name in files) == 2
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more workers than CPUs, switching often inside each cell
+    try:
+        assert sweep_in_process(tmp_path / "many", cfg_path, 8, monkeypatch, capsys) == serial
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_sweep_outputs_do_not_depend_on_the_worker_count_beside_blas_threads(tmp_path):
+    cfg_path = write_config(tmp_path, mixed_sweep_config())
+    serial = sweep_in_subprocess(tmp_path / "one", cfg_path, 1)
+    assert serial[:2] == (3, "sweep complete: 16 cells -> sweep/summary.csv\n")
+    assert sweep_in_subprocess(tmp_path / "many", cfg_path, 4) == serial
+
+
+def test_sweep_builds_each_problem_once_when_its_cells_run_on_different_workers(
+        tmp_path, monkeypatch):
+    built, threads = [], {}
+    all_running = threading.Barrier(4, timeout=10)
+    execute = cli._execute
+
+    def counted_build(spec):
+        built.append(spec["seed"])
+        return build_problem(spec)
+
+    def execute_with_the_others(config, problem, out_dir, deterministic):
+        threads[out_dir.name] = threading.get_ident()
+        all_running.wait()  # all four cells run at once, so each on its own worker
+        return execute(config, problem, out_dir, deterministic)
+
+    monkeypatch.setattr(cli, "build_problem", counted_build)
+    monkeypatch.setattr(cli, "_execute", execute_with_the_others)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, sweep_config()), "--out", str(out),
+                 "--deterministic"]) == 0
+    assert sorted(built) == [0, 1]  # problem.seed 0 and 1, two cells each
+    assert len(set(threads.values())) == 4
+    assert [r["status"] for r in read_summary(out)] == ["ok"] * 4
+
+
+def test_sweep_gives_a_failed_problem_build_to_each_of_its_cells(tmp_path, monkeypatch):
+    built = []
+
+    def counted_build(spec):
+        built.append(spec["L"])
+        return build_problem(spec)
+
+    cfg = sweep_config()
+    cfg["problem"]["mu"] = 0.5
+    cfg["sweep"] = {"problem.L": [0.25, 1.0], "algorithm.alpha": [0.05, 0.1, 0.2]}
+    monkeypatch.setattr(cli, "build_problem", counted_build)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--deterministic"]) == 2
+    assert sorted(built) == [0.25, 1.0]
+    rows = read_summary(out)
+    failed = [r["status"] for r in rows if r["problem.L"] == "0.25"]
+    assert len(failed) == 3 and len(set(failed)) == 1
+    assert failed[0].startswith("config error: problem: need L > 0 and 0 <= mu <= L")
+    assert all(r["status"] == "ok" for r in rows if r["problem.L"] == "1.0")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_propagates_an_unexpected_cell_error_and_cancels_the_cells_not_started(
+        tmp_path, monkeypatch, workers):
+    started = []
+    execute = cli._execute
+
+    def fail_cell_1(config, problem, out_dir, deterministic):
+        index = int(out_dir.name.removeprefix("cell_"))
+        started.append(index)
+        if index == 1:
+            raise RuntimeError("cell 1 failed")
+        if index > 1:
+            time.sleep(0.5)  # hold the workers while the sweep shuts down
+        return execute(config, problem, out_dir, deterministic)
+
+    cfg = sweep_config()
+    cfg["sweep"] = {"algorithm.alpha": [0.05, 0.06, 0.07, 0.08, 0.09, 0.1, 0.11, 0.12]}
+    monkeypatch.setattr(cli, "_execute", fail_cell_1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    out = tmp_path / "sweep"
+    with pytest.raises(RuntimeError, match="cell 1 failed"):
+        main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    # Cells 0 and 1, and at most one more per worker, picked up before the rest
+    # were cancelled; no summary is written.
+    assert {0, 1} <= set(started) <= set(range(2 + workers))
+    assert not (out / "summary.csv").exists()
 
 
 # ------------------------------------------------------------ parser
