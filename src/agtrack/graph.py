@@ -23,7 +23,8 @@ parsing the pairs again.  Any other edge list given to ``metropolis_weights``
 is validated in full.  A build is one vectorized pass, and one kernel builds a
 whole stack of instants as readily as one.  Every built stack, and every
 matrix ``sigma`` takes, is checked for double stochasticity with row and
-column sums as matrix-vector products; a NaN entry fails the check.
+column sums as matrix-vector products; a NaN entry fails the check, and an
+empty stack or a 0 x 0 matrix is rejected.
 
 ``GraphSchedule.matrix(k)`` is the one way the methods get W^k.  A periodic
 schedule builds each of its period matrices once; a seeded_random schedule
@@ -45,16 +46,17 @@ instants 0..horizon (default ``HORIZON``).
 A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
 never depends on evaluation order.  One method holds each rule of that path.
 ``GraphSchedule._draw`` is the only code that draws an instant, bit for bit
-as ``np.random.default_rng`` would: a batch of keys that fit one uint32 word
-each is hashed at once in uint32 array arithmetic, as numpy's
-``SeedSequence`` would, and each instant's four seeding words go to a fresh
-``PCG64`` through numpy's public seed-sequence interface (``ISeedSequence``),
-so numpy's own C code does the 128-bit seeding; a single instant, or a key
-from 2**32 on, goes through ``default_rng`` itself.  Below ``_STORED_STOP``
-each stored chunk hashes its own keys; from it on the words are hashed
-``_WORD_BLOCK`` (1024) aligned instants at a time and the schedule keeps the
-last block, so multiple consensus, which walks far past the store, pays the
-hash's fixed cost once per block, not once per chunk.  ``GraphSchedule._masks``
+as ``np.random.default_rng`` would.  It draws every key whose seed and k fit
+one uint32 word each in one batch, whatever the count: each instant's four
+seeding words go to a fresh ``PCG64`` through numpy's public seed-sequence
+interface (``ISeedSequence``), so numpy's own C code does the 128-bit
+seeding; any other key goes through ``default_rng((seed, k))``.
+``GraphSchedule._seeding_words`` takes every key's words from its aligned
+``_WORD_BLOCK`` (1024) block, counted from instant 0, hashed in one call in
+uint32 array arithmetic as numpy's ``SeedSequence`` would; the schedule keeps
+the last block, so the mask store's chunks (block 0) share one hash, and
+multiple consensus, which walks far past the store, pays the hash's fixed
+cost once per block, not once per chunk.  ``GraphSchedule._masks``
 is the only code that decides what is stored: the aligned ``SPECTRAL_CHUNK``
 chunks that hold instants 0..``HORIZON``, for every seed, drawn once per
 schedule and kept packed, a bit per candidate pair.  Every reader goes
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -96,11 +98,12 @@ HORIZON = 1000
 # a seeded_random schedule keeps the edge masks it draws below it.
 _STORED_STOP = (HORIZON // SPECTRAL_CHUNK + 1) * SPECTRAL_CHUNK
 
-# Aligned instants whose PCG64 seeding words are hashed in one call from
-# _STORED_STOP on: the hash costs about 64 us for 64 keys and 139 us for 1024,
-# so a 64-instant chunk that hashed its own keys paid mostly its fixed cost.
-# A multiple of SPECTRAL_CHUNK and a divisor of 2**32, so no chunk straddles a
-# block and no block straddles 2**32.
+# Aligned instants, counted from instant 0, whose PCG64 seeding words are
+# hashed in one call: the hash costs about 120 us for 64 keys and 155 us for
+# 1024 (2-vCPU VM, numpy 2.4), so a 64-instant chunk that hashed its own keys
+# would pay mostly the fixed cost.  A multiple of SPECTRAL_CHUNK and a divisor
+# of 2**32, so no chunk straddles a block and no block straddles 2**32; the
+# mask store's instants 0.._STORED_STOP - 1 are block 0.
 _WORD_BLOCK = 1024
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
@@ -206,9 +209,11 @@ def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 # GraphSchedule._draw).  SeedSequence (O'Neill's seed_seq_fe, NEP 19) hashes a
 # key into a pool of four uint32 words, and each hash call xors a running
 # constant into its word, steps the constant and multiplies by it.  A two-word
-# key takes 16 calls (_XOR_A / _MUL_A, one row each); generate_state(4, uint64)
-# takes 8 more, two passes over the pool (_XOR_B / _MUL_B, shaped (2, 4, 1)).
-# PCG64 (O'Neill, HMC-CS-2014-0905) seeds itself from those four words.
+# key takes 16 calls (_XOR_A / _MUL_A, one row each, in call order);
+# generate_state(4, uint64) takes 8 more, two passes over the pool (_XOR_B /
+# _MUL_B, shaped (2, 4, 1)).  PCG64 (O'Neill, HMC-CS-2014-0905) seeds itself
+# from those four words.  The constants stay (1,)-shaped arrays: uint32
+# arithmetic on arrays wraps silently, on two numpy scalars it warns.
 def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
     """The constant each of ``calls`` hash calls xors with and the one it
     multiplies by, as ``(calls, 1)`` uint32 columns."""
@@ -234,42 +239,25 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> _XSHIFT)
 
 
-@lru_cache(maxsize=8)
-def _seed_words(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pool words of the key [seed, k] that do not depend on k.
-
-    Words 0, 2 and 3 after the first mixing round (word 0 into the others),
-    as a ``(3, 1)`` column, and the hash that round mixes into word 1.
-    """
-    words = _hashmix(np.array([[seed], [0], [0]], dtype=np.uint32),
-                     _XOR_A[[0, 2, 3]], _MUL_A[[0, 2, 3]])
-    into = _hashmix(words[0], _XOR_A[4:7], _MUL_A[4:7])
-    words[1:] = _mix(words[1:], into[1:])
-    for a in (words, into):
-        a.setflags(write=False)  # cached: every caller shares them
-    return words, into[0]
-
-
 def _pcg64_states(seed: int, ks: np.ndarray) -> np.ndarray:
     """The seeding words of ``np.random.default_rng([seed, k])``'s PCG64 for
     each k of the uint32 array ``ks``; seed is below 2**32.
 
     Row c is ``SeedSequence([seed, ks[c]]).generate_state(4, np.uint64)``,
     ``(initstate_hi, initstate_lo, initseq_hi, initseq_lo)``, and the result
-    is a C-contiguous ``(len(ks), 4)`` uint64 array.  The pool is hashed for
-    all keys at once, one array op per step of SeedSequence's fixed sequence.
+    is a C-contiguous ``(len(ks), 4)`` uint64 array.  The hash runs as numpy's
+    ``SeedSequence.mix_entropy`` does, each step on every key at once: the
+    pool words seed, k, 0, 0 hashed in order, then, for each source word in
+    order, every other word mixed with the source's hash.
     """
-    words, into = _seed_words(seed)
-    pool = np.empty((4, len(ks)), dtype=np.uint32)
-    pool[1] = _mix(_hashmix(ks, _XOR_A[1], _MUL_A[1]), into)
-    # The other mixing rounds, word src into the three others, with the calls
-    # 4 + 3 src, 5 + 3 src and 6 + 3 src.
-    pool[[0, 2, 3]] = _mix(words, _hashmix(pool[1], _XOR_A[7:10], _MUL_A[7:10]))
-    pool[[0, 1, 3]] = _mix(pool[[0, 1, 3]], _hashmix(pool[2], _XOR_A[10:13], _MUL_A[10:13]))
-    pool[:3] = _mix(pool[:3], _hashmix(pool[3], _XOR_A[13:], _MUL_A[13:]))
-    words32 = _hashmix(pool, _XOR_B, _MUL_B).reshape(8, -1).astype(np.uint64)
-    words64 = words32[0::2] | words32[1::2] << np.uint64(32)  # little-endian pairs
-    return np.ascontiguousarray(words64.T)
+    pool = np.zeros((4, len(ks)), dtype=np.uint32)
+    pool[0], pool[1] = seed, ks
+    pool = _hashmix(pool, _XOR_A[:4], _MUL_A[:4])
+    for (src, dst), xor, mult in zip(permutations(range(4), 2), _XOR_A[4:], _MUL_A[4:]):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor, mult))
+    # generate_state's uint64 words are its uint32 words read as little-endian pairs.
+    words32 = np.ascontiguousarray(_hashmix(pool, _XOR_B, _MUL_B).reshape(8, -1).T, dtype="<u4")
+    return words32.view("<u8").astype(np.uint64, copy=False)
 
 
 class _SeedWords(ISeedSequence):
@@ -320,8 +308,8 @@ class GraphSchedule:
     # _masks's store: a seeded_random schedule's drawn chunks of instants
     # 0.._STORED_STOP - 1, packed with np.packbits, by their first instant.
     _mask_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # _draw's store: the (_WORD_BLOCK, 4) seeding words of the last block of
-    # instants from _STORED_STOP on that it drew, by the block's first instant.
+    # _seeding_words's store: the (_WORD_BLOCK, 4) seeding words of the last
+    # block of instants it hashed, by the block's first instant.
     _word_block: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -430,47 +418,37 @@ class GraphSchedule:
 
         This is the one place that draws a seeded_random instant: row c holds
         a uniform per pair of ``_upper_pairs``, from numpy's stream for the
-        key (seed, start + c), and the pair is an edge when it is below p.  A
-        batch of keys that fit one uint32 word each is drawn without a
-        ``SeedSequence`` per instant: ``_pcg64_states`` hashes the keys into
-        their PCG64 seeding words at once, and each row gets a fresh
-        ``PCG64`` that ``_SeedWords`` hands its key's words (numpy's C code
-        does the 128-bit seeding).  This rests on numpy keeping SeedSequence's
-        hash fixed, as its stream policy for bit generators (NEP 19) does;
-        the tests compare batches with ``default_rng``, so a change would
-        show there.  A batch that starts below ``_STORED_STOP`` hashes its own
-        keys, once per stored chunk; one from ``_STORED_STOP`` on takes its
-        words from blocks of ``_WORD_BLOCK`` aligned instants, each hashed in
-        one call, and the schedule keeps the last block (32 KB), so a caller
-        that walks the instants in order, as multiple consensus does, hashes
-        each key once and pays the hash's fixed cost once per block, not per
-        chunk.  A single row is drawn through ``default_rng`` (for one key
-        that costs less than the batched hash), and so is every key at or
-        above 2**32, so a batch that straddles 2**32 splits there; the key is
-        the uint32 pair when seed and k fit one word each, which SeedSequence
-        reads as the tuple, else the tuple.
+        key (seed, start + c), and the pair is an edge when it is below p.
+        Every key whose seed and k fit one uint32 word each is drawn in one
+        batch, whatever the count, without a ``SeedSequence`` per instant:
+        ``_seeding_words`` gives the keys' PCG64 seeding words, and each row
+        gets a fresh ``PCG64`` that ``_SeedWords`` hands its key's words
+        (numpy's C code does the 128-bit seeding).  This rests on numpy
+        keeping SeedSequence's hash fixed, as its stream policy for bit
+        generators (NEP 19) does; the tests compare batches with
+        ``default_rng``, so a change would show there.  Any other key, a seed
+        or a k from 2**32 on, is drawn through ``default_rng((seed, k))``, so
+        a batch that straddles 2**32 splits there.
         """
         u = np.empty((count, len(_upper_pairs(self.agent_count)[0])))
-        seed_fits = self.seed < 1 << 32
-        batched = min(count, max(0, (1 << 32) - start)) if seed_fits and count > 1 else 0
+        batched = min(count, max(0, (1 << 32) - start)) if self.seed < 1 << 32 else 0
         if batched:
             seeds = _SeedWords(self._seeding_words(start, batched))
             for row in u[:batched]:
                 np.random.Generator(np.random.PCG64(seeds)).random(out=row)
         for k, row in zip(range(start + batched, start + count), u[batched:]):
-            key = (self.seed, k)
-            if seed_fits and k < 1 << 32:
-                key = np.array(key, dtype=np.uint32)
-            np.random.default_rng(key).random(out=row)
+            np.random.default_rng((self.seed, k)).random(out=row)
         return u < self.edge_probability
 
     def _seeding_words(self, start: int, count: int) -> np.ndarray:
-        """``_pcg64_states`` of the uint32 keys start, ..., start+count-1, as
-        ``_draw`` says: hashed here below ``_STORED_STOP``, else read from the
-        kept ``_WORD_BLOCK`` blocks, which replace one another."""
-        if start < _STORED_STOP:
-            ks = np.arange(start, start + count, dtype=np.int64).astype(np.uint32)
-            return _pcg64_states(self.seed, ks)
+        """``_pcg64_states`` of the uint32 keys start, ..., start+count-1.
+
+        Every key's words come from its aligned ``_WORD_BLOCK`` block, counted
+        from instant 0 and hashed in one call; the schedule keeps the last
+        block (32 KB), so a caller that walks the instants in order, as the
+        mask store's chunks and multiple consensus do, hashes each key once
+        and pays the hash's fixed cost once per block, not once per chunk.
+        """
         stop, rows = start + count, []
         for first in range(start - start % _WORD_BLOCK, stop, _WORD_BLOCK):
             block = self._word_block.get(first)
@@ -537,10 +515,14 @@ def _check_doubly_stochastic(W: np.ndarray, tol: float):
     Row sums are one matrix-vector product over the stack's rows and column
     sums one batched ``ones @ W``; two strided ``sum`` reductions over a
     (64, 20, 20) stack cost about three times as much.  A NaN entry makes its
-    sums NaN, which the maximum keeps and ``dev <= tol`` rejects.
+    sums NaN, which the maximum keeps and ``dev <= tol`` rejects.  An empty
+    stack or a 0 x 0 matrix has no sums to check and is rejected as empty.
     """
     if W.ndim < 2 or W.shape[-1] != W.shape[-2]:
         raise ValueError("mixing matrix must be square")
+    if W.size == 0:
+        raise ValueError(f"mixing matrix is empty (shape {W.shape}): a stack needs at least "
+                         "one matrix and a matrix at least one agent")
     m = W.shape[-1]
     ones = np.ones(m)
     sums = np.concatenate((W.reshape(-1, m) @ ones, (ones @ W).reshape(-1)))

@@ -661,25 +661,18 @@ def test_run_draws_each_seeded_random_instant_once(monkeypatch, variant):
     # each instant to the horizon; past it the loop draws each instant once.
     prob = random_quadratic_problem(20, 2, seed=1)
     sched = GraphSchedule.seeded_random(20, 0.1, 3)
-    keys = []
-    states, default_rng = graph._pcg64_states, np.random.default_rng
+    keys, draw = [], GraphSchedule._draw
 
-    def spy_states(seed, ks):
-        keys.extend((seed, k) for k in ks.tolist())
-        return states(seed, ks)
+    def spy_draw(self, start, count):  # _draw is the only code that draws
+        keys.extend(range(start, start + count))
+        return draw(self, start, count)
 
-    def spy_rng(key):
-        if np.size(key) == 2:  # an instant's (seed, k); the run seed is one int
-            keys.append(tuple(np.asarray(key).tolist()))
-        return default_rng(key)
-
-    monkeypatch.setattr(graph, "_pcg64_states", spy_states)
-    monkeypatch.setattr(graph.np.random, "default_rng", spy_rng)
+    monkeypatch.setattr(GraphSchedule, "_draw", spy_draw)
     # acc_gt_tv reads instant k at iteration k, multiple consensus one per round.
     K = 20 if variant == "acc_gt_multiconsensus" else 1100
     run(AlgorithmConfig(variant=variant, max_iterations=K), prob, sched, diagnostics=False)
     assert len(keys) == len(set(keys))
-    drawn = {k for _, k in keys}
+    drawn = set(keys)
     assert drawn >= set(range(graph.HORIZON + 1)) and max(drawn) >= graph._STORED_STOP
     C = graph.SPECTRAL_CHUNK
     assert len(sched._mask_chunks) <= math.ceil((graph.HORIZON + 1) / C)

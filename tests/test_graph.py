@@ -153,6 +153,17 @@ def test_sigma_rejects_a_nan_entry(entry):
         chebyshev_operator(W)
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0), (2, 0, 0)])
+def test_sigma_rejects_an_empty_stack_or_matrix(shape):
+    # Unchecked, numpy raised "zero-size array to reduction operation maximum
+    # which has no identity" or "cannot reshape array of size 0 into shape (0)".
+    empty = rf"mixing matrix is empty \(shape {re.escape(str(shape))}\)"
+    with pytest.raises(ValueError, match=empty):
+        sigma(np.empty(shape))
+    with pytest.raises(ValueError, match="mixing matrix must be square"):
+        sigma(np.empty(shape[:-1] + (1,)))
+
+
 @given(st.integers(2, 10), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_consensus_contraction_single_step(m, seed):
@@ -672,11 +683,9 @@ def test_uint32_draw_key_gives_the_tuple_key_stream(monkeypatch):
             expected = _tuple_key_draw(9, 0.4, seed, k)
             assert sched.edge_set(k) == expected
             keys.clear()
-            (row,) = sched._draw(k, 1)  # one row: drawn alone, through default_rng
+            (row,) = sched._draw(k, 1)  # one row is batched too: no default_rng
             assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == expected
-            (key,) = keys
-            assert isinstance(key, np.ndarray) and key.dtype == np.uint32
-            assert key.tolist() == [seed, k]
+            assert keys == []
     for seed, k in ((2 ** 32, 0), (0, 2 ** 32), (2 ** 40, 3), (5, 2 ** 40)):
         expected = _tuple_key_draw(9, 0.4, seed, k)
         sched = GraphSchedule.seeded_random(9, 0.4, seed)
@@ -756,6 +765,30 @@ def test_seeding_words_give_the_default_rng_stream_bit_for_bit(seed):
         assert row.tolist() == expected.tolist()
         u = np.random.Generator(np.random.PCG64(seeds)).random(50)
         assert u.tobytes() == np.random.default_rng((seed, k)).random(50).tobytes()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=70))
+@settings(max_examples=200, deadline=1000)
+def test_pcg64_states_are_seed_sequences_words_for_any_uint32_keys(seed, ks):
+    words = graph._pcg64_states(seed, np.array(ks, dtype=np.uint32))
+    assert words.shape == (len(ks), 4) and words.flags.c_contiguous
+    for k, row in zip(ks, words):
+        assert row.tolist() == np.random.SeedSequence([seed, k]).generate_state(
+            4, np.uint64).tolist()
+
+
+@given(st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64)),
+       st.sampled_from([graph._STORED_STOP, 3 * graph._WORD_BLOCK, 2 ** 32 - graph._WORD_BLOCK,
+                        2 ** 32]),
+       st.integers(1, 70), st.integers(1, 70), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=1000)
+def test_draw_is_the_default_rng_draw_across_any_edge(seed, edge, before, after, p):
+    # The range starts before a block edge, the store's stop or 2**32 and ends after it.
+    sched = GraphSchedule.seeded_random(6, p, seed)
+    rows = sched._draw(edge - before, before + after)
+    assert rows.shape == (before + after, 15)
+    for k, row in enumerate(rows, edge - before):
+        assert np.array_equal(row, np.random.default_rng((seed, k)).random(15) < p), k
 
 
 @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (8, np.uint64),
@@ -1185,11 +1218,18 @@ def test_edge_set_read_from_the_store_is_the_fresh_draw(monkeypatch, k):
     assert sched.matrix(k).tobytes() == metropolis_weights(expected, 20).tobytes()
 
 
+def _spy_draws(monkeypatch) -> list:
+    """The instants ``GraphSchedule._draw``, the only code that draws, is
+    asked for from now on, in call order."""
+    drawn, draw = [], GraphSchedule._draw
+    monkeypatch.setattr(GraphSchedule, "_draw", lambda self, start, count: drawn.extend(
+        range(start, start + count)) or draw(self, start, count))
+    return drawn
+
+
 def test_mask_store_is_read_whatever_range_asks(monkeypatch):
     sched = GraphSchedule.seeded_random(9, 0.4, 5)
-    keys, states = [], graph._pcg64_states
-    monkeypatch.setattr(graph, "_pcg64_states",
-                        lambda seed, ks: keys.extend(ks.tolist()) or states(seed, ks))
+    keys = _spy_draws(monkeypatch)
     C = graph.SPECTRAL_CHUNK
     for start, count in ((5, 3), (C - 2, 5), (0, 2 * C + 1), (graph.HORIZON - 4, 30)):
         masks = sched._masks(start, count)
@@ -1221,12 +1261,7 @@ def test_mask_store_keeps_the_chunks_of_any_seed_and_draws_each_instant_once(mon
     # instants are drawn key by key with the tuple key, stores its chunks too.
     C, stop = graph.SPECTRAL_CHUNK, graph._STORED_STOP
     expected = {k: _tuple_key_draw(9, 0.4, seed, k) for k in (0, C - 1, 70, stop - 1)}
-    keys = []
-    states, default_rng = graph._pcg64_states, np.random.default_rng
-    monkeypatch.setattr(graph, "_pcg64_states",
-                        lambda s, ks: keys.extend(ks.tolist()) or states(s, ks))
-    monkeypatch.setattr(graph.np.random, "default_rng",
-                        lambda key: keys.append(int(np.asarray(key)[1])) or default_rng(key))
+    keys = _spy_draws(monkeypatch)
     sched = GraphSchedule.seeded_random(9, 0.4, seed)
     assert sched.edge_set(70) == expected[70]  # its first read stores its chunk
     assert sorted(keys) == list(range(C, 2 * C)) and list(sched._mask_chunks) == [C]
@@ -1272,8 +1307,10 @@ def test_seeding_words_are_hashed_once_per_block_walked_in_order(monkeypatch):
     assert list(sched._word_block) == [stop + 2 * B]
     del hashed[:]
     sched._masks(stop + 2 * B + C, C)  # within the kept block: no hash
-    sched._masks(C, C)  # below the store's stop: the chunk hashes its own keys
-    assert hashed == [list(range(C, 2 * C))] and list(sched._word_block) == [stop + 2 * B]
+    assert hashed == []
+    for first in range(0, stop, C):  # the mask store's chunks are block 0: one hash
+        sched._masks(first, C)
+    assert stop <= B and hashed == [list(range(B))] and list(sched._word_block) == [0]
 
 
 def test_word_block_is_not_part_of_schedule_identity_and_is_not_copied():
