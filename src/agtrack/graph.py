@@ -21,10 +21,11 @@ value that carries its endpoints as arrays; every schedule instant is one, and
 ``metropolis_weights`` and ``gamma_connectivity`` take its arrays without
 parsing the pairs again.  Any other edge list given to ``metropolis_weights``
 is validated in full.  A build is one vectorized pass, and one kernel builds a
-whole stack of instants as readily as one.  Every built stack, and every
-matrix ``sigma`` takes, is checked for double stochasticity with row and
-column sums as matrix-vector products; a NaN entry fails the check, and an
-empty stack or a 0 x 0 matrix is rejected.
+whole stack of instants as readily as one: ``metropolis_weights`` takes one
+edge set, or a list or tuple of ``EdgeSet``s whose stack it builds at once.
+Every built stack, and every matrix ``sigma`` takes, is checked for double
+stochasticity with row and column sums as matrix-vector products; a NaN entry
+fails the check, and an empty stack or a 0 x 0 matrix is rejected.
 
 ``GraphSchedule.matrix(k)`` is the one way the methods get W^k.  A periodic
 schedule builds each of its period matrices once; a seeded_random schedule
@@ -532,7 +533,8 @@ def _check_doubly_stochastic(W: np.ndarray, tol: float):
 
 
 def metropolis_weights(edge_set, m: int) -> np.ndarray:
-    """Build the Metropolis mixing matrix for one edge set.
+    """Build the Metropolis mixing matrix for one edge set, or the stack of
+    matrices for a list of them.
 
     Off-diagonal weights are ``1 / (1 + max(d_i, d_j))`` for neighbors and the
     diagonal absorbs the remainder, which yields a symmetric doubly stochastic
@@ -541,11 +543,26 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
     validated like a schedule's (integer endpoints in ``[0, m)``, no
     self-loops), and duplicates and orientation do not matter.  An m that
     is not an integer (bools included) is a ValueError.
+
+    A list or tuple (not itself an ``EdgeSet``) whose items include an
+    ``EdgeSet`` is a list of edge sets: every item must then be one, each is
+    checked against m as a lone one would be, and the result is their
+    ``(count, m, m)`` stack from one Metropolis pass, each matrix bitwise its
+    own build.  Any other list is one edge list of pairs, so ``[]`` and
+    ``()`` still give the m x m identity.
     """
     if not _is_int(m):
         raise ValueError(f"m must be an integer, got {m!r}")
     if m <= 0:
         raise ValueError("m must be positive")
+    if type(edge_set) in (list, tuple) and any(isinstance(e, EdgeSet) for e in edge_set):
+        if not all(isinstance(e, EdgeSet) for e in edge_set):
+            raise ValueError("a list of edge sets holds EdgeSets only, not (i, j) pairs")
+        sets = [_canonical_edges(e, m) for e in edge_set]
+        b = np.repeat(np.arange(len(sets)), [len(e) for e in sets])
+        i = np.concatenate([e.i for e in sets])
+        j = np.concatenate([e.j for e in sets])
+        return _metropolis_stack(len(sets), m, b, i, j)
     edges = _canonical_edges(edge_set, m)
     return _metropolis_stack(1, m, 0, edges.i, edges.j)[0]
 
@@ -760,21 +777,25 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     the one before (``_window_stacks``), so each W^k is built once per call
     and memory is O((SPECTRAL_CHUNK + gamma) m^2), not O(horizon m^2).
 
-    W^k is built here as ``metropolis_weights(edge_set(r), m)``, bitwise
-    ``schedule.matrix(r)``: the benchmark's traced run (``agbench``) records
-    calls to ``edge_set`` and this module's ``metropolis_weights``, and on a
-    seeded_random schedule this is their only caller.  After ``resolve_gamma``
-    (whose gamma_connectivity calls draw and store the chunks of instants
-    0..``HORIZON``), each ``edge_set`` reads its instant from that store;
-    called on its own, the first read of a chunk below ``_STORED_STOP`` draws
-    and stores it, and an instant past it is drawn alone.
+    Each chunk's new instants are built in one stacked call,
+    ``metropolis_weights([edge_set(r), ...], m)``: one Metropolis pass, and
+    every W^r in it is bitwise ``schedule.matrix(r)``.  The chunk is not
+    taken from ``matrix``'s stacks (ROADMAP item 1b) because the benchmark's
+    traced run (``agbench``) records calls to ``edge_set`` and this module's
+    ``metropolis_weights``, fails a workload whose listed name records none,
+    and on a seeded_random schedule this is their only caller.  After
+    ``resolve_gamma`` (whose gamma_connectivity calls draw and store the
+    chunks of instants 0..``HORIZON``), each ``edge_set`` reads its instant
+    from that store; called on its own, the first read of a chunk below
+    ``_STORED_STOP`` draws and stores it, and an instant past it is drawn
+    alone.
     """
     ends, is_estimate = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count
 
     def fill(rows, first):
-        for row, r in zip(rows, range(first, first + len(rows))):
-            row[:] = metropolis_weights(schedule.edge_set(r), m)
+        edge_sets = [schedule.edge_set(r) for r in range(first, first + len(rows))]
+        rows[:] = metropolis_weights(edge_sets, m)
 
     sig_g = 0.0
     for Ws in _window_stacks(ends, gamma, fill, lambda rows: np.empty((rows, m, m))):

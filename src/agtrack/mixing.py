@@ -66,17 +66,24 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
 
     ``sigma``, if given, is ``graph.sigma(W)`` already taken (the run passes
     the value ``resolve_constants`` computed, so W is decomposed once per
-    run); otherwise it is computed here.  ValueError when W's support graph
-    (its nonzero off-diagonal entries) is disconnected, tested before any
-    decomposition: sigma alone cannot tell, since it rounds to 1 or just below
-    1 there, and the operator would take some 10^7 rounds per call.  A t
-    that is not an integer of at least 1 is a ValueError, never truncated.
+    run); otherwise it is computed here.  W is one nonempty square matrix;
+    any other shape is a ValueError, raised before the symmetry test.
+    ValueError when W's support graph (its nonzero off-diagonal entries) is
+    disconnected, tested before any decomposition: sigma alone cannot tell,
+    since it rounds to 1 or just below 1 there, and the operator would take
+    some 10^7 rounds per call.  A t that is not an integer of at least 1 is a
+    ValueError, never truncated.
     When sigma <= ``SIGMA_BYPASS_TOL`` the operator is plain gossip with W,
     t rounds of it (one when t is None).
     """
     if t is not None and not (_is_int(t) and t >= 1):
         raise ValueError(f"t must be an integer at least 1, got {t!r}")
     M = np.asarray(W, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"mixing matrix must be square, one (m, m) matrix, got shape {M.shape}")
+    if M.size == 0:
+        raise ValueError(f"mixing matrix is empty (shape {M.shape}): a matrix needs at least "
+                         "one agent")
     asym = np.abs(M - M.T).max()
     if asym > SYMMETRY_TOL:
         raise ValueError(f"Chebyshev acceleration needs a symmetric matrix (asymmetry {asym:.3e})")

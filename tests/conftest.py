@@ -39,15 +39,18 @@ def rng():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count Metropolis matrix builds made through graph.metropolis_weights:
-    a periodic schedule's GraphSchedule.matrix and sigma_gamma's windows.  A
-    seeded_random schedule's matrix(k) builds whole chunk stacks without it."""
+    """Count Metropolis matrices built through graph.metropolis_weights: a
+    periodic schedule's GraphSchedule.matrix and sigma_gamma's windows.  A
+    call counts each matrix it returns, one for a single matrix and one per
+    matrix of a stack.  A seeded_random schedule's matrix(k) builds whole
+    chunk stacks without it."""
     count = [0]
     original = graph.metropolis_weights
 
     def counting(edge_set, m):
-        count[0] += 1
-        return original(edge_set, m)
+        out = original(edge_set, m)
+        count[0] += 1 if out.ndim == 2 else len(out)
+        return out
 
     monkeypatch.setattr(graph, "metropolis_weights", counting)
     return count

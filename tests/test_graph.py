@@ -80,6 +80,50 @@ def test_metropolis_invariants_random_graphs(m, seed):
     np.testing.assert_allclose(W.sum(axis=0), 1.0, atol=1e-12)
 
 
+def random_edge_sets(m, count, seed):
+    """count EdgeSets over m agents, each empty, sparse or dense at random."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(m, 1)
+    lists = []
+    for p in rng.choice([0.0, 0.1, 0.5], size=count):
+        keep = rng.random(len(iu)) < p
+        lists.append(list(zip(iu[keep].tolist(), ju[keep].tolist())))
+    return GraphSchedule.cyclic(m, lists).edge_sets
+
+
+# 40 examples of up to 70 edge sets of 30 agents take about 0.2 s in all.
+@given(st.integers(1, 30), st.integers(1, 70), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=1000)
+def test_metropolis_stack_is_bitwise_the_single_builds(m, count, seed):
+    sets = random_edge_sets(m, count, seed)
+    want = np.stack([metropolis_weights(e, m) for e in sets])
+    for form in (list(sets), tuple(sets)):
+        got = metropolis_weights(form, m)
+        assert got.shape == (count, m, m) and got.tobytes() == want.tobytes()
+
+
+def test_metropolis_empty_list_and_lone_edge_set_keep_their_meaning():
+    for empty in ([], ()):
+        assert metropolis_weights(empty, 4).tobytes() == np.eye(4).tobytes()
+    lone = GraphSchedule.static(4, path_edges(4)).edge_set(0)
+    W = metropolis_weights(lone, 4)
+    assert W.shape == (4, 4)
+    assert W.tobytes() == metropolis_weights(path_edges(4), 4).tobytes()
+    assert metropolis_weights([lone], 4).tobytes() == W.tobytes()
+
+
+def test_metropolis_stack_checks_each_edge_set_as_a_lone_one():
+    fits, wide = GraphSchedule.cyclic(5, [[(0, 1)], [(0, 4)]]).edge_sets
+    with pytest.raises(ValueError) as single:
+        metropolis_weights(wide, 3)
+    assert str(single.value) == "edge (0, 4) out of range for 3 agents"
+    with pytest.raises(ValueError, match=re.escape(str(single.value))):
+        metropolis_weights([fits, wide], 3)
+    for mixed in ([fits, (1, 2)], [(1, 2), fits], (fits, [(1, 2)])):
+        with pytest.raises(ValueError, match=r"EdgeSets only, not \(i, j\) pairs$"):
+            metropolis_weights(mixed, 3)
+
+
 # ---------------------------------------------------------------- sigma
 
 def test_sigma_of_projector_is_zero():
@@ -441,6 +485,22 @@ def test_sigma_gamma_builds_each_instant_once_per_call(builds):
         assert builds[0] == 301  # W^0 .. W^300
         builds[0] = 0
     assert not sched._matrices
+
+
+def test_sigma_gamma_builds_each_chunk_in_one_stacked_call(monkeypatch):
+    calls = []
+    original = graph.metropolis_weights
+
+    def recording(edge_sets, m):
+        calls.append(len(edge_sets))
+        return original(edge_sets, m)
+
+    monkeypatch.setattr(graph, "metropolis_weights", recording)
+    sigma_gamma(GraphSchedule.cyclic(9, M9_EDGE_SETS), 3)
+    assert calls == [5]  # W^0 .. W^4
+    del calls[:]
+    sigma_gamma(GraphSchedule.seeded_random(8, 0.4, seed=5), 3, horizon=300)
+    assert calls == [2 + 64, 64, 64, 64, 43]  # the first chunk also holds gamma - 1 instants
 
 
 def test_random_schedule_cache_is_bounded(monkeypatch):
@@ -1176,6 +1236,23 @@ def test_sigma_gamma_memory_is_bounded_by_the_chunk():
     # far below the horizon's worth of matrices.
     assert peak < 4 * graph.SPECTRAL_CHUNK * matrix_bytes
     assert peak < (horizon + 1) * matrix_bytes / 3
+
+
+def test_sigma_gamma_frees_each_built_chunk_stack_before_its_sigma():
+    # The peak is sigma's: the window buffer (SPECTRAL_CHUNK + gamma - 1
+    # matrices), the products and sigma's two screen buffers, 261.1 matrices
+    # when each instant was built by its own call.  A chunk's stacked build
+    # still alive during that sigma would add another SPECTRAL_CHUNK or so.
+    m, gamma = 200, 3
+    sched = GraphSchedule.seeded_random(m, 0.02, seed=3)
+    tracemalloc.start()
+    try:
+        report = sigma_gamma(sched, gamma, horizon=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.sigma_gamma.hex() == "0x1.bd1d4cecbef33p-1"
+    assert peak < 4 * (graph.SPECTRAL_CHUNK + gamma - 1) * m * m * 8
 
 
 # ------------------------------------------------- the stored mask chunks

@@ -190,6 +190,29 @@ def test_chebyshev_operator_rejects_a_disconnected_graph_before_any_decompositio
         chebyshev_operator(W, sigma=sig if given_sigma else None)
 
 
+# Each of these shapes reached the symmetry test, where numpy raised an
+# IndexError, a broadcast error or a zero-size reduction error.
+def test_chebyshev_operator_rejects_a_vector():
+    with pytest.raises(ValueError, match=r"mixing matrix must be square, .* shape \(3,\)$"):
+        chebyshev_operator(np.full(3, 1 / 3))
+
+
+def test_chebyshev_operator_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"mixing matrix must be square, .* shape \(2, 3\)$"):
+        chebyshev_operator(np.full((2, 3), 1 / 3))
+
+
+def test_chebyshev_operator_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"mixing matrix is empty \(shape \(0, 0\)\)"):
+        chebyshev_operator(np.empty((0, 0)))
+
+
+def test_chebyshev_operator_rejects_a_stack():
+    stack = np.array([metropolis_weights(ring_edges(2), 2)] * 2)
+    with pytest.raises(ValueError, match=r"mixing matrix must be square, .* shape \(2, 2, 2\)$"):
+        chebyshev_operator(stack)
+
+
 # ------------------------------------------------- multiple consensus
 
 def test_default_zeta_examples():
