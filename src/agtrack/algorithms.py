@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -132,7 +133,7 @@ class AlgorithmConfig:
         if isinstance(self.alpha, str):
             if self.alpha != "theorem_default":
                 raise ValueError(f"alpha must be positive or 'theorem_default', got {self.alpha!r}")
-        elif type(self.alpha) in _BOOL_TYPES or not math.isfinite(self.alpha):
+        elif not (_is_real(self.alpha) and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be a finite number or 'theorem_default', "
                              f"got {self.alpha!r}")
         elif self.alpha <= 0.0:
@@ -148,10 +149,16 @@ class AlgorithmConfig:
         if self.zeta is not None and mixing != "multiple_consensus":
             raise ValueError(f"zeta sets the rounds of acc_gt_multiconsensus only; "
                              f"variant {self.variant} does not read it")
-        if len(self.seeds) != 1:  # run() draws x0 from seeds[0] and reads no other
-            raise ValueError(f"seeds must hold exactly one seed, got {tuple(self.seeds)!r}")
-        if not (_is_int(self.seeds[0]) and self.seeds[0] >= 0):
-            raise ValueError(f"the run seed must be a non-negative integer, got {self.seeds[0]!r}")
+        seeds = self.seeds if isinstance(self.seeds, (list, tuple)) else ()
+        if len(seeds) != 1:  # run() draws x0 from seeds[0] and reads no other
+            raise ValueError(f"seeds must hold exactly one seed, got {self.seeds!r}")
+        if not (_is_int(seeds[0]) and seeds[0] >= 0):
+            raise ValueError(f"the run seed must be a non-negative integer, got {seeds[0]!r}")
+        # Python ints: a numpy integer would wrap in the run's arithmetic.
+        object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
+        if self.zeta is not None:
+            object.__setattr__(self, "zeta", operator.index(self.zeta))
+        object.__setattr__(self, "seeds", (operator.index(seeds[0]),))
 
 
 def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
@@ -188,7 +195,8 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
         raise ValueError("L must be positive")
     if not (_is_int(gamma) and gamma >= 1):
         raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
-    gamma = gamma if setting == "time_varying" and mixing == "gossip" else 1
+    # A Python int: a numpy integer would wrap in gamma ** p.
+    gamma = operator.index(gamma) if setting == "time_varying" and mixing == "gossip" else 1
     sig = WRAPPER_SIGMA.get(mixing, sigma_or_sigma_gamma)
     if not (_is_real(sig) and 0.0 <= sig < 1.0):
         raise ValueError(f"mixing constant must lie in [0, 1), got {sig!r}; "

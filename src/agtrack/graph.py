@@ -45,30 +45,30 @@ seeded_random schedule ``horizon`` is the last instant read, so both read
 instants 0..horizon (default ``HORIZON``).
 
 A seeded_random instant k is numpy's stream for the key (seed, k), so a draw
-never depends on evaluation order.  One method holds each rule of that path.
-``GraphSchedule._draw`` is the only code that draws an instant, bit for bit
-as ``np.random.default_rng`` would.  It draws every key whose seed and k fit
-one uint32 word each in one batch, whatever the count: each instant's four
-seeding words go to a fresh ``PCG64`` through numpy's public seed-sequence
-interface (``ISeedSequence``), so numpy's own C code does the 128-bit
-seeding; any other key goes through ``default_rng((seed, k))``.
-``GraphSchedule._seeding_words`` takes every key's words from its aligned
-``_WORD_BLOCK`` (1024) block, counted from instant 0, hashed in one call in
-uint32 array arithmetic as numpy's ``SeedSequence`` would; the schedule keeps
-the last block, so the mask store's chunks (block 0) share one hash, and
-multiple consensus, which walks far past the store, pays the hash's fixed
-cost once per block, not once per chunk.  ``GraphSchedule._masks``
-is the only code that decides what is stored: the aligned ``SPECTRAL_CHUNK``
-chunks that hold instants 0..``HORIZON``, for every seed, drawn once per
-schedule and kept packed, a bit per candidate pair.  Every reader goes
-through ``_masks``, so every constant and the run read one draw of each of
-those instants: ``gamma_connectivity`` (once per gamma that
-``resolve_gamma`` tries) and ``matrix`` directly, and ``sigma_gamma``
-through ``edge_set``, which reads a stored row itself and asks ``_masks``
-for any other.
+never depends on evaluation order.  Every instant is read by one rule: as a
+row of the aligned ``SPECTRAL_CHUNK`` chunk that holds it, through
+``GraphSchedule._chunk``.  ``_chunk`` is the only caller of the draw and the
+only code that decides what is kept: every chunk whose first instant is at
+most ``HORIZON``, for every seed, plus the last chunk drawn past them, packed
+a bit per candidate pair.  So the gamma search, ``sigma_gamma`` (through
+``edge_set``) and ``matrix`` read one draw of every instant the constants
+read, and a walk in order past the horizon, as multiple consensus makes,
+draws each chunk once.  ``GraphSchedule._draw`` draws exactly one chunk, bit
+for bit as ``np.random.default_rng`` would.  A chunk whose seed and instants
+fit one uint32 word each is drawn without a ``SeedSequence`` per instant: each
+instant's four seeding words go to a fresh ``PCG64`` through numpy's public
+seed-sequence interface (``ISeedSequence``), so numpy's own C code does the
+128-bit seeding; any other chunk goes through ``default_rng((seed, k))``, and
+no chunk straddles 2**32.  ``GraphSchedule._seeding_words`` takes a chunk's
+words from its aligned ``_WORD_BLOCK`` (1024) block, counted from instant 0,
+hashed in one call in uint32 array arithmetic as numpy's ``SeedSequence``
+would; the schedule keeps the last block, so the kept chunks to the horizon
+(block 0) share one hash, and multiple consensus pays the hash's fixed cost
+once per block, not once per chunk.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, permutations
@@ -95,16 +95,12 @@ SPECTRAL_CHUNK = 64
 # instants 0..HORIZON.
 HORIZON = 1000
 
-# The end of the aligned SPECTRAL_CHUNK chunks that hold instants 0..HORIZON:
-# a seeded_random schedule keeps the edge masks it draws below it.
-_STORED_STOP = (HORIZON // SPECTRAL_CHUNK + 1) * SPECTRAL_CHUNK
-
 # Aligned instants, counted from instant 0, whose PCG64 seeding words are
 # hashed in one call: the hash costs about 120 us for 64 keys and 155 us for
 # 1024 (2-vCPU VM, numpy 2.4), so a 64-instant chunk that hashed its own keys
 # would pay mostly the fixed cost.  A multiple of SPECTRAL_CHUNK and a divisor
 # of 2**32, so no chunk straddles a block and no block straddles 2**32; the
-# mask store's instants 0.._STORED_STOP - 1 are block 0.
+# kept chunks of instants 0..HORIZON are block 0.
 _WORD_BLOCK = 1024
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
@@ -144,12 +140,15 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and type(v) not in _BOOL_TYPES
 
 
-def _check_instant(k) -> None:
-    """Raise ValueError unless k is an instant index, an integer k >= 0."""
+def _check_instant(k) -> int:
+    """k as a Python int; ValueError unless it is an instant index, an integer
+    k >= 0.  A numpy integer becomes a Python int, so arithmetic on it cannot
+    wrap."""
     if not _is_int(k):
         raise ValueError(f"instant index must be an integer, got {k!r}")
     if k < 0:
         raise ValueError("instant index must be nonnegative")
+    return operator.index(k)
 
 
 def _edge_arrays(edges, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +294,8 @@ class GraphSchedule:
     Construction validates every given edge set and stores it as an
     ``EdgeSet``; the agent count is an integer at least 1, a seeded_random
     seed a non-negative integer and its edge probability a number in
-    [0, 1] (a bool is none of these).
+    [0, 1] (a bool is none of these).  The agent count is kept as a
+    Python int.
     """
 
     agent_count: int
@@ -306,8 +306,8 @@ class GraphSchedule:
     # matrix(k)'s store: a periodic schedule's matrices by k mod period, a
     # seeded_random schedule's one chunk stack by its first instant.
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # _masks's store: a seeded_random schedule's drawn chunks of instants
-    # 0.._STORED_STOP - 1, packed with np.packbits, by their first instant.
+    # _chunk's store: a seeded_random schedule's packed chunks of instants
+    # 0..HORIZON and the last chunk drawn past them, by their first instant.
     _mask_chunks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # _seeding_words's store: the (_WORD_BLOCK, 4) seeding words of the last
     # block of instants it hashed, by the block's first instant.
@@ -316,14 +316,16 @@ class GraphSchedule:
     def __post_init__(self):
         if not (_is_int(self.agent_count) and self.agent_count >= 1):
             raise ValueError(f"agent_count must be an integer at least 1, got {self.agent_count!r}")
+        object.__setattr__(self, "agent_count", operator.index(self.agent_count))
         if self.schedule_kind not in ("static", "cyclic", "seeded_random"):
             raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
         if self.schedule_kind in ("static", "cyclic"):
-            if not self.edge_sets:
+            sets = self.edge_sets if isinstance(self.edge_sets, (list, tuple)) else ()
+            if not sets:
                 raise ValueError(f"{self.schedule_kind} schedule requires explicit edge sets")
-            if self.schedule_kind == "static" and len(self.edge_sets) != 1:
+            if self.schedule_kind == "static" and len(sets) != 1:
                 raise ValueError("static schedule takes exactly one edge set")
-            sets = tuple(_canonical_edges(e, self.agent_count) for e in self.edge_sets)
+            sets = tuple(_canonical_edges(e, self.agent_count) for e in sets)
             object.__setattr__(self, "edge_sets", sets)
         else:
             p = self.edge_probability
@@ -358,130 +360,126 @@ class GraphSchedule:
 
     def edge_set(self, k: int) -> EdgeSet:
         """The edge set active at instant k, an integer k >= 0 (bools are not
-        instants).
-
-        A seeded_random row that ``_masks`` has stored is read from its
-        packed chunk here, which costs less than a ``_masks`` call; any other
-        row comes from ``_masks(k, 1)``, which decides what is stored.
+        instants).  A seeded_random row is read from its chunk (``_chunk``).
         """
-        _check_instant(k)
+        if type(k) is not int or k < 0:  # a Python int instant pays only these tests
+            k = _check_instant(k)
         if self.period is not None:
             return self.edge_sets[k % self.period]
         iu, ju = _upper_pairs(self.agent_count)
-        chunk = self._mask_chunks.get(k - k % SPECTRAL_CHUNK)
-        if chunk is not None:
-            mask = np.unpackbits(chunk[k % SPECTRAL_CHUNK], count=len(iu)).view(bool)
-        else:
-            mask = self._masks(k, 1)[0]
+        row = self._chunk(k - k % SPECTRAL_CHUNK)[k % SPECTRAL_CHUNK]
+        mask = np.unpackbits(row, count=len(iu)).view(bool)
         return _edge_set_of(iu[mask], ju[mask])
 
     def _masks(self, start: int, count: int) -> np.ndarray:
         """The ``(count, pairs)`` bool edge masks of instants start, ...,
         start+count-1: row c marks the pairs of ``_upper_pairs`` in E^(start+c).
 
-        Periodic rows are their instants' edge sets.  This is the one place
-        that decides what a seeded_random schedule stores: each aligned
-        ``SPECTRAL_CHUNK`` of instants below ``_STORED_STOP`` (the chunks
-        that hold instants 0..``HORIZON``), whatever the seed, is drawn once,
-        whole, and kept packed (``np.packbits``, pairs / 8 bytes a row), so
-        the gamma search, ``sigma_gamma`` (through ``edge_set``) and
-        ``matrix`` read one draw of every instant the constants read.  Rows
-        from ``_STORED_STOP`` on are drawn for the range asked (``_draw``)
-        and not kept.
+        Periodic rows are their instants' edge sets; seeded_random rows are
+        read from the aligned chunks that hold them (``_chunk``).
         """
         m = self.agent_count
         iu, _ = _upper_pairs(m)
+        masks = np.zeros((count, len(iu)), dtype=bool)
         if self.period is not None:
-            masks = np.zeros((count, len(iu)), dtype=bool)
             for row, k in zip(masks, range(start, start + count)):
                 e = self.edge_set(k)
                 row[e.i * (2 * m - 1 - e.i) // 2 + e.j - e.i - 1] = True  # triu order
             return masks
         stop = start + count
-        stored = min(stop, _STORED_STOP)
-        if stored <= start:
-            return self._draw(start, count)
-        masks = np.empty((count, len(iu)), dtype=bool)
-        for first in range(start - start % SPECTRAL_CHUNK, stored, SPECTRAL_CHUNK):
-            chunk = self._mask_chunks.get(first)
-            if chunk is None:
-                chunk = np.packbits(self._draw(first, SPECTRAL_CHUNK), axis=1)
-                self._mask_chunks[first] = chunk
-            lo, hi = max(first, start), min(first + SPECTRAL_CHUNK, stored)
+        for first in range(start - start % SPECTRAL_CHUNK, stop, SPECTRAL_CHUNK):
+            lo, hi = max(first, start), min(first + SPECTRAL_CHUNK, stop)
             masks[lo - start:hi - start] = np.unpackbits(
-                chunk[lo - first:hi - first], axis=1, count=len(iu)).view(bool)
-        if stored < stop:
-            masks[stored - start:] = self._draw(stored, stop - stored)
+                self._chunk(first)[lo - first:hi - first], axis=1, count=len(iu)).view(bool)
         return masks
 
-    def _draw(self, start: int, count: int) -> np.ndarray:
-        """``_masks``'s rows of a seeded_random schedule, drawn for this range.
+    def _chunk(self, first: int) -> np.ndarray:
+        """The packed edge masks (``np.packbits``, pairs / 8 bytes a row) of
+        the aligned ``SPECTRAL_CHUNK`` seeded_random instants from ``first``.
 
-        This is the one place that draws a seeded_random instant: row c holds
-        a uniform per pair of ``_upper_pairs``, from numpy's stream for the
-        key (seed, start + c), and the pair is an edge when it is below p.
-        Every key whose seed and k fit one uint32 word each is drawn in one
-        batch, whatever the count, without a ``SeedSequence`` per instant:
-        ``_seeding_words`` gives the keys' PCG64 seeding words, and each row
-        gets a fresh ``PCG64`` that ``_SeedWords`` hands its key's words
-        (numpy's C code does the 128-bit seeding).  This rests on numpy
-        keeping SeedSequence's hash fixed, as its stream policy for bit
-        generators (NEP 19) does; the tests compare batches with
-        ``default_rng``, so a change would show there.  Any other key, a seed
-        or a k from 2**32 on, is drawn through ``default_rng((seed, k))``, so
-        a batch that straddles 2**32 splits there.
+        ``edge_set``, ``_masks`` and ``matrix`` read seeded_random rows only
+        here, and this is the only caller of ``_draw`` and the only code that
+        decides what is kept: every chunk whose first instant is at most
+        ``HORIZON`` (the chunks that hold instants 0..``HORIZON``, which every
+        constant reads), plus the last chunk drawn past them.  So the gamma
+        search, ``sigma_gamma`` and ``matrix`` read one draw of every instant
+        the constants read, and a caller that walks the instants in order, as
+        multiple consensus does, draws each chunk once.
         """
-        u = np.empty((count, len(_upper_pairs(self.agent_count)[0])))
-        batched = min(count, max(0, (1 << 32) - start)) if self.seed < 1 << 32 else 0
-        if batched:
-            seeds = _SeedWords(self._seeding_words(start, batched))
-            for row in u[:batched]:
+        chunk = self._mask_chunks.get(first)
+        if chunk is None:
+            if first > HORIZON < max(self._mask_chunks, default=0):  # keep one past HORIZON
+                del self._mask_chunks[max(self._mask_chunks)]
+            chunk = self._mask_chunks[first] = np.packbits(self._draw(first), axis=1)
+        return chunk
+
+    def _draw(self, first: int) -> np.ndarray:
+        """The ``(SPECTRAL_CHUNK, pairs)`` bool edge masks of the aligned
+        chunk of seeded_random instants from ``first``, drawn.
+
+        Row c holds a uniform per pair of ``_upper_pairs``, from numpy's
+        stream for the key (seed, first + c), and the pair is an edge when it
+        is below p.  A chunk whose seed and instants fit one uint32 word each
+        is drawn without a ``SeedSequence`` per instant: ``_seeding_words``
+        gives the keys' PCG64 seeding words, and each row gets a fresh
+        ``PCG64`` that ``_SeedWords`` hands its key's words (numpy's C code
+        does the 128-bit seeding).  This rests on numpy keeping SeedSequence's
+        hash fixed, as its stream policy for bit generators (NEP 19) does;
+        the tests compare chunks with ``default_rng``, so a change would show
+        there.  Any other chunk, of a seed or instants from 2**32 on, is drawn
+        through ``default_rng((seed, k))``; 2**32 is a multiple of
+        ``SPECTRAL_CHUNK``, so no chunk straddles it.
+        """
+        u = np.empty((SPECTRAL_CHUNK, len(_upper_pairs(self.agent_count)[0])))
+        if self.seed < 1 << 32 and first < 1 << 32:
+            seeds = _SeedWords(self._seeding_words(first))
+            for row in u:
                 np.random.Generator(np.random.PCG64(seeds)).random(out=row)
-        for k, row in zip(range(start + batched, start + count), u[batched:]):
-            np.random.default_rng((self.seed, k)).random(out=row)
+        else:
+            for k, row in enumerate(u, first):
+                np.random.default_rng((self.seed, k)).random(out=row)
         return u < self.edge_probability
 
-    def _seeding_words(self, start: int, count: int) -> np.ndarray:
-        """``_pcg64_states`` of the uint32 keys start, ..., start+count-1.
+    def _seeding_words(self, first: int) -> np.ndarray:
+        """``_pcg64_states`` of the uint32 keys of the aligned chunk from
+        ``first``, its ``SPECTRAL_CHUNK`` rows of the aligned ``_WORD_BLOCK``
+        block that holds it, counted from instant 0 and hashed in one call.
 
-        Every key's words come from its aligned ``_WORD_BLOCK`` block, counted
-        from instant 0 and hashed in one call; the schedule keeps the last
-        block (32 KB), so a caller that walks the instants in order, as the
-        mask store's chunks and multiple consensus do, hashes each key once
-        and pays the hash's fixed cost once per block, not once per chunk.
+        The schedule keeps the last block (32 KB), so a caller that walks the
+        instants in order, as the kept chunks and multiple consensus do,
+        hashes each key once and pays the hash's fixed cost once per block,
+        not once per chunk.
         """
-        stop, rows = start + count, []
-        for first in range(start - start % _WORD_BLOCK, stop, _WORD_BLOCK):
-            block = self._word_block.get(first)
-            if block is None:
-                self._word_block.clear()
-                ks = np.arange(first, first + _WORD_BLOCK, dtype=np.int64).astype(np.uint32)
-                block = self._word_block[first] = _pcg64_states(self.seed, ks)
-            rows.append(block[max(start, first) - first:min(stop, first + _WORD_BLOCK) - first])
-        return rows[0] if len(rows) == 1 else np.concatenate(rows)
+        block = first - first % _WORD_BLOCK
+        words = self._word_block.get(block)
+        if words is None:
+            self._word_block.clear()
+            ks = np.arange(block, block + _WORD_BLOCK, dtype=np.int64).astype(np.uint32)
+            words = self._word_block[block] = _pcg64_states(self.seed, ks)
+        return words[first - block:first - block + SPECTRAL_CHUNK]
 
     def matrix(self, k: int) -> np.ndarray:
         """The read-only Metropolis matrix W^k of instant k.
 
         A periodic schedule builds each of its ``period`` matrices once.  A
         seeded_random schedule returns a view into the stack of the
-        ``SPECTRAL_CHUNK`` aligned instants that hold k, whose masks come from
-        ``_masks`` in one call (stored or drawn in one batch) and whose
-        matrices are built in one Metropolis pass.  It keeps that one
-        stack and drops it before the next is built, so a caller that walks
-        the instants in order draws each once, and the store holds
-        O(SPECTRAL_CHUNK m^2).  Either way W^k is bitwise
+        ``SPECTRAL_CHUNK`` aligned instants that hold k, whose masks are one
+        chunk (``_chunk``, unpacked) and whose matrices are built in one
+        Metropolis pass.  It keeps that one stack and drops it before the
+        next is built, so a caller that walks the instants in order draws
+        each once, and the store holds O(SPECTRAL_CHUNK m^2).  Either way W^k is bitwise
         ``metropolis_weights(edge_set(k), m)``.
         """
         if type(k) is not int or k < 0:  # a Python int instant pays only these tests
-            _check_instant(k)
+            k = _check_instant(k)
         if self.schedule_kind == "seeded_random":  # first: multiple consensus calls it per round
             first = k - k % SPECTRAL_CHUNK
             Ws = self._matrices.get(first)
             if Ws is None:
                 self._matrices.clear()
                 iu, ju = _upper_pairs(self.agent_count)
-                b, pair = divmod(np.flatnonzero(self._masks(first, SPECTRAL_CHUNK)), len(iu))
+                masks = np.unpackbits(self._chunk(first), axis=1, count=len(iu)).view(bool)
+                b, pair = divmod(np.flatnonzero(masks), len(iu))
                 Ws = _metropolis_stack(SPECTRAL_CHUNK, self.agent_count, b, iu[pair], ju[pair])
                 Ws.setflags(write=False)
                 self._matrices[first] = Ws
@@ -542,7 +540,8 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
     whose endpoints lie below m is used as it is; any other edge list is
     validated like a schedule's (integer endpoints in ``[0, m)``, no
     self-loops), and duplicates and orientation do not matter.  An m that
-    is not an integer (bools included) is a ValueError.
+    is not an integer (bools included) is a ValueError; a numpy integer is
+    taken as the Python int it holds.
 
     A list or tuple (not itself an ``EdgeSet``) whose items include an
     ``EdgeSet`` is a list of edge sets: every item must then be one, each is
@@ -555,6 +554,7 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
         raise ValueError(f"m must be an integer, got {m!r}")
     if m <= 0:
         raise ValueError("m must be positive")
+    m = operator.index(m)  # a numpy integer would wrap in the stack's index arithmetic
     if type(edge_set) in (list, tuple) and any(isinstance(e, EdgeSet) for e in edge_set):
         if not all(isinstance(e, EdgeSet) for e in edge_set):
             raise ValueError("a list of edge sets holds EdgeSets only, not (i, j) pairs")
@@ -678,27 +678,30 @@ def _all_connected(edges: np.ndarray, m: int) -> bool:
     return True
 
 
-def _window_ends(schedule: GraphSchedule, gamma: int, horizon: int | None) -> tuple[range, bool]:
+def _window_ends(schedule, gamma: int, horizon: int | None) -> tuple[range, int, bool]:
     """The instants at which the windows of gamma instants that the constants
-    read end, and whether a constant over them is an estimate.
+    read end, gamma as a Python int, and whether a constant over them is an
+    estimate.
 
     A periodic schedule (static ones have period 1) has one period of window
     ends, ``gamma - 1 .. gamma + period - 2``, whatever the horizon, and its
     constants are exact.  A seeded_random schedule has the ends ``gamma - 1 ..
     horizon`` (default ``HORIZON``), so instants 0..horizon are read, and its
     constants are estimates.  A gamma or horizon that is not an integer is
-    a ValueError, never truncated.
+    a ValueError, never truncated; a numpy integer is taken as the Python int
+    it holds, so the walk's arithmetic cannot wrap.
     """
     if not (_is_int(gamma) and gamma >= 1):
         raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
     if horizon is not None and not _is_int(horizon):
         raise ValueError(f"horizon must be an integer, got {horizon!r}")
+    gamma = operator.index(gamma)
     if schedule.period is not None:
-        return range(gamma - 1, gamma - 1 + schedule.period), False
-    horizon = HORIZON if horizon is None else horizon
+        return range(gamma - 1, gamma - 1 + schedule.period), gamma, False
+    horizon = HORIZON if horizon is None else operator.index(horizon)
     if horizon < gamma - 1:
         raise ValueError(f"horizon must be at least gamma - 1 = {gamma - 1}, got {horizon}")
-    return range(gamma - 1, horizon + 1), True
+    return range(gamma - 1, horizon + 1), gamma, True
 
 
 def _window_stacks(ends: range, gamma: int, fill, stack):
@@ -732,16 +735,16 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
     windows within instants 0..horizon (default ``HORIZON``).
 
     Instants are taken a chunk at a time as a stack of edge masks
-    (``GraphSchedule._masks``: a seeded_random stack comes from the
-    schedule's stored draws, so the calls for each gamma that
-    ``resolve_gamma`` tries draw each instant to ``HORIZON`` once between
-    them, and later instants are drawn in one batch; a periodic one comes
-    from its edge sets), each once per call and in order.
+    (``GraphSchedule._masks``: a seeded_random stack is read from the
+    schedule's chunks, so the calls for each gamma that ``resolve_gamma``
+    tries draw each chunk to ``HORIZON`` once between them, and a call's
+    walk past it draws each later chunk once; a periodic one comes from its
+    edge sets), each once per call and in order.
     The windows that end in a chunk have their unions formed from the stack
     (``_window_unions``) and are tested together by batched reachability;
     the call returns at the first chunk that holds a disconnected window.
     """
-    ends, _ = _window_ends(schedule, gamma, horizon)
+    ends, gamma, _ = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count
 
     def fill(rows, first):
@@ -783,14 +786,12 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     taken from ``matrix``'s stacks (ROADMAP item 1b) because the benchmark's
     traced run (``agbench``) records calls to ``edge_set`` and this module's
     ``metropolis_weights``, fails a workload whose listed name records none,
-    and on a seeded_random schedule this is their only caller.  After
-    ``resolve_gamma`` (whose gamma_connectivity calls draw and store the
-    chunks of instants 0..``HORIZON``), each ``edge_set`` reads its instant
-    from that store; called on its own, the first read of a chunk below
-    ``_STORED_STOP`` draws and stores it, and an instant past it is drawn
-    alone.
+    and on a seeded_random schedule this is their only caller.  Each
+    ``edge_set`` reads its instant from its chunk (``GraphSchedule._chunk``):
+    after ``resolve_gamma`` the chunks of instants 0..``HORIZON`` are kept
+    already, and a walk past them draws each later chunk once.
     """
-    ends, is_estimate = _window_ends(schedule, gamma, horizon)
+    ends, gamma, is_estimate = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count
 
     def fill(rows, first):

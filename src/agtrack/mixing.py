@@ -20,6 +20,7 @@ counts them, so the operators stay pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,8 @@ def gossip(W, x: np.ndarray) -> np.ndarray:
     """One communication round: returns W x."""
     M = np.asarray(W, dtype=float)
     x = np.asarray(x, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"W must be a matrix, got shape {M.shape}")
     if M.shape[1] != x.shape[0]:
         raise ValueError(f"shape mismatch: W is {M.shape}, state has {x.shape[0]} rows")
     return M @ x
@@ -184,12 +187,14 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
     zeta is.  ``weight_rule`` must be None or ``metropolis_weights``, the only
     rule the schedule builds.  A start_round that is not an integer, or a
     zeta that is not an integer of at least 1 (bools included), is a
-    ValueError.
+    ValueError; a numpy integer is taken as a Python int, so the rounds
+    cannot wrap.
     """
     if not _is_int(start_round):
         raise ValueError(f"start_round must be an integer, got {start_round!r}")
     if not (_is_int(zeta) and zeta >= 1):
         raise ValueError(f"zeta must be an integer at least 1, got {zeta!r}")
+    start_round, zeta = operator.index(start_round), operator.index(zeta)
     if weight_rule not in (None, metropolis_weights):
         raise ValueError("multiple consensus mixes with the schedule's Metropolis matrices only")
     x = np.asarray(x, dtype=float)

@@ -26,9 +26,12 @@ optimum oracle.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graph import _is_int
 
 OPTIMUM_TOL_LOGISTIC = 1e-10
 OPTIMUM_MAX_ITERS = 1_000_000
@@ -36,9 +39,13 @@ OPTIMUM_RESIDUAL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _check_sizes(m: int, n: int):
-    if m < 1 or n < 1:
-        raise ValueError(f"need at least one agent and one dimension (got m = {m}, n = {n})")
+def _check_sizes(m: int, n: int) -> tuple[int, int]:
+    """m and n as Python ints, so no size arithmetic wraps; ValueError unless
+    both are integers at least 1."""
+    if not (_is_int(m) and _is_int(n) and m >= 1 and n >= 1):
+        raise ValueError(f"need at least one agent and one dimension, as integers "
+                         f"(got m = {m!r}, n = {n!r})")
+    return operator.index(m), operator.index(n)
 
 
 def _check_stacks(kind, A=None, b=None, data=None, labels=None, counts=None, ridge=None):
@@ -297,9 +304,9 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
     """Seeded random quadratic instance with exact global constants.
 
     Per-agent spectra are drawn and affinely mapped so that ``max_i L_i = L``
-    and ``min_i mu_i = mu`` hold exactly; ValueError unless ``m, n >= 1``,
-    ``0 <= mu <= L`` and ``L > 0``, or when one drawn eigenvalue (m = n = 1)
-    cannot be both.
+    and ``min_i mu_i = mu`` hold exactly; ValueError unless ``m, n >= 1``
+    are integers, ``0 <= mu <= L`` and ``0 < L < inf``, or when one drawn
+    eigenvalue (m = n = 1) cannot be both.
     ``shared_basis=True`` rotates every agent by the same orthogonal matrix,
     which keeps the averaged objective as ill-conditioned as the per-agent
     constants say (independent rotations average out toward isotropy); with
@@ -313,9 +320,9 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
     Q_i^T`` is one batched matmul in that product order, so every instance is
     bitwise what a per-agent loop builds.
     """
-    _check_sizes(m, n)
-    if not (L > 0.0 and 0.0 <= mu <= L):
-        raise ValueError(f"need L > 0 and 0 <= mu <= L (got L = {L}, mu = {mu})")
+    m, n = _check_sizes(m, n)
+    if not (0.0 < L < np.inf and 0.0 <= mu <= L):  # NaN fails every comparison
+        raise ValueError(f"need L > 0 and 0 <= mu <= L, both finite (got L = {L}, mu = {mu})")
     rng = np.random.default_rng(seed)
     spectra = np.geomspace(1.0, 100.0, n) * rng.uniform(0.3, 1.7, (m, n))
     lo, hi = spectra.min(), spectra.max()
@@ -331,12 +338,14 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
 def random_logistic_problem(m: int, n: int, samples_per_agent: int = 20,
                             ridge: float = 0.0, seed: int = 0) -> ProblemInstance:
     """Two-class logistic instance on synthetic Gaussian blobs; ValueError for
-    an empty size or a negative ridge."""
-    _check_sizes(m, n)
+    an empty size, a sample count that is not an integer, or a negative ridge."""
+    m, n = _check_sizes(m, n)
+    if not _is_int(samples_per_agent):
+        raise ValueError(f"samples_per_agent must be an integer, got {samples_per_agent!r}")
+    p = operator.index(samples_per_agent)
     rng = np.random.default_rng(seed)
     center = rng.standard_normal(n)
     center *= 1.5 / np.linalg.norm(center)
-    p = samples_per_agent
     data, labels = np.empty((m, p, n)), np.empty((m, p))
     for i in range(m):
         labels[i] = np.where(rng.random(p) < 0.5, -1.0, 1.0)

@@ -22,6 +22,17 @@ M9_EDGE_SETS = (
 )
 
 
+# numpy integer types narrow enough that arithmetic on their largest values
+# wraps; each entry point must take them as the Python ints they hold.
+NARROW_INTS = (np.int8, np.uint8, np.int16)
+
+
+def narrow(dtype, cap=None):
+    """The largest value of a narrow numpy integer type, or cap if smaller."""
+    top = int(np.iinfo(dtype).max)
+    return dtype(top if cap is None else min(top, cap))
+
+
 @pytest.fixture(scope="session")
 def ring10():
     return GraphSchedule.static(10, ring_edges(10))

@@ -14,7 +14,7 @@ from agtrack import (AlgorithmConfig, DivergenceError, GraphSchedule, NotGammaCo
                      metropolis_weights, quadratic_problem, random_quadratic_problem,
                      resolve_constants, run, sigma, theta_next)
 from agtrack.algorithms import CSV_COLUMNS, VARIANTS
-from conftest import M9_EDGE_SETS, ring_edges
+from conftest import M9_EDGE_SETS, NARROW_INTS, narrow, ring_edges
 from reference_steps import (AveragedState, averaged_reference_step, gt_init,
                              gt_step)
 
@@ -447,14 +447,14 @@ def test_multiconsensus_run_draws_each_round_once(monkeypatch):
                           max_iterations=20)
     consts = resolve_constants(cfg, prob, sched)  # its connectivity check draws too
     monkeypatch.setattr(algorithms, "resolve_constants", lambda *args: dict(consts))
-    drawn, masks = [], GraphSchedule._masks
-    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
-        drawn.append(count) or masks(self, start, count)))
+    drawn, chunk = [], GraphSchedule._chunk
+    monkeypatch.setattr(GraphSchedule, "_chunk", lambda self, first: (
+        drawn.append(first) or chunk(self, first)))
     rounds = run(cfg, prob, sched, diagnostics=False).rows[-1].comm_rounds
     assert rounds == 3 * 7 * 20
-    # Whole chunks, each once: 7 batches, where one batch per call made 60.
-    assert rounds <= sum(drawn) <= rounds + graph.SPECTRAL_CHUNK
-    assert len(drawn) == math.ceil(rounds / graph.SPECTRAL_CHUNK)
+    # Whole chunks, each once: 7 chunks, where one batch per call made 60.
+    C = graph.SPECTRAL_CHUNK
+    assert drawn == list(range(0, math.ceil(rounds / C) * C, C))
 
 
 def test_run_is_deterministic():
@@ -655,24 +655,83 @@ def test_trace_csv_contract(tmp_path):
     assert first == "# generated 2020-01-01T00:00:00"
 
 
-@pytest.mark.parametrize("variant", ["acc_gt_multiconsensus", "acc_gt_tv"])
-def test_run_draws_each_seeded_random_instant_once(monkeypatch, variant):
-    # The gamma search, sigma_gamma and the loop's matrices share one draw of
-    # each instant to the horizon; past it the loop draws each instant once.
-    prob = random_quadratic_problem(20, 2, seed=1)
-    sched = GraphSchedule.seeded_random(20, 0.1, 3)
-    keys, draw = [], GraphSchedule._draw
+@pytest.fixture
+def drawn_chunks(monkeypatch):
+    """The first instant of each chunk ``GraphSchedule._draw`` draws, in call order."""
+    firsts, draw = [], GraphSchedule._draw
 
-    def spy_draw(self, start, count):  # _draw is the only code that draws
-        keys.extend(range(start, start + count))
-        return draw(self, start, count)
+    def spy_draw(self, first):  # _draw is the only code that draws
+        firsts.append(first)
+        return draw(self, first)
 
     monkeypatch.setattr(GraphSchedule, "_draw", spy_draw)
+    return firsts
+
+
+@pytest.mark.parametrize("variant", ["acc_gt_multiconsensus", "acc_gt_tv"])
+def test_run_draws_each_seeded_random_instant_once(drawn_chunks, variant):
+    # The gamma search, sigma_gamma and the loop's matrices share one draw of
+    # each chunk to the horizon; past it the loop draws each chunk once.
+    prob = random_quadratic_problem(20, 2, seed=1)
+    sched = GraphSchedule.seeded_random(20, 0.1, 3)
     # acc_gt_tv reads instant k at iteration k, multiple consensus one per round.
     K = 20 if variant == "acc_gt_multiconsensus" else 1100
     run(AlgorithmConfig(variant=variant, max_iterations=K), prob, sched, diagnostics=False)
-    assert len(keys) == len(set(keys))
-    drawn = set(keys)
-    assert drawn >= set(range(graph.HORIZON + 1)) and max(drawn) >= graph._STORED_STOP
+    assert len(drawn_chunks) == len(set(drawn_chunks))
     C = graph.SPECTRAL_CHUNK
-    assert len(sched._mask_chunks) <= math.ceil((graph.HORIZON + 1) / C)
+    assert set(drawn_chunks) >= set(range(0, graph.HORIZON + 1, C))
+    assert max(drawn_chunks) > graph.HORIZON
+    # The chunks to the horizon, and the last one drawn past them.
+    assert len(sched._mask_chunks) <= math.ceil((graph.HORIZON + 1) / C) + 1
+
+
+def test_benchmark_multiconsensus_run_draws_each_chunk_once(drawn_chunks):
+    # The multiple-consensus benchmark's run: 100 iterations of 3 calls of
+    # zeta = 30 rounds read instants 0..8999, chunks 0..140.
+    prob = random_quadratic_problem(20, 4, L=1.0, mu=0.0, seed=3)
+    sched = GraphSchedule.seeded_random(20, 0.1, 3)
+    trace = run(AlgorithmConfig("acc_gt_multiconsensus", alpha=0.2, max_iterations=100), prob,
+                sched, diagnostics=False)
+    assert trace.rows[-1].comm_rounds == 9000
+    C = graph.SPECTRAL_CHUNK
+    assert drawn_chunks == list(range(0, 141 * C, C))  # each once, in order
+    # Kept: the chunks to the horizon, and the last one drawn past them.
+    assert sorted(sched._mask_chunks) == [*range(0, graph.HORIZON + 1, C), 140 * C]
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_default_alpha_takes_a_narrow_integer_gamma_as_a_python_int(dtype):
+    # np.int8(100) ** 4 wrapped, and the step read inf.
+    gamma = narrow(dtype, 100)
+    got = default_alpha("acc_gt_tv", 1.0, 0.5, gamma)
+    assert got.hex() == default_alpha("acc_gt_tv", 1.0, 0.5, int(gamma)).hex()
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_config_takes_narrow_integers_as_python_ints(dtype):
+    # max_iterations=np.int8(127) made run fail with "negative dimensions".
+    prob = random_quadratic_problem(5, 2, seed=11)
+    K = narrow(dtype, 200)
+    config = AlgorithmConfig("acc_gt_static", alpha=0.05, max_iterations=K, seeds=(dtype(3),))
+    assert type(config.max_iterations) is int and type(config.seeds[0]) is int
+    expected = AlgorithmConfig("acc_gt_static", alpha=0.05, max_iterations=int(K), seeds=(3,))
+    assert config == expected
+    got, want = (run(c, prob, ring_schedule(5), diagnostics=False) for c in (config, expected))
+    for name in CSV_COLUMNS:
+        assert got.column(name).tobytes() == want.column(name).tobytes(), name
+    zeta = AlgorithmConfig("acc_gt_multiconsensus", alpha=0.1, zeta=narrow(dtype)).zeta
+    assert type(zeta) is int and zeta == int(narrow(dtype))
+
+
+@pytest.mark.parametrize("seeds", [5, None])
+def test_config_seeds_that_are_not_a_sequence_are_rejected(seeds):
+    # Once a TypeError from len(seeds).
+    with pytest.raises(ValueError, match="seeds must hold exactly one seed"):
+        AlgorithmConfig("acc_gt_static", seeds=seeds)
+
+
+@pytest.mark.parametrize("alpha", [None, [1]])
+def test_config_alpha_that_is_not_a_number_is_rejected(alpha):
+    # Once a TypeError from math.isfinite.
+    with pytest.raises(ValueError, match="alpha must be a finite number or 'theorem_default'"):
+        AlgorithmConfig("acc_gt_static", alpha=alpha)

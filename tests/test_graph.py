@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from agtrack import (EdgeSet, GraphSchedule, NotGammaConnectedError, chebyshev_operator,
                      gamma_connectivity, graph, metropolis_weights, resolve_gamma, sigma,
                      sigma_gamma)
-from conftest import M9_EDGE_SETS, path_edges, ring_edges
+from conftest import M9_EDGE_SETS, NARROW_INTS, narrow, path_edges, ring_edges
 from reference_steps import gamma_connected_bfs, matrix_product_window, metropolis_weights_loop
 
 J3 = np.full((3, 3), 1.0 / 3.0)
@@ -504,9 +504,9 @@ def test_sigma_gamma_builds_each_chunk_in_one_stacked_call(monkeypatch):
 
 
 def test_random_schedule_cache_is_bounded(monkeypatch):
-    drawn, masks = [], GraphSchedule._masks
-    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
-        drawn.append(start) or masks(self, start, count)))
+    drawn, chunk = [], GraphSchedule._chunk
+    monkeypatch.setattr(GraphSchedule, "_chunk", lambda self, first: (
+        drawn.append(first) or chunk(self, first)))
     sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
     C = graph.SPECTRAL_CHUNK
     for k in range(300):
@@ -719,6 +719,11 @@ def test_seeded_random_edge_probability_that_is_not_a_real_number_is_rejected(p)
         GraphSchedule.seeded_random(4, p, 0)
 
 
+# The end of the chunks a seeded_random schedule keeps whatever it reads:
+# those whose first instant is at most HORIZON.
+KEPT_STOP = graph.HORIZON - graph.HORIZON % graph.SPECTRAL_CHUNK + graph.SPECTRAL_CHUNK
+
+
 def _tuple_key_draw(m, p, seed, k):
     """An instant drawn with the (seed, k) tuple key, as every draw once was."""
     iu, ju = np.triu_indices(m, 1)
@@ -736,6 +741,7 @@ def test_uint32_draw_key_gives_the_tuple_key_stream(monkeypatch):
 
     monkeypatch.setattr(graph.np.random, "default_rng", spy)
     iu, ju = np.triu_indices(9, 1)
+    C = graph.SPECTRAL_CHUNK
     words = (0, 1, 2 ** 31, 2 ** 32 - 1)
     for seed in words + (np.uint32(7), np.int64(2 ** 31)):
         sched = GraphSchedule.seeded_random(9, 0.4, seed)
@@ -743,7 +749,7 @@ def test_uint32_draw_key_gives_the_tuple_key_stream(monkeypatch):
             expected = _tuple_key_draw(9, 0.4, seed, k)
             assert sched.edge_set(k) == expected
             keys.clear()
-            (row,) = sched._draw(k, 1)  # one row is batched too: no default_rng
+            row = sched._draw(k - k % C)[k % C]  # the chunk is batched: no default_rng
             assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == expected
             assert keys == []
     for seed, k in ((2 ** 32, 0), (0, 2 ** 32), (2 ** 40, 3), (5, 2 ** 40)):
@@ -751,9 +757,11 @@ def test_uint32_draw_key_gives_the_tuple_key_stream(monkeypatch):
         sched = GraphSchedule.seeded_random(9, 0.4, seed)
         assert sched.edge_set(k) == expected
         keys.clear()
-        (row,) = sched._draw(k, 1)
+        first = k - k % C
+        row = sched._draw(first)[k % C]
         assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == expected
-        assert keys == [(seed, k)]  # beyond one uint32 word: the tuple key
+        # Beyond one uint32 word: the tuple key, for every instant of the chunk.
+        assert keys == [(seed, first + c) for c in range(C)]
 
 
 # (start, count) batches of the batched draw: from k = 0 over a chunk's length,
@@ -785,7 +793,8 @@ def test_masks_keep_the_tuple_key_from_2_32_on(monkeypatch):
     monkeypatch.setattr(graph.np.random, "default_rng", spy)
     sched = GraphSchedule.seeded_random(9, 0.4, 3)
     masks = sched._masks(2 ** 32 - 3, 6)
-    assert keys == [(3, 2 ** 32 + c) for c in range(3)]  # the batch splits at 2**32
+    # The chunk below 2**32 is batched; the one from 2**32 is drawn whole by tuple key.
+    assert keys == [(3, 2 ** 32 + c) for c in range(graph.SPECTRAL_CHUNK)]
     iu, ju = np.triu_indices(9, 1)
     for c, row in enumerate(masks):
         assert tuple(zip(iu[row].tolist(), ju[row].tolist())) == _tuple_key_draw(
@@ -805,12 +814,13 @@ def test_masks_keep_the_tuple_key_from_2_32_on(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3])
 def test_draw_rows_are_the_default_rng_draws_across_2_32(seed):
     sched = GraphSchedule.seeded_random(9, 0.4, seed)
-    for start, count in ((0, 3), (2 ** 32 - 3, 6)):  # the second straddles 2**32
-        rows = sched._draw(start, count)
-        assert rows.shape == (count, 36)
+    C = graph.SPECTRAL_CHUNK
+    for first in (0, 2 ** 32 - C, 2 ** 32):  # the chunks on either side of 2**32
+        rows = sched._draw(first)
+        assert rows.shape == (C, 36) and rows.dtype == bool
         for c, row in enumerate(rows):
-            expected = np.random.default_rng((seed, start + c)).random(36) < 0.4
-            assert np.array_equal(row, expected), (start, c)
+            expected = np.random.default_rng((seed, first + c)).random(36) < 0.4
+            assert np.array_equal(row, expected), (first, c)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2 ** 31, 2 ** 32 - 1])
@@ -838,14 +848,15 @@ def test_pcg64_states_are_seed_sequences_words_for_any_uint32_keys(seed, ks):
 
 
 @given(st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64)),
-       st.sampled_from([graph._STORED_STOP, 3 * graph._WORD_BLOCK, 2 ** 32 - graph._WORD_BLOCK,
-                        2 ** 32]),
+       st.sampled_from([KEPT_STOP, 3 * graph._WORD_BLOCK, 2 ** 32 - graph._WORD_BLOCK,
+                        2 ** 32 - graph.SPECTRAL_CHUNK, 2 ** 32]),
        st.integers(1, 70), st.integers(1, 70), st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=1000)
 def test_draw_is_the_default_rng_draw_across_any_edge(seed, edge, before, after, p):
-    # The range starts before a block edge, the store's stop or 2**32 and ends after it.
+    # The range starts before a block edge, the kept chunks' end, a chunk
+    # edge or 2**32 and ends after it; its chunks are drawn whole.
     sched = GraphSchedule.seeded_random(6, p, seed)
-    rows = sched._draw(edge - before, before + after)
+    rows = sched._masks(edge - before, before + after)
     assert rows.shape == (before + after, 15)
     for k, row in enumerate(rows, edge - before):
         assert np.array_equal(row, np.random.default_rng((seed, k)).random(15) < p), k
@@ -869,20 +880,20 @@ def test_seed_words_seed_no_other_bit_generator_and_check_their_layout():
             graph._SeedWords(bad)
 
 
-@pytest.mark.parametrize("k", [70, graph._STORED_STOP + 5])
+@pytest.mark.parametrize("k", [70, KEPT_STOP + 5])
 def test_a_pair_whose_uniform_equals_p_is_not_an_edge(k):
     # The edge rule is u < p, strictly: with p set to one of instant k's own
-    # uniforms, that pair stays out, whether k is read from the mask store or
-    # drawn past it.
-    m, seed = 9, 4
+    # uniforms, that pair stays out, whether k's chunk is one of those to the
+    # horizon or past them.
+    m, seed, C = 9, 4, graph.SPECTRAL_CHUNK
     u = np.random.default_rng((seed, k)).random(36)
     pair = int(np.argsort(u)[18])  # a middle uniform, so both sides hold pairs
     sched = GraphSchedule.seeded_random(m, float(u[pair]), seed)
     masks = sched._masks(k - 1, 3)
-    assert (k < graph._STORED_STOP) == bool(sched._mask_chunks)
+    assert list(sched._mask_chunks) == [k - k % C]
     iu, ju = graph._upper_pairs(m)
     edge = (int(iu[pair]), int(ju[pair]))
-    for row in (masks[1], sched._draw(k, 1)[0]):
+    for row in (masks[1], sched._draw(k - k % C)[k % C]):
         assert not row[pair] and np.array_equal(row, u < u[pair]) and row.sum() == 18
     assert edge not in sched.edge_set(k) and len(sched.edge_set(k)) == 18
     assert sched.matrix(k)[edge] == 0.0
@@ -915,15 +926,15 @@ def test_matrices_stack_is_bitwise_the_per_instant_matrices(m, p):
 
 
 def test_matrices_inside_a_chunk_are_slices_of_one_kept_stack(monkeypatch):
-    drawn, masks = [], GraphSchedule._masks
-    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
-        drawn.append((start, count)) or masks(self, start, count)))
+    drawn, chunk = [], GraphSchedule._chunk
+    monkeypatch.setattr(GraphSchedule, "_chunk", lambda self, first: (
+        drawn.append(first) or chunk(self, first)))
     sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
     C = graph.SPECTRAL_CHUNK
     instants = [3, 13, C - 1, 0, C + 5, KEY_EDGE - 4, KEY_EDGE + 2]
     views = [sched.matrix(k) for k in instants]
-    # One aligned chunk per run of instants, drawn whole; the old one is dropped.
-    assert drawn == [(0, C), (C, C), (KEY_EDGE + 2 - C, C), (KEY_EDGE + 2, C)]
+    # One aligned chunk per run of instants, read whole; the old stack is dropped.
+    assert drawn == [0, C, KEY_EDGE + 2 - C, KEY_EDGE + 2]
     assert list(sched._matrices) == [KEY_EDGE + 2]
     assert all(W.base is views[0].base for W in views[1:4])
     for k, W in zip(instants, views):
@@ -1272,12 +1283,12 @@ def test_mask_store_holds_the_chunks_of_instants_to_the_horizon_packed():
     for first, chunk in sched._mask_chunks.items():
         assert chunk.dtype == np.uint8 and chunk.shape == (C, math.ceil(pairs / 8))
         assert np.array_equal(np.unpackbits(chunk, axis=1, count=pairs).view(bool),
-                              sched._draw(first, C))
-    # Past the stored chunks, rows are drawn for the range asked and not kept.
-    stop = graph._STORED_STOP
-    masks = sched._masks(stop - 3, 70)
-    assert np.array_equal(masks, sched._draw(stop - 3, 70))
-    assert len(sched._mask_chunks) == math.ceil((graph.HORIZON + 1) / C)
+                              sched._draw(first))
+    # Past the stored chunks, only the last chunk drawn is kept.
+    masks = sched._masks(KEPT_STOP - 3, 70)
+    drawn = np.concatenate([sched._draw(f) for f in (KEPT_STOP - C, KEPT_STOP, KEPT_STOP + C)])
+    assert np.array_equal(masks, drawn[C - 3:C + 67])
+    assert sorted(sched._mask_chunks) == [*range(0, graph.HORIZON + 1, C), KEPT_STOP + C]
 
 
 @pytest.mark.parametrize("k", [0, 63, 64, 1000, 1001])
@@ -1296,27 +1307,27 @@ def test_edge_set_read_from_the_store_is_the_fresh_draw(monkeypatch, k):
 
 
 def _spy_draws(monkeypatch) -> list:
-    """The instants ``GraphSchedule._draw``, the only code that draws, is
-    asked for from now on, in call order."""
+    """The first instant of each chunk ``GraphSchedule._draw``, the only
+    code that draws, is asked for from now on, in call order."""
     drawn, draw = [], GraphSchedule._draw
-    monkeypatch.setattr(GraphSchedule, "_draw", lambda self, start, count: drawn.extend(
-        range(start, start + count)) or draw(self, start, count))
+    monkeypatch.setattr(GraphSchedule, "_draw", lambda self, first: drawn.append(first) or draw(
+        self, first))
     return drawn
 
 
 def test_mask_store_is_read_whatever_range_asks(monkeypatch):
     sched = GraphSchedule.seeded_random(9, 0.4, 5)
-    keys = _spy_draws(monkeypatch)
+    firsts = _spy_draws(monkeypatch)
     C = graph.SPECTRAL_CHUNK
     for start, count in ((5, 3), (C - 2, 5), (0, 2 * C + 1), (graph.HORIZON - 4, 30)):
         masks = sched._masks(start, count)
         for c, row in enumerate(masks):
             expected = np.random.default_rng((5, start + c)).random(36) < 0.4
             assert np.array_equal(row, expected), (start, c)
-    stored = [k for k in keys if k < graph._STORED_STOP]
-    assert len(stored) == len(set(stored))  # every stored instant drawn once
-    assert sorted(stored) == sorted(set().union(
-        *(range(f, f + C) for f in sched._mask_chunks)))
+    # Every chunk a range touched is drawn once, whole, and kept: the four
+    # ranges touch chunks 0, 1, 2 and the two around the horizon.
+    assert sorted(firsts) == sorted(sched._mask_chunks) == [0, C, 2 * C, KEPT_STOP - C,
+                                                             KEPT_STOP]
 
 
 def test_mask_store_is_not_part_of_schedule_identity_and_is_not_copied():
@@ -1333,15 +1344,15 @@ def test_mask_store_is_not_part_of_schedule_identity_and_is_not_copied():
 
 @pytest.mark.parametrize("seed", [3, 2 ** 32])
 def test_mask_store_keeps_the_chunks_of_any_seed_and_draws_each_instant_once(monkeypatch, seed):
-    # Every reader goes through the one store, so each instant below
-    # _STORED_STOP is drawn once per schedule; a seed from 2**32 on, whose
+    # Every reader goes through the one store, so each chunk of instants to
+    # the horizon is drawn once per schedule; a seed from 2**32 on, whose
     # instants are drawn key by key with the tuple key, stores its chunks too.
-    C, stop = graph.SPECTRAL_CHUNK, graph._STORED_STOP
+    C, stop = graph.SPECTRAL_CHUNK, KEPT_STOP
     expected = {k: _tuple_key_draw(9, 0.4, seed, k) for k in (0, C - 1, 70, stop - 1)}
-    keys = _spy_draws(monkeypatch)
+    firsts = _spy_draws(monkeypatch)
     sched = GraphSchedule.seeded_random(9, 0.4, seed)
     assert sched.edge_set(70) == expected[70]  # its first read stores its chunk
-    assert sorted(keys) == list(range(C, 2 * C)) and list(sched._mask_chunks) == [C]
+    assert firsts == [C] and list(sched._mask_chunks) == [C]
     sched.matrix(3)
     sched._masks(C - 2, 5)
     sigma_gamma(sched, 2)  # edge_set over instants 0..HORIZON
@@ -1350,24 +1361,39 @@ def test_mask_store_keeps_the_chunks_of_any_seed_and_draws_each_instant_once(mon
     for k in (0, C - 1, stop - 1):
         assert sched.edge_set(k) == expected[k]
         sched.matrix(k)
-    assert sorted(keys) == list(range(stop))  # each instant below _STORED_STOP once
+    assert sorted(firsts) == list(range(0, stop, C))  # each chunk to the horizon once
     assert sorted(sched._mask_chunks) == list(range(0, stop, C))
+
+
+@pytest.mark.parametrize("walk", [sigma_gamma, gamma_connectivity])
+def test_walk_past_the_store_draws_each_chunk_once(monkeypatch, walk):
+    # Instants 0..2100 are chunks 0..32.  Only the last chunk drawn past the
+    # horizon is kept, and that is enough for an in-order walk: without it
+    # sigma_gamma's per-instant edge_set reads drew 1093 chunks.
+    firsts = _spy_draws(monkeypatch)
+    sched = GraphSchedule.seeded_random(20, 0.1, 3)
+    result = walk(sched, 6, horizon=2100)
+    C = graph.SPECTRAL_CHUNK
+    assert firsts == list(range(0, 33 * C, C))
+    assert sorted(sched._mask_chunks) == [*range(0, graph.HORIZON + 1, C), 32 * C]
+    if walk is sigma_gamma:
+        assert result.sigma_gamma.hex() == "0x1.987dde36307b0p-1"
 
 
 # ------------------------------------------------- the seeding-word block
 
-@pytest.mark.parametrize("start,count", [(2040, 20), (graph._STORED_STOP - 3, 70),
+@pytest.mark.parametrize("start,count", [(2040, 20), (KEPT_STOP - 3, 70),
                                          (2 ** 32 - 1030, 1040)])
 def test_draw_past_the_store_is_the_default_rng_draw_across_blocks(start, count):
-    # The last batch spans two blocks and runs past 2**32, where the keys no
-    # longer fit one word and are drawn one by one.
+    # The last range spans two blocks and runs past 2**32, where the keys no
+    # longer fit one word and each chunk is drawn key by key.
     sched = GraphSchedule.seeded_random(9, 0.4, 6)
-    rows = sched._draw(start, count)
+    rows = sched._masks(start, count)
     for c, row in enumerate(rows):
         expected = np.random.default_rng((6, start + c)).random(36) < 0.4
         assert np.array_equal(row, expected), (start, c)
     assert len(sched._word_block) <= 1
-    assert np.array_equal(sched._draw(start, count), rows)
+    assert np.array_equal(GraphSchedule.seeded_random(9, 0.4, 6)._masks(start, count), rows)
 
 
 def test_seeding_words_are_hashed_once_per_block_walked_in_order(monkeypatch):
@@ -1375,7 +1401,7 @@ def test_seeding_words_are_hashed_once_per_block_walked_in_order(monkeypatch):
     monkeypatch.setattr(graph, "_pcg64_states",
                         lambda seed, ks: hashed.append(ks.tolist()) or states(seed, ks))
     sched = GraphSchedule.seeded_random(9, 0.4, 5)
-    B, C, stop = graph._WORD_BLOCK, graph.SPECTRAL_CHUNK, graph._STORED_STOP
+    B, C, stop = graph._WORD_BLOCK, graph.SPECTRAL_CHUNK, KEPT_STOP
     for first in range(stop, stop + 2 * B + C, C):  # as matrix(k) reads them
         sched._masks(first, C)
         (block,) = sched._word_block.values()
@@ -1385,14 +1411,14 @@ def test_seeding_words_are_hashed_once_per_block_walked_in_order(monkeypatch):
     del hashed[:]
     sched._masks(stop + 2 * B + C, C)  # within the kept block: no hash
     assert hashed == []
-    for first in range(0, stop, C):  # the mask store's chunks are block 0: one hash
+    for first in range(0, stop, C):  # the chunks to the horizon are block 0: one hash
         sched._masks(first, C)
     assert stop <= B and hashed == [list(range(B))] and list(sched._word_block) == [0]
 
 
 def test_word_block_is_not_part_of_schedule_identity_and_is_not_copied():
     used = GraphSchedule.seeded_random(20, 0.1, 3)
-    used.matrix(graph._STORED_STOP + 5)
+    used.matrix(KEPT_STOP + 5)
     fresh = GraphSchedule.seeded_random(20, 0.1, 3)
     assert used._word_block and not fresh._word_block
     assert used == fresh and hash(used) == hash(fresh)
@@ -1400,5 +1426,64 @@ def test_word_block_is_not_part_of_schedule_identity_and_is_not_copied():
     assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
     for twin in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
         assert twin == used and not twin._word_block
-        assert twin.matrix(graph._STORED_STOP + 5).tobytes() == \
-            used.matrix(graph._STORED_STOP + 5).tobytes()
+        assert twin.matrix(KEPT_STOP + 5).tobytes() == used.matrix(KEPT_STOP + 5).tobytes()
+
+
+# ------------------------------------------------- narrow numpy integers
+
+# Each entry point takes a numpy integer as the Python int it holds: a horizon
+# of np.int8(127) once read no window (horizon + 1 wrapped), and an instant of
+# np.uint8(250) or np.int16(32767) raised OverflowError in chunk arithmetic.
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_sigma_gamma_takes_narrow_integers_as_python_ints(dtype):
+    sched = GraphSchedule.seeded_random(6, 0.5, 0)
+    horizon = narrow(dtype, 1100)
+    got = sigma_gamma(sched, dtype(1), horizon)
+    want = sigma_gamma(GraphSchedule.seeded_random(6, 0.5, 0), 1, int(horizon))
+    assert (got.sigma_gamma.hex(), got.is_estimate) == (want.sigma_gamma.hex(), want.is_estimate)
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_gamma_connectivity_takes_narrow_integers_as_python_ints(dtype):
+    sched = GraphSchedule.seeded_random(12, 0.05, 1)
+    horizon = narrow(dtype)
+    assert gamma_connectivity(sched, dtype(1), horizon) is gamma_connectivity(sched, 1, int(horizon))
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_matrix_takes_a_narrow_integer_instant_as_a_python_int(dtype):
+    k = narrow(dtype)
+    W = GraphSchedule.seeded_random(9, 0.4, 2).matrix(k)
+    assert W.tobytes() == GraphSchedule.seeded_random(9, 0.4, 2).matrix(int(k)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_edge_set_takes_a_narrow_integer_instant_as_a_python_int(dtype):
+    k = narrow(dtype)
+    edges = GraphSchedule.seeded_random(9, 0.4, 2).edge_set(k)
+    assert edges == GraphSchedule.seeded_random(9, 0.4, 2).edge_set(int(k))
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_metropolis_weights_takes_a_narrow_integer_m_as_a_python_int(dtype):
+    # m * m wrapped for np.int8(100): "cannot reshape array of size 10000".
+    m = narrow(dtype, 100)
+    edges = ring_edges(int(m))
+    assert metropolis_weights(edges, m).tobytes() == metropolis_weights(edges, int(m)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_seeded_random_agent_count_is_kept_as_a_python_int(dtype):
+    # np.int8(100) agents once failed in the chunk's Metropolis build.
+    m = narrow(dtype, 100)
+    sched = GraphSchedule.seeded_random(m, 0.05, 1)
+    assert type(sched.agent_count) is int and sched == GraphSchedule.seeded_random(int(m), 0.05, 1)
+    assert sched.matrix(3).tobytes() == GraphSchedule.seeded_random(
+        int(m), 0.05, 1).matrix(3).tobytes()
+
+
+def test_schedule_edge_sets_that_are_not_a_list_are_rejected():
+    # Once a TypeError from iterating 5.
+    with pytest.raises(ValueError, match="cyclic schedule requires explicit edge sets"):
+        GraphSchedule(3, "cyclic", 5)

@@ -10,7 +10,7 @@ from agtrack import (GraphSchedule, chebyshev_apply, graph,
                      chebyshev_operator, default_zeta, gossip,
                      metropolis_weights, multiple_consensus, sigma,
                      sigma_gamma)
-from conftest import M9_EDGE_SETS, path_edges, ring_edges
+from conftest import M9_EDGE_SETS, NARROW_INTS, narrow, path_edges, ring_edges
 from reference_steps import chebyshev_apply_textbook
 
 
@@ -302,14 +302,14 @@ def test_consecutive_multiple_consensus_calls_draw_each_round_once(rng, monkeypa
     u = expected = rng.standard_normal((8, 3))
     for k in range(300):
         expected = metropolis_weights(sched.edge_set(k), 8) @ expected
-    drawn, masks = [], GraphSchedule._masks
-    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
-        drawn.append((start, count)) or masks(self, start, count)))
+    drawn, chunk = [], GraphSchedule._chunk
+    monkeypatch.setattr(GraphSchedule, "_chunk", lambda self, first: (
+        drawn.append(first) or chunk(self, first)))
     for start in range(0, 300, 30):
         u = multiple_consensus(sched, None, start, 30, u)
     assert u.tobytes() == expected.tobytes()
     C = graph.SPECTRAL_CHUNK
-    assert drawn == [(first, C) for first in range(0, 300, C)]
+    assert drawn == list(range(0, 300, C))
 
 
 def test_multiple_consensus_memory_is_bounded_by_the_chunk(rng):
@@ -390,3 +390,20 @@ def test_chebyshev_bypass_performs_every_round_it_is_given(rng):
     for _ in range(5):
         expected = W @ expected
     assert chebyshev_apply(gossips, x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTS)
+def test_multiple_consensus_takes_narrow_integers_as_python_ints(rng, dtype):
+    # np.uint8(250) + 10 wrapped to 4, and the call returned x unmixed.
+    sched = GraphSchedule.seeded_random(8, 0.3, seed=4)
+    x = rng.standard_normal((8, 2))
+    start = narrow(dtype)
+    out = multiple_consensus(sched, None, start, dtype(10), x)
+    assert out.tobytes() == multiple_consensus(sched, None, int(start), 10, x).tobytes()
+    assert not np.array_equal(out, x)
+
+
+def test_gossip_rejects_a_w_that_is_not_a_matrix():
+    # Once an IndexError from W.shape[1].
+    with pytest.raises(ValueError, match=r"W must be a matrix, got shape \(3,\)"):
+        gossip(np.ones(3), np.ones((3, 2)))

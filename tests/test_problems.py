@@ -587,3 +587,32 @@ def test_generated_instances_pinned_bitwise(name):
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     assert h.hexdigest() == digest
     assert (float(prob.L).hex(), float(prob.mu).hex()) == CONSTANT_PINS[name]
+
+
+def test_random_quadratic_agent_count_must_be_an_integer():
+    # Once a TypeError from numpy's shape.
+    with pytest.raises(ValueError, match="need at least one agent and one dimension"):
+        random_quadratic_problem(2.5, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+def test_random_logistic_takes_narrow_integer_sizes_as_python_ints(dtype):
+    # m * samples_per_agent wrapped for np.int8(20) * np.int8(10).
+    got = random_logistic_problem(dtype(20), dtype(3), samples_per_agent=dtype(10), seed=4)
+    want = random_logistic_problem(20, 3, samples_per_agent=10, seed=4)
+    for name in ("data", "labels", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_random_logistic_sample_count_must_be_an_integer():
+    with pytest.raises(ValueError, match="samples_per_agent must be an integer, got 2.5"):
+        random_logistic_problem(2, 2, samples_per_agent=2.5)
+
+
+@pytest.mark.parametrize("L,mu", [(float("inf"), 0.0), (float("inf"), float("inf"))])
+def test_random_quadratic_rejects_a_non_finite_L(L, mu):
+    # An infinite L passed the check, warned in the spectrum map and failed
+    # later on a non-finite A.
+    with pytest.raises(ValueError, match=r"need L > 0 and 0 <= mu <= L, both finite \(got L = inf"):
+        random_quadratic_problem(2, 2, L=L, mu=mu)

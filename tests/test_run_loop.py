@@ -230,12 +230,12 @@ def test_run_draws_each_chunk_once(monkeypatch, variant):
     config = AlgorithmConfig(variant=variant, alpha=0.05, max_iterations=200)
     consts = resolve_constants(config, problem, schedule)  # its connectivity check draws too
     monkeypatch.setattr(algorithms, "resolve_constants", lambda *args: dict(consts))
-    drawn, masks = [], GraphSchedule._masks
-    monkeypatch.setattr(GraphSchedule, "_masks", lambda self, start, count: (
-        drawn.append((start, count)) or masks(self, start, count)))
+    drawn, chunk = [], GraphSchedule._chunk
+    monkeypatch.setattr(GraphSchedule, "_chunk", lambda self, first: (
+        drawn.append(first) or chunk(self, first)))
     run(config, problem, schedule, diagnostics=False)
     C = graph.SPECTRAL_CHUNK
-    assert drawn == [(first, C) for first in range(0, 200, C)]
+    assert drawn == list(range(0, 200, C))
 
 
 if __name__ == "__main__":
