@@ -20,5 +20,7 @@ from .analysis import (BoundCertificate, certificates_to_report,
                        certify_theorem1, certify_theorem2, certify_theorem3,
                        certify_theorem4, fit_rate)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imported classes and functions; importing them also binds the
+# submodules (agtrack.graph, ...), which star-imports leave out.
+__all__ = sorted(name for name, obj in globals().items() if name[0] != "_" and callable(obj))
 __version__ = "0.1.0"

@@ -58,7 +58,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, gamma_connectivity, sigma as sigma_of, sigma_gamma as sigma_gamma_of
-from .graph import _BOOL_TYPES, _is_int, _is_real
+from .graph import _BOOL_TYPES, _integer, _is_int, _is_real
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .mixing import chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
 from .problems import ProblemInstance, aggregate_gradient, bregman_distance, consensus_error, inexact_value
@@ -138,8 +138,8 @@ class AlgorithmConfig:
                              f"got {self.alpha!r}")
         elif self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
-        if not _is_int(self.max_iterations):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        # Python ints, here and below: a numpy integer would wrap in the run's arithmetic.
+        object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations"))
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
         if self.zeta is not None and not _is_int(self.zeta):
@@ -154,8 +154,6 @@ class AlgorithmConfig:
             raise ValueError(f"seeds must hold exactly one seed, got {self.seeds!r}")
         if not (_is_int(seeds[0]) and seeds[0] >= 0):
             raise ValueError(f"the run seed must be a non-negative integer, got {seeds[0]!r}")
-        # Python ints: a numpy integer would wrap in the run's arithmetic.
-        object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
         if self.zeta is not None:
             object.__setattr__(self, "zeta", operator.index(self.zeta))
         object.__setattr__(self, "seeds", (operator.index(seeds[0]),))
@@ -193,10 +191,9 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
         raise ValueError(f"L must be a finite number, got {L!r}")
     if L <= 0.0:
         raise ValueError("L must be positive")
-    if not (_is_int(gamma) and gamma >= 1):
-        raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
-    # A Python int: a numpy integer would wrap in gamma ** p.
-    gamma = operator.index(gamma) if setting == "time_varying" and mixing == "gossip" else 1
+    gamma = _integer(gamma, "gamma", 1)  # a numpy integer would wrap in gamma ** p
+    if setting != "time_varying" or mixing != "gossip":
+        gamma = 1
     sig = WRAPPER_SIGMA.get(mixing, sigma_or_sigma_gamma)
     if not (_is_real(sig) and 0.0 <= sig < 1.0):
         raise ValueError(f"mixing constant must lie in [0, 1), got {sig!r}; "

@@ -8,8 +8,9 @@ Subcommands (all take ``--config PATH`` with a JSON experiment file):
     graph-info  print the schedule's connectivity and mixing constants and the
                 default step size of each variant
 
-Exit codes: 0 success, 2 config validation error, 3 divergence,
-4 certificate failure under --strict.
+Exit codes: 0 success, 2 config validation error (an ``--out`` that cannot
+be a directory included, checked before anything is built or run),
+3 divergence, 4 certificate failure under --strict.
 
 Sweep cells run concurrently, on one thread per usable CPU and at most one
 per cell; cells with the same problem section share one build of it.  The
@@ -248,7 +249,14 @@ def _check_agents(schedule: GraphSchedule, problem: ProblemInstance):
 
 def _configured(args) -> dict:
     """The config at ``--config`` with ``--seed`` / ``--diagnostics`` written
-    into it, where the builders check them as they check the file's values."""
+    into it, where the builders check them as they check the file's values.
+    An ``--out`` that cannot be a directory (it, or its nearest existing
+    parent, is not one) is a ConfigError here, before anything is built,
+    rather than an OSError once the run is done."""
+    out = Path(args.out)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out}: {nearest} exists and is not a directory")
     config = load_config(args.config)
     if args.seed is not None:
         config["problem"]["seed"] = args.seed

@@ -27,6 +27,12 @@ Every built stack, and every matrix ``sigma`` takes, is checked for double
 stochasticity with row and column sums as matrix-vector products; a NaN entry
 fails the check, and an empty stack or a 0 x 0 matrix is rejected.
 
+One rule takes every whole-number argument of the package (an instant, an
+agent count, gamma, a horizon; in the other modules t, zeta, a start round,
+an iteration or sample count): ``_integer``.  A bool or a float is a
+ValueError that names the argument, never truncated, and a numpy integer
+becomes the Python int it holds, so no arithmetic on it can wrap.
+
 ``GraphSchedule.matrix(k)`` is the one way the methods get W^k.  A periodic
 schedule builds each of its period matrices once; a seeded_random schedule
 draws and builds ``SPECTRAL_CHUNK`` aligned instants at a time and keeps the
@@ -140,15 +146,23 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and type(v) not in _BOOL_TYPES
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as a Python int; ValueError naming ``name`` unless it is an
+    integer (a bool is not), at least ``least`` when that is given.  A numpy
+    integer becomes the Python int it holds, so arithmetic on it cannot wrap."""
+    if not (_is_int(value) and (least is None or value >= least)):
+        bound = "" if least is None else f" at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return operator.index(value)
+
+
 def _check_instant(k) -> int:
     """k as a Python int; ValueError unless it is an instant index, an integer
-    k >= 0.  A numpy integer becomes a Python int, so arithmetic on it cannot
-    wrap."""
-    if not _is_int(k):
-        raise ValueError(f"instant index must be an integer, got {k!r}")
+    k >= 0."""
+    k = _integer(k, "instant index")
     if k < 0:
         raise ValueError("instant index must be nonnegative")
-    return operator.index(k)
+    return k
 
 
 def _edge_arrays(edges, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +309,9 @@ class GraphSchedule:
     ``EdgeSet``; the agent count is an integer at least 1, a seeded_random
     seed a non-negative integer and its edge probability a number in
     [0, 1] (a bool is none of these).  The agent count is kept as a
-    Python int.
+    Python int.  A field the kind never reads (a seeded_random schedule's
+    edge sets, a static or cyclic one's edge probability or seed) is a
+    ValueError, since it would take part in ``==`` and hashing unused.
     """
 
     agent_count: int
@@ -314,11 +330,14 @@ class GraphSchedule:
     _word_block: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (_is_int(self.agent_count) and self.agent_count >= 1):
-            raise ValueError(f"agent_count must be an integer at least 1, got {self.agent_count!r}")
-        object.__setattr__(self, "agent_count", operator.index(self.agent_count))
+        object.__setattr__(self, "agent_count", _integer(self.agent_count, "agent_count", 1))
         if self.schedule_kind not in ("static", "cyclic", "seeded_random"):
             raise ValueError(f"unknown schedule_kind {self.schedule_kind!r}")
+        unread = (("edge_sets",) if self.schedule_kind == "seeded_random"
+                  else ("edge_probability", "seed"))
+        stray = [name for name in unread if getattr(self, name) is not None]
+        if stray:
+            raise ValueError(f"a {self.schedule_kind} schedule does not read {' or '.join(stray)}")
         if self.schedule_kind in ("static", "cyclic"):
             sets = self.edge_sets if isinstance(self.edge_sets, (list, tuple)) else ()
             if not sets:
@@ -550,11 +569,9 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
     own build.  Any other list is one edge list of pairs, so ``[]`` and
     ``()`` still give the m x m identity.
     """
-    if not _is_int(m):
-        raise ValueError(f"m must be an integer, got {m!r}")
+    m = _integer(m, "m")  # a numpy integer would wrap in the stack's index arithmetic
     if m <= 0:
         raise ValueError("m must be positive")
-    m = operator.index(m)  # a numpy integer would wrap in the stack's index arithmetic
     if type(edge_set) in (list, tuple) and any(isinstance(e, EdgeSet) for e in edge_set):
         if not all(isinstance(e, EdgeSet) for e in edge_set):
             raise ValueError("a list of edge sets holds EdgeSets only, not (i, j) pairs")
@@ -691,14 +708,10 @@ def _window_ends(schedule, gamma: int, horizon: int | None) -> tuple[range, int,
     a ValueError, never truncated; a numpy integer is taken as the Python int
     it holds, so the walk's arithmetic cannot wrap.
     """
-    if not (_is_int(gamma) and gamma >= 1):
-        raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
-    if horizon is not None and not _is_int(horizon):
-        raise ValueError(f"horizon must be an integer, got {horizon!r}")
-    gamma = operator.index(gamma)
+    gamma = _integer(gamma, "gamma", 1)
+    horizon = HORIZON if horizon is None else _integer(horizon, "horizon")
     if schedule.period is not None:
         return range(gamma - 1, gamma - 1 + schedule.period), gamma, False
-    horizon = HORIZON if horizon is None else operator.index(horizon)
     if horizon < gamma - 1:
         raise ValueError(f"horizon must be at least gamma - 1 = {gamma - 1}, got {horizon}")
     return range(gamma - 1, horizon + 1), gamma, True

@@ -20,12 +20,11 @@ counts them, so the operators stay pure.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (GraphSchedule, _all_connected, _is_int, _is_real, _upper_pairs,
+from .graph import (GraphSchedule, _all_connected, _integer, _is_real, _upper_pairs,
                     metropolis_weights, sigma as sigma_of)
 
 SYMMETRY_TOL = 1e-12
@@ -77,8 +76,7 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     When sigma <= ``SIGMA_BYPASS_TOL`` the operator is plain gossip with W,
     t rounds of it (one when t is None).
     """
-    if t is not None and not (_is_int(t) and t >= 1):
-        raise ValueError(f"t must be an integer at least 1, got {t!r}")
+    t = None if t is None else _integer(t, "t", 1)
     M = np.asarray(W, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"mixing matrix must be square, one (m, m) matrix, got shape {M.shape}")
@@ -101,15 +99,15 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     # lambda1 <= 2 for doubly stochastic W; clip rounding overshoot.
     lambda1 = float(min(lam[-1], 2.0))
     if sig <= SIGMA_BYPASS_TOL:
-        t = 1 if t is None else int(t)
-        return ChebyshevOperator(M, t, 1.0, 0.0, float("inf"), 1.0, lambda1, bypass=True)
+        return ChebyshevOperator(M, 1 if t is None else t, 1.0, 0.0, float("inf"), 1.0,
+                                 lambda1, bypass=True)
     nu = (1.0 - sig) / lambda1
     if t is None:
         t = math.ceil(1.0 / math.sqrt(nu))
     c1 = (1.0 - math.sqrt(nu)) / (1.0 + math.sqrt(nu))
     c2 = (1.0 + nu) / (1.0 - nu)
     c3 = 2.0 / (lambda1 + 1.0 - sig)
-    return ChebyshevOperator(M, int(t), nu, c1, c2, c3, lambda1)
+    return ChebyshevOperator(M, t, nu, c1, c2, c3, lambda1)
 
 
 def gossip(W, x: np.ndarray) -> np.ndarray:
@@ -166,8 +164,7 @@ def default_zeta(gamma: int, sigma_gamma: float) -> int:
     """Rounds per multiple-consensus call: ``ceil(gamma / (1 - sigma_gamma))``;
     ValueError unless gamma is an integer at least 1 and sigma_gamma a number
     in [0, 1) (bools are neither)."""
-    if not (_is_int(gamma) and gamma >= 1):
-        raise ValueError(f"gamma must be an integer at least 1, got {gamma!r}")
+    gamma = _integer(gamma, "gamma", 1)
     if not _is_real(sigma_gamma):
         raise ValueError(f"sigma_gamma must be a number, got {sigma_gamma!r}")
     if not (0.0 <= sigma_gamma < 1.0):
@@ -190,11 +187,7 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
     ValueError; a numpy integer is taken as a Python int, so the rounds
     cannot wrap.
     """
-    if not _is_int(start_round):
-        raise ValueError(f"start_round must be an integer, got {start_round!r}")
-    if not (_is_int(zeta) and zeta >= 1):
-        raise ValueError(f"zeta must be an integer at least 1, got {zeta!r}")
-    start_round, zeta = operator.index(start_round), operator.index(zeta)
+    start_round, zeta = _integer(start_round, "start_round"), _integer(zeta, "zeta", 1)
     if weight_rule not in (None, metropolis_weights):
         raise ValueError("multiple consensus mixes with the schedule's Metropolis matrices only")
     x = np.asarray(x, dtype=float)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _is_int
+from .graph import _integer, _is_int
 
 OPTIMUM_TOL_LOGISTIC = 1e-10
 OPTIMUM_MAX_ITERS = 1_000_000
@@ -50,11 +50,17 @@ def _check_sizes(m: int, n: int) -> tuple[int, int]:
 
 def _check_stacks(kind, A=None, b=None, data=None, labels=None, counts=None, ridge=None):
     """Sizes ``(m, n)`` of stacks laid out as the module docstring says;
-    ValueError naming the first check they fail.  Every entry of A, b,
-    data, labels and ridge must be finite: a NaN would otherwise pass the
-    optimum's residual test (``nan > tol`` is False) or stall its solver."""
+    ValueError naming the first check they fail, or a given stack that the
+    kind does not read.  Every entry of A, b, data, labels and ridge must be
+    finite: a NaN would otherwise pass the optimum's residual test
+    (``nan > tol`` is False) or stall its solver."""
     if kind not in ("quadratic", "logistic"):
         raise ValueError(f"unknown objective kind {kind!r}")
+    unread = ({"A": A, "b": b} if kind == "logistic"
+              else {"data": data, "labels": labels, "counts": counts, "ridge": ridge})
+    stray = [name for name, stack in unread.items() if stack is not None]
+    if stray:
+        raise ValueError(f"a {kind} instance does not read {', '.join(stray)}")
     m, n = (len(b), b.shape[-1]) if kind == "quadratic" else (len(counts), data.shape[-1])
     _check_sizes(m, n)
     if kind == "quadratic":
@@ -85,13 +91,16 @@ def _check_stacks(kind, A=None, b=None, data=None, labels=None, counts=None, rid
     return m, n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """m local objectives of one kind, stacked as the module docstring says;
     ``L = max_i L_i`` and ``mu = min_i mu_i`` are the constants the step-size
     rules and certificates use.  Construction checks the stacks, sets the
     sizes ``m``, ``n`` and solves the optimum ``x_star``, ``F_star`` with
-    ``solve_optimum``, so ``||mean_gradient(x_star)|| <= 1e-10``."""
+    ``solve_optimum``, so ``||mean_gradient(x_star)|| <= 1e-10``.  It holds
+    only its kind's stacks.  Two instances are equal only when they are the
+    same object, and an instance hashes by identity: comparing the arrays
+    field by field would raise, as numpy's ``==`` has no single truth value."""
 
     kind: str
     L: float
@@ -340,9 +349,7 @@ def random_logistic_problem(m: int, n: int, samples_per_agent: int = 20,
     """Two-class logistic instance on synthetic Gaussian blobs; ValueError for
     an empty size, a sample count that is not an integer, or a negative ridge."""
     m, n = _check_sizes(m, n)
-    if not _is_int(samples_per_agent):
-        raise ValueError(f"samples_per_agent must be an integer, got {samples_per_agent!r}")
-    p = operator.index(samples_per_agent)
+    p = _integer(samples_per_agent, "samples_per_agent")
     rng = np.random.default_rng(seed)
     center = rng.standard_normal(n)
     center *= 1.5 / np.linalg.norm(center)

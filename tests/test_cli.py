@@ -1056,3 +1056,33 @@ def test_main_requires_subcommand():
 def test_main_requires_config_flag():
     with pytest.raises(SystemExit):
         main(["run"])
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_cannot_be_a_directory_exits_2_before_anything_runs(
+        tmp_path, capsys, monkeypatch, command, below):
+    # Once the whole run was computed first, then ended in a FileExistsError
+    # traceback (run) or a NotADirectoryError from a pool thread (sweep).
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append("run"))
+    monkeypatch.setattr(cli, "build_problem", lambda *a, **k: calls.append("build_problem"))
+    blocker = tmp_path / "trace.csv"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    cfg = sweep_config() if command == "sweep" else base_config()
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"config error: --out {out}: {blocker} exists and is not a directory\n"
+    assert captured.out == "" and calls == [] and blocker.read_text() == "kept\n"
+
+
+def test_package_star_exports_classes_and_functions_only():
+    # __all__ once came from dir(), so it listed the submodules too.
+    assert agtrack.__all__ and all(inspect.isclass(getattr(agtrack, name))
+                                   or inspect.isfunction(getattr(agtrack, name))
+                                   for name in agtrack.__all__)
+    namespace = {}
+    exec("from agtrack import *", namespace)
+    assert "graph" not in namespace and "run" in namespace

@@ -1487,3 +1487,15 @@ def test_schedule_edge_sets_that_are_not_a_list_are_rejected():
     # Once a TypeError from iterating 5.
     with pytest.raises(ValueError, match="cyclic schedule requires explicit edge sets"):
         GraphSchedule(3, "cyclic", 5)
+
+
+@pytest.mark.parametrize("kind,fields,stray", [
+    # Once accepted: edge_set(0) was a random draw, (), whatever the edge set.
+    ("seeded_random", ((((0, 1),),), 0.5, 7), "edge_sets"),
+    # Once kept unused, so the schedule compared unequal to GraphSchedule.static.
+    ("static", ((((0, 1),),), 0.5, 7), "edge_probability or seed"),
+    ("cyclic", ((((0, 1),), ((1, 2),)), None, 5), "seed"),
+])
+def test_schedule_rejects_a_field_its_kind_never_reads(kind, fields, stray):
+    with pytest.raises(ValueError, match=f"^a {kind} schedule does not read {stray}$"):
+        GraphSchedule(3, kind, *fields)

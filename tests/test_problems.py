@@ -616,3 +616,25 @@ def test_random_quadratic_rejects_a_non_finite_L(L, mu):
     # later on a non-finite A.
     with pytest.raises(ValueError, match=r"need L > 0 and 0 <= mu <= L, both finite \(got L = inf"):
         random_quadratic_problem(2, 2, L=L, mu=mu)
+
+
+@pytest.mark.parametrize("kind,stacks,stray", [
+    # Once accepted and kept: a logistic instance holding NaN A and unread b.
+    ("logistic", {"A": np.full((9, 9, 9), np.nan), "b": np.ones(4)}, "A, b"),
+    ("quadratic", {"ridge": np.array([-1.0]), "counts": np.array([5])}, "counts, ridge"),
+])
+def test_instance_rejects_stacks_its_kind_never_reads(kind, stacks, stray):
+    prob = random_logistic_problem(3, 2, seed=1) if kind == "logistic" \
+        else random_quadratic_problem(3, 2, seed=1)
+    own = {name: getattr(prob, name) for name in (
+        ("data", "labels", "counts", "ridge") if kind == "logistic" else ("A", "b"))}
+    with pytest.raises(ValueError, match=f"^a {kind} instance does not read {stray}$"):
+        ProblemInstance(kind, prob.L, prob.mu, **own, **stacks)
+
+
+def test_instances_compare_by_identity_and_hash():
+    # == once compared the arrays field by field and raised "The truth value
+    # of an array ... is ambiguous"; hash() raised TypeError.
+    a, b = random_quadratic_problem(3, 2, seed=1), random_quadratic_problem(3, 2, seed=1)
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
