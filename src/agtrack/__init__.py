@@ -5,8 +5,8 @@ static and time-varying gossip networks, with Metropolis mixing, Chebyshev
 acceleration, multiple consensus, and an executable verification harness for
 the proved convergence bounds.
 """
-from .graph import (EdgeSet, GraphSchedule, SpectralReport, gamma_connectivity,
-                    metropolis_weights, sigma, sigma_gamma)
+from .graph import (EdgeSet, GraphSchedule, gamma_connectivity, metropolis_weights,
+                    sigma, sigma_gamma)
 from .mixing import (ChebyshevOperator, chebyshev_apply, chebyshev_operator,
                      default_zeta, gossip, multiple_consensus)
 from .problems import (ProblemInstance, aggregate_gradient, bregman_distance,

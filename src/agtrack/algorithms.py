@@ -58,7 +58,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, gamma_connectivity, sigma as sigma_of, sigma_gamma as sigma_gamma_of
-from .graph import _BOOL_TYPES, _integer, _is_int, _is_real
+from .graph import _integer, _is_int, _is_real
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .mixing import chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
 from .problems import ProblemInstance, aggregate_gradient, bregman_distance, consensus_error, inexact_value
@@ -142,20 +142,16 @@ class AlgorithmConfig:
         object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations"))
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.zeta is not None and not _is_int(self.zeta):
-            raise ValueError(f"zeta must be an integer or None, got {self.zeta!r}")
-        if self.zeta is not None and self.zeta < 1:
-            raise ValueError("zeta must be at least 1")
-        if self.zeta is not None and mixing != "multiple_consensus":
-            raise ValueError(f"zeta sets the rounds of acc_gt_multiconsensus only; "
-                             f"variant {self.variant} does not read it")
+        if self.zeta is not None:
+            object.__setattr__(self, "zeta", _integer(self.zeta, "zeta", 1))
+            if mixing != "multiple_consensus":
+                raise ValueError(f"zeta sets the rounds of acc_gt_multiconsensus only; "
+                                 f"variant {self.variant} does not read it")
         seeds = self.seeds if isinstance(self.seeds, (list, tuple)) else ()
         if len(seeds) != 1:  # run() draws x0 from seeds[0] and reads no other
             raise ValueError(f"seeds must hold exactly one seed, got {self.seeds!r}")
         if not (_is_int(seeds[0]) and seeds[0] >= 0):
             raise ValueError(f"the run seed must be a non-negative integer, got {seeds[0]!r}")
-        if self.zeta is not None:
-            object.__setattr__(self, "zeta", operator.index(self.zeta))
         object.__setattr__(self, "seeds", (operator.index(seeds[0]),))
 
 
@@ -337,9 +333,9 @@ def resolve_constants(config: AlgorithmConfig, problem: ProblemInstance,
         # sigma_gamma sets the gossip step rule and the default zeta; the
         # multiple-consensus step rule reads its wrapper's constant instead.
         if mixing == "gossip" or config.zeta is None:
-            report = sigma_gamma_of(schedule, gamma)
-            out["sigma_gamma"] = sig_for_alpha = report.sigma_gamma
-            out["sigma_gamma_is_estimate"] = report.is_estimate
+            out["sigma_gamma"] = sig_for_alpha = sigma_gamma_of(schedule, gamma)
+            # sigma_gamma samples a schedule with no period up to its horizon.
+            out["sigma_gamma_is_estimate"] = schedule.period is None
     out["gamma"] = gamma
 
     out["alpha"] = (default_alpha(config.variant, problem.L, sig_for_alpha, gamma, config.mu_mode)

@@ -362,9 +362,8 @@ def cmd_graph_info(args) -> int:
         print(f"sigma = {sig:.17g}")
         settings = ("static", "time_varying")
     else:
-        report = sigma_gamma_of(schedule, gamma)
-        sig = report.sigma_gamma
-        flag = " (estimate)" if report.is_estimate else " (exact)"
+        sig = sigma_gamma_of(schedule, gamma)
+        flag = " (estimate)" if schedule.period is None else " (exact)"
         print(f"sigma_gamma = {sig:.17g}{flag} at gamma = {gamma}")
         settings = ("time_varying",)
     L = problem.L  # data-derived for logistic problems

@@ -511,22 +511,6 @@ class GraphSchedule:
         return W
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """The gamma-step mixing constant of a schedule.
-
-    ``sigma_gamma`` is the gamma-step product constant, the only one the
-    time-varying theorems and step rules read (the single-step constant of
-    a stack of instants is ``sigma(stack)``).  ``is_estimate`` flags a
-    finite-horizon sample of a supremum that is exact only for periodic
-    schedules.
-    """
-
-    sigma_gamma: float
-    gamma: int
-    is_estimate: bool
-
-
 def _check_doubly_stochastic(W: np.ndarray, tol: float):
     """Raise unless W, or every matrix of a ``(..., m, m)`` stack, is doubly stochastic.
 
@@ -695,46 +679,50 @@ def _all_connected(edges: np.ndarray, m: int) -> bool:
     return True
 
 
-def _window_ends(schedule, gamma: int, horizon: int | None) -> tuple[range, int, bool]:
+def _window_ends(schedule, gamma: int, horizon: int | None) -> tuple[range, int]:
     """The instants at which the windows of gamma instants that the constants
-    read end, gamma as a Python int, and whether a constant over them is an
-    estimate.
+    read end, and gamma as a Python int.
 
     A periodic schedule (static ones have period 1) has one period of window
-    ends, ``gamma - 1 .. gamma + period - 2``, whatever the horizon, and its
-    constants are exact.  A seeded_random schedule has the ends ``gamma - 1 ..
-    horizon`` (default ``HORIZON``), so instants 0..horizon are read, and its
-    constants are estimates.  A gamma or horizon that is not an integer is
-    a ValueError, never truncated; a numpy integer is taken as the Python int
-    it holds, so the walk's arithmetic cannot wrap.
+    ends, ``gamma - 1 .. gamma + period - 2``, whatever the horizon.  A
+    seeded_random schedule has the ends ``gamma - 1 .. horizon`` (default
+    ``HORIZON``), so instants 0..horizon are read.  A gamma or horizon that
+    is not an integer is a ValueError, never truncated; a numpy integer is
+    taken as the Python int it holds, so the walk's arithmetic cannot wrap.
     """
     gamma = _integer(gamma, "gamma", 1)
     horizon = HORIZON if horizon is None else _integer(horizon, "horizon")
     if schedule.period is not None:
-        return range(gamma - 1, gamma - 1 + schedule.period), gamma, False
+        return range(gamma - 1, gamma - 1 + schedule.period), gamma
     if horizon < gamma - 1:
         raise ValueError(f"horizon must be at least gamma - 1 = {gamma - 1}, got {horizon}")
-    return range(gamma - 1, horizon + 1), gamma, True
+    return range(gamma - 1, horizon + 1), gamma
 
 
-def _window_stacks(ends: range, gamma: int, fill, stack):
+def _window_stacks(ends: range, gamma: int, fill):
     """Yield, for each chunk of at most ``SPECTRAL_CHUNK`` window ends, the
     stack of the instants its windows span: row s of the chunk whose first
     end is e is instant ``e - gamma + 1 + s``, and the window ending at
     ``e + c`` is rows ``c .. c + gamma - 1``.
 
-    ``stack(rows)`` makes the one buffer every chunk is written into, and
-    ``fill(rows, first)`` writes instants ``first, first + 1, ...`` into
-    ``rows``.  The last gamma - 1 rows of a chunk carry into the next, so
-    each instant is filled once per walk, in order.  A yielded stack is
-    overwritten by the next.
+    ``fill(first, count)`` returns the rows of instants ``first .. first +
+    count - 1``.  The one buffer every chunk is written into takes the first
+    result's dtype and row shape, and the last gamma - 1 rows of a chunk
+    carry into the next, so each instant is filled once per walk, in order.
+    The returned rows are dropped before the chunk is yielded, and a yielded
+    stack is overwritten by the next.
     """
-    buffer = stack(gamma - 1 + min(SPECTRAL_CHUNK, len(ends)))
-    carry = 0  # the first chunk starts at instant ends.start - gamma + 1 = 0
+    buffer, carry = None, 0  # the first chunk starts at instant ends.start - gamma + 1 = 0
     for first in range(ends.start, ends.stop, SPECTRAL_CHUNK):
-        rows = buffer[:gamma - 1 + min(SPECTRAL_CHUNK, ends.stop - first)]
+        size = gamma - 1 + min(SPECTRAL_CHUNK, ends.stop - first)
+        new = fill(first - gamma + 1 + carry, size - carry)
+        if buffer is None:
+            buffer = np.empty((gamma - 1 + min(SPECTRAL_CHUNK, len(ends)), *new.shape[1:]),
+                              dtype=new.dtype)
+        rows = buffer[:size]
         rows[:carry] = buffer[SPECTRAL_CHUNK:SPECTRAL_CHUNK + carry]  # the full chunk before
-        fill(rows[carry:], first - gamma + 1 + carry)
+        rows[carry:] = new
+        del new
         yield rows
         carry = gamma - 1
 
@@ -757,27 +745,22 @@ def gamma_connectivity(schedule: GraphSchedule, gamma: int, horizon: int | None 
     (``_window_unions``) and are tested together by batched reachability;
     the call returns at the first chunk that holds a disconnected window.
     """
-    ends, gamma, _ = _window_ends(schedule, gamma, horizon)
+    ends, gamma = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count
-
-    def fill(rows, first):
-        rows[:] = schedule._masks(first, len(rows))
-
-    stacks = _window_stacks(ends, gamma, fill,
-                            lambda rows: np.empty((rows, len(_upper_pairs(m)[0])), dtype=bool))
-    return all(_all_connected(_window_unions(masks, gamma), m) for masks in stacks)
+    return all(_all_connected(_window_unions(masks, gamma), m)
+               for masks in _window_stacks(ends, gamma, schedule._masks))
 
 
-def sigma_gamma(schedule: GraphSchedule, gamma: int,
-                horizon: int | None = None) -> SpectralReport:
+def sigma_gamma(schedule: GraphSchedule, gamma: int, horizon: int | None = None) -> float:
     """Gamma-step mixing constant ``sup_k ||W^{k,gamma} - (1/m) 1 1^T||_2``.
 
     The windows are those ``gamma_connectivity`` checks (``_window_ends``):
     periodic schedules (static ones have period 1) take the exact max over
-    one full period of windows, whatever the horizon; seeded_random
-    schedules sample the windows ending at ``k in [gamma-1, horizon]``
-    (default ``HORIZON``), instants 0..horizon, and flag the result as an
-    estimate.
+    one full period of windows, whatever the horizon.  A schedule with no
+    period (seeded_random) is sampled: the windows ending at ``k in
+    [gamma-1, horizon]`` (default ``HORIZON``), instants 0..horizon, so the
+    result is an estimate of the supremum exactly when ``schedule.period is
+    None``, and callers that report it label it so.
 
     Windows are handled ``SPECTRAL_CHUNK`` at a time: their matrices are
     stacked, the products ``W^k ... W^{k-gamma+1}`` are formed with batched
@@ -804,18 +787,17 @@ def sigma_gamma(schedule: GraphSchedule, gamma: int,
     after ``resolve_gamma`` the chunks of instants 0..``HORIZON`` are kept
     already, and a walk past them draws each later chunk once.
     """
-    ends, gamma, is_estimate = _window_ends(schedule, gamma, horizon)
+    ends, gamma = _window_ends(schedule, gamma, horizon)
     m = schedule.agent_count
 
-    def fill(rows, first):
-        edge_sets = [schedule.edge_set(r) for r in range(first, first + len(rows))]
-        rows[:] = metropolis_weights(edge_sets, m)
+    def fill(first, count):
+        return metropolis_weights([schedule.edge_set(r) for r in range(first, first + count)], m)
 
     sig_g = 0.0
-    for Ws in _window_stacks(ends, gamma, fill, lambda rows: np.empty((rows, m, m))):
+    for Ws in _window_stacks(ends, gamma, fill):
         count = len(Ws) - gamma + 1
         P = Ws[:count]  # for gamma = 1 the windows are the instants themselves
         for s in range(1, gamma):
             P = Ws[s:s + count] @ P
         sig_g = max(sig_g, sigma(P))
-    return SpectralReport(sig_g, gamma, is_estimate)
+    return sig_g

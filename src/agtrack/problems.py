@@ -50,17 +50,23 @@ def _check_sizes(m: int, n: int) -> tuple[int, int]:
 
 def _check_stacks(kind, A=None, b=None, data=None, labels=None, counts=None, ridge=None):
     """Sizes ``(m, n)`` of stacks laid out as the module docstring says;
-    ValueError naming the first check they fail, or a given stack that the
-    kind does not read.  Every entry of A, b, data, labels and ridge must be
-    finite: a NaN would otherwise pass the optimum's residual test
-    (``nan > tol`` is False) or stall its solver."""
+    ValueError naming the first check they fail, a given stack that the kind
+    does not read, or one it reads that is missing or not a real numpy array
+    of one or more axes.  Every entry of A, b, data, labels and ridge must be finite:
+    a NaN would otherwise pass the optimum's residual test (``nan > tol`` is
+    False) or stall its solver."""
     if kind not in ("quadratic", "logistic"):
         raise ValueError(f"unknown objective kind {kind!r}")
-    unread = ({"A": A, "b": b} if kind == "logistic"
-              else {"data": data, "labels": labels, "counts": counts, "ridge": ridge})
-    stray = [name for name, stack in unread.items() if stack is not None]
+    given = {"A": A, "b": b, "data": data, "labels": labels, "counts": counts, "ridge": ridge}
+    read = ("A", "b") if kind == "quadratic" else ("data", "labels", "counts", "ridge")
+    stray = [name for name, stack in given.items() if name not in read and stack is not None]
     if stray:
         raise ValueError(f"a {kind} instance does not read {', '.join(stray)}")
+    for name in read:
+        stack = given[name]
+        if not (isinstance(stack, np.ndarray) and stack.ndim and stack.dtype.kind in "iuf"):
+            raise ValueError(f"a {kind} instance needs {name} as a real numpy array of one or "
+                             f"more axes, got {stack!r:.40}")
     m, n = (len(b), b.shape[-1]) if kind == "quadratic" else (len(counts), data.shape[-1])
     _check_sizes(m, n)
     if kind == "quadratic":

@@ -192,8 +192,7 @@ def test_criterion_07_chebyshev_effective_norm():
 def test_criterion_08_multiple_consensus_contraction():
     """ceil(gamma/(1-sigma_gamma)) chained rounds contract disagreement by
     at least 1/e from any start instant."""
-    report = sigma_gamma(M9, 3)
-    zeta = default_zeta(3, report.sigma_gamma)
+    zeta = default_zeta(3, sigma_gamma(M9, 3))
     assert zeta == 13
     rng = np.random.default_rng(8)
     worst = 0.0
@@ -254,13 +253,13 @@ def test_criterion_11_contraction_suites():
         contraction = sigma(W)
         assert (np.linalg.norm(projected(W @ x))
                 <= contraction * np.linalg.norm(projected(x)) + 1e-9)
-    report = sigma_gamma(M9, 3)
+    sig_g = sigma_gamma(M9, 3)
     for _ in range(100):  # full gamma-window against sigma_gamma
         k = int(rng.integers(2, 32))
         window = matrix_product_window(M9, k, 3)
         x = rng.standard_normal((9, 4))
         assert (np.linalg.norm(projected(window @ x))
-                <= report.sigma_gamma * np.linalg.norm(projected(x)) + 1e-9)
+                <= sig_g * np.linalg.norm(projected(x)) + 1e-9)
     for _ in range(100):  # any single round never expands disagreement
         m = int(rng.integers(3, 21))
         W = metropolis_weights(random_edge_set(m, rng, float(rng.uniform(0.1, 0.5))), m)

@@ -90,6 +90,14 @@ def test_load_config_rejects_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.json"))
 
 
+def test_run_rejects_a_config_whose_top_level_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, [base_config()]),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: top level: expected a JSON object\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ builders
 
 def test_build_problem_requires_kind():
@@ -405,6 +413,24 @@ def test_run_seed_override_changes_instance(tmp_path):
     assert main(["run", "--config", cfg_path, "--out", str(out),
                  "--deterministic"]) == 0
     assert read_trace(out)[1][1] == gaps[0]
+
+
+def test_run_seed_rewrites_the_seed_of_a_seeded_random_graph(tmp_path):
+    graph = {"m": 5, "kind": "seeded_random", "edge_probability": 0.5, "seed": 1}
+    data = base_config(graph=graph)
+    data["algorithm"].update(variant="acc_gt_tv", max_iterations=20)
+    traces = {}
+    for name, graph_seed in (("flag", None), ("written", 7), ("kept", 1)):
+        cfg, flag = json.loads(json.dumps(data)), ["--seed", "7"]
+        if graph_seed is not None:  # the seeds --seed 7 writes, with this graph seed
+            cfg["problem"]["seed"], cfg["algorithm"]["seeds"] = 7, [7]
+            cfg["graph"]["seed"], flag = graph_seed, []
+        out = tmp_path / name
+        assert main(["run", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                     "--out", str(out), "--deterministic", *flag]) == 0
+        traces[name] = (out / "trace.csv").read_bytes()
+    assert traces["flag"] == traces["written"]
+    assert traces["flag"] != traces["kept"]  # the graph seed is part of the trace
 
 
 def test_run_diagnostics_override(tmp_path):
@@ -759,6 +785,17 @@ def test_sweep_rejects_an_empty_axis(tmp_path, capsys):
         in captured.err
     assert "sweep complete" not in captured.out
     assert not out.exists()
+
+
+def test_sweep_axis_through_a_value_that_is_not_an_object(tmp_path, capsys):
+    cfg = sweep_config()
+    cfg["sweep"] = {"algorithm.variant.name": ["gt"]}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--deterministic"]) == 2
+    assert "sweep complete: 1 cells" in capsys.readouterr().out
+    assert [r["status"] for r in read_summary(out)] == [
+        "config error: sweep: path 'algorithm.variant.name' does not exist in the config"]
 
 
 def test_sweep_without_axes_behaves_as_run(tmp_path, capsys):

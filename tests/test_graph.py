@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agtrack import (EdgeSet, GraphSchedule, NotGammaConnectedError, chebyshev_operator,
-                     gamma_connectivity, graph, metropolis_weights, resolve_gamma, sigma,
+from agtrack import (AlgorithmConfig, EdgeSet, GraphSchedule, NotGammaConnectedError,
+                     chebyshev_operator, gamma_connectivity, graph, metropolis_weights,
+                     random_quadratic_problem, resolve_constants, resolve_gamma, sigma,
                      sigma_gamma)
 from conftest import M9_EDGE_SETS, NARROW_INTS, narrow, path_edges, ring_edges
 from reference_steps import gamma_connected_bfs, matrix_product_window, metropolis_weights_loop
@@ -274,47 +275,50 @@ def test_m9_schedule_gamma3(m9_schedule):
 
 # ------------------------------------------------- sigma_gamma
 
+def estimate_label(schedule):
+    """``sigma_gamma_is_estimate`` as ``resolve_constants`` records it for an
+    acc_gt_tv run on the schedule."""
+    problem = random_quadratic_problem(schedule.agent_count, 2, seed=0)
+    consts = resolve_constants(AlgorithmConfig("acc_gt_tv", alpha=0.1), problem, schedule)
+    return consts["sigma_gamma_is_estimate"]
+
+
 def test_sigma_gamma_no_mixing_is_one():
     sched = GraphSchedule.cyclic(4, [[], [], []])
-    report = sigma_gamma(sched, 3)
-    assert report.sigma_gamma == pytest.approx(1.0, abs=1e-12)
+    assert sigma_gamma(sched, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sigma_gamma_complete_static_is_zero():
     sched = GraphSchedule.static(3, [(0, 1), (0, 2), (1, 2)])
-    report = sigma_gamma(sched, 1)
-    assert report.sigma_gamma == pytest.approx(0.0, abs=1e-12)
-    assert not report.is_estimate
+    assert sigma_gamma(sched, 1) == pytest.approx(0.0, abs=1e-12)
+    assert estimate_label(sched) is False
 
 
 def test_sigma_gamma_alternating_is_period_max():
     sched = GraphSchedule.cyclic(3, [[(0, 1)], [(1, 2)]])
-    report = sigma_gamma(sched, 2)
+    sig_g = sigma_gamma(sched, 2)
     mats = [metropolis_weights(e, 3) for e in ([(0, 1)], [(1, 2)])]
     J = np.full((3, 3), 1 / 3)
     by_hand = max(np.linalg.norm(mats[1] @ mats[0] - J, 2),
                   np.linalg.norm(mats[0] @ mats[1] - J, 2))
-    assert report.sigma_gamma == pytest.approx(by_hand, abs=1e-12)
-    assert not report.is_estimate
+    assert sig_g == pytest.approx(by_hand, abs=1e-12)
+    assert estimate_label(sched) is False
 
 
 def test_sigma_gamma_m9_frozen_value(m9_schedule):
-    report = sigma_gamma(m9_schedule, 3)
-    assert report.sigma_gamma == pytest.approx(0.761368718888694, abs=1e-12)
-    assert report.gamma == 3
-    assert not report.is_estimate
+    assert sigma_gamma(m9_schedule, 3) == pytest.approx(0.761368718888694, abs=1e-12)
+    assert estimate_label(m9_schedule) is False
 
 
 def test_sigma_gamma_static_monotone_in_gamma(ring10):
-    values = [sigma_gamma(ring10, g).sigma_gamma for g in range(1, 6)]
+    values = [sigma_gamma(ring10, g) for g in range(1, 6)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_sigma_gamma_seeded_random_is_estimate():
     sched = GraphSchedule.seeded_random(6, 0.5, seed=7)
-    report = sigma_gamma(sched, 2, horizon=40)
-    assert report.is_estimate
-    assert 0.0 <= report.sigma_gamma <= 1.0
+    assert 0.0 <= sigma_gamma(sched, 2, horizon=40) <= 1.0
+    assert estimate_label(sched) is True
 
 
 def test_sigma_gamma_rejects_horizon_below_gamma():
@@ -351,13 +355,13 @@ def test_gamma_window_contraction_and_nonexpansion(seed):
     # for partial windows 0 <= t < gamma.
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
     gamma = 3
-    report = sigma_gamma(sched, gamma)
+    sig_g = sigma_gamma(sched, gamma)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(gamma - 1, 12))
     x = rng.standard_normal((9, 4))
     pi = lambda v: v - v.mean(axis=0)
     full = matrix_product_window(sched, k, gamma)
-    assert np.linalg.norm(pi(full @ x)) <= report.sigma_gamma * np.linalg.norm(pi(x)) + 1e-9
+    assert np.linalg.norm(pi(full @ x)) <= sig_g * np.linalg.norm(pi(x)) + 1e-9
     for t in range(gamma):
         part = matrix_product_window(sched, k, t)
         assert np.linalg.norm(pi(part @ x)) <= np.linalg.norm(pi(x)) + 1e-9
@@ -404,10 +408,10 @@ def test_spectral_constants_pinned_bitwise(name):
     if gamma is None:
         gamma = resolve_gamma(schedule)
         assert gamma == 3
-    report = sigma_gamma(schedule, gamma)
+    sig_g = sigma_gamma(schedule, gamma)
     last = gamma - 1 + schedule.period if schedule.period else graph.HORIZON + 1
     single = sigma(np.stack([schedule.matrix(k) for k in range(gamma - 1, last)]))
-    assert (single.hex(), report.sigma_gamma.hex()) == SPECTRAL_PINS[name]
+    assert (single.hex(), sig_g.hex()) == SPECTRAL_PINS[name]
 
 
 # ------------------------------------------------- cached schedule matrices
@@ -476,7 +480,7 @@ def test_periodic_schedule_builds_each_matrix_once(builds):
 def test_sigma_gamma_builds_each_instant_once_per_call(builds):
     # Its windows are built apart from matrix(k)'s store, which they leave empty.
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
-    assert sigma_gamma(sched, 3).gamma == 3
+    sigma_gamma(sched, 3)
     assert builds[0] == 5  # W^0 .. W^4, the windows ending at 2, 3 and 4
     builds[0] = 0
     sched = GraphSchedule.seeded_random(8, 0.4, seed=5)
@@ -1034,7 +1038,7 @@ def test_connectivity_horizon_covers_the_last_instant_sigma_gamma_reads():
     assert not gamma_connectivity(sched, 8)
     assert gamma_connectivity(sched, 9)
     assert resolve_gamma(sched) == 9
-    assert sigma_gamma(sched, 9).sigma_gamma < 1.0
+    assert sigma_gamma(sched, 9) < 1.0
 
 
 @pytest.fixture
@@ -1087,12 +1091,11 @@ def test_shortest_horizon_is_one_window_in_both_walks(monkeypatch, gamma):
     sched = GraphSchedule.seeded_random(6, 0.8, seed=0)
     stacks, svd_max = [], graph.sigma
     monkeypatch.setattr(graph, "sigma", lambda W: stacks.append(len(W)) or svd_max(W))
-    report = sigma_gamma(sched, gamma, horizon=gamma - 1)
+    sig_g = sigma_gamma(sched, gamma, horizon=gamma - 1)
     window = matrix_product_window(sched, gamma - 1, gamma)
     J = np.full((6, 6), 1 / 6)
     assert stacks == [1]
-    assert report.sigma_gamma == min(np.linalg.svd(window - J, compute_uv=False).max(), 1.0)
-    assert report.is_estimate
+    assert sig_g == min(np.linalg.svd(window - J, compute_uv=False).max(), 1.0)
     sparse = GraphSchedule.seeded_random(8, 0.02, seed=1)  # its first window is disconnected
     for s in (sched, sparse):
         assert gamma_connectivity(s, gamma, horizon=gamma - 1) == gamma_connected_bfs(
@@ -1202,11 +1205,11 @@ def test_screen_decomposes_few_windows_of_the_benchmark_schedule(svd_sizes):
 def test_sigma_gamma_matches_windowwise_products():
     sched = GraphSchedule.seeded_random(10, 0.3, seed=2)
     gamma, horizon = 3, 2 * graph.SPECTRAL_CHUNK + 5  # three chunks, the last one short
-    report = sigma_gamma(sched, gamma, horizon=horizon)
+    sig_g = sigma_gamma(sched, gamma, horizon=horizon)
     J = np.full((10, 10), 0.1)
     windows = [np.linalg.norm(matrix_product_window(sched, k, gamma) - J, 2)
                for k in range(gamma - 1, horizon + 1)]
-    assert report.sigma_gamma == min(max(windows), 1.0)
+    assert sig_g == min(max(windows), 1.0)
 
 
 @pytest.mark.parametrize("gamma", [1, 3])
@@ -1225,11 +1228,10 @@ def test_sigma_gamma_of_benchmark_schedule_pinned_bitwise():
     # The multiple-consensus benchmark's schedule; recorded when sigma_gamma
     # took one window and one SVD at a time.
     sched = GraphSchedule.seeded_random(20, 0.1, seed=3)
-    report = sigma_gamma(sched, 6)
+    sig_g = sigma_gamma(sched, 6)
     single = sigma(np.stack([sched.matrix(k) for k in range(5, graph.HORIZON + 1)]))
-    assert (single.hex(), report.sigma_gamma.hex()) == (
-        "0x1.0000000000000p+0", "0x1.987dde36307b0p-1")
-    assert report.is_estimate
+    assert (single.hex(), sig_g.hex()) == ("0x1.0000000000000p+0", "0x1.987dde36307b0p-1")
+    assert estimate_label(sched) is True
 
 
 def test_sigma_gamma_memory_is_bounded_by_the_chunk():
@@ -1238,11 +1240,11 @@ def test_sigma_gamma_memory_is_bounded_by_the_chunk():
     matrix_bytes = m * m * 8
     tracemalloc.start()
     try:
-        report = sigma_gamma(sched, 1)
+        sig_g = sigma_gamma(sched, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.is_estimate and 0.0 < report.sigma_gamma <= 1.0
+    assert 0.0 < sig_g <= 1.0
     # A few chunk-sized stacks (the window buffer and what the SVD takes),
     # far below the horizon's worth of matrices.
     assert peak < 4 * graph.SPECTRAL_CHUNK * matrix_bytes
@@ -1258,11 +1260,11 @@ def test_sigma_gamma_frees_each_built_chunk_stack_before_its_sigma():
     sched = GraphSchedule.seeded_random(m, 0.02, seed=3)
     tracemalloc.start()
     try:
-        report = sigma_gamma(sched, gamma, horizon=200)
+        sig_g = sigma_gamma(sched, gamma, horizon=200)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.sigma_gamma.hex() == "0x1.bd1d4cecbef33p-1"
+    assert sig_g.hex() == "0x1.bd1d4cecbef33p-1"
     assert peak < 4 * (graph.SPECTRAL_CHUNK + gamma - 1) * m * m * 8
 
 
@@ -1377,7 +1379,7 @@ def test_walk_past_the_store_draws_each_chunk_once(monkeypatch, walk):
     assert firsts == list(range(0, 33 * C, C))
     assert sorted(sched._mask_chunks) == [*range(0, graph.HORIZON + 1, C), 32 * C]
     if walk is sigma_gamma:
-        assert result.sigma_gamma.hex() == "0x1.987dde36307b0p-1"
+        assert result.hex() == "0x1.987dde36307b0p-1"
 
 
 # ------------------------------------------------- the seeding-word block
@@ -1441,7 +1443,7 @@ def test_sigma_gamma_takes_narrow_integers_as_python_ints(dtype):
     horizon = narrow(dtype, 1100)
     got = sigma_gamma(sched, dtype(1), horizon)
     want = sigma_gamma(GraphSchedule.seeded_random(6, 0.5, 0), 1, int(horizon))
-    assert (got.sigma_gamma.hex(), got.is_estimate) == (want.sigma_gamma.hex(), want.is_estimate)
+    assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("dtype", NARROW_INTS)
@@ -1487,6 +1489,13 @@ def test_schedule_edge_sets_that_are_not_a_list_are_rejected():
     # Once a TypeError from iterating 5.
     with pytest.raises(ValueError, match="cyclic schedule requires explicit edge sets"):
         GraphSchedule(3, "cyclic", 5)
+
+
+def test_directly_built_static_schedule_takes_one_edge_set():
+    # The CLI rejects a second edge set before the schedule is built; the
+    # library rejects it too.
+    with pytest.raises(ValueError, match="^static schedule takes exactly one edge set$"):
+        GraphSchedule(3, "static", (((0, 1),), ((1, 2),)))
 
 
 @pytest.mark.parametrize("kind,fields,stray", [

@@ -345,8 +345,7 @@ def test_multiple_consensus_static_ring_contracts(rng):
 @settings(max_examples=40, deadline=None)
 def test_multiple_consensus_tv_contracts(seed):
     sched = GraphSchedule.cyclic(9, M9_EDGE_SETS)
-    report = sigma_gamma(sched, 3)
-    zeta = default_zeta(3, report.sigma_gamma)
+    zeta = default_zeta(3, sigma_gamma(sched, 3))
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, 6))
     x = rng.standard_normal((9, 3))

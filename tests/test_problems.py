@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -630,6 +631,28 @@ def test_instance_rejects_stacks_its_kind_never_reads(kind, stacks, stray):
         ("data", "labels", "counts", "ridge") if kind == "logistic" else ("A", "b"))}
     with pytest.raises(ValueError, match=f"^a {kind} instance does not read {stray}$"):
         ProblemInstance(kind, prob.L, prob.mu, **own, **stacks)
+
+
+@pytest.mark.parametrize("kind,stacks,name,got", [
+    # Once a TypeError: "object of type 'NoneType' has no len()".
+    ("logistic", {"data": np.ones((2, 2)), "labels": np.ones(2), "ridge": np.zeros(1)},
+     "counts", "None"),
+    # Once an AttributeError: "'list' object has no attribute 'shape'".
+    ("quadratic", {"A": [[[1.0]]], "b": np.ones((1, 1))}, "A", "[[[1.0]]]"),
+    # Once a TypeError: "len() of unsized object".
+    ("quadratic", {"A": np.ones((1, 1, 1)), "b": np.array(1.0)}, "b", "array(1.)"),
+    # Once accepted, with the imaginary parts dropped wherever F was evaluated.
+    ("quadratic", {"A": np.ones((1, 1, 1), dtype=complex), "b": np.ones((1, 1))}, "A",
+     "array([[[1.+0.j]]])"),
+    # Once a TypeError from isfinite.
+    ("logistic", {"data": np.ones((2, 2)), "labels": np.ones(2), "counts": np.array([2]),
+                  "ridge": np.array(["0"])}, "ridge", "array(['0'], dtype='<U1')"),
+], ids=["missing", "list", "0-d", "complex", "text"])
+def test_instance_rejects_a_stack_of_its_kind_that_is_not_a_real_array(kind, stacks, name, got):
+    message = (f"a {kind} instance needs {name} as a real numpy array of one or more axes, "
+               f"got {got}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProblemInstance(kind, 1.0, 0.0, **stacks)
 
 
 def test_instances_compare_by_identity_and_hash():
