@@ -292,7 +292,8 @@ class _SeedWords(ISeedSequence):
         self._rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if not (n_words == 4 and np.dtype(dtype) == np.uint64):
+        # numpy asks with the type object itself; the identity test spares the dtype build.
+        if not (n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64)):
             raise ValueError("only PCG64's seeding request generate_state(4, np.uint64) is "
                              f"served, not ({n_words!r}, {dtype!r})")
         return next(self._rows)
@@ -547,11 +548,14 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
     taken as the Python int it holds.
 
     A list or tuple (not itself an ``EdgeSet``) whose items include an
-    ``EdgeSet`` is a list of edge sets: every item must then be one, each is
-    checked against m as a lone one would be, and the result is their
-    ``(count, m, m)`` stack from one Metropolis pass, each matrix bitwise its
-    own build.  Any other list is one edge list of pairs, so ``[]`` and
-    ``()`` still give the m x m identity.
+    ``EdgeSet`` is a list of edge sets: every item must then be one, and the
+    result is their ``(count, m, m)`` stack from one Metropolis pass, each
+    matrix bitwise its own build.  Their endpoints are checked against m in
+    one pass, one maximum over the concatenated ``.j`` (an ``EdgeSet`` holds
+    ``0 <= i < j``); only when it reaches m are the sets checked one by one,
+    so the first set past m raises the message a lone build of it gives.
+    Any other list is one edge list of pairs, so ``[]`` and ``()`` still give
+    the m x m identity.
     """
     m = _integer(m, "m")  # a numpy integer would wrap in the stack's index arithmetic
     if m <= 0:
@@ -559,11 +563,13 @@ def metropolis_weights(edge_set, m: int) -> np.ndarray:
     if type(edge_set) in (list, tuple) and any(isinstance(e, EdgeSet) for e in edge_set):
         if not all(isinstance(e, EdgeSet) for e in edge_set):
             raise ValueError("a list of edge sets holds EdgeSets only, not (i, j) pairs")
-        sets = [_canonical_edges(e, m) for e in edge_set]
-        b = np.repeat(np.arange(len(sets)), [len(e) for e in sets])
-        i = np.concatenate([e.i for e in sets])
-        j = np.concatenate([e.j for e in sets])
-        return _metropolis_stack(len(sets), m, b, i, j)
+        b = np.repeat(np.arange(len(edge_set)), [len(e) for e in edge_set])
+        i = np.concatenate([e.i for e in edge_set])
+        j = np.concatenate([e.j for e in edge_set])
+        if len(j) and j.max() >= m:  # an EdgeSet has 0 <= i < j: only j can leave [0, m)
+            for e in edge_set:
+                _canonical_edges(e, m)  # the first set past m raises its own message
+        return _metropolis_stack(len(edge_set), m, b, i, j)
     edges = _canonical_edges(edge_set, m)
     return _metropolis_stack(1, m, 0, edges.i, edges.j)[0]
 

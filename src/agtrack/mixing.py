@@ -16,6 +16,12 @@ smaller effective contraction constant:
 Each call costs a fixed number of communication rounds (1 for gossip, t for
 Chebyshev, zeta for multiple consensus); the run loop that makes the calls
 counts them, so the operators stay pure.
+
+A multiple-consensus round is one ``ndarray.dot``, not ``@``: both reach the
+same BLAS product, so the result is bitwise ``W @ x`` (tests pin this for
+the sizes and layouts the rounds see), but on a 20 x 20 matrix numpy's call
+overhead makes ``@`` two to three times as slow as ``.dot``, and a
+multiple-consensus run makes thousands of such rounds.
 """
 from __future__ import annotations
 
@@ -178,19 +184,20 @@ def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,
 
     With ``zeta = ceil(gamma / (1 - sigma_gamma))`` on a gamma-connected
     schedule the disagreement norm contracts by at least a factor 1/e per
-    call.  Round k is one product with ``schedule.matrix(k)``, the rounds in
-    order, so a run of calls on a seeded_random schedule draws and builds
-    every instant once, and memory is the schedule's one chunk stack whatever
-    zeta is.  ``weight_rule`` must be None or ``metropolis_weights``, the only
-    rule the schedule builds.  A start_round that is not an integer, or a
-    zeta that is not an integer of at least 1 (bools included), is a
-    ValueError; a numpy integer is taken as a Python int, so the rounds
-    cannot wrap.
+    call.  Round k is one product ``schedule.matrix(k).dot(x)``, bitwise
+    ``schedule.matrix(k) @ x`` and cheaper to call on small matrices (see the
+    module docstring), the rounds in order, so a run of calls on a
+    seeded_random schedule draws and builds every instant once, and memory is
+    the schedule's one chunk stack whatever zeta is.  ``weight_rule`` must be
+    None or ``metropolis_weights``, the only rule the schedule builds.  A
+    start_round that is not an integer, or a zeta that is not an integer of
+    at least 1 (bools included), is a ValueError; a numpy integer is taken as
+    a Python int, so the rounds cannot wrap.
     """
     start_round, zeta = _integer(start_round, "start_round"), _integer(zeta, "zeta", 1)
     if weight_rule not in (None, metropolis_weights):
         raise ValueError("multiple consensus mixes with the schedule's Metropolis matrices only")
     x = np.asarray(x, dtype=float)
     for k in range(start_round, start_round + zeta):
-        x = schedule.matrix(k) @ x
+        x = schedule.matrix(k).dot(x)
     return x

@@ -125,6 +125,33 @@ def test_metropolis_stack_checks_each_edge_set_as_a_lone_one():
             metropolis_weights(mixed, 3)
 
 
+@pytest.mark.parametrize("order, text", [
+    ((0, 1, 2), "edge (1, 3) out of range for 3 agents"),  # j == m, the first set past it
+    ((0, 3, 1), "edge (0, 5) out of range for 3 agents"),
+    ((4, 2, 0), "edge (2, 4) out of range for 3 agents"),  # after an empty set
+])
+def test_metropolis_stack_past_m_raises_the_first_offending_sets_own_message(order, text):
+    # One maximum over the stack's endpoints finds that a set reaches past m;
+    # the first such set in the list then raises its lone build's text.
+    sets = GraphSchedule.cyclic(6, [[(0, 1)], [(1, 3)], [(2, 4)], [(0, 5)], []]).edge_sets
+    with pytest.raises(ValueError) as err:
+        metropolis_weights([sets[i] for i in order], 3)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("schedule, instants", [
+    (GraphSchedule.seeded_random(20, 0.1, 3), range(0, 69)),  # sigma_gamma's chunk fill
+    (GraphSchedule.seeded_random(20, 0.1, 3), range(990, 1059)),  # past HORIZON
+    (GraphSchedule.cyclic(6, [[], [(0, 5)], [(0, 1), (2, 3), (4, 5)]]), range(0, 7)),
+])
+def test_metropolis_stack_of_schedule_edge_sets_is_bitwise_the_single_builds(schedule,
+                                                                              instants):
+    sets = [schedule.edge_set(k) for k in instants]
+    m = schedule.agent_count
+    want = np.stack([metropolis_weights(e, m) for e in sets])
+    assert metropolis_weights(sets, m).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- sigma
 
 def test_sigma_of_projector_is_zero():

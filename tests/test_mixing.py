@@ -296,6 +296,38 @@ def test_multiple_consensus_is_bitwise_the_matrix_chain_across_chunks(rng, start
     assert out.tobytes() == expected.tobytes()
 
 
+# A multiple-consensus round is one ndarray.dot, which numpy charges far less
+# to call than @ on these sizes; both reach the same BLAS product, and these
+# pins hold the premise on every numpy the package accepts.
+@pytest.mark.parametrize("m", [1, 9, 16, 20, 64, 196])
+def test_dot_is_bitwise_matmul_on_a_chunk_view(rng, m):
+    # A read-only view into the schedule's kept chunk stack, as the rounds read W.
+    W = GraphSchedule.seeded_random(m, min(1.0, 4 / m), 3).matrix(70)
+    assert not W.flags.writeable and not W.flags.owndata
+    for n in (1, 2, 4, 20):
+        for x in (rng.standard_normal((m, n)),  # C order
+                  np.asfortranarray(rng.standard_normal((m, n))),
+                  rng.standard_normal((m, 2 * n))[:, ::2],  # strided columns
+                  rng.standard_normal((2 * m, n))[::2]):  # strided rows
+            assert W.dot(x).tobytes() == (W @ x).tobytes(), (m, n, x.strides)
+
+
+@pytest.mark.parametrize("schedule, start, zeta", [
+    (GraphSchedule.seeded_random(20, 0.1, 3), 40, 30),  # across a chunk boundary
+    (GraphSchedule.seeded_random(20, 0.1, 3), graph.HORIZON - 20, 90),  # past HORIZON
+    (GraphSchedule.cyclic(20, [[(i, (i + 1) % 20) for i in range(r, 20, 3)]
+                               for r in range(3)]), 5, 30),
+])
+def test_multiple_consensus_is_bitwise_the_matmul_chain(rng, schedule, start, zeta):
+    x = rng.standard_normal((20, 4))
+    expected = x
+    for k in range(start, start + zeta):
+        expected = schedule.matrix(k) @ expected
+    # A fresh copy of the schedule draws and builds its own chunks.
+    out = multiple_consensus(dataclasses.replace(schedule), None, start, zeta, x)
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_consecutive_multiple_consensus_calls_draw_each_round_once(rng, monkeypatch):
     # As the run loop calls it: zeta rounds per call from a moving round pointer.
     sched = GraphSchedule.seeded_random(8, 0.3, seed=4)
