@@ -58,7 +58,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, gamma_connectivity, sigma as sigma_of, sigma_gamma as sigma_gamma_of
-from .graph import _integer, _is_int, _is_real
+from .graph import _integer, _is_finite, _is_int, _is_real
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .mixing import chebyshev_apply, chebyshev_operator, default_zeta, gossip, multiple_consensus
 from .problems import ProblemInstance, aggregate_gradient, bregman_distance, consensus_error, inexact_value
@@ -104,7 +104,7 @@ def theta_next(theta_prev: float) -> float:
     Explicitly ``t = theta_prev (sqrt(theta_prev^2 + 4) - theta_prev) / 2``,
     which always lies in (0, theta_prev).
     """
-    if not (_is_real(theta_prev) and math.isfinite(theta_prev)):
+    if not _is_finite(theta_prev):
         raise ValueError(f"theta_prev must be a finite number, got {theta_prev!r}")
     if theta_prev <= 0.0:
         raise ValueError("theta_prev must be positive")
@@ -133,7 +133,7 @@ class AlgorithmConfig:
         if isinstance(self.alpha, str):
             if self.alpha != "theorem_default":
                 raise ValueError(f"alpha must be positive or 'theorem_default', got {self.alpha!r}")
-        elif not (_is_real(self.alpha) and math.isfinite(self.alpha)):
+        elif not _is_finite(self.alpha):
             raise ValueError(f"alpha must be a finite number or 'theorem_default', "
                              f"got {self.alpha!r}")
         elif self.alpha <= 0.0:
@@ -172,8 +172,9 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
     wrapped call contracts regardless of the underlying graph.  A gamma that
     is not an integer of at least 1 (bools included) and an unknown
     ``mu_mode`` are ValueErrors, never truncated or read as mu = 0; so are an
-    L that is not a finite number (NaN and infinity included) and, for a
-    gossip variant, a mixing constant that is not a number in [0, 1).
+    L that is not a finite number (NaN, infinity and an integer past the
+    float range included), a gamma whose power is past the float range and,
+    for a gossip variant, a mixing constant that is not a number in [0, 1).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -183,7 +184,7 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
                          "pass alpha explicitly")
     if mu_mode not in MU_MODES:
         raise ValueError(f"unknown mu_mode {mu_mode!r}")
-    if not (_is_real(L) and math.isfinite(L)):
+    if not _is_finite(L):
         raise ValueError(f"L must be a finite number, got {L!r}")
     if L <= 0.0:
         raise ValueError("L must be positive")
@@ -195,7 +196,11 @@ def default_alpha(variant: str, L: float, sigma_or_sigma_gamma: float,
         raise ValueError(f"mixing constant must lie in [0, 1), got {sig!r}; "
                          "the schedule does not mix in the required sense")
     _, p, c = THEOREMS[setting, mu_mode]
-    return (1.0 - sig) ** p / (c * L * gamma ** p)
+    try:
+        return (1.0 - sig) ** p / (c * L * gamma ** p)
+    except OverflowError:
+        raise ValueError(f"gamma = {gamma} is too large: gamma ** {p} is past the float range") \
+            from None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,12 @@ Subcommands (all take ``--config PATH`` with a JSON experiment file):
 
 Exit codes: 0 success, 2 config validation error (an ``--out`` that cannot
 be a directory included, checked before anything is built or run),
-3 divergence, 4 certificate failure under --strict.
+3 divergence, 4 certificate failure under --strict.  The commands raise
+``ConfigError`` and ``DivergenceError``; ``main`` is the one place that maps
+them, printing ``config error: ...`` (exit 2) or ``divergence: ...`` (exit
+3).  A sweep cell's failure is a result, its ``summary.csv`` status, not an
+exit; the sweep then exits 3 if any cell diverged, else 4 under --strict if
+any certificate failed, else 2 if any cell had a config error.
 
 Sweep cells run concurrently, on one thread per usable CPU and at most one
 per cell; cells with the same problem section share one build of it.  The
@@ -67,7 +72,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import MAX_GAMMA, GraphSchedule, sigma as sigma_of, sigma_gamma as sigma_gamma_of
-from .graph import _is_int
+from .graph import _is_finite, _is_int
 from .graph import metropolis_weights  # noqa: F401 -- a call site the benchmark tracer wraps
 from .problems import ProblemInstance, random_logistic_problem, random_quadratic_problem
 from .algorithms import (MU_MODES, THEOREMS, VARIANT_TABLE, AlgorithmConfig, DivergenceError,
@@ -95,8 +100,7 @@ def _expect(test, message: str):
 def _finite(value) -> float:
     """A finite JSON number, integers included, as a float; a bool, a string,
     null, NaN or Infinity is a config error."""
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
+    if _is_finite(value):
         return float(value)
     raise ConfigError(f"expected a finite number, got {value!r}")
 
@@ -159,7 +163,8 @@ def _read(spec: dict, section: str, fields: dict, reader: str) -> dict:
     prefix = f"{section}." if section else ""
     unknown = sorted(set(spec) - set(fields))
     if unknown:
-        raise ConfigError(f"{prefix}{unknown[0]}: unknown key; {reader} reads "
+        key = unknown[0] if unknown[0].isprintable() else repr(unknown[0])  # one line
+        raise ConfigError(f"{prefix}{key}: unknown key; {reader} reads "
                           f"{', '.join(sorted(fields))}")
     values = {}
     for key, (check, default) in fields.items():
@@ -316,16 +321,9 @@ def _execute(config: dict, problem: ProblemInstance, out_dir: Path, deterministi
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _configured(args)
-        trace, certs, notes = _execute(config, build_problem(config["problem"]),
-                                       Path(args.out), args.deterministic)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except DivergenceError as err:
-        print(f"divergence: {err}", file=sys.stderr)
-        return 3
+    config = _configured(args)
+    trace, certs, notes = _execute(config, build_problem(config["problem"]),
+                                   Path(args.out), args.deterministic)
     last = trace.rows[-1]
     print(f"run complete: {len(trace.rows)} rows, final gap {last.gap:.6e}, "
           f"{last.comm_rounds} comm rounds, {last.grad_rounds} gradient rounds")
@@ -340,14 +338,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_graph_info(args) -> int:
-    try:
-        config = load_config(args.config)
-        schedule = build_schedule(config["graph"])
-        problem = build_problem(config["problem"])
-        _check_agents(schedule, problem)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    schedule = build_schedule(config["graph"])
+    problem = build_problem(config["problem"])
+    _check_agents(schedule, problem)
     print(f"agents: {schedule.agent_count}")
     print(f"schedule: {schedule.schedule_kind}"
           + (f", period {schedule.period}" if schedule.period else ""))
@@ -415,11 +409,7 @@ def cmd_sweep(args) -> int:
     # Imported here: it loads logging (about 0.5 MB) that no other command needs.
     from concurrent.futures import ThreadPoolExecutor
 
-    try:
-        config = _configured(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    config = _configured(args)
     if not config["sweep"]:
         return cmd_run(args)
 
@@ -517,7 +507,14 @@ def main(argv=None) -> int:
             p.add_argument("--diagnostics", choices=("on", "off"), default=None,
                            help="override the config's diagnostics switch")
     args = parser.parse_args(argv)
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except DivergenceError as err:
+        print(f"divergence: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

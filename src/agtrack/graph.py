@@ -31,7 +31,9 @@ One rule takes every whole-number argument of the package (an instant, an
 agent count, gamma, a horizon; in the other modules t, zeta, a start round,
 an iteration or sample count): ``_integer``.  A bool or a float is a
 ValueError that names the argument, never truncated, and a numpy integer
-becomes the Python int it holds, so no arithmetic on it can wrap.
+becomes the Python int it holds, so no arithmetic on it can wrap.  A number
+argument that must be finite takes ``_is_finite``: a real number other than
+a bool, NaN or an infinity, and no integer past the float range.
 
 ``GraphSchedule.matrix(k)`` is the one way the methods get W^k.  A periodic
 schedule builds each of its period matrices once; a seeded_random schedule
@@ -75,6 +77,7 @@ once per block, not once per chunk.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, permutations
@@ -144,6 +147,12 @@ def _is_int(v) -> bool:
 
 def _is_real(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and type(v) not in _BOOL_TYPES
+
+
+def _is_finite(v) -> bool:
+    """A real number (a bool is not) that is a finite float: not NaN or
+    infinity, nor an integer past the float range."""
+    return _is_real(v) and abs(v) <= sys.float_info.max
 
 
 def _integer(value, name: str, least: int | None = None) -> int:
@@ -362,7 +371,11 @@ class GraphSchedule:
 
     @classmethod
     def cyclic(cls, m: int, edge_sets) -> "GraphSchedule":
-        return cls(m, "cyclic", tuple(edge_sets))
+        try:
+            edge_sets = tuple(edge_sets)
+        except TypeError:  # not iterable: __post_init__ rejects it by name
+            pass
+        return cls(m, "cyclic", edge_sets)
 
     @classmethod
     def seeded_random(cls, m: int, edge_probability: float, seed: int) -> "GraphSchedule":

@@ -78,17 +78,27 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     disconnected, tested before any decomposition: sigma alone cannot tell,
     since it rounds to 1 or just below 1 there, and the operator would take
     some 10^7 rounds per call.  A t that is not an integer of at least 1 is a
-    ValueError, never truncated.
+    ValueError, never truncated; so are a given sigma that is not a number at
+    least 0 (a bool is not a number), a W that numpy cannot read as a real
+    array or that has an infinite entry, and a given sigma above
+    ``SIGMA_BYPASS_TOL`` for a W = I (one agent), whose sigma is 0.
     When sigma <= ``SIGMA_BYPASS_TOL`` the operator is plain gossip with W,
     t rounds of it (one when t is None).
     """
     t = None if t is None else _integer(t, "t", 1)
-    M = np.asarray(W, dtype=float)
+    if not (sigma is None or (_is_real(sigma) and sigma >= 0.0)):
+        raise ValueError(f"sigma must be a number in [0, 1), got {sigma!r}")
+    try:
+        M = np.asarray(W, dtype=float)
+    except (TypeError, OverflowError):  # e.g. a dict, or an integer past the float range
+        raise ValueError(f"mixing matrix must be a real (m, m) array, got {W!r}") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"mixing matrix must be square, one (m, m) matrix, got shape {M.shape}")
     if M.size == 0:
         raise ValueError(f"mixing matrix is empty (shape {M.shape}): a matrix needs at least "
                          "one agent")
+    if np.isinf(M).any():  # inf - inf would warn in the symmetry test; NaN fails below
+        raise ValueError("mixing matrix has an infinite entry")
     asym = np.abs(M - M.T).max()
     if asym > SYMMETRY_TOL:
         raise ValueError(f"Chebyshev acceleration needs a symmetric matrix (asymmetry {asym:.3e})")
@@ -107,6 +117,8 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     if sig <= SIGMA_BYPASS_TOL:
         return ChebyshevOperator(M, 1 if t is None else t, 1.0, 0.0, float("inf"), 1.0,
                                  lambda1, bypass=True)
+    if not lambda1 > 0.0:  # W = I (one agent), whose sigma 0 bypasses above
+        raise ValueError(f"sigma = {sig} does not fit W: I - W has no positive eigenvalue")
     nu = (1.0 - sig) / lambda1
     if t is None:
         t = math.ceil(1.0 / math.sqrt(nu))
@@ -169,13 +181,18 @@ def chebyshev_apply(op: ChebyshevOperator, x: np.ndarray) -> np.ndarray:
 def default_zeta(gamma: int, sigma_gamma: float) -> int:
     """Rounds per multiple-consensus call: ``ceil(gamma / (1 - sigma_gamma))``;
     ValueError unless gamma is an integer at least 1 and sigma_gamma a number
-    in [0, 1) (bools are neither)."""
+    in [0, 1) (bools are neither), or when the quotient is past the float
+    range."""
     gamma = _integer(gamma, "gamma", 1)
     if not _is_real(sigma_gamma):
         raise ValueError(f"sigma_gamma must be a number, got {sigma_gamma!r}")
     if not (0.0 <= sigma_gamma < 1.0):
         raise ValueError("sigma_gamma must lie in [0, 1)")
-    return math.ceil(gamma / (1.0 - sigma_gamma))
+    try:
+        return math.ceil(gamma / (1.0 - sigma_gamma))
+    except OverflowError:
+        raise ValueError(f"gamma = {gamma} is too large: gamma / (1 - sigma_gamma) is past "
+                         "the float range") from None
 
 
 def multiple_consensus(schedule: GraphSchedule, weight_rule, start_round: int,

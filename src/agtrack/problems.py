@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _integer, _is_int
+from .graph import _integer, _is_finite, _is_int
 
 OPTIMUM_TOL_LOGISTIC = 1e-10
 OPTIMUM_MAX_ITERS = 1_000_000
@@ -320,8 +320,10 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
 
     Per-agent spectra are drawn and affinely mapped so that ``max_i L_i = L``
     and ``min_i mu_i = mu`` hold exactly; ValueError unless ``m, n >= 1``
-    are integers, ``0 <= mu <= L`` and ``0 < L < inf``, or when one drawn
-    eigenvalue (m = n = 1) cannot be both.
+    and the seed are integers, L and mu are finite numbers (a bool, a string
+    or None is not one) with ``0 <= mu <= L`` and ``0 < L``, when one drawn
+    eigenvalue (m = n = 1) cannot be both, or when L is so large that
+    mapping the drawn spectra onto [mu, L] overflows.
     ``shared_basis=True`` rotates every agent by the same orthogonal matrix,
     which keeps the averaged objective as ill-conditioned as the per-agent
     constants say (independent rotations average out toward isotropy); with
@@ -336,14 +338,19 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
     bitwise what a per-agent loop builds.
     """
     m, n = _check_sizes(m, n)
-    if not (0.0 < L < np.inf and 0.0 <= mu <= L):  # NaN fails every comparison
-        raise ValueError(f"need L > 0 and 0 <= mu <= L, both finite (got L = {L}, mu = {mu})")
-    rng = np.random.default_rng(seed)
+    if not (_is_finite(L) and _is_finite(mu) and 0.0 < L and 0.0 <= mu <= L):
+        raise ValueError(f"need L > 0 and 0 <= mu <= L, both finite (got L = {L!r}, mu = {mu!r})")
+    rng = np.random.default_rng(_integer(seed, "seed"))
     spectra = np.geomspace(1.0, 100.0, n) * rng.uniform(0.3, 1.7, (m, n))
     lo, hi = spectra.min(), spectra.max()
     if hi == lo and L != mu:
         raise ValueError(f"a single drawn eigenvalue cannot take both L = {L} and mu = {mu}")
-    spectra = mu + (spectra - lo) * (L - mu) / (hi - lo) if hi > lo else np.full_like(spectra, L)
+    with np.errstate(over="ignore"):  # (spectra - lo) * (L - mu) can overflow; checked below
+        spectra = (mu + (spectra - lo) * (L - mu) / (hi - lo) if hi > lo
+                   else np.full_like(spectra, L))
+    if not np.isfinite(spectra).all():
+        raise ValueError(f"L = {L!r} is too large: mapping the drawn spectra onto [mu, L] "
+                         "overflows")
     Q = np.linalg.qr(rng.standard_normal((1 if shared_basis else m, n, n)))[0]
     A = (Q * spectra[:, None, :]) @ Q.transpose(0, 2, 1)  # Q_i diag(spectra_i) Q_i^T
     return ProblemInstance("quadratic", float(spectra.max()), float(spectra.min()),
@@ -353,10 +360,13 @@ def random_quadratic_problem(m: int, n: int, L: float = 1.0, mu: float = 0.0,
 def random_logistic_problem(m: int, n: int, samples_per_agent: int = 20,
                             ridge: float = 0.0, seed: int = 0) -> ProblemInstance:
     """Two-class logistic instance on synthetic Gaussian blobs; ValueError for
-    an empty size, a sample count that is not an integer, or a negative ridge."""
+    an empty size, a sample count or seed that is not an integer, or a ridge
+    that is not a finite number at least 0 (a bool is not a number)."""
     m, n = _check_sizes(m, n)
     p = _integer(samples_per_agent, "samples_per_agent")
-    rng = np.random.default_rng(seed)
+    if not _is_finite(ridge):
+        raise ValueError(f"need ridge >= 0 as a finite number, got {ridge!r}")
+    rng = np.random.default_rng(_integer(seed, "seed"))
     center = rng.standard_normal(n)
     center *= 1.5 / np.linalg.norm(center)
     data, labels = np.empty((m, p, n)), np.empty((m, p))

@@ -735,3 +735,15 @@ def test_config_alpha_that_is_not_a_number_is_rejected(alpha):
     # Once a TypeError from math.isfinite.
     with pytest.raises(ValueError, match="alpha must be a finite number or 'theorem_default'"):
         AlgorithmConfig("acc_gt_static", alpha=alpha)
+
+
+def test_numbers_past_the_float_range_are_rejected():
+    # Each was an OverflowError from math.isfinite or from gamma ** p.
+    with pytest.raises(ValueError, match="theta_prev must be a finite number"):
+        theta_next(10 ** 400)
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        AlgorithmConfig("acc_gt_static", alpha=10 ** 400)
+    with pytest.raises(ValueError, match="L must be a finite number"):
+        default_alpha("acc_gt_tv", 10 ** 400, 0.5, 2)
+    with pytest.raises(ValueError, match=rf"^gamma = {10 ** 100} is too large: gamma \*\* 4 "):
+        default_alpha("acc_gt_tv", 1.0, 0.5, 10 ** 100)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import inspect
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -346,6 +348,38 @@ def test_run_divergence_exits_three(tmp_path, capsys):
     cfg_path = write_config(tmp_path, data)
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
     assert "divergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "graph-info"])
+def test_commands_raise_and_main_alone_maps_errors_to_exit_codes(tmp_path, command):
+    config = write_config(tmp_path, base_config(problem={"kind": "quadratic", "m": 5.9, "n": 3}))
+    out = str(tmp_path / "o")
+    handler = {"run": cli.cmd_run, "sweep": cli.cmd_sweep, "graph-info": cli.cmd_graph_info}
+    with pytest.raises(ConfigError, match=r"^problem\.m: expected an integer, got 5\.9$"):
+        handler[command](argparse.Namespace(config=config, out=out, seed=None, diagnostics=None,
+                                             strict=False, deterministic=True))
+    out_args = [] if command == "graph-info" else ["--out", out]
+    assert main([command, "--config", config, *out_args]) == 2
+
+
+def test_an_unknown_key_that_holds_a_line_break_is_reported_on_one_line(tmp_path, capsys):
+    # Printed raw, the key split the error line in two.
+    cfg = base_config()
+    cfg["graph"]["x\ny"] = 1
+    assert main(["graph-info", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: graph.'x\\ny': unknown key; ")
+
+
+def test_an_L_whose_spectrum_map_overflows_is_a_config_error(tmp_path, capsys):
+    # Under -W error::RuntimeWarning this was a traceback with exit 1.
+    cfg = base_config()
+    cfg["problem"]["L"] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("config error: problem: L = 1e+308 is too large: mapping "
+                                       "the drawn spectra onto [mu, L] overflows\n")
 
 
 def test_run_strict_exits_four_on_violated_bound(tmp_path, capsys):

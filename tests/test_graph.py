@@ -1535,3 +1535,9 @@ def test_directly_built_static_schedule_takes_one_edge_set():
 def test_schedule_rejects_a_field_its_kind_never_reads(kind, fields, stray):
     with pytest.raises(ValueError, match=f"^a {kind} schedule does not read {stray}$"):
         GraphSchedule(3, kind, *fields)
+
+
+def test_cyclic_schedule_rejects_edge_sets_that_are_not_a_list():
+    # Once a TypeError from tuple(5): "'int' object is not iterable".
+    with pytest.raises(ValueError, match="^cyclic schedule requires explicit edge sets$"):
+        GraphSchedule.cyclic(3, 5)

@@ -438,3 +438,40 @@ def test_gossip_rejects_a_w_that_is_not_a_matrix():
     # Once an IndexError from W.shape[1].
     with pytest.raises(ValueError, match=r"W must be a matrix, got shape \(3,\)"):
         gossip(np.ones(3), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("given", [-1.0, "x", True, float("nan")])
+def test_chebyshev_operator_rejects_a_sigma_that_is_not_a_nonnegative_number(given):
+    # -1.0 built an operator from it; "x" was a TypeError from the comparison.
+    W = metropolis_weights(ring_edges(5), 5)
+    with pytest.raises(ValueError, match=r"^sigma must be a number in \[0, 1\), got "):
+        chebyshev_operator(W, sigma=given)
+
+
+@pytest.mark.parametrize("W", [{}, [[10 ** 400]]], ids=["dict", "huge-int"])
+def test_chebyshev_operator_rejects_a_w_that_is_not_a_real_array(W):
+    # Once a TypeError and an OverflowError from np.asarray.
+    with pytest.raises(ValueError, match=r"^mixing matrix must be a real \(m, m\) array, got "):
+        chebyshev_operator(W)
+
+
+def test_chebyshev_operator_rejects_an_infinite_entry_of_w():
+    # Once a RuntimeWarning from inf - inf in the symmetry test.
+    W = metropolis_weights(ring_edges(3), 3)
+    W[0, 1] = W[1, 0] = np.inf
+    with pytest.raises(ValueError, match="^mixing matrix has an infinite entry$"):
+        chebyshev_operator(W)
+
+
+def test_chebyshev_operator_rejects_a_given_sigma_that_does_not_fit_one_agent():
+    # One agent's W = [[1]] has sigma 0 and bypasses; a given sigma of 0.5 was
+    # a ZeroDivisionError from nu = (1 - sigma) / lambda1 with lambda1 = 0.
+    assert chebyshev_operator([[1.0]]).bypass
+    with pytest.raises(ValueError, match="^sigma = 0.5 does not fit W"):
+        chebyshev_operator([[1.0]], sigma=0.5)
+
+
+def test_default_zeta_rejects_a_gamma_past_the_float_range():
+    # Once an OverflowError from gamma / (1 - sigma_gamma).
+    with pytest.raises(ValueError, match="is too large"):
+        default_zeta(10 ** 400, 0.5)

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -661,3 +662,37 @@ def test_instances_compare_by_identity_and_hash():
     a, b = random_quadratic_problem(3, 2, seed=1), random_quadratic_problem(3, 2, seed=1)
     assert a == a and a != b and not (a == b)
     assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("constants", [{"L": True}, {"mu": np.bool_(False)}, {"L": "1"},
+                                       {"L": None}, {"L": 10 ** 400}],
+                         ids=["bool-L", "numpy-bool-mu", "text-L", "none-L", "huge-int-L"])
+def test_random_quadratic_constants_must_be_numbers(constants):
+    # Bools were taken as 1 and 0; a string or None was a TypeError from the
+    # comparisons.
+    with pytest.raises(ValueError, match=r"need L > 0 and 0 <= mu <= L, both finite \(got L = "):
+        random_quadratic_problem(3, 2, **constants)
+
+
+def test_random_quadratic_rejects_an_L_whose_spectrum_map_overflows():
+    # Under -W error::RuntimeWarning the overflow escaped as a RuntimeWarning;
+    # otherwise it failed later on a non-finite A.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^L = 1e\+308 is too large: mapping the drawn "):
+            random_quadratic_problem(3, 2, L=1e308)
+
+
+@pytest.mark.parametrize("generate", [random_quadratic_problem, random_logistic_problem])
+def test_generator_seed_must_be_an_integer(generate):
+    # Once numpy's TypeError from default_rng.
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        generate(3, 2, seed=1.5)
+
+
+@pytest.mark.parametrize("ridge", [True, None, "0.1", 10 ** 400],
+                         ids=["bool", "none", "text", "huge-int"])
+def test_random_logistic_ridge_must_be_a_number(ridge):
+    # True was taken as 1.0; None was a TypeError from float().
+    with pytest.raises(ValueError, match="need ridge >= 0"):
+        random_logistic_problem(3, 2, ridge=ridge)
