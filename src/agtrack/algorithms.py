@@ -102,12 +102,17 @@ def theta_next(theta_prev: float) -> float:
     """Next momentum parameter: the positive root of (1 - t)/t^2 = 1/theta_prev^2.
 
     Explicitly ``t = theta_prev (sqrt(theta_prev^2 + 4) - theta_prev) / 2``,
-    which always lies in (0, theta_prev).
+    which lies in (0, theta_prev) for every theta_prev in (0, 1], the range
+    of the momentum schedule, which starts at 1 and decreases.  ValueError
+    for a theta_prev that is not a finite number in (0, 1]: from about 1e8
+    the formula cancels to 0.0, and past about 1e154 it overflows to inf.
     """
     if not _is_finite(theta_prev):
         raise ValueError(f"theta_prev must be a finite number, got {theta_prev!r}")
     if theta_prev <= 0.0:
         raise ValueError("theta_prev must be positive")
+    if theta_prev > 1.0:
+        raise ValueError(f"theta_prev must be at most 1, got {theta_prev!r}")
     return theta_prev * (math.sqrt(theta_prev * theta_prev + 4.0) - theta_prev) / 2.0
 
 

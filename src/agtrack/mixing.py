@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (GraphSchedule, _all_connected, _integer, _is_real, _upper_pairs,
-                    metropolis_weights, sigma as sigma_of)
+from .graph import (DS_INPUT_TOL, GraphSchedule, _all_connected, _check_doubly_stochastic,
+                    _integer, _is_real, _upper_pairs, metropolis_weights, sigma as sigma_of)
 
 SYMMETRY_TOL = 1e-12
 # sigma below this is treated as exact consensus in one round: the Chebyshev
@@ -73,9 +73,11 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     ``sigma``, if given, is ``graph.sigma(W)`` already taken (the run passes
     the value ``resolve_constants`` computed, so W is decomposed once per
     run); otherwise it is computed here.  W is one nonempty square matrix;
-    any other shape is a ValueError, raised before the symmetry test.
-    ValueError when W's support graph (its nonzero off-diagonal entries) is
-    disconnected, tested before any decomposition: sigma alone cannot tell,
+    any other shape is a ValueError, raised before the symmetry test.  So
+    is a W that is not doubly stochastic to ``DS_INPUT_TOL``, tested after
+    the symmetry test whether or not sigma is given.  ValueError when W's
+    support graph (its nonzero off-diagonal entries) is disconnected,
+    tested before any decomposition: sigma alone cannot tell,
     since it rounds to 1 or just below 1 there, and the operator would take
     some 10^7 rounds per call.  A t that is not an integer of at least 1 is a
     ValueError, never truncated; so are a given sigma that is not a number at
@@ -102,6 +104,7 @@ def chebyshev_operator(W, t: int | None = None, sigma: float | None = None) -> C
     asym = np.abs(M - M.T).max()
     if asym > SYMMETRY_TOL:
         raise ValueError(f"Chebyshev acceleration needs a symmetric matrix (asymmetry {asym:.3e})")
+    _check_doubly_stochastic(M, DS_INPUT_TOL)  # a given sigma says nothing of W's sums
     m = M.shape[0]
     iu, ju = _upper_pairs(m)
     support = (M[iu, ju] != 0) | (M[ju, iu] != 0)  # the graph of W's off-diagonal entries

@@ -11,12 +11,15 @@ array expression.  Quadratics keep ``A`` (m, n, n), every A_i symmetric, and
 ``data`` matrix (N, n) and ``labels`` (N,), rows grouped by agent, with integer
 ``counts`` and ``ridge`` (m,) per agent; an owner index (N,) maps each row to
 its agent, and per-agent sums over rows are ``np.add.reduceat`` at the group
-starts.  Constructing an instance checks these stacks, every entry finite
-and every logistic label -1 or +1 (ValueError before any arithmetic on
-them), and solves its optimum ``x_star`` / ``F_star``; a quadratic whose mean
-Hessian is singular to working precision (smallest eigenvalue not above n eps
-times the largest magnitude, so a rank-deficient one that rounding leaves
-invertible too) has no unique minimizer and is a ValueError.
+starts.  ``value`` and ``mean_gradient`` take one point of shape (n,) and
+reject any other shape; a logistic mean gradient contracts the rows with that
+point itself, never with a copy of it per agent or per row.  Constructing
+an instance checks these stacks, every entry finite and every logistic label
+-1 or +1 (ValueError before any arithmetic on them), and solves its optimum
+``x_star`` / ``F_star``; a quadratic whose mean Hessian is singular to
+working precision (smallest eigenvalue not above n eps times the largest
+magnitude, so a rank-deficient one that rounding leaves invertible too) has
+no unique minimizer and is a ValueError.
 ``quadratic_problem`` and ``logistic_problem`` build an instance from stacks
 and derive its L and mu, and ``quadratic_problem`` rejects an agent that is
 not convex (an A_i with a negative eigenvalue); the seeded generators draw
@@ -26,6 +29,7 @@ optimum oracle.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -164,16 +168,36 @@ class ProblemInstance:
         """Logistic margins ``label_r <data_r, Y_owner(r)>`` per row (N,)."""
         return self.labels * np.einsum("rj,rj->r", self.data, Y[self._owner])
 
+    def _point(self, w) -> np.ndarray:
+        """w as a float array of shape (n,), one point; ValueError naming any other shape."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.n,):
+            raise ValueError(f"a point of this problem has shape ({self.n},), got {w.shape}")
+        return w
+
     def value(self, w: np.ndarray) -> float:
-        return float(self._F(np.asarray(w, dtype=float)[None, :])[0])
+        """F at the one point w (n,)."""
+        return float(self._F(self._point(w)[None, :])[0])
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         """F at each row of X -> (P,)."""
         return self._F(np.asarray(X, dtype=float))
 
     def mean_gradient(self, w: np.ndarray) -> np.ndarray:
-        w = np.broadcast_to(np.asarray(w, dtype=float), (self.m, self.n))
-        return self._gradients(w).mean(axis=0)
+        """grad F at the one point w (n,): bitwise the agents' gradients at w,
+        ``_gradients`` of w broadcast to (m, n), averaged with ``mean(axis=0)``.
+
+        A logistic instance takes its margins against w itself,
+        ``einsum("rj,j->r")``: the per-row contraction of ``_margins`` with
+        w's row stride 0, so no (m, n) or (N, n) copy of w is made.  The
+        per-agent sums, the ridge term and the mean ``add.reduce(axis=0) / m``
+        run as in ``_gradients`` and ``mean``."""
+        w = self._point(w)
+        if self.kind == "quadratic":
+            return self._gradients(np.broadcast_to(w, (self.m, self.n))).mean(axis=0)
+        coeff = -self.labels / (1.0 + np.exp(self.labels * np.einsum("rj,j->r", self.data, w)))
+        grads = np.add.reduceat(coeff[:, None] * self.data, self._starts) / self.counts[:, None]
+        return np.add.reduce(grads + self.ridge[:, None] * w, axis=0) / self.m
 
 
 def aggregate_gradient(problem: ProblemInstance, y: np.ndarray) -> np.ndarray:
@@ -226,7 +250,9 @@ def solve_optimum(problem: ProblemInstance):
     above ``n eps`` times its largest magnitude), accelerated gradient descent
     for logistic (RuntimeError when it fails to reach
     ``OPTIMUM_TOL_LOGISTIC``, ValueError when ridge-free data turn out
-    separable, see ``_agd_minimize``)."""
+    separable, see ``_agd_minimize``).  Each step and the residual test take
+    ``mean_gradient`` at one point, so the logistic solve copies no point to
+    m or N rows."""
     if problem.kind == "quadratic":
         # numpy's matrix_rank tolerance, n eps times the largest magnitude: a
         # rank-deficient Hessian that rounding leaves with a nonzero LU pivot
@@ -257,11 +283,16 @@ def _agd_minimize(problem: ProblemInstance) -> np.ndarray:
     along v; strictly separable data (every margin > 0) are the case where
     that infimum is 0.  The test reads the rounded margins, so a tie broken by
     rounding (a margin that is 0 in exact arithmetic but rounds below 0) is
-    still not caught, nor are weakly separable data that no iterate separates."""
+    still not caught, nor are weakly separable data that no iterate separates.
+
+    Each step takes one ``mean_gradient`` at the extrapolated point and its
+    norm as ``sqrt(g . g)``, the formula ``np.linalg.norm`` uses for a
+    vector; the momentum scalars are Python floats (``math.sqrt``), which
+    round as numpy's float64 scalars do, only without their call overhead."""
     L, mu = problem.L, problem.mu
     x = v = np.zeros(problem.n)
     if mu > 0:
-        beta = (np.sqrt(L) - np.sqrt(mu)) / (np.sqrt(L) + np.sqrt(mu))
+        beta = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
     ridge_free = not problem.ridge.any()
     theta = 1.0
     for _ in range(OPTIMUM_MAX_ITERS):
@@ -270,13 +301,13 @@ def _agd_minimize(problem: ProblemInstance) -> np.ndarray:
             if margins.min() >= 0.0 and margins.max() > 0.0:
                 raise ValueError("separable data, F has no minimizer without a ridge; set ridge > 0")
         g = problem.mean_gradient(v)
-        if np.linalg.norm(g) <= OPTIMUM_TOL_LOGISTIC:
+        if math.sqrt(g.dot(g)) <= OPTIMUM_TOL_LOGISTIC:
             return v
         x_next = v - g / L
         if mu > 0:
             v = x_next + beta * (x_next - x)
         else:
-            theta_next = theta * (np.sqrt(theta**2 + 4.0) - theta) / 2.0
+            theta_next = theta * (math.sqrt(theta**2 + 4.0) - theta) / 2.0
             v = x_next + theta_next * (1.0 / theta - 1.0) * (x_next - x)
             theta = theta_next
         x = x_next

@@ -49,6 +49,15 @@ def test_theta_next_rejects_a_theta_that_is_not_a_finite_number(theta_prev):
         theta_next(-0.5)
 
 
+@pytest.mark.parametrize("theta_prev", [1.0 + 2 ** -52, 2.0, 1e10, 1e200])
+def test_theta_next_rejects_a_theta_above_one(theta_prev):
+    # The schedule starts at 1 and decreases; above 1 the formula cancels
+    # (theta_next(1e10) was 0.0) or overflows (theta_next(1e200) was inf).
+    with pytest.raises(ValueError,
+                       match=rf"^theta_prev must be at most 1, got {re.escape(repr(theta_prev))}$"):
+        theta_next(theta_prev)
+
+
 @given(st.floats(1e-6, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_theta_next_defining_identity(theta_prev):

@@ -471,6 +471,14 @@ def test_chebyshev_operator_rejects_a_given_sigma_that_does_not_fit_one_agent():
         chebyshev_operator([[1.0]], sigma=0.5)
 
 
+@pytest.mark.parametrize("sigma", [None, 0.5])
+def test_chebyshev_operator_rejects_a_w_that_is_not_doubly_stochastic(sigma):
+    # With sigma given this W (rows sum to 1.2) once built an operator with t = 1.
+    with pytest.raises(ValueError, match=r"^matrix is not doubly stochastic \(max row/col sum "
+                                         r"deviation 2\.000e-01\)$"):
+        chebyshev_operator([[0.9, 0.3], [0.3, 0.9]], sigma=sigma)
+
+
 def test_default_zeta_rejects_a_gamma_past_the_float_range():
     # Once an OverflowError from gamma / (1 - sigma_gamma).
     with pytest.raises(ValueError, match="is too large"):

@@ -147,6 +147,32 @@ def test_gradient_round_is_bitwise_the_local_oracles_gradients(rng):
         assert prob.mean_gradient(w).tobytes() == local.tobytes()
 
 
+@pytest.mark.parametrize("counts", [(1, 7, 3), (5,), (2, 2, 9, 1)])
+def test_mean_gradient_is_bitwise_the_local_gradients_mean_with_unequal_counts(counts, rng):
+    # The logistic one-point path contracts the rows with w itself, with no
+    # per-agent copy of w; its bits are still each agent's gradient at w, averaged.
+    N, n = sum(counts), 4
+    labels = np.where(rng.random(N) < 0.5, -1.0, 1.0)
+    prob = logistic_problem(rng.standard_normal((N, n)), labels, counts,
+                            rng.uniform(0.01, 0.2, len(counts)))
+    for scale in (0.1, 1.0, 10.0):
+        w = scale * rng.standard_normal(n)
+        local = prob._local(np.broadcast_to(w, (prob.m, n)))[1].mean(axis=0)
+        assert prob.mean_gradient(w).tobytes() == local.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 3), (1, 3)])
+def test_one_point_oracles_reject_any_other_shape(kind, shape):
+    # An (m, n) array once went through mean_gradient as m different points.
+    prob = (random_quadratic_problem(3, 3, mu=0.1, seed=0) if kind == "quadratic"
+            else random_logistic_problem(3, 3, samples_per_agent=5, ridge=0.1, seed=0))
+    for oracle in (prob.value, prob.mean_gradient):
+        with pytest.raises(ValueError, match=rf"^a point of this problem has shape \(3,\), "
+                                             rf"got {re.escape(str(shape))}$"):
+            oracle(np.ones(shape))
+
+
 def test_aggregate_gradient_shape_check(rng):
     prob = identity_quadratics(3, 2)
     with pytest.raises(ValueError):
@@ -589,6 +615,38 @@ def test_generated_instances_pinned_bitwise(name):
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     assert h.hexdigest() == digest
     assert (float(prob.L).hex(), float(prob.mu).hex()) == CONSTANT_PINS[name]
+
+
+# sha256 of x_star's bytes and F_star at the sweep benchmark's shape (m = 30,
+# n = 10, 30 samples per agent), keyed (ridge, seed), recorded from the optimum
+# solve that took each mean gradient through (m, n) and (N, n) copies of the
+# point.  Ridge 0.01 is the benchmark's (the solver's mu > 0 momentum); ridge 0
+# takes the theta recursion and the separability test.
+OPTIMUM_PINS = {
+    (0.01, 0): ("a1bf0402f5ffe499b7ad44e6a1375a665e7554ff35758c1d8b95f4c532aeffd7",
+                "0x1.8fbed8096b0a5p-3"),
+    (0.01, 1): ("5346d1d849a3d0526c832f662008dc031e08f8a7d32575305b30e44dc4669917",
+                "0x1.4a467dfb814fdp-3"),
+    (0.01, 200): ("64e2089ef7e9c56b8feb5af2bb70f69f579c04e6dd24039730b47978c8364461",
+                  "0x1.9c0ce7fa04273p-3"),
+    (0.01, 201): ("9e957824d355cbfb0b88ccbbe71718c9f2522a11828d6e1fc30004320bd7149b",
+                  "0x1.ac66c83e3b554p-3"),
+    (0.01, 202): ("d6e0f3b5b62b243d2698ca11e8df824a0ec7da1df4885e21ed61c9e04c91e7f3",
+                  "0x1.9770745a37007p-3"),
+    (0.01, 203): ("792f04e450d9cb81a2a402595bbb932ba32a00cdc065efa427ca327feea4a061",
+                  "0x1.69a854a0fc179p-3"),
+    (0.0, 0): ("d22332bcae8854a6e5330afec16ef45ee984d8080286bf18604c6152aa50164c",
+               "0x1.46eaeed11f5a4p-3"),
+    (0.0, 1): ("cfd15bb553fe5e28e9a6813859b8fb9791dc2aa29a3e12ac6da05f54209ee7b3",
+               "0x1.d797f6d007a2bp-4"),
+}
+
+
+@pytest.mark.parametrize("ridge, seed", sorted(OPTIMUM_PINS))
+def test_logistic_optimum_pinned_bitwise(ridge, seed):
+    prob = random_logistic_problem(30, 10, samples_per_agent=30, ridge=ridge, seed=seed)
+    digest = hashlib.sha256(prob.x_star.tobytes()).hexdigest()
+    assert (digest, float(prob.F_star).hex()) == OPTIMUM_PINS[ridge, seed]
 
 
 def test_random_quadratic_agent_count_must_be_an_integer():
